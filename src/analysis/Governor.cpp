@@ -2,7 +2,34 @@
 
 #include "analysis/Governor.h"
 
+#include "support/ParseInt.h"
+
+#include <cstring>
+
 namespace velo {
+
+bool parseGovernorFlag(const std::string &Arg, GovernorLimits &L,
+                       bool &Valid) {
+  static const struct {
+    const char *Prefix;
+    uint64_t GovernorLimits::*Field;
+    uint64_t Unit;
+  } Flags[] = {{"--max-events=", &GovernorLimits::MaxEvents, 1},
+               {"--max-live-nodes=", &GovernorLimits::MaxLiveNodes, 1},
+               {"--max-memory-mb=", &GovernorLimits::MaxMemoryBytes, 1 << 20},
+               {"--deadline-ms=", &GovernorLimits::DeadlineMillis, 1}};
+  for (const auto &F : Flags) {
+    size_t N = std::strlen(F.Prefix);
+    if (Arg.compare(0, N, F.Prefix) != 0)
+      continue;
+    uint64_t V = 0;
+    Valid = parseU64(Arg.c_str() + N, V) && V <= UINT64_MAX / F.Unit;
+    if (Valid)
+      L.*F.Field = V * F.Unit;
+    return true;
+  }
+  return false;
+}
 
 void GovernedAnalysis::beginAnalysis(const SymbolTable &Syms) {
   Backend::beginAnalysis(Syms);

@@ -45,7 +45,23 @@ struct GovernorLimits {
   bool any() const {
     return MaxEvents || MaxLiveNodes || MaxMemoryBytes || DeadlineMillis;
   }
+
+  /// What every tool starts from: graph slots are a 16-bit space
+  /// (Step::MaxSlots), so runaway traces degrade at 60000 live nodes
+  /// instead of exhausting it.
+  static GovernorLimits defaults() {
+    GovernorLimits L;
+    L.MaxLiveNodes = 60000;
+    return L;
+  }
 };
+
+/// The one parser for the cap flags every tool takes: --max-events=N,
+/// --max-live-nodes=N, --max-memory-mb=N, --deadline-ms=N. Returns false
+/// when Arg is none of them; otherwise Valid says whether its value was a
+/// plain decimal that fits (megabytes are checked against overflow).
+bool parseGovernorFlag(const std::string &Arg, GovernorLimits &L,
+                       bool &Valid);
 
 enum class GovernorState {
   Normal,    ///< primary (and fallback) running

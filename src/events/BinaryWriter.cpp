@@ -3,6 +3,7 @@
 #include "events/BinaryWriter.h"
 
 #include "events/BinaryFormat.h"
+#include "support/ParseInt.h"
 
 #include <cerrno>
 #include <cstdlib>
@@ -21,12 +22,9 @@ using namespace binfmt;
 /// tighten: the reader's limit is part of the format, not configurable.
 static uint64_t maxWriterFramePayload() {
   const char *Env = std::getenv("VELO_MAX_FRAME_PAYLOAD");
-  if (Env && *Env) {
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(Env, &End, 10);
-    if (End && *End == '\0' && V > 0 && V < MaxFramePayload)
-      return V;
-  }
+  uint64_t V = 0;
+  if (Env && parseU64(Env, V) && V > 0 && V < MaxFramePayload)
+    return V;
   return MaxFramePayload;
 }
 

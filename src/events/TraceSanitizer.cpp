@@ -28,6 +28,13 @@ std::string RepairCounts::summary() const {
   return Out;
 }
 
+std::string RepairCounts::note() const {
+  if (total() == 0)
+    return std::string();
+  return "lenient: repaired " + std::to_string(total()) +
+         " event(s): " + summary() + "\n";
+}
+
 bool TraceSanitizer::reject(const std::string &Msg, size_t SourceLine) {
   Failed = true;
   Error = (SourceLine != 0 ? "line " + std::to_string(SourceLine)

@@ -85,6 +85,10 @@ struct RepairCounts {
   /// "re-entrant acquires: 2; unheld releases: 1" — non-zero categories
   /// only; empty when nothing was repaired.
   std::string summary() const;
+
+  /// The tools' stderr line, "lenient: repaired N event(s): <summary>\n";
+  /// empty when nothing was repaired.
+  std::string note() const;
 };
 
 /// Streaming validator/repairer. Feed events with push(), flush with

@@ -1,8 +1,8 @@
 //===- preload/TraceConfig.cpp - VELO_TRACE_* environment parsing ---------===//
 
 #include "preload/TraceConfig.h"
+#include "support/ParseInt.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,18 +13,6 @@ namespace velo {
 namespace preload {
 
 namespace {
-
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
 
 bool fail(char *Diag, size_t DiagLen, const char *Var, const char *Value,
           const char *Want) {

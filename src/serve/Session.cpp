@@ -2,294 +2,86 @@
 
 #include "serve/Session.h"
 
-#include "aero/AeroDrome.h"
-#include "analysis/Snapshot.h"
-#include "atomizer/Atomizer.h"
-#include "core/BasicVelodrome.h"
-#include "core/Velodrome.h"
-#include "eraser/Eraser.h"
-#include "hbrace/HbRaceDetector.h"
-
-#include <cstdio>
+#include "analysis/Plan.h"
 
 namespace velo {
 namespace serve {
 
-// The full backend roster, constructed exactly as runAnalysis does so the
-// warning lists (and therefore the report bytes) cannot drift from the
-// CLI's. Selection only controls membership in Reporting/Delivery.
-struct Session::Pipeline {
-  Velodrome Velo;
-  BasicVelodrome Basic;
-  AeroDrome Aero;
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
-
-  std::vector<Backend *> Reporting; ///< report table order
-  std::vector<Backend *> Delivery;  ///< governor stands in for its pair
-  Backend *Primary = nullptr;
-  Backend *Fallback = nullptr;
-  bool Governed = false;
-  std::unique_ptr<GovernedAnalysis> Gov;
-
-  SymbolTable Syms;
-  TraceSanitizer San;
-  std::vector<Event> Scratch;
-
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
-  bool Stopped = false; ///< governor exhausted: drop the rest of the stream
-
-  explicit Pipeline(const SessionConfig &C)
-      : Velo(VelodromeOptions()),
-        San(C.Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict) {}
-};
-
 Session::Session() = default;
 Session::~Session() = default;
 
-bool Session::buildPipeline(std::string &Err) {
-  const std::string &Sel = Config.BackendSel;
-  bool RunVelo = Sel == "velodrome" || Sel == "all";
-  bool RunBasic = Sel == "basic" || Sel == "all";
-  bool RunAero = Sel == "aero" || Sel == "all";
-  bool RunAtom = Sel == "atomizer" || Sel == "all";
-  bool RunEraser = Sel == "eraser" || Sel == "all";
-  bool RunHb = Sel == "hb" || Sel == "all";
-  if (!(RunVelo || RunBasic || RunAero || RunAtom || RunEraser || RunHb)) {
-    Err = "unknown backend: " + Sel;
+bool Session::buildPlan(std::string &Err) {
+  PlanConfig C;
+  C.BackendSel = Config.BackendSel;
+  C.Mode = Config.Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict;
+  C.Limits = Config.Limits;
+  Syms = SymbolTable();
+  Plan = AnalysisPlan::create(C, Err);
+  if (!Plan)
     return false;
-  }
-
-  Pipe = std::make_unique<Pipeline>(Config);
-  Pipeline &P = *Pipe;
-  if (RunVelo)
-    P.Reporting.push_back(&P.Velo);
-  if (RunBasic)
-    P.Reporting.push_back(&P.Basic);
-  if (RunAero)
-    P.Reporting.push_back(&P.Aero);
-  if (RunAtom)
-    P.Reporting.push_back(&P.Atom);
-  if (RunEraser)
-    P.Reporting.push_back(&P.Race);
-  if (RunHb)
-    P.Reporting.push_back(&P.Hb);
-
-  P.Primary = RunVelo    ? static_cast<Backend *>(&P.Velo)
-              : RunBasic ? static_cast<Backend *>(&P.Basic)
-              : RunAero  ? static_cast<Backend *>(&P.Aero)
-                         : nullptr;
-  P.Fallback = RunAero && P.Primary != &P.Aero
-                   ? static_cast<Backend *>(&P.Aero)
-                   : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (P.Primary == &P.Velo) {
-    Velodrome *Velo = &P.Velo;
-    Probe = [Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo->graph().nodesAlive();
-      Bytes = Nodes * 256;
-    };
-    FailProbe = [Velo]() -> std::string {
-      return Velo->graphExhausted() ? "happens-before graph node slot space "
-                                      "exhausted"
-                                    : "";
-    };
-  }
-  P.Governed = P.Primary != nullptr && Config.Limits.any();
-  P.Gov = std::make_unique<GovernedAnalysis>(
-      P.Governed ? *P.Primary : P.Velo, P.Fallback, Config.Limits,
-      std::move(Probe), std::move(FailProbe));
-
-  if (P.Governed)
-    P.Delivery.push_back(P.Gov.get());
-  for (Backend *B : P.Reporting)
-    if (!P.Governed || (B != P.Primary && B != P.Fallback))
-      P.Delivery.push_back(B);
+  Plan->NotesOut = &Notes;
   return true;
 }
 
 bool Session::configure(const SessionConfig &C, std::string &Err) {
   Config = C;
-  if (!buildPipeline(Err))
+  if (!buildPlan(Err))
     return false;
-  for (Backend *B : Pipe->Delivery)
-    B->beginAnalysis(Pipe->Syms);
+  Plan->begin(Syms);
   return true;
 }
 
-void Session::deliver(const Event &E) {
-  Pipeline &P = *Pipe;
-  ++P.EventsSeen;
-  if (E.Thread >= P.ThreadsSeen)
-    P.ThreadsSeen = E.Thread + 1;
-  if ((E.Kind == Op::Fork || E.Kind == Op::Join) && E.child() >= P.ThreadsSeen)
-    P.ThreadsSeen = E.child() + 1;
-  // EventsSeen doubles as the sanitized-stream ordinal (serve never
-  // reduces, so delivered position == post-sanitizer position), and it is
-  // restored on rehydrate — warning coordinates survive eviction.
-  for (Backend *B : P.Delivery) {
-    B->setEventOrdinal(P.EventsSeen);
-    B->onEvent(E);
-  }
-  // Same rule as the CLI: once the governor leaves Normal, the reference
-  // checker (no GC, quadratic cycle checks) is dropped from delivery; its
-  // warnings up to this point are kept.
-  if (P.Governed && P.Gov->state() != GovernorState::Normal)
-    for (size_t I = 0; I < P.Delivery.size(); ++I)
-      if (P.Delivery[I] == &P.Basic) {
-        P.Delivery.erase(P.Delivery.begin() + I);
-        Notes += "governor: stopped the reference checker "
-                 "(Velodrome(basic), no GC) after the cap breach\n";
-        break;
-      }
-}
-
 bool Session::feed(const Event &E, std::string &Err) {
-  if (!Pipe || Finished) {
+  if (!Plan || Finished) {
     Err = "session is not accepting events";
     return false;
   }
-  Pipeline &P = *Pipe;
-  if (P.Stopped)
+  if (Plan->stopped())
     return true; // governor exhausted: the CLI loop stops reading here
-  P.Scratch.clear();
-  if (!P.San.push(E, P.Scratch)) {
-    Err = "trace is not well formed: " + P.San.error();
+  if (!Plan->feed(E)) {
+    Err = "trace is not well formed: " + Plan->sanitizer().error();
     return false;
-  }
-  for (const Event &Out : P.Scratch) {
-    deliver(Out);
-    if (P.Governed && P.Gov->state() == GovernorState::Exhausted) {
-      P.Stopped = true;
-      break;
-    }
   }
   return true;
 }
 
 bool Session::finish(std::string &Err) {
-  if (!Pipe || Finished) {
+  if (!Plan || Finished) {
     Err = "session is not accepting events";
     return false;
   }
-  Pipeline &P = *Pipe;
-  P.Scratch.clear();
-  P.San.finish(P.Scratch);
-  for (const Event &Out : P.Scratch)
-    if (!P.Stopped)
-      deliver(Out);
-  for (Backend *B : P.Delivery)
-    B->endAnalysis();
-  if (P.San.repairs().total() != 0)
-    Notes += "lenient: repaired " + std::to_string(P.San.repairs().total()) +
-             " event(s): " + P.San.repairs().summary() + "\n";
-  if (P.Governed && P.Gov->state() != GovernorState::Normal)
-    Notes += "governor: " + P.Gov->breachReason() +
-             (P.Gov->state() == GovernorState::Degraded
-                  ? "; fell back to the vector-clock checker (blame and "
-                    "error graphs unavailable)"
-                  : "; analysis stopped") +
-             "\n";
+  Plan->finish();
   Finished = true;
-  renderReport();
-  return true;
-}
-
-void Session::renderReport() {
-  Pipeline &P = *Pipe;
   // Same manager as the CLI (src/report): the text rendering is
   // byte-identical to velodrome-check's stdout, and Json/Sarif reuse the
   // identical findings, so the wire report cannot drift from the CLI's.
   ReportManager RM;
   RM.Run.Tool = "velodrome-serve";
   RM.Run.Trace = Config.Name;
-  RM.Run.Events = P.EventsSeen;
-  RM.Run.SanitizedEvents = P.EventsSeen;
-  RM.Run.Threads = P.ThreadsSeen;
-  for (Backend *B : P.Reporting)
-    RM.addSection(B->name(), B->warnings(), &P.Syms);
-
-  if (P.Governed) {
-    switch (P.Gov->verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      Exit = 0;
-      break;
-    }
-  } else {
-    const std::string &Sel = Config.BackendSel;
-    bool Violation = (Sel == "velodrome" || Sel == "all")
-                         ? P.Velo.sawViolation()
-                     : Sel == "basic" ? P.Basic.sawViolation()
-                     : Sel == "aero"  ? P.Aero.sawViolation()
-                                      : false;
-    RM.Run.Verdict = Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
+  Plan->report(RM, Syms);
+  Exit = RM.Run.ExitCode;
   Report = RM.render(Config.Format);
+  return true;
 }
 
-uint64_t Session::eventsSeen() const { return Pipe ? Pipe->EventsSeen : Saved.EventsSeen; }
+uint64_t Session::eventsSeen() const {
+  return Plan ? Plan->eventsSeen() : EvictedEvents;
+}
 
-SymbolTable &Session::symbols() { return Pipe->Syms; }
+SymbolTable &Session::symbols() { return Syms; }
 
+// Layout: str name | u32 report format | str notes | plan body (the
+// selector, lenient mode and caps ride in the plan config).
 bool Session::snapshot(std::string &Blob, std::string &Err) {
-  if (!Pipe || Finished) {
+  if (!Plan || Finished) {
     Err = "session cannot be snapshotted";
     return false;
   }
-  Pipeline &P = *Pipe;
-  for (Backend *B : P.Delivery)
-    if (!B->supportsSnapshot()) {
-      Err = std::string("backend '") + B->name() +
-            "' does not support snapshots";
-      return false;
-    }
-
   SnapshotWriter W;
   W.str(Config.Name);
-  W.str(Config.BackendSel);
-  W.boolean(Config.Lenient);
   W.u32(static_cast<uint32_t>(Config.Format));
-  W.u64(Config.Limits.MaxEvents);
-  W.u64(Config.Limits.MaxLiveNodes);
-  W.u64(Config.Limits.MaxMemoryBytes);
-  W.u64(Config.Limits.DeadlineMillis);
-  W.u32(Config.Limits.CheckIntervalEvents);
-  W.u64(P.EventsSeen);
-  W.u32(P.ThreadsSeen);
-  W.boolean(P.Stopped);
   W.str(Notes);
-
-  SnapshotWriter SymsBlob;
-  serializeSymbols(SymsBlob, P.Syms);
-  W.blob(SymsBlob);
-  SnapshotWriter SanBlob;
-  P.San.serialize(SanBlob);
-  W.blob(SanBlob);
-
-  // Delivery membership is part of the state (the reference checker may
-  // already have been dropped); restore-by-name mirrors the CLI resume.
-  W.u64(P.Delivery.size());
-  for (Backend *B : P.Delivery) {
-    W.str(B->name());
-    SnapshotWriter BBlob;
-    B->serialize(BBlob);
-    W.blob(BBlob);
-  }
-
+  Plan->write(W, Plan->cut());
   Blob = W.payload();
   return true;
 }
@@ -297,8 +89,9 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
 bool Session::evict(std::string &Blob, std::string &Err) {
   if (!snapshot(Blob, Err))
     return false;
-  Saved.EventsSeen = Pipe->EventsSeen;
-  Pipe.reset();
+  EvictedEvents = Plan->eventsSeen();
+  Plan.reset();
+  Syms = SymbolTable();
   return true;
 }
 
@@ -306,77 +99,28 @@ bool Session::rehydrate(const std::string &Blob, std::string &Err) {
   SnapshotReader R(Blob);
   SessionConfig C;
   C.Name = R.str();
-  C.BackendSel = R.str();
-  C.Lenient = R.boolean();
   uint32_t Fmt = R.u32();
-  if (Fmt > 2) {
-    Err = "corrupt session snapshot (report format)";
-    return false;
-  }
-  C.Format = static_cast<ReportFormat>(Fmt);
-  C.Limits.MaxEvents = R.u64();
-  C.Limits.MaxLiveNodes = R.u64();
-  C.Limits.MaxMemoryBytes = R.u64();
-  C.Limits.DeadlineMillis = R.u64();
-  C.Limits.CheckIntervalEvents = R.u32();
-  uint64_t EventsSeen = R.u64();
-  uint32_t ThreadsSeen = R.u32();
-  bool Stopped = R.boolean();
   std::string SavedNotes = R.str();
-  if (R.failed()) {
+  PlanHead H;
+  if (!AnalysisPlan::readHead(R, H) || Fmt > 2) {
     Err = "corrupt session snapshot";
     return false;
   }
+  C.Format = static_cast<ReportFormat>(Fmt);
+  C.BackendSel = H.Config.BackendSel;
+  C.Lenient = H.Config.Mode == SanitizeMode::Lenient;
+  C.Limits = H.Config.Limits;
 
   Config = C;
   Notes = SavedNotes;
   Finished = false;
-  if (!buildPipeline(Err))
+  if (!buildPlan(Err))
     return false;
-  Pipeline &P = *Pipe;
-  P.EventsSeen = EventsSeen;
-  P.ThreadsSeen = ThreadsSeen;
-  P.Stopped = Stopped;
-
-  // Restore order matters, same as the CLI: symbols first (backends keep a
-  // reference to the table from beginAnalysis), then sanitizer, then each
-  // backend's state.
-  SnapshotReader SymsBlob = R.blob();
-  if (!deserializeSymbols(SymsBlob, P.Syms)) {
-    Err = "corrupt session snapshot (symbol table)";
-    Pipe.reset();
+  if (!Plan->restore(H, R, Syms, Err)) {
+    Err = "corrupt session snapshot (" + Err + ")";
+    Plan.reset();
     return false;
   }
-  for (Backend *B : P.Delivery)
-    B->beginAnalysis(P.Syms);
-  SnapshotReader SanBlob = R.blob();
-  if (!P.San.deserialize(SanBlob)) {
-    Err = "corrupt session snapshot (sanitizer state)";
-    Pipe.reset();
-    return false;
-  }
-  uint64_t NumSaved = R.u64();
-  std::vector<Backend *> Restored;
-  for (uint64_t I = 0; I < NumSaved && !R.failed(); ++I) {
-    std::string Name = R.str();
-    SnapshotReader BBlob = R.blob();
-    Backend *Found = nullptr;
-    for (Backend *B : P.Delivery)
-      if (Name == B->name())
-        Found = B;
-    if (!Found || !Found->deserialize(BBlob)) {
-      Err = "corrupt session snapshot (backend '" + Name + "')";
-      Pipe.reset();
-      return false;
-    }
-    Restored.push_back(Found);
-  }
-  if (R.failed() || !R.atEnd()) {
-    Err = "corrupt session snapshot (truncated)";
-    Pipe.reset();
-    return false;
-  }
-  P.Delivery = std::move(Restored);
   return true;
 }
 

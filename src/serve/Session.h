@@ -1,12 +1,11 @@
 //===- serve/Session.h - One tenant's analysis pipeline ---------*- C++ -*-===//
 //
 // A Session is the daemon-side equivalent of one `velodrome-check`
-// invocation: sanitizer, back-end set, governor wrapper, and report
-// renderer, built to the same defaults and in the same order so the
-// rendered report is byte-identical to the CLI's stdout on the same event
-// stream. That identity is the service contract the fault-injection matrix
-// checks, so this file deliberately mirrors tools/velodrome-check.cpp's
-// runAnalysis rather than inventing a second policy.
+// invocation. Both are front-ends over the same analysis plan
+// (analysis/Plan.h): back-end set, governor, delivery, verdict and report
+// sections come from one place, so the rendered report is byte-identical
+// to the CLI's stdout on the same event stream. That identity is the
+// service contract the fault-injection matrix checks.
 //
 // Sessions are also the unit of fault isolation and eviction: evict()
 // serializes the full pipeline (symbols, sanitizer, every live back-end,
@@ -20,7 +19,7 @@
 #define VELO_SERVE_SESSION_H
 
 #include "analysis/Governor.h"
-#include "events/TraceSanitizer.h"
+#include "events/Trace.h"
 #include "report/Report.h"
 
 #include <memory>
@@ -28,21 +27,22 @@
 #include <vector>
 
 namespace velo {
+
+class AnalysisPlan;
+
 namespace serve {
 
 struct SessionConfig {
   std::string Name;               ///< display name (the CLI's trace path)
-  std::string BackendSel = "all"; ///< velodrome|basic|aero|atomizer|eraser|hb|all
+  std::string BackendSel = "all"; ///< the plan's selector vocabulary
   bool Lenient = false;
   /// VERDICT report rendering; Text reproduces velodrome-check's stdout
   /// byte for byte, Json/Sarif swap in the machine documents.
   ReportFormat Format = ReportFormat::Text;
   /// Per-session governor caps. Default-constructed SessionConfig carries
-  /// the CLI default (MaxLiveNodes = 60000), so a plain session is governed
-  /// exactly like a plain `velodrome-check` run.
-  GovernorLimits Limits;
-
-  SessionConfig() { Limits.MaxLiveNodes = 60000; }
+  /// the CLI default, so a plain session is governed exactly like a plain
+  /// `velodrome-check` run.
+  GovernorLimits Limits = GovernorLimits::defaults();
 };
 
 class Session {
@@ -96,22 +96,16 @@ public:
   /// state directory). The config travels inside the blob.
   bool rehydrate(const std::string &Blob, std::string &Err);
 
-  bool evicted() const { return !Pipe; }
+  bool evicted() const { return !Plan; }
   const SessionConfig &config() const { return Config; }
 
 private:
-  struct Pipeline;
-
-  bool buildPipeline(std::string &Err);
-  void deliver(const Event &E);
-  void renderReport();
+  bool buildPlan(std::string &Err);
 
   SessionConfig Config;
-  std::unique_ptr<Pipeline> Pipe;
-  /// Counters that must survive eviction (Pipe is gone while evicted).
-  struct {
-    uint64_t EventsSeen = 0;
-  } Saved;
+  SymbolTable Syms;                   ///< emptied on eviction
+  std::unique_ptr<AnalysisPlan> Plan; ///< null while evicted
+  uint64_t EvictedEvents = 0;         ///< eventsSeen() while evicted
   std::string Report, Notes;
   int Exit = 0;
   bool Finished = false;

@@ -85,6 +85,11 @@ struct GenParam {
   int NumSeeds;
 };
 
+// gtest's default printer dumps the struct's bytes, pointers included, and
+// ctest bakes the printed parameter into the test name; print the shape
+// name so the test name is the same in every build.
+void PrintTo(const GenParam &P, std::ostream *OS) { *OS << P.Name; }
+
 TraceGenOptions shape(uint32_t Threads, uint32_t Vars, uint32_t Locks,
                       size_t Steps, bool ForkJoin, unsigned GuardedPct,
                       int MaxDepth = 2) {

@@ -26,6 +26,11 @@ struct GoldenCase {
   const char *Blame; // expected blamed method, or "" when serializable
 };
 
+// gtest's default printer dumps the struct's bytes, pointers included, and
+// ctest bakes the printed parameter into the test name; print the file so
+// the name is the same in every build.
+void PrintTo(const GoldenCase &Case, std::ostream *OS) { *OS << Case.File; }
+
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTrace, FileVerdictAndBlameMatch) {

@@ -13,6 +13,7 @@
 
 #include "events/BinaryWriter.h"
 #include "events/TraceGen.h"
+#include "events/TraceText.h"
 #include "serve/Client.h"
 
 #include <gtest/gtest.h>
@@ -36,6 +37,9 @@
 #endif
 #ifndef VELO_CHECK_BIN
 #define VELO_CHECK_BIN "velodrome-check"
+#endif
+#ifndef VELO_TEST_DATA_DIR
+#define VELO_TEST_DATA_DIR "tests/data"
 #endif
 
 namespace velo {
@@ -64,11 +68,13 @@ Trace genTrace(uint64_t Seed, size_t Steps = 600, unsigned Threads = 4) {
   return generateRandomTrace(Seed, Opts);
 }
 
-/// What `velodrome-check <path>` prints on stdout, plus its exit code.
-int checkCli(const std::string &TracePath, std::string &Stdout) {
+/// What `velodrome-check [flags] <path>` prints on stdout, plus its exit
+/// code.
+int checkCli(const std::string &TracePath, std::string &Stdout,
+             const std::string &Flags = "") {
   Stdout.clear();
-  std::string Cmd =
-      std::string(VELO_CHECK_BIN) + " " + TracePath + " 2>/dev/null";
+  std::string Cmd = std::string(VELO_CHECK_BIN) + " " + Flags + " " +
+                    TracePath + " 2>/dev/null";
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
     return -1;
@@ -159,7 +165,8 @@ bool connectRetry(Client &Cl, const std::string &Socket,
 bool runSession(const std::string &Socket, const std::string &Name,
                 const Trace &T, RunResult &R, std::string &Err,
                 size_t EventsPerFrame = 64, ClientFaults Faults = {},
-                uint64_t CheckpointEvery = 0, bool Resume = false) {
+                uint64_t CheckpointEvery = 0, bool Resume = false,
+                const std::string &BackendSel = "all") {
   Client Cl;
   Cl.Faults = Faults;
   if (!connectRetry(Cl, Socket)) {
@@ -169,6 +176,7 @@ bool runSession(const std::string &Socket, const std::string &Name,
   HelloMsg H;
   H.Name = Name;
   H.Resume = Resume;
+  H.BackendSel = BackendSel;
   HelloOkMsg Ok;
   NakMsg Nak;
   if (!Cl.hello(H, Ok, Err, &Nak)) {
@@ -183,12 +191,13 @@ bool runSession(const std::string &Socket, const std::string &Name,
 }
 
 /// The service contract: the daemon's VERDICT for a trace must be
-/// byte-identical to what `velodrome-check <path>` prints for it.
-void expectMatchesCheckCli(const RunResult &R, const std::string &TracePath) {
+/// byte-identical to what `velodrome-check [flags] <path>` prints for it.
+void expectMatchesCheckCli(const RunResult &R, const std::string &TracePath,
+                           const std::string &Flags = "") {
   ASSERT_TRUE(R.GotVerdict) << (R.GotNak ? "NAK: " + R.Nak.Reason
                                          : "no verdict");
   std::string Want;
-  int WantExit = checkCli(TracePath, Want);
+  int WantExit = checkCli(TracePath, Want, Flags);
   ASSERT_GE(WantExit, 0) << "velodrome-check failed to run";
   EXPECT_EQ(R.Verdict.Report, Want)
       << "daemon report differs from velodrome-check stdout";
@@ -206,18 +215,50 @@ TEST(ServeCliTest, VerdictByteIdenticalToCheckCli) {
   Daemon D;
   D.start({});
   ASSERT_GT(D.Pid, 0);
-  for (uint64_t Seed : {3u, 17u}) {
-    Trace T = genTrace(Seed);
-    std::string Path = writeTraceFile(T, "verdict");
-    RunResult R;
-    std::string Err;
-    // The session is named after the trace file so the report header (the
-    // CLI prints its input path there) lines up byte-for-byte.
-    ASSERT_TRUE(runSession(D.Socket, Path, T, R, Err)) << Err;
-    expectMatchesCheckCli(R, Path);
-    ::unlink(Path.c_str());
-  }
+  std::vector<Trace> Inputs = {genTrace(3), genTrace(17)};
+  // The lock-order checker's fixture, so "deadlock" has a cycle to report.
+  Trace Dlk;
+  std::string Err;
+  ASSERT_TRUE(readTraceFile(std::string(VELO_TEST_DATA_DIR) +
+                                "/deadlock_ab.trace",
+                            Dlk, Err))
+      << Err;
+  Inputs.push_back(Dlk);
+  // HELLO's BackendSel takes velodrome-check's whole --backend vocabulary.
+  for (const char *Sel : {"velodrome", "basic", "aero", "atomizer", "eraser",
+                          "hb", "deadlock", "all"})
+    for (const Trace &T : Inputs) {
+      std::string Path = writeTraceFile(T, "verdict");
+      RunResult R;
+      // The session is named after the trace file so the report header
+      // (the CLI prints its input path there) lines up byte-for-byte.
+      ASSERT_TRUE(runSession(D.Socket, Path, T, R, Err, 64, {}, 0, false,
+                             Sel))
+          << Sel << ": " << Err;
+      expectMatchesCheckCli(R, Path, std::string("--backend=") + Sel);
+      ::unlink(Path.c_str());
+    }
   EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+/// Flag values the daemon must refuse before it binds anything. timeout(1)
+/// turns a wrongly accepted flag (a daemon that starts serving) into a
+/// failure instead of a hang.
+TEST(ServeCliTest, UsageErrorsExitTwo) {
+  auto serve = [](const std::string &Args) {
+    int Status = std::system(("timeout 10 " + std::string(VELO_SERVE_BIN) +
+                              " " + Args + " > /dev/null 2>&1")
+                                 .c_str());
+    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  };
+  std::string Sock = " --socket=" + uniquePath("usage", ".sock");
+  EXPECT_EQ(serve(""), 2) << "no listener";
+  EXPECT_EQ(serve("--bogus" + Sock), 2);
+  EXPECT_EQ(serve("--workers=0" + Sock), 2);
+  EXPECT_EQ(serve("--max-events=-1" + Sock), 2);
+  // 2^44 MB is 2^64 bytes: refused, not wrapped to 0 (unlimited) or 1 MiB.
+  for (const char *Mb : {"17592186044416", "17592186044417"})
+    EXPECT_EQ(serve(std::string("--max-memory-mb=") + Mb + Sock), 2) << Mb;
 }
 
 TEST(ServeCliTest, FaultMatrixIsolatesSessionsAndDaemonSurvives) {

@@ -113,6 +113,13 @@ TEST(CheckCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --backend=nope " +
                    dataFile("rmw_violation.trace")),
             2);
+  // 2^44 MB is 2^64 bytes: the cap must be refused, not wrapped to 0
+  // (unlimited) or to a 1 MiB cap.
+  for (const char *Mb : {"17592186044416", "17592186044417"})
+    EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --max-memory-mb=" + Mb +
+                     " " + dataFile("rmw_violation.trace")),
+              2)
+        << Mb;
 }
 
 TEST(CheckCliTest, DotExportWritesAGraph) {
@@ -317,6 +324,35 @@ TEST(CrashCliTest, KillResumeMatchesStraightRunOnEveryGoldenTrace) {
   }
 }
 
+/// --max-warnings is analysis configuration, so it rides in the snapshot
+/// for every checker that caps warnings: a resume given another cap keeps
+/// the snapshot's, as Velodrome always did.
+TEST(CrashCliTest, ResumeKeepsTheSnapshotWarningCap) {
+  std::string T = dataFile("deadlock_three.trace");
+  std::string Flags = " --backend=deadlock --max-warnings=1 ";
+  std::string Straight;
+  ASSERT_EQ(runCmdStdout(std::string(VELO_CHECK_BIN) + Flags + T, Straight),
+            0);
+  ASSERT_NE(Straight.find("[Deadlock] 1 warning(s)"), std::string::npos)
+      << Straight;
+
+  std::string Ckpt = ::testing::TempDir() + "/velo_cli_cap.snap";
+  std::remove(Ckpt.c_str());
+  std::string Ignored;
+  ASSERT_EQ(runCmdStdout(std::string(VELO_CHECK_BIN) + Flags +
+                             "--checkpoint=" + Ckpt +
+                             " --checkpoint-every=1 --crash-at=12 " + T,
+                         Ignored),
+            128 + SIGKILL);
+  std::string Resumed;
+  EXPECT_EQ(runCmdStdout(std::string(VELO_CHECK_BIN) + " --resume=" + Ckpt +
+                             " --max-warnings=0 " + T,
+                         Resumed),
+            0);
+  EXPECT_EQ(Resumed, Straight);
+  std::remove(Ckpt.c_str());
+}
+
 TEST(CrashCliTest, SupervisedRunRecoversFromRepeatedCrashes) {
   // Record a trace big enough for several checkpoint windows.
   std::string T = ::testing::TempDir() + "/velo_cli_sup.trace";
@@ -394,13 +430,26 @@ TEST(RunCliTest, GovernorFlagsGateTheLivePath) {
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
                    " multiset --seed=3 --max-events=50"),
             3);
-  // Degradation to the vector-clock spare keeps the violation verdict.
-  EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
-                   " multiset --seed=3 --max-live-nodes=2"),
+  // Degradation to the vector-clock spare keeps the violation verdict,
+  // and says so in velodrome-check's words.
+  std::string Out;
+  EXPECT_EQ(runCmdAll(std::string(VELO_RUN_BIN) +
+                          " multiset --seed=3 --max-live-nodes=2",
+                      Out),
             1);
+  EXPECT_NE(Out.find("governor: live graph nodes 3 exceed cap 2; fell back "
+                     "to the vector-clock checker (blame and error graphs "
+                     "unavailable)\n"),
+            std::string::npos)
+      << Out;
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
                    " multiset --max-events=abc"),
             2);
+  for (const char *Mb : {"17592186044416", "17592186044417"})
+    EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) + " multiset --max-memory-mb=" +
+                     Mb),
+              2)
+        << Mb;
 }
 
 TEST(FuzzCliTest, BoundedSmokeRunPasses) {
@@ -414,6 +463,9 @@ TEST(FuzzCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --bogus"), 2);
   EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --iters=abc"), 2);
   EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --seed="), 2);
+  // strtoull would wrap these to 2^64-1 and 2^64-3.
+  EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --iters=-1"), 2);
+  EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --seed=-3"), 2);
 }
 
 TEST(RunCliTest, ListAndUnknownWorkload) {
@@ -462,14 +514,18 @@ TEST(RunCliTest, ValidScaleAndSeedStillRun) {
 }
 
 TEST(RunCliTest, BackendSelectionWorks) {
-  for (const char *Backend : {"velodrome", "aero", "both"}) {
+  // velodrome-check's vocabulary, all eight selectors.
+  for (const char *Backend : {"velodrome", "basic", "aero", "atomizer",
+                              "eraser", "hb", "deadlock", "all"}) {
     int Code = runCmd(std::string(VELO_RUN_BIN) + " multiset --seed=3" +
                       " --backend=" + Backend);
     EXPECT_TRUE(Code == 0 || Code == 1) << Backend;
   }
-  EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
-                   " multiset --backend=bogus"),
-            2);
+  for (const char *Bad : {"bogus", "both"})
+    EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
+                     " multiset --backend=" + Bad),
+              2)
+        << Bad;
 }
 
 //===----------------------------------------------------------------------===//

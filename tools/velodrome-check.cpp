@@ -64,25 +64,19 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
 #include "analysis/CrashDump.h"
-#include "analysis/Governor.h"
-#include "atomizer/Atomizer.h"
-#include "core/BasicVelodrome.h"
-#include "core/Velodrome.h"
-#include "deadlock/DeadlockDetector.h"
-#include "eraser/Eraser.h"
+#include "analysis/Plan.h"
 #include "events/BinaryReader.h"
 #include "events/TraceSanitizer.h"
 #include "events/TraceSource.h"
 #include "events/TraceStream.h"
 #include "events/TraceText.h"
-#include "hbrace/HbRaceDetector.h"
 #include "oracle/SerializabilityOracle.h"
 #include "parallel/Pipeline.h"
 #include "report/Report.h"
 #include "staticpass/PassManager.h"
 #include "staticpass/ReductionFilter.h"
+#include "support/ParseInt.h"
 #include "support/Syscalls.h"
 
 #include <cerrno>
@@ -140,22 +134,9 @@ void usage() {
       "      128+N stopped by signal N after a clean checkpoint\n");
 }
 
-/// Parse a full decimal uint64 ("--max-events="). Rejects empty strings,
-/// trailing garbage, signs, and out-of-range values.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
 struct Options {
-  std::string BackendSel = "all", TraceFile, DotFile;
+  PlanConfig Plan; ///< --backend, --lenient, --no-merge, --max-warnings, caps
+  std::string TraceFile, DotFile;
   std::string ReduceSpec; ///< empty = reduction off
   std::string CheckpointFile, ResumeFile;
   uint64_t CheckpointEvery = 4096;
@@ -165,36 +146,30 @@ struct Options {
   uint64_t CrashSignal = SIGKILL;
   bool Supervise = false;
   bool Salvage = false; ///< --salvage: longest-prefix recovery for .vtrc
-  bool Witness = false, NoMerge = false, Stats = false, Quiet = false;
+  bool Witness = false, Stats = false, Quiet = false;
   bool Parallel = false;       ///< --parallel given
   uint64_t ParallelWorkers = 0; ///< 0 = one worker per back-end
   uint64_t BatchEvents = 4096;
   bool BatchEventsSet = false;
   bool ExplicitLimits = false; ///< any resource-cap flag given
-  SanitizeMode Mode = SanitizeMode::Strict;
-  GovernorLimits Limits;
   ReportFormat Format = ReportFormat::Text;
-  uint64_t MaxWarnings = 0;  ///< only applied when MaxWarningsSet
-  bool MaxWarningsSet = false;
 };
 
 /// Returns 0 to continue, 2 on usage error, -1 when --help was handled.
 int parseArgs(int argc, char **argv, Options &O) {
-  // Graph slots are a 16-bit space (Step::MaxSlots); the default node cap
-  // keeps runaway traces degrading gracefully instead of exhausting it.
-  O.Limits.MaxLiveNodes = 60000;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     uint64_t *U64Target = nullptr;
     size_t U64Prefix = 0;
+    bool Valid = true;
     if (Arg.rfind("--backend=", 0) == 0) {
-      O.BackendSel = Arg.substr(10);
+      O.Plan.BackendSel = Arg.substr(10);
     } else if (Arg.rfind("--dot=", 0) == 0) {
       O.DotFile = Arg.substr(6);
     } else if (Arg == "--witness") {
       O.Witness = true;
     } else if (Arg == "--no-merge") {
-      O.NoMerge = true;
+      O.Plan.NoMerge = true;
     } else if (Arg.rfind("--reduce=", 0) == 0) {
       O.ReduceSpec = Arg.substr(9);
     } else if (Arg == "--stats") {
@@ -202,21 +177,15 @@ int parseArgs(int argc, char **argv, Options &O) {
     } else if (Arg == "--quiet") {
       O.Quiet = true;
     } else if (Arg == "--lenient") {
-      O.Mode = SanitizeMode::Lenient;
+      O.Plan.Mode = SanitizeMode::Lenient;
     } else if (Arg == "--strict") {
-      O.Mode = SanitizeMode::Strict;
+      O.Plan.Mode = SanitizeMode::Strict;
     } else if (Arg == "--salvage") {
       O.Salvage = true;
     } else if (Arg.rfind("--format=", 0) == 0) {
-      if (!parseReportFormat(Arg.substr(9), O.Format)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
+      Valid = parseReportFormat(Arg.substr(9), O.Format);
     } else if (Arg.rfind("--max-warnings=", 0) == 0) {
-      U64Target = &O.MaxWarnings;
-      U64Prefix = 15;
-      O.MaxWarningsSet = true;
+      Valid = parseU64(Arg.c_str() + 15, O.Plan.MaxWarnings.emplace());
     } else if (Arg.rfind("--checkpoint=", 0) == 0) {
       O.CheckpointFile = Arg.substr(13);
     } else if (Arg.rfind("--resume=", 0) == 0) {
@@ -248,21 +217,7 @@ int parseArgs(int argc, char **argv, Options &O) {
     } else if (Arg.rfind("--crash-signal=", 0) == 0) {
       U64Target = &O.CrashSignal;
       U64Prefix = 15;
-    } else if (Arg.rfind("--max-events=", 0) == 0) {
-      U64Target = &O.Limits.MaxEvents;
-      U64Prefix = 13;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--max-live-nodes=", 0) == 0) {
-      U64Target = &O.Limits.MaxLiveNodes;
-      U64Prefix = 17;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--max-memory-mb=", 0) == 0) {
-      U64Target = &O.Limits.MaxMemoryBytes;
-      U64Prefix = 16;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      U64Target = &O.Limits.DeadlineMillis;
-      U64Prefix = 14;
+    } else if (parseGovernorFlag(Arg, O.Plan.Limits, Valid)) {
       O.ExplicitLimits = true;
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
@@ -277,14 +232,11 @@ int parseArgs(int argc, char **argv, Options &O) {
       usage();
       return 2;
     }
-    if (U64Target) {
-      if (!parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-      if (U64Target == &O.Limits.MaxMemoryBytes)
-        *U64Target *= 1024 * 1024;
+    if (!Valid ||
+        (U64Target && !parseU64(Arg.c_str() + U64Prefix, *U64Target))) {
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+      usage();
+      return 2;
     }
   }
   if (O.TraceFile.empty()) {
@@ -308,7 +260,7 @@ int parseArgs(int argc, char **argv, Options &O) {
                            "incompatible with --reduce\n");
       return 2;
     }
-    if (O.NoMerge) {
+    if (O.Plan.NoMerge) {
       // Without merging every outside-transaction operation gets its own
       // graph node, so collapsed repeats change the naive mode's cycle
       // shapes (and its warning text). Reduction is only exact against the
@@ -369,134 +321,53 @@ int parseArgs(int argc, char **argv, Options &O) {
 // Checkpoint layout (inside the versioned Snapshot container)
 //===----------------------------------------------------------------------===//
 //
-//   str  trace path (diagnostic)        u8   sanitize mode
-//   str  backend selection              u64 x4 + u32 governor limits
-//   bool no-merge                       str  reduce spec ("" = off)
-//   u64  byte offset | u64 line | u64 events seen | u32 threads seen
-//   blob symbols | blob sanitizer | blob reduction filter (empty = off)
-//   u64  N; N x (str backend name + blob backend state)
+//   str  trace path (diagnostic)        str  reduce spec ("" = off)
+//   u64  byte offset | u64 line         blob reduction filter (empty = off)
+//   the plan body (analysis/Plan.h): config, counters, symbols, sanitizer,
+//   one named blob per live back-end
 //
-// The configuration fields make the snapshot authoritative on resume: a
-// resumed run always re-creates the exact pipeline that wrote it, which is
-// what makes verdict/warning identity with a straight-through run hold.
-// The stream position fields come first after the config so the supervisor
-// can peek progress without decoding backend state.
+// The plan config makes the snapshot authoritative on resume: a resumed
+// run always re-creates the exact pipeline that wrote it, which is what
+// makes verdict/warning identity with a straight-through run hold. The
+// stream position and the plan's counters precede the state blobs, so the
+// supervisor can peek progress without decoding back-end state.
 
-struct ResumeState {
-  SnapshotReader R; ///< positioned at the symbols blob after loadHeader
-  std::string TracePath, BackendSel, ReduceSpec;
-  bool NoMerge = false;
-  SanitizeMode Mode = SanitizeMode::Strict;
-  GovernorLimits Limits;
-  uint64_t ByteOffset = 0, LineNo = 0, EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
+struct Checkpoint {
+  SnapshotReader R; ///< positioned at the plan's state after loading
+  std::string ReduceSpec;
+  uint64_t ByteOffset = 0, LineNo = 0;
+  SnapshotReader Filter;
+  PlanHead Plan;
 };
 
-bool loadHeader(const std::string &Path, ResumeState &RS,
-                std::string &ErrorOut) {
-  if (!SnapshotReader::readFile(Path, RS.R, ErrorOut))
+bool loadCheckpoint(const std::string &Path, Checkpoint &C,
+                    std::string &ErrorOut) {
+  if (!SnapshotReader::readFile(Path, C.R, ErrorOut))
     return false;
-  RS.TracePath = RS.R.str();
-  RS.BackendSel = RS.R.str();
-  RS.NoMerge = RS.R.boolean();
-  RS.ReduceSpec = RS.R.str();
-  RS.Mode = RS.R.u8() ? SanitizeMode::Lenient : SanitizeMode::Strict;
-  RS.Limits.MaxEvents = RS.R.u64();
-  RS.Limits.MaxLiveNodes = RS.R.u64();
-  RS.Limits.MaxMemoryBytes = RS.R.u64();
-  RS.Limits.DeadlineMillis = RS.R.u64();
-  RS.Limits.CheckIntervalEvents = RS.R.u32();
-  RS.ByteOffset = RS.R.u64();
-  RS.LineNo = RS.R.u64();
-  RS.EventsSeen = RS.R.u64();
-  RS.ThreadsSeen = RS.R.u32();
-  if (RS.R.failed()) {
+  C.R.str(); // trace path: diagnostic only
+  C.ReduceSpec = C.R.str();
+  C.ByteOffset = C.R.u64();
+  C.LineNo = C.R.u64();
+  C.Filter = C.R.blob();
+  if (!AnalysisPlan::readHead(C.R, C.Plan)) {
     ErrorOut = "truncated snapshot header";
     return false;
   }
   return true;
 }
 
-bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
-                     uint64_t EventsSeen, uint32_t ThreadsSeen,
-                     const SymbolTable &Syms, const TraceSanitizer &San,
-                     const ReductionFilter *Filter,
-                     const std::vector<Backend *> &Delivery,
-                     std::string &ErrorOut) {
+/// Both pipelines checkpoint through here: the parallel one hands over the
+/// cut it assembled at a batch boundary, the sequential loop the plan's
+/// cut() at a record boundary, so either resumes the other's snapshots.
+bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
+                     const CheckpointCut &Cut, std::string &ErrorOut) {
   SnapshotWriter W;
   W.str(O.TraceFile);
-  W.str(O.BackendSel);
-  W.boolean(O.NoMerge);
   W.str(O.ReduceSpec);
-  W.u8(O.Mode == SanitizeMode::Lenient ? 1 : 0);
-  W.u64(O.Limits.MaxEvents);
-  W.u64(O.Limits.MaxLiveNodes);
-  W.u64(O.Limits.MaxMemoryBytes);
-  W.u64(O.Limits.DeadlineMillis);
-  W.u32(O.Limits.CheckIntervalEvents);
-  W.u64(ByteOffset);
-  W.u64(LineNo);
-  W.u64(EventsSeen);
-  W.u32(ThreadsSeen);
-  SnapshotWriter SymsBlob;
-  serializeSymbols(SymsBlob, Syms);
-  W.blob(SymsBlob);
-  SnapshotWriter SanBlob;
-  San.serialize(SanBlob);
-  W.blob(SanBlob);
-  SnapshotWriter FilterBlob;
-  if (Filter)
-    Filter->serialize(FilterBlob);
-  W.blob(FilterBlob);
-  W.u64(Delivery.size());
-  for (const Backend *B : Delivery) {
-    W.str(B->name());
-    SnapshotWriter BB;
-    B->serialize(BB);
-    W.blob(BB);
-  }
-  return W.writeFile(O.CheckpointFile, ErrorOut);
-}
-
-/// Parallel-path twin of writeCheckpoint: assembles the snapshot from the
-/// state blobs deposited into a pipeline checkpoint cut. str(blob) and
-/// blob(writer) share one encoding, so the two writers produce
-/// byte-compatible snapshots — sequential and parallel runs can resume
-/// each other's checkpoints. A back-end entry with an empty blob was
-/// dropped from delivery before the boundary (the governor's post-breach
-/// drop) and is omitted, exactly as writeCheckpoint omits it from
-/// Delivery.
-bool writeCheckpointCut(const Options &O, const CheckpointCut &Cut,
-                        std::string &ErrorOut) {
-  SnapshotWriter W;
-  W.str(O.TraceFile);
-  W.str(O.BackendSel);
-  W.boolean(O.NoMerge);
-  W.str(O.ReduceSpec);
-  W.u8(O.Mode == SanitizeMode::Lenient ? 1 : 0);
-  W.u64(O.Limits.MaxEvents);
-  W.u64(O.Limits.MaxLiveNodes);
-  W.u64(O.Limits.MaxMemoryBytes);
-  W.u64(O.Limits.DeadlineMillis);
-  W.u32(O.Limits.CheckIntervalEvents);
   W.u64(Cut.ByteOffset);
   W.u64(Cut.LineNo);
-  W.u64(Cut.EventsSeen);
-  W.u32(Cut.ThreadsSeen);
-  W.str(Cut.SymsBlob);
-  W.str(Cut.SanBlob);
   W.str(Cut.FilterBlob);
-  uint64_t Live = 0;
-  for (const auto &Entry : Cut.Backends)
-    if (!Entry.second.empty())
-      ++Live;
-  W.u64(Live);
-  for (const auto &Entry : Cut.Backends) {
-    if (Entry.second.empty())
-      continue;
-    W.str(Entry.first);
-    W.str(Entry.second);
-  }
+  Plan.write(W, Cut);
   return W.writeFile(O.CheckpointFile, ErrorOut);
 }
 
@@ -571,28 +442,26 @@ bool readTraceSalvaged(const std::string &Path, Trace &Out,
 }
 
 int runAnalysis(Options O) {
-  ResumeState RS;
+  Checkpoint Ckpt;
   bool Resuming = !O.ResumeFile.empty();
   if (Resuming) {
     std::string Error;
-    if (!loadHeader(O.ResumeFile, RS, Error)) {
+    if (!loadCheckpoint(O.ResumeFile, Ckpt, Error)) {
       std::fprintf(stderr, "error: cannot resume from %s: %s\n",
                    O.ResumeFile.c_str(), Error.c_str());
       return 2;
     }
     // The snapshot is authoritative for the analysis configuration; the
     // presentation flags (--quiet, --stats, --dot) stay as given.
-    O.BackendSel = RS.BackendSel;
-    O.NoMerge = RS.NoMerge;
-    O.ReduceSpec = RS.ReduceSpec;
-    O.Mode = RS.Mode;
-    O.Limits = RS.Limits;
+    O.Plan = Ckpt.Plan.Config;
+    O.ReduceSpec = Ckpt.ReduceSpec;
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
     // parseArgs does for caps given on the command line.
+    const GovernorLimits &L = O.Plan.Limits;
     if (O.Parallel &&
-        (O.Limits.MaxEvents != 0 || O.Limits.MaxMemoryBytes != 0 ||
-         O.Limits.DeadlineMillis != 0 || O.Limits.MaxLiveNodes != 60000)) {
+        (L.MaxEvents != 0 || L.MaxMemoryBytes != 0 || L.DeadlineMillis != 0 ||
+         L.MaxLiveNodes != GovernorLimits::defaults().MaxLiveNodes)) {
       std::fprintf(stderr,
                    "error: %s was written by a run with explicit resource "
                    "caps, which are incompatible with --parallel; resume "
@@ -612,92 +481,15 @@ int runAnalysis(Options O) {
     }
   }
 
-  bool RunVelo = O.BackendSel == "velodrome" || O.BackendSel == "all";
-  bool RunBasic = O.BackendSel == "basic" || O.BackendSel == "all";
-  bool RunAero = O.BackendSel == "aero" || O.BackendSel == "all";
-  bool RunAtom = O.BackendSel == "atomizer" || O.BackendSel == "all";
-  bool RunEraser = O.BackendSel == "eraser" || O.BackendSel == "all";
-  bool RunHb = O.BackendSel == "hb" || O.BackendSel == "all";
-  // The lock-order deadlock checker is opt-in only: "all" keeps meaning
-  // the atomicity/race table, so default reports are unchanged.
-  bool RunDeadlock = O.BackendSel == "deadlock";
-  if (!(RunVelo || RunBasic || RunAero || RunAtom || RunEraser || RunHb ||
-        RunDeadlock)) {
-    std::fprintf(stderr, "unknown backend: %s\n", O.BackendSel.c_str());
+  std::string PlanError;
+  std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(O.Plan, PlanError);
+  if (!Plan) {
+    std::fprintf(stderr, "%s\n", PlanError.c_str());
     return 2;
   }
-
-  VelodromeOptions VOpts;
-  VOpts.UseMerge = !O.NoMerge;
-  AeroDromeOptions AOpts;
-  DeadlockOptions DOpts;
-  if (O.MaxWarningsSet) {
-    VOpts.MaxWarnings = O.MaxWarnings;
-    AOpts.MaxWarnings = O.MaxWarnings;
-    DOpts.MaxWarnings = O.MaxWarnings;
-  }
-  Velodrome Velo(VOpts);
-  BasicVelodrome Basic;
-  AeroDrome Aero(AOpts);
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
-  DeadlockDetector Deadlock(DOpts);
-
-  // The backends whose warnings are reported, in table order.
-  std::vector<Backend *> Reporting;
-  if (RunVelo)
-    Reporting.push_back(&Velo);
-  if (RunBasic)
-    Reporting.push_back(&Basic);
-  if (RunAero)
-    Reporting.push_back(&Aero);
-  if (RunAtom)
-    Reporting.push_back(&Atom);
-  if (RunEraser)
-    Reporting.push_back(&Race);
-  if (RunHb)
-    Reporting.push_back(&Hb);
-  if (RunDeadlock)
-    Reporting.push_back(&Deadlock);
-
-  // The governor wraps the verdict-producing pair: the selected graph
-  // checker as primary, the vector-clock checker as its degradation target.
-  // Remaining back-ends are delivered alongside, ungoverned, and stop with
-  // the governor on exhaustion.
-  Backend *Primary = RunVelo    ? static_cast<Backend *>(&Velo)
-                     : RunBasic ? static_cast<Backend *>(&Basic)
-                     : RunAero  ? static_cast<Backend *>(&Aero)
-                                : nullptr;
-  Backend *Fallback =
-      RunAero && Primary != &Aero ? static_cast<Backend *>(&Aero) : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (Primary == &Velo) {
-    Probe = [&Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo.graph().nodesAlive();
-      // Rough per-node footprint: slot bookkeeping + edges + ancestor set.
-      Bytes = Nodes * 256;
-    };
-    // Slot-space exhaustion used to abort the process; it now reports
-    // through the governor as a degradation cause.
-    FailProbe = [&Velo]() -> std::string {
-      return Velo.graphExhausted() ? "happens-before graph node slot space "
-                                     "exhausted"
-                                   : "";
-    };
-  }
-  bool Governed = Primary != nullptr && O.Limits.any();
-  GovernedAnalysis Gov(Governed ? *Primary : Velo, Fallback, O.Limits,
-                       std::move(Probe), std::move(FailProbe));
-
-  // Delivery list: the governor stands in for its primary and fallback.
-  std::vector<Backend *> Delivery;
-  if (Governed)
-    Delivery.push_back(&Gov);
-  for (Backend *B : Reporting)
-    if (!Governed || (B != Primary && B != Fallback))
-      Delivery.push_back(B);
+  Plan->NoteCrashEvents = true;
+  Plan->CrashAt = O.CrashAt;
+  Plan->CrashSignal = static_cast<int>(O.CrashSignal);
 
   // Fatal-signal diagnostics: every delivered event lands in the crash
   // ring; with a checkpoint configured the handler also writes the dump to
@@ -748,7 +540,7 @@ int runAnalysis(Options O) {
       std::fprintf(stderr, "error: %s\n", ClsErr.c_str());
       return 2;
     }
-    TraceSanitizer ClsSan(O.Mode);
+    TraceSanitizer ClsSan(O.Plan.Mode);
     TraceClassifier Classifier;
     std::vector<Event> ClsScratch;
     Event ClsE;
@@ -774,49 +566,11 @@ int runAnalysis(Options O) {
     Filter =
         ReductionFilter(PassManager(ReduceMask).plan(Classifier.facts()));
   }
+  if (Reducing)
+    Plan->setFilter(&Filter);
 
   SymbolTable StreamSyms;
   Trace Buffered; // only filled on the --witness path
-  TraceSanitizer San(O.Mode);
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
-  uint64_t EventsAtStart = 0; // resumed offset, for the --crash-at hook
-  // 1-based ordinal of the current event in the sanitized (pre-reduction)
-  // stream: the coordinate warnings report into (docs/REPORTING.md).
-  uint64_t SanOrdinal = 0;
-  std::vector<Event> Scratch;
-
-  auto Deliver = [&](const Event &E, uint64_t Line) {
-    ++EventsSeen;
-    crashdump::noteEvent(E, EventsSeen, Line);
-    if (E.Thread >= ThreadsSeen)
-      ThreadsSeen = E.Thread + 1;
-    if ((E.Kind == Op::Fork || E.Kind == Op::Join) &&
-        E.child() >= ThreadsSeen)
-      ThreadsSeen = E.child() + 1;
-    for (Backend *B : Delivery) {
-      B->setEventOrdinal(SanOrdinal);
-      B->onEvent(E);
-    }
-    // The reference checker has no GC and quadratic cycle checks; once the
-    // governor trips a cap the trace is past test scale, and keeping the
-    // reference fed would defeat the bound. Its warnings up to this point
-    // are kept.
-    if (Governed && Gov.state() != GovernorState::Normal)
-      for (size_t I = 0; I < Delivery.size(); ++I)
-        if (Delivery[I] == &Basic) {
-          Delivery.erase(Delivery.begin() + I);
-          std::fprintf(stderr,
-                       "governor: stopped the reference checker "
-                       "(Velodrome(basic), no GC) after the cap breach\n");
-          break;
-        }
-    if (O.CrashAt != 0 && EventsSeen - EventsAtStart >= O.CrashAt) {
-      // Test hook: simulate an analysis crash at a deterministic point.
-      std::fflush(nullptr);
-      ::raise(static_cast<int>(O.CrashSignal));
-    }
-  };
 
   if (O.Witness) {
     // The serializability oracle needs random access: buffer, sanitize,
@@ -838,25 +592,19 @@ int runAnalysis(Options O) {
       }
     }
     RepairCounts Repairs;
-    if (!sanitizeTrace(Raw, O.Mode, Buffered, &Repairs, Error)) {
+    if (!sanitizeTrace(Raw, O.Plan.Mode, Buffered, &Repairs, Error)) {
       std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
                    O.TraceFile.c_str(), Error.c_str());
       return 2;
     }
-    if (Repairs.total() != 0)
-      std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                   static_cast<unsigned long long>(Repairs.total()),
-                   Repairs.summary().c_str());
-    for (Backend *B : Delivery)
-      B->beginAnalysis(Buffered.symbols());
+    std::fputs(Repairs.note().c_str(), stderr);
+    Plan->begin(Buffered.symbols());
     for (const Event &E : Buffered) {
-      ++SanOrdinal;
-      Deliver(E, 0);
-      if (Governed && Gov.state() == GovernorState::Exhausted)
+      Plan->deliver(E);
+      if (Plan->stopped())
         break;
     }
-    for (Backend *B : Delivery)
-      B->endAnalysis();
+    Plan->end();
   } else {
     // Default path: stream the file through sanitizer and back-ends in
     // constant memory, snapshotting at resume boundaries when asked to.
@@ -876,77 +624,19 @@ int runAnalysis(Options O) {
     printSalvageNote(Salv);
 
     if (Resuming) {
-      // Restore order matters: symbols first (backends keep a reference to
-      // the table from beginAnalysis), then backend state, then the stream
-      // position.
-      SnapshotReader SymsBlob = RS.R.blob();
-      if (!deserializeSymbols(SymsBlob, StreamSyms)) {
-        std::fprintf(stderr, "error: cannot resume from %s: corrupt symbol "
-                             "table\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-    }
-    for (Backend *B : Delivery)
-      B->beginAnalysis(StreamSyms);
-    if (Resuming) {
-      SnapshotReader SanBlob = RS.R.blob();
-      if (!San.deserialize(SanBlob)) {
-        std::fprintf(stderr,
-                     "error: cannot resume from %s: sanitizer state does "
-                     "not match this configuration\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      SnapshotReader FilterBlob = RS.R.blob();
-      if (Reducing && !Filter.deserialize(FilterBlob)) {
-        std::fprintf(stderr,
-                     "error: cannot resume from %s: reduction filter state "
-                     "cannot be restored\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      uint64_t NumSaved = RS.R.u64();
-      // The snapshot lists the backends that were still live when it was
-      // written (the reference checker is dropped after a cap breach), so
-      // delivery membership is restored by name.
-      std::vector<Backend *> Restored;
-      for (uint64_t I = 0; I < NumSaved; ++I) {
-        std::string Name = RS.R.str();
-        SnapshotReader Blob = RS.R.blob();
-        Backend *Found = nullptr;
-        for (Backend *B : Delivery)
-          if (Name == B->name())
-            Found = B;
-        if (!Found || !Found->deserialize(Blob)) {
-          std::fprintf(stderr,
-                       "error: cannot resume from %s: backend '%s' state "
-                       "cannot be restored\n",
-                       O.ResumeFile.c_str(), Name.c_str());
-          return 2;
-        }
-        Restored.push_back(Found);
-      }
-      if (RS.R.failed()) {
-        std::fprintf(stderr, "error: cannot resume from %s: truncated "
-                             "snapshot\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      Delivery = std::move(Restored);
-      EventsSeen = RS.EventsSeen;
-      ThreadsSeen = RS.ThreadsSeen;
-      EventsAtStart = EventsSeen;
-      // The sanitized-stream position needs no extra checkpoint field:
-      // under --reduce the restored filter counted every sanitized event
-      // it was offered; otherwise every sanitized event was delivered.
-      SanOrdinal = Reducing ? Filter.stats().Input : RS.EventsSeen;
-      std::string SeekErr;
-      if (!Src->seekTo(RS.ByteOffset, RS.LineNo, RS.EventsSeen, SeekErr)) {
+      // The filter first: resumed ordinals continue from its input count.
+      // restore() and seekTo() overwrite Error when they fail.
+      std::string Error = "reduction filter state cannot be restored";
+      if ((Reducing && !Filter.deserialize(Ckpt.Filter)) ||
+          !Plan->restore(Ckpt.Plan, Ckpt.R, StreamSyms, Error) ||
+          !Src->seekTo(Ckpt.ByteOffset, Ckpt.LineNo, Ckpt.Plan.EventsSeen,
+                       Error)) {
         std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     O.ResumeFile.c_str(), SeekErr.c_str());
+                     O.ResumeFile.c_str(), Error.c_str());
         return 2;
       }
+    } else {
+      Plan->begin(StreamSyms);
     }
 
     if (O.Parallel) {
@@ -956,48 +646,14 @@ int runAnalysis(Options O) {
       ParallelOptions POpts;
       POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
       POpts.BatchEvents = O.BatchEvents;
-      POpts.NoteCrashEvents = true;
-      POpts.CrashAt = O.CrashAt;
-      POpts.CrashSignal = static_cast<int>(O.CrashSignal);
-      if (Resuming) {
-        POpts.StartLine = RS.LineNo;
-        POpts.StartEvents = RS.EventsSeen;
-        POpts.StartThreads = RS.ThreadsSeen;
-        POpts.StartOrdinal = SanOrdinal;
-      }
+      POpts.StartLine = Ckpt.LineNo;
+      Plan->wire(POpts);
       if (!O.CheckpointFile.empty()) {
         POpts.CheckpointEvery = O.CheckpointEvery;
-        POpts.CheckpointSink = [&O](const CheckpointCut &Cut,
-                                    std::string &Error) {
-          return writeCheckpointCut(O, Cut, Error);
+        POpts.CheckpointSink = [&O, &Plan](const CheckpointCut &Cut,
+                                           std::string &Error) {
+          return writeCheckpoint(O, *Plan, Cut, Error);
         };
-      }
-      if (Governed) {
-        // The probe runs on the governor's worker; exhaustion stops the
-        // reader at the next batch boundary.
-        POpts.StopProbe = [&Gov] {
-          return Gov.state() == GovernorState::Exhausted;
-        };
-        POpts.StopOwner = &Gov;
-        bool BasicDelivered = false;
-        for (Backend *B : Delivery)
-          BasicDelivered = BasicDelivered || B == &Basic;
-        if (BasicDelivered) {
-          // Pin the reference checker beside the governor so its
-          // post-breach drop lands on the exact event the sequential
-          // loop drops it at.
-          POpts.Colocate.push_back({&Gov, &Basic});
-          Backend *BasicPtr = &Basic;
-          POpts.KeepDelivering = [&Gov, BasicPtr](Backend *B) {
-            if (B != BasicPtr || Gov.state() == GovernorState::Normal)
-              return true;
-            std::fprintf(stderr,
-                         "governor: stopped the reference checker "
-                         "(Velodrome(basic), no GC) after the cap "
-                         "breach\n");
-            return false;
-          };
-        }
       }
       if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
         if (!parsePipelineStall(Spec, POpts.Stall))
@@ -1005,8 +661,8 @@ int runAnalysis(Options O) {
                        "warning: ignoring malformed VELO_PIPELINE_STALL "
                        "'%s'\n",
                        Spec);
-      ParallelPipeline Pipe(*Src, StreamSyms, San,
-                            Reducing ? &Filter : nullptr, Delivery,
+      ParallelPipeline Pipe(*Src, StreamSyms, Plan->sanitizer(),
+                            Reducing ? &Filter : nullptr, Plan->delivery(),
                             std::move(POpts));
       PipelineResult PR = Pipe.run();
       switch (PR.Err) {
@@ -1026,74 +682,62 @@ int runAnalysis(Options O) {
       case PipelineError::None:
         break;
       }
-      EventsSeen = PR.EventsSeen;
-      ThreadsSeen = PR.ThreadsSeen;
-      SanOrdinal = PR.SanitizedEvents;
-      if (San.repairs().total() != 0)
-        std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                     static_cast<unsigned long long>(San.repairs().total()),
-                     San.repairs().summary().c_str());
+      Plan->absorb(PR);
     } else {
-    uint64_t NextCkpt = EventsSeen + O.CheckpointEvery;
+    // A record just processed is fully delivered, so the source position
+    // after it is a clean resume boundary.
+    auto WriteCheckpointAt = [&](uint64_t Offset, std::string &Error) {
+      CheckpointCut Cut = Plan->cut();
+      Cut.ByteOffset = Offset;
+      Cut.LineNo = Src->lineNo();
+      if (Reducing) {
+        SnapshotWriter FilterBlob;
+        Filter.serialize(FilterBlob);
+        Cut.FilterBlob = FilterBlob.payload();
+      }
+      return writeCheckpoint(O, *Plan, Cut, Error);
+    };
+    uint64_t NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
     Event E;
-    bool Stopped = false;
-    while (!Stopped && Src->next(E)) {
-      Scratch.clear();
-      if (!San.push(E, Scratch, Src->lineNo())) {
+    while (!Plan->stopped() && Src->next(E)) {
+      if (!Plan->feed(E, Src->lineNo())) {
         std::fprintf(stderr,
                      "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), San.error().c_str());
+                     O.TraceFile.c_str(), Plan->sanitizer().error().c_str());
         return 2;
       }
-      for (const Event &Out : Scratch) {
-        ++SanOrdinal;
-        if (Reducing && !Filter.keep(Out))
-          continue;
-        Deliver(Out, Src->lineNo());
-        if (Governed && Gov.state() == GovernorState::Exhausted) {
-          Stopped = true;
-          break;
-        }
-      }
-      if (!O.CheckpointFile.empty() && !Stopped && EventsSeen >= NextCkpt) {
-        // The record just processed is fully delivered, so the source
-        // position is a clean resume boundary when tell() succeeds. Text:
-        // tellg() only fails at EOF on a file without a trailing newline
-        // (the run is about to finish anyway). Binary: tell() fails
-        // mid-frame, deferring the snapshot to the frame's end — so the
-        // cadence reset stays inside the success branch.
+      if (Plan->stopped())
+        break;
+      if (!O.CheckpointFile.empty() && Plan->eventsSeen() >= NextCkpt) {
+        // Text: tellg() only fails at EOF on a file without a trailing
+        // newline (the run is about to finish anyway). Binary: tell()
+        // fails mid-frame, deferring the snapshot to the frame's end — so
+        // the cadence reset stays inside the success branch.
         uint64_t Off = 0;
         if (Src->tell(Off)) {
           std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), EventsSeen,
-                               ThreadsSeen, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Delivery,
-                               Error)) {
+          if (!WriteCheckpointAt(Off, Error)) {
             std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
                          O.CheckpointFile.c_str(), Error.c_str());
             return 2;
           }
-          NextCkpt = EventsSeen + O.CheckpointEvery;
+          NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
         }
       }
-      if (StopSignal != 0 && !Stopped) {
-        // Graceful drain: the record just processed is fully delivered, so
-        // this is a clean resume boundary; persist it and exit 128+signal.
+      if (StopSignal != 0) {
+        // Graceful drain: persist this boundary and exit 128+signal.
         int Sig = static_cast<int>(StopSignal);
         uint64_t Off = 0;
         if (!O.CheckpointFile.empty() && Src->tell(Off)) {
           std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), EventsSeen,
-                               ThreadsSeen, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Delivery,
-                               Error))
+          if (!WriteCheckpointAt(Off, Error))
             std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
                          O.CheckpointFile.c_str(), Error.c_str());
         }
         std::fprintf(stderr,
                      "shutdown: stopped by signal %d after %llu events; "
                      "checkpoint %s is resumable\n",
-                     Sig, static_cast<unsigned long long>(EventsSeen),
+                     Sig, static_cast<unsigned long long>(Plan->eventsSeen()),
                      O.CheckpointFile.c_str());
         std::fflush(nullptr);
         return 128 + Sig;
@@ -1105,28 +749,9 @@ int runAnalysis(Options O) {
                    Src->error().c_str() + 5);
       return 2;
     }
-    Scratch.clear();
-    San.finish(Scratch);
-    for (const Event &Out : Scratch) {
-      ++SanOrdinal;
-      if (!Stopped && (!Reducing || Filter.keep(Out)))
-        Deliver(Out, 0);
-    }
-    for (Backend *B : Delivery)
-      B->endAnalysis();
-    if (San.repairs().total() != 0)
-      std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                   static_cast<unsigned long long>(San.repairs().total()),
-                   San.repairs().summary().c_str());
+    Plan->finish();
     } // sequential loop
   }
-
-  if (Governed && Gov.state() != GovernorState::Normal)
-    std::fprintf(stderr, "governor: %s%s\n", Gov.breachReason().c_str(),
-                 Gov.state() == GovernorState::Degraded
-                     ? "; fell back to the vector-clock checker "
-                       "(blame and error graphs unavailable)"
-                     : "; analysis stopped");
 
   // Everything below flows through the report manager; the text renderer
   // reproduces the historical stdout byte for byte, and --format=json or
@@ -1134,13 +759,9 @@ int runAnalysis(Options O) {
   ReportManager RM;
   RM.Run.Tool = "velodrome-check";
   RM.Run.Trace = O.TraceFile;
-  RM.Run.Events = EventsSeen;
-  RM.Run.SanitizedEvents = SanOrdinal;
-  RM.Run.Threads = ThreadsSeen;
-  const SymbolTable &ReportSyms =
-      O.Witness ? Buffered.symbols() : StreamSyms;
-  for (Backend *B : Reporting)
-    RM.addSection(B->name(), B->warnings(), &ReportSyms);
+  Plan->report(RM, O.Witness ? Buffered.symbols() : StreamSyms);
+  const Velodrome &Velo = Plan->velodrome();
+  bool RunVelo = Plan->reports(Velo);
   if (O.Stats && RunVelo) {
     char StatBuf[192];
     std::snprintf(StatBuf, sizeof(StatBuf),
@@ -1177,39 +798,11 @@ int runAnalysis(Options O) {
     }
   }
 
-  // Verdict priority: the graph checkers are the reference implementation;
-  // the vector-clock back-end supplies the verdict only when it runs alone.
-  // Under the governor, its verdict already encodes that priority plus
-  // degradation.
-  int Exit = 0;
-  if (Governed) {
-    switch (Gov.verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      break;
-    }
-  } else {
-    bool Violation = RunVelo    ? Velo.sawViolation()
-                     : RunBasic ? Basic.sawViolation()
-                     : RunAero  ? Aero.sawViolation()
-                                : false;
-    RM.Run.Verdict =
-        Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
   const std::string Doc = RM.render(O.Format, O.Quiet);
   std::fwrite(Doc.data(), 1, Doc.size(), stdout);
-  return Exit;
+  return RM.Run.ExitCode;
 }
+
 
 //===----------------------------------------------------------------------===//
 // Supervision: fork the analysis, restart from the last checkpoint on
@@ -1222,11 +815,11 @@ void peekCheckpoint(const std::string &Path, uint64_t &EventsOut,
                     uint64_t &LineOut) {
   EventsOut = 0;
   LineOut = 0;
-  ResumeState RS;
+  Checkpoint C;
   std::string Error;
-  if (loadHeader(Path, RS, Error)) {
-    EventsOut = RS.EventsSeen;
-    LineOut = RS.LineNo;
+  if (loadCheckpoint(Path, C, Error)) {
+    EventsOut = C.Plan.EventsSeen;
+    LineOut = C.LineNo;
   }
 }
 

@@ -38,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "support/ParseInt.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
@@ -87,9 +88,8 @@ int main(int argc, char **argv) {
       }
       HaveTo = true;
     } else if (Arg.rfind("--frame-events=", 0) == 0) {
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Arg.c_str() + 15, &End, 10);
-      if (!End || *End != '\0' || N == 0 || N > (1ull << 24)) {
+      uint64_t N = 0;
+      if (!parseU64(Arg.c_str() + 15, N) || N == 0 || N > (1ull << 24)) {
         std::fprintf(stderr, "error: bad --frame-events value\n");
         return 2;
       }

@@ -51,7 +51,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "aero/AeroDrome.h"
-#include "analysis/Governor.h"
+#include "analysis/Plan.h"
 #include "atomizer/Atomizer.h"
 #include "core/BasicVelodrome.h"
 #include "core/Velodrome.h"
@@ -68,7 +68,6 @@
 #include "staticpass/StaticPipeline.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "support/ParseInt.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
@@ -587,16 +587,19 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   }
 
   // 5. No back-end crashes on the repaired trace; verdict checkers agree.
-  Velodrome Velo;
-  BasicVelodrome Basic;
-  AeroDrome Aero;
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
+  // The six back-ends of --backend=all, ungoverned so each sees every
+  // event; the three verdict checkers lead the table.
+  PlanConfig Six;
+  Six.Limits = GovernorLimits();
+  std::string PlanError;
+  std::unique_ptr<AnalysisPlan> Full = AnalysisPlan::create(Six, PlanError);
+  const std::vector<Backend *> &Unreduced = Full->reporting();
   if (Pool)
-    Pool->replayAll(Repaired, {&Velo, &Basic, &Aero, &Atom, &Race, &Hb});
+    Pool->replayAll(Repaired, Unreduced);
   else
-    replayAll(Repaired, {&Velo, &Basic, &Aero, &Atom, &Race, &Hb});
+    replayAll(Repaired, Unreduced);
+  const Backend &Velo = *Unreduced[0], &Basic = *Unreduced[1],
+                &Aero = *Unreduced[2];
   if (Velo.sawViolation() != Aero.sawViolation() ||
       Velo.sawViolation() != Basic.sawViolation()) {
     WhyOut = "verdicts disagree: Velodrome=" +
@@ -607,19 +610,21 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   }
   (Velo.sawViolation() ? Stats.Violations : Stats.Serializable)++;
 
-  // 6. The governor degrades and stops without aborting under tiny caps.
-  Velodrome GVelo;
-  AeroDrome GAero;
-  GovernorLimits Caps;
-  Caps.MaxLiveNodes = 4;
-  Caps.MaxEvents = Repaired.size() > 8 ? Repaired.size() / 2 : 0;
-  GovernedAnalysis Gov(GVelo, &GAero, Caps,
-                       [&GVelo](uint64_t &Nodes, uint64_t &Bytes) {
-                         Nodes = GVelo.graph().nodesAlive();
-                         Bytes = Nodes * 256;
-                       });
-  replay(Repaired, Gov);
-  if (Gov.verdict() == GovernorVerdict::Violation && !Velo.sawViolation()) {
+  // 6. The governor degrades and stops without aborting under tiny caps:
+  // velodrome-run's plan, Velodrome governed with the AeroDrome hot spare.
+  PlanConfig Tiny;
+  Tiny.BackendSel = "velodrome";
+  Tiny.HotSpare = true;
+  Tiny.Limits.MaxLiveNodes = 4;
+  Tiny.Limits.MaxEvents = Repaired.size() > 8 ? Repaired.size() / 2 : 0;
+  std::unique_ptr<AnalysisPlan> Gov = AnalysisPlan::create(Tiny, PlanError);
+  std::string GovNotes; // breach notes are expected here, not news
+  Gov->NotesOut = &GovNotes;
+  Gov->begin(Repaired.symbols());
+  for (const Event &E : Repaired)
+    Gov->deliver(E);
+  Gov->end();
+  if (Gov->exitCode() == 1 && !Velo.sawViolation()) {
     WhyOut = "governed analysis reported a violation the full run did not";
     return false;
   }
@@ -659,22 +664,15 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     Trace Reduced = reduceTrace(Repaired, Plan, &RStats);
     Stats.ReducedDropped += RStats.droppedTotal();
 
-    Velodrome RVelo;
-    BasicVelodrome RBasic;
-    AeroDrome RAero;
-    Atomizer RAtom;
-    Eraser RRace;
-    HbRaceDetector RHb;
+    std::unique_ptr<AnalysisPlan> OnReducedPlan =
+        AnalysisPlan::create(Six, PlanError);
+    const std::vector<Backend *> &OnReduced = OnReducedPlan->reporting();
     if (Pool)
-      Pool->replayAll(Reduced, {&RVelo, &RBasic, &RAero, &RAtom, &RRace,
-                                &RHb});
+      Pool->replayAll(Reduced, OnReduced);
     else
-      replayAll(Reduced, {&RVelo, &RBasic, &RAero, &RAtom, &RRace, &RHb});
+      replayAll(Reduced, OnReduced);
 
-    const Backend *Unreduced[] = {&Velo, &Basic, &Aero, &Atom, &Race, &Hb};
-    const Backend *OnReduced[] = {&RVelo, &RBasic, &RAero,
-                                  &RAtom, &RRace, &RHb};
-    for (size_t I = 0; I < 6; ++I) {
+    for (size_t I = 0; I < Unreduced.size(); ++I) {
       const Backend &U = *Unreduced[I];
       const Backend &Rd = *OnReduced[I];
       if (U.sawViolation() != Rd.sawViolation()) {
@@ -853,23 +851,18 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
                                               WhyOut))
       return false;
 
-    // The full multi-checker report, as velodrome-check would assemble it,
-    // must render to well-formed JSON in both machine formats — and the
-    // JSON must be identical when rebuilt from a snapshot-restored
+    // The full multi-checker report, the plan's with the deadlock section
+    // added, must render to well-formed JSON in both machine formats — and
+    // the JSON must be identical when rebuilt from a snapshot-restored
     // warning list (reports survive kill/--resume byte for byte).
     ReportManager RM;
+    Full->report(RM, Repaired.symbols());
     RM.Run.Tool = "velodrome-fuzz";
     RM.Run.Trace = "mutant";
     RM.Run.Events = Repaired.size();
     RM.Run.SanitizedEvents = Repaired.size();
     RM.Run.Threads = Repaired.numThreads();
-    RM.Run.Verdict =
-        Velo.sawViolation() ? "NOT conflict-serializable" : "serializable";
-    RM.Run.ExitCode = Velo.sawViolation() ? 1 : 0;
-    const Backend *ReportBackends[] = {&Velo, &Basic, &Aero, &Atom,
-                                       &Race, &Hb,   &Dlk};
-    for (const Backend *B : ReportBackends)
-      RM.addSection(B->name(), B->warnings(), &Repaired.symbols());
+    RM.addSection(Dlk.name(), Dlk.warnings(), &Repaired.symbols());
     const std::string Json = RM.renderJson();
     if (!JsonValidator(Json).valid()) {
       WhyOut = "report JSON is not well formed: " + Json.substr(0, 200);
@@ -891,11 +884,9 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
       return false;
     }
     ReportManager RM2;
+    Full->report(RM2, Repaired.symbols());
     RM2.Run = RM.Run;
-    for (const Backend *B : ReportBackends)
-      RM2.addSection(B->name(),
-                     B == &Dlk ? DlkBack.warnings() : B->warnings(),
-                     &Repaired.symbols());
+    RM2.addSection(DlkBack.name(), DlkBack.warnings(), &Repaired.symbols());
     if (RM2.renderJson() != Json) {
       WhyOut = "report JSON changed across a snapshot round-trip";
       return false;
@@ -915,30 +906,17 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    auto U64 = [&](size_t Prefix, uint64_t &Out) {
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long V = std::strtoull(Arg.c_str() + Prefix, &End, 10);
-      if (errno != 0 || End == Arg.c_str() + Prefix || *End != '\0') {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        return false;
-      }
-      Out = V;
-      return true;
-    };
+    bool Valid = true;
     if (Arg.rfind("--corpus=", 0) == 0) {
       CorpusDir = Arg.substr(9);
     } else if (Arg.rfind("--save=", 0) == 0) {
       SaveDir = Arg.substr(7);
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!U64(7, Seed))
-        return 2;
+      Valid = parseU64(Arg.c_str() + 7, Seed);
     } else if (Arg.rfind("--iters=", 0) == 0) {
-      if (!U64(8, Iters))
-        return 2;
+      Valid = parseU64(Arg.c_str() + 8, Iters);
     } else if (Arg.rfind("--parallel=", 0) == 0) {
-      if (!U64(11, ParallelThreads))
-        return 2;
+      Valid = parseU64(Arg.c_str() + 11, ParallelThreads);
       Parallel = ParallelThreads != 0;
     } else if (Arg == "--no-parallel") {
       Parallel = false;
@@ -950,6 +928,10 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
       usage();
+      return 2;
+    }
+    if (!Valid) {
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
       return 2;
     }
   }
@@ -1000,7 +982,9 @@ int main(int argc, char **argv) {
   // Iteration 0 runs every corpus seed unmutated: checked-in crasher
   // regressions re-execute verbatim on every fuzz run.
   std::vector<std::string> Queue = Corpus;
-  for (uint64_t It = 0; It < Iters + Queue.size(); ++It) {
+  uint64_t Total = Iters > UINT64_MAX - Queue.size() ? UINT64_MAX
+                                                     : Iters + Queue.size();
+  for (uint64_t It = 0; It < Total; ++It) {
     std::string Text;
     if (It < Queue.size()) {
       Text = Queue[It];

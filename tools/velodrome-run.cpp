@@ -9,7 +9,8 @@
 //     --list               list available workloads and their guard sites
 //     --seed=<n>           scheduler/workload seed          (default 1)
 //     --scale=<n>          work multiplier >= 1             (default 1)
-//     --backend=<velodrome|aero|both>  atomicity checker    (default velodrome)
+//     --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>
+//                          back-ends to report              (default velodrome)
 //     --record=<file>      write the observed trace
 //     --disable=<site>     disable a guard site (repeatable)
 //     --adversarial        Atomizer-guided scheduling
@@ -27,33 +28,30 @@
 //     --max-memory-mb=N    estimated-memory cap            (0 = unlimited)
 //     --deadline-ms=N      wall-clock budget               (0 = unlimited)
 //
-// Live monitoring runs under the same resource governor as the offline
-// checker: a cap breach degrades to the vector-clock hot spare instead of
-// aborting, and an exhausted budget yields verdict-unknown.
+// Live monitoring runs under the same analysis plan and resource governor
+// as the offline checker (analysis/Plan.h). Behind a graph-checker primary
+// the vector-clock checker is the governor's hot spare, selected or not: a
+// cap breach degrades to it instead of aborting, and an exhausted budget
+// yields verdict-unknown. The Atomizer always runs too; it steers
+// --adversarial scheduling and closes every text summary.
 //
 // Exit status: 0 no violation, 1 violation observed, 2 usage error,
 // 3 resource-limited (budget exhausted before a verdict was reached).
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
-#include "analysis/Governor.h"
-#include "analysis/SanitizerGate.h"
+#include "analysis/Plan.h"
 #include "analysis/TraceRecorder.h"
-#include "atomizer/Atomizer.h"
-#include "core/Velodrome.h"
 #include "events/TraceText.h"
 #include "report/Report.h"
 #include "staticpass/StaticPipeline.h"
+#include "support/ParseInt.h"
+#include "support/Syscalls.h"
 #include "workloads/Workload.h"
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-
-#include "support/Syscalls.h"
 
 using namespace velo;
 
@@ -65,40 +63,13 @@ void usage() {
                "  --list  --seed=N  --scale=N  --record=FILE\n"
                "                 (a .vtrc FILE records the VELOTRC binary\n"
                "                 container; anything else records text)\n"
-               "  --backend=velodrome|aero|both\n"
+               "  --backend=velodrome|basic|aero|atomizer|eraser|hb|"
+               "deadlock|all\n"
                "  --disable=SITE  --adversarial  --policy=POLICY\n"
                "  --exclude-known  --reduce=SPEC\n"
                "  --format=text|json|sarif   report rendering\n"
                "  --max-events=N  --max-live-nodes=N  --max-memory-mb=N\n"
                "  --deadline-ms=N      resource governor caps\n");
-}
-
-/// Parse a full decimal uint64 ("--seed="). Rejects empty strings, trailing
-/// garbage, signs, and out-of-range values.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
-/// Parse a positive decimal int ("--scale="). Rejects 0, negatives,
-/// non-numeric input, and overflow.
-bool parseScale(const char *S, int &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long V = std::strtol(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0' || V < 1 || V > INT_MAX)
-    return false;
-  Out = static_cast<int>(V);
-  return true;
 }
 
 void listWorkloads() {
@@ -112,27 +83,67 @@ void listWorkloads() {
   }
 }
 
+/// The runtime's live stream into the plan: sanitized, then delivered.
+/// After a strict-mode rejection nothing further is delivered.
+class PlanFeed : public Backend {
+public:
+  explicit PlanFeed(AnalysisPlan &P) : P(P) {}
+  const char *name() const override { return "Plan"; }
+  void beginAnalysis(const SymbolTable &Syms) override { P.begin(Syms); }
+  void onEvent(const Event &E) override { P.feed(E); }
+  void endAnalysis() override { P.finish(); }
+
+private:
+  AnalysisPlan &P;
+};
+
+/// One back-end's block of the text summary: Velodrome and AeroDrome list
+/// their violations, every other back-end its warnings.
+void printBlock(AnalysisPlan &Plan, const Backend &B,
+                const SymbolTable &Syms) {
+  if (&B == &Plan.velodrome()) {
+    const auto &Vs = Plan.velodrome().violations();
+    std::printf("[Velodrome] %zu violation(s)\n", Vs.size());
+    for (const AtomicityViolation &V : Vs)
+      std::printf("  %s (%s, cycle of %zu)\n",
+                  Syms.labelName(V.Method).c_str(),
+                  V.BlameResolved ? "blame resolved" : "blame unresolved",
+                  V.CycleLength);
+  } else if (&B == &Plan.aero()) {
+    const auto &Vs = Plan.aero().violations();
+    std::printf("[AeroDrome] %zu violation(s)\n", Vs.size());
+    for (const AeroViolation &V : Vs)
+      std::printf("  %s (witness T%u)\n",
+                  V.Method == NoLabel ? "(unary)"
+                                      : Syms.labelName(V.Method).c_str(),
+                  V.Witness);
+  } else {
+    // The Atomizer's historical layout pads its count into the column of
+    // "[Velodrome] ".
+    std::printf("[%s]%s%zu warning(s)\n", B.name(),
+                &B == &Plan.atomizer() ? "  " : " ", B.warnings().size());
+    for (const Warning &Warn : B.warnings())
+      std::printf("  %s\n", Warn.Message.c_str());
+  }
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
   std::string Name, RecordFile, ReduceSpec;
-  uint64_t Seed = 1;
-  int Scale = 1;
-  bool RunVelo = true, RunAero = false;
+  uint64_t Seed = 1, Scale = 1;
   bool Adversarial = false, ExcludeKnown = false;
   ReportFormat Format = ReportFormat::Text;
   StallPolicy Policy = StallPolicy::AllOps;
   std::vector<std::string> Disabled;
-  GovernorLimits Limits;
-  // Same default as velodrome-check: runaway executions degrade to the
-  // vector-clock spare before the graph's 16-bit slot space is at risk.
-  Limits.MaxLiveNodes = 60000;
+  PlanConfig Config;
+  Config.BackendSel = "velodrome";
+  Config.HotSpare = true;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    uint64_t *U64Target = nullptr;
-    size_t U64Prefix = 0;
+    bool Valid = true;
     if (Arg == "--list") {
       listWorkloads();
       return 0;
@@ -143,27 +154,14 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseScale(Arg.c_str() + 8, Scale)) {
+      if (!parseU64(Arg.c_str() + 8, Scale) || Scale < 1 || Scale > INT_MAX) {
         std::fprintf(stderr, "invalid --scale value: '%s' (must be >= 1)\n",
                      Arg.c_str() + 8);
         usage();
         return 2;
       }
     } else if (Arg.rfind("--backend=", 0) == 0) {
-      std::string B = Arg.substr(10);
-      if (B == "velodrome") {
-        RunVelo = true;
-        RunAero = false;
-      } else if (B == "aero") {
-        RunVelo = false;
-        RunAero = true;
-      } else if (B == "both") {
-        RunVelo = RunAero = true;
-      } else {
-        std::fprintf(stderr, "unknown backend: %s\n", B.c_str());
-        usage();
-        return 2;
-      }
+      Config.BackendSel = Arg.substr(10);
     } else if (Arg.rfind("--record=", 0) == 0) {
       RecordFile = Arg.substr(9);
     } else if (Arg.rfind("--disable=", 0) == 0) {
@@ -189,23 +187,9 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--reduce=", 0) == 0) {
       ReduceSpec = Arg.substr(9);
     } else if (Arg.rfind("--format=", 0) == 0) {
-      if (!parseReportFormat(Arg.substr(9), Format)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-    } else if (Arg.rfind("--max-events=", 0) == 0) {
-      U64Target = &Limits.MaxEvents;
-      U64Prefix = 13;
-    } else if (Arg.rfind("--max-live-nodes=", 0) == 0) {
-      U64Target = &Limits.MaxLiveNodes;
-      U64Prefix = 17;
-    } else if (Arg.rfind("--max-memory-mb=", 0) == 0) {
-      U64Target = &Limits.MaxMemoryBytes;
-      U64Prefix = 16;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      U64Target = &Limits.DeadlineMillis;
-      U64Prefix = 14;
+      Valid = parseReportFormat(Arg.substr(9), Format);
+    } else if (parseGovernorFlag(Arg, Config.Limits, Valid)) {
+      // A governor cap; its value is checked below.
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
       return 0;
@@ -219,17 +203,20 @@ int main(int argc, char **argv) {
       usage();
       return 2;
     }
-    if (U64Target) {
-      if (!parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-      if (U64Target == &Limits.MaxMemoryBytes)
-        *U64Target *= 1024 * 1024;
+    if (!Valid) {
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+      usage();
+      return 2;
     }
   }
   if (Name.empty()) {
+    usage();
+    return 2;
+  }
+  std::string PlanError;
+  std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(Config, PlanError);
+  if (!Plan) {
+    std::fprintf(stderr, "%s\n", PlanError.c_str());
     usage();
     return 2;
   }
@@ -256,7 +243,7 @@ int main(int argc, char **argv) {
                  Name.c_str());
     return 2;
   }
-  W->Scale = Scale;
+  W->Scale = static_cast<int>(Scale);
   for (const std::string &S : Disabled)
     W->DisabledGuards.insert(S);
 
@@ -267,60 +254,26 @@ int main(int argc, char **argv) {
   Opts.Adversarial = Adversarial;
   Opts.Policy = Policy;
 
-  Velodrome Velo;
-  AeroDrome Aero;
-  Atomizer Atom;
-  TraceRecorder Rec;
-
-  // The live path runs under the same resource governor as the offline
-  // checker: the graph checker as primary, the vector-clock checker as its
-  // lockstep hot spare (fed from the start even when not selected for
-  // reporting, so a mid-run degradation loses no verdict coverage).
-  Backend *Primary = RunVelo   ? static_cast<Backend *>(&Velo)
-                     : RunAero ? static_cast<Backend *>(&Aero)
-                               : nullptr;
-  Backend *Fallback = RunVelo ? static_cast<Backend *>(&Aero) : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (Primary == &Velo) {
-    Probe = [&Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo.graph().nodesAlive();
-      Bytes = Nodes * 256;
-    };
-    FailProbe = [&Velo]() -> std::string {
-      return Velo.graphExhausted() ? "happens-before graph node slot space "
-                                     "exhausted"
-                                   : "";
-    };
-  }
-  bool Governed = Primary != nullptr && Limits.any();
-  GovernedAnalysis Gov(Governed ? *Primary : Velo, Fallback, Limits,
-                       std::move(Probe), std::move(FailProbe));
-
-  std::vector<Backend *> Backends;
-  if (Governed) {
-    Backends.push_back(&Gov);
-  } else {
-    if (RunVelo)
-      Backends.push_back(&Velo);
-    if (RunAero)
-      Backends.push_back(&Aero);
-  }
-  Backends.push_back(&Atom);
+  Atomizer &Atom = Plan->atomizer();
+  bool AtomReported = Plan->reports(Atom);
+  if (!AtomReported)
+    Plan->attach(Atom);
+  // The strict sanitizer in front of the plan is defense in depth: the
+  // runtime's stream is well-formed by construction, but a runtime bug
+  // fail-stops with a diagnostic instead of silently corrupting the
+  // analyses. Strict mode passes a well-formed stream through unchanged, so
+  // the recorder, beside it, records exactly what the back-ends analyzed.
   // Under --reduce the analyses run offline on the reduced recording, so
   // the live stream reaches only the recorder.
+  PlanFeed Feed(*Plan);
+  TraceRecorder Rec;
+  bool Recording = !RecordFile.empty() || Reducing;
   std::vector<Backend *> Live;
   if (!Reducing)
-    Live = Backends;
-  if (!RecordFile.empty() || Reducing)
+    Live.push_back(&Feed);
+  if (Recording)
     Live.push_back(&Rec);
-  // Defense in depth: the runtime's own stream is well-formed by
-  // construction, but every replay path routes through validation before a
-  // back-end sees an event — a runtime bug fail-stops with a diagnostic
-  // instead of silently corrupting the analyses (and the recorded trace is
-  // exactly what the back-ends analyzed).
-  SanitizerGate Gate(Live, SanitizeMode::Strict);
-  Runtime RT(Opts, {&Gate});
+  Runtime RT(Opts, Live);
   if (Adversarial)
     RT.setGuide(&Atom);
   if (ExcludeKnown)
@@ -328,77 +281,69 @@ int main(int argc, char **argv) {
       RT.excludeMethod(M);
   W->run(RT);
 
-  if (Gate.rejected()) {
+  // Deferred analysis: validate the recording, reduce it, and replay the
+  // kept events through the same plan the live path uses.
+  PassStats ReduceStats;
+  Trace Reduced; // back-ends hold a reference to its symbol table
+  std::string Rejected = Plan->sanitizer().error();
+  if (Reducing) {
+    Trace Checked;
+    if (sanitizeTrace(Rec.trace(), SanitizeMode::Strict, Checked, nullptr,
+                      Rejected)) {
+      Reduced = reduceTrace(Checked, planTrace(Checked, ReduceMask),
+                            &ReduceStats);
+      Plan->begin(Reduced.symbols());
+      for (const Event &E : Reduced)
+        Plan->deliver(E);
+      Plan->end();
+    }
+  }
+  if (!Rejected.empty()) {
     std::fprintf(stderr,
                  "error: runtime produced an ill-formed event stream (%s); "
                  "analysis results discarded\n",
-                 Gate.error().c_str());
+                 Rejected.c_str());
     return 2;
-  }
-
-  // Deferred analysis: classify the recording, reduce it, and replay the
-  // kept events through the same back-end pipeline the live path uses.
-  PassStats ReduceStats;
-  Trace Reduced; // backends hold a reference to its symbol table
-  if (Reducing) {
-    ReductionPlan Plan = planTrace(Rec.trace(), ReduceMask);
-    Reduced = reduceTrace(Rec.trace(), Plan, &ReduceStats);
-    replayAll(Reduced, Backends);
   }
 
   // The workload summary keeps its historical text layout; --format=json
   // or =sarif swaps in a machine rendering of the same findings
-  // (docs/REPORTING.md), with the human text suppressed.
+  // (docs/REPORTING.md), with the human text suppressed. Its header counts
+  // the events the runtime emitted.
   const bool Text = Format == ReportFormat::Text;
   ReportManager RM;
   RM.Run.Tool = "velodrome-run";
   RM.Run.Trace = Name;
+  Plan->report(RM, RT.symbols());
+  if (!AtomReported)
+    RM.addSection(Atom.name(), Atom.warnings(), &RT.symbols());
   RM.Run.Events = RT.eventCount();
   RM.Run.SanitizedEvents = Reducing ? Reduced.size() : RT.eventCount();
-  RM.Run.Threads =
-      (!RecordFile.empty() || Reducing) ? Rec.trace().numThreads() : 0;
-  if (RunVelo)
-    RM.addSection(Velo.name(), Velo.warnings(), &RT.symbols());
-  if (RunAero)
-    RM.addSection(Aero.name(), Aero.warnings(), &RT.symbols());
-  RM.addSection(Atom.name(), Atom.warnings(), &RT.symbols());
+  RM.Run.Threads = Recording ? Rec.trace().numThreads() : 0;
 
-  if (Text)
-    std::printf("%s: seed=%llu scale=%d events=%llu\n", W->name(),
-                static_cast<unsigned long long>(Seed), Scale,
+  if (Text) {
+    std::printf("%s: seed=%llu scale=%llu events=%llu\n", W->name(),
+                static_cast<unsigned long long>(Seed),
+                static_cast<unsigned long long>(Scale),
                 static_cast<unsigned long long>(RT.eventCount()));
-  if (RunVelo && Text) {
-    std::printf("[Velodrome] %zu violation(s)\n", Velo.violations().size());
-    for (const AtomicityViolation &V : Velo.violations())
-      std::printf("  %s (%s, cycle of %zu)\n",
-                  RT.symbols().labelName(V.Method).c_str(),
-                  V.BlameResolved ? "blame resolved" : "blame unresolved",
-                  V.CycleLength);
-  }
-  if (RunAero && Text) {
-    std::printf("[AeroDrome] %zu violation(s)\n", Aero.violations().size());
-    for (const AeroViolation &V : Aero.violations())
-      std::printf("  %s (witness T%u)\n",
-                  V.Method == NoLabel
-                      ? "(unary)"
-                      : RT.symbols().labelName(V.Method).c_str(),
-                  V.Witness);
+    for (const Backend *B : Plan->reporting())
+      printBlock(*Plan, *B, RT.symbols());
+    if (!AtomReported)
+      printBlock(*Plan, Atom, RT.symbols());
+    if (Reducing)
+      std::printf("[reduce]    %s\n", ReduceStats.summary().c_str());
   }
   // A degraded run legitimately stops feeding the graph checker early, so
   // the cross-check only applies while both saw the whole stream.
-  if (RunVelo && RunAero && (!Governed || Gov.state() == GovernorState::Normal)
-      && Velo.sawViolation() != Aero.sawViolation())
+  const Velodrome &Velo = Plan->velodrome();
+  const AeroDrome &Aero = Plan->aero();
+  if (Plan->reports(Velo) && Plan->reports(Aero) &&
+      Plan->governorState() == GovernorState::Normal &&
+      Velo.sawViolation() != Aero.sawViolation())
     std::fprintf(stderr,
                  "warning: backend verdicts disagree "
                  "(Velodrome=%d AeroDrome=%d)\n",
                  Velo.sawViolation(), Aero.sawViolation());
-  if (Text) {
-    std::printf("[Atomizer]  %zu warning(s)\n", Atom.warnings().size());
-    for (const Warning &Warn : Atom.warnings())
-      std::printf("  %s\n", Warn.Message.c_str());
-    if (Reducing)
-      std::printf("[reduce]    %s\n", ReduceStats.summary().c_str());
-  }
 
   if (!RecordFile.empty()) {
     if (!writeTraceFile(Rec.trace(), RecordFile)) {
@@ -409,38 +354,11 @@ int main(int argc, char **argv) {
       std::printf("trace written to %s (%zu events)\n", RecordFile.c_str(),
                   Rec.trace().size());
   }
-  int Exit = 0;
-  if (Governed) {
-    if (Gov.state() != GovernorState::Normal)
-      std::fprintf(stderr, "governor: %s%s\n", Gov.breachReason().c_str(),
-                   Gov.state() == GovernorState::Degraded
-                       ? "; fell back to the vector-clock checker"
-                       : "; analysis stopped");
-    switch (Gov.verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      if (Text)
-        std::printf("verdict: resource-limited: verdict unknown\n");
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      break;
-    }
-  } else {
-    bool Violation =
-        (RunVelo && Velo.sawViolation()) || (RunAero && Aero.sawViolation());
-    RM.Run.Verdict = Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
+  if (Text && RM.Run.ExitCode == 3)
+    std::printf("verdict: %s\n", RM.Run.Verdict.c_str());
   if (!Text) {
     const std::string Doc = RM.render(Format);
     std::fwrite(Doc.data(), 1, Doc.size(), stdout);
   }
-  return Exit;
+  return RM.Run.ExitCode;
 }
