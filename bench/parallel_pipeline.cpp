@@ -29,7 +29,7 @@
 #include "eraser/Eraser.h"
 #include "events/TraceGen.h"
 #include "events/TraceSanitizer.h"
-#include "events/TraceStream.h"
+#include "events/TraceSource.h"
 #include "events/TraceText.h"
 #include "hbrace/HbRaceDetector.h"
 #include "parallel/Pipeline.h"
@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,8 +69,9 @@ void usage() {
 }
 
 /// Write an approximately NumEvents-long well-formed trace to Path in
-/// bounded memory. Mostly thread-local accesses (each thread hits its own
-/// variable slice) with occasional lock-guarded shared transactions.
+/// bounded memory (closed chunks). Mostly thread-local accesses (each
+/// thread hits its own variable slice) with occasional lock-guarded shared
+/// transactions.
 uint64_t writeBigTrace(const std::string &Path, uint64_t NumEvents,
                        uint32_t Threads, uint64_t Seed) {
   std::ofstream Out(Path);
@@ -83,7 +83,7 @@ uint64_t writeBigTrace(const std::string &Path, uint64_t NumEvents,
   Opts.GuardedAccessPct = 70;
   uint64_t Written = 0;
   for (uint64_t Chunk = 0; Written < NumEvents; ++Chunk) {
-    Trace T = generateRandomTrace(Seed * 7919 + Chunk + 1, Opts);
+    Trace T = generateClosedChunk(Seed, Chunk, Opts);
     Out << printTrace(T);
     Written += T.size();
   }
@@ -101,13 +101,25 @@ struct BackendSet {
   }
 };
 
+/// Open Path the way velodrome-check does. Null on failure.
+std::unique_ptr<TraceSource> openSource(const std::string &Path,
+                                        SymbolTable &Syms) {
+  TraceReadStatus St = TraceReadStatus::Ok;
+  std::string Err;
+  auto Src = openTraceSource(Path, Syms, St, Err);
+  if (!Src)
+    std::fprintf(stderr, "%s\n", Err.c_str());
+  return Src;
+}
+
 /// The sequential baseline: exactly velodrome-check's default streaming
-/// loop shape (TraceStream -> TraceSanitizer -> every back-end in turn).
+/// loop shape (TraceSource -> TraceSanitizer -> every back-end in turn).
 bool runSequential(const std::string &Path, BackendSet &Set,
                    uint64_t &EventsOut) {
-  std::ifstream In(Path);
   SymbolTable Syms;
-  TraceStream TS(In, Syms);
+  auto TS = openSource(Path, Syms);
+  if (!TS)
+    return false;
   TraceSanitizer San(SanitizeMode::Lenient);
   std::vector<Backend *> Delivery = Set.all();
   for (Backend *B : Delivery)
@@ -115,9 +127,9 @@ bool runSequential(const std::string &Path, BackendSet &Set,
   EventsOut = 0;
   Event E;
   std::vector<Event> Clean;
-  while (TS.next(E)) {
+  while (TS->next(E)) {
     Clean.clear();
-    if (!San.push(E, Clean, TS.lineNo()))
+    if (!San.push(E, Clean, TS->lineNo()))
       return false;
     for (const Event &C : Clean) {
       ++EventsOut;
@@ -125,7 +137,7 @@ bool runSequential(const std::string &Path, BackendSet &Set,
         B->onEvent(C);
     }
   }
-  if (TS.failed())
+  if (TS->failed())
     return false;
   Clean.clear();
   San.finish(Clean);
@@ -141,15 +153,17 @@ bool runSequential(const std::string &Path, BackendSet &Set,
 
 bool runParallel(const std::string &Path, unsigned Workers, BackendSet &Set,
                  uint64_t &EventsOut) {
-  std::ifstream In(Path);
   SymbolTable Syms;
+  auto Src = openSource(Path, Syms);
+  if (!Src)
+    return false;
   TraceSanitizer San(SanitizeMode::Lenient);
   std::vector<Backend *> Delivery = Set.all();
   for (Backend *B : Delivery)
     B->beginAnalysis(Syms);
   ParallelOptions Opts;
   Opts.Workers = Workers;
-  ParallelPipeline Pipe(In, Syms, San, nullptr, Delivery, std::move(Opts));
+  ParallelPipeline Pipe(*Src, Syms, San, nullptr, Delivery, std::move(Opts));
   PipelineResult R = Pipe.run();
   EventsOut = R.EventsSeen;
   return R.Err == PipelineError::None;

@@ -7,10 +7,8 @@
 #include <cerrno>
 #include <cstring>
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 namespace velo {
 
@@ -29,31 +27,17 @@ bool BinaryTraceReader::fail(const std::string &Msg) {
   return false;
 }
 
-TraceReadStatus BinaryTraceReader::open(const std::string &Path,
-                                        std::string &ErrorOut) {
-  return openPath(Path, ErrorOut, /*Salvage=*/false);
-}
-
-TraceReadStatus BinaryTraceReader::openSalvage(const std::string &Path,
-                                               std::string &ErrorOut) {
-  return openPath(Path, ErrorOut, /*Salvage=*/true);
-}
-
-TraceReadStatus BinaryTraceReader::openPath(const std::string &Path,
-                                            std::string &ErrorOut,
-                                            bool Salvage) {
-  errno = 0;
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    int Err = errno;
-    ErrorOut = "cannot open " + Path + ": " +
-               (Err != 0 ? std::strerror(Err) : "open failed");
-    return Err == ENOENT ? TraceReadStatus::NotFound : TraceReadStatus::IoError;
-  }
+TraceReadStatus BinaryTraceReader::open(int Fd, const std::string &Path,
+                                        bool Salvage, std::string &ErrorOut) {
   struct stat St = {};
   if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
     ErrorOut = "cannot stat " + Path + ": " + std::strerror(errno);
-    ::close(Fd);
+    return TraceReadStatus::IoError;
+  }
+  if (!S_ISREG(St.st_mode)) {
+    ErrorOut = Path + " holds a VELOTRC container, which must be read from "
+                      "a regular file (it is memory-mapped), not a pipe or "
+                      "device";
     return TraceReadStatus::IoError;
   }
   Size = static_cast<size_t>(St.st_size);
@@ -61,14 +45,12 @@ TraceReadStatus BinaryTraceReader::openPath(const std::string &Path,
     void *Addr = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
     if (Addr == MAP_FAILED) {
       ErrorOut = "cannot mmap " + Path + ": " + std::strerror(errno);
-      ::close(Fd);
       return TraceReadStatus::IoError;
     }
     MapAddr = Addr;
     MapLen = Size;
     Data = static_cast<const uint8_t *>(Addr);
   }
-  ::close(Fd);
   if (!(Salvage ? salvageContainer() : validateContainer())) {
     ErrorOut = Error;
     return TraceReadStatus::ParseError;
@@ -345,9 +327,10 @@ bool BinaryTraceReader::loadNextFrame() {
       return fail("corrupt frame (symbol block not contiguous)");
     if (Count > PayloadSize - Pos)
       return fail("corrupt frame (impossible symbol count)");
-    if (Base + Count > maxTraceSymbols())
+    const uint64_t Cap = maxTraceSymbols();
+    if (Base + Count > Cap)
       return fail(std::string("too many distinct ") + What + " names (cap " +
-                  std::to_string(maxTraceSymbols()) + ")");
+                  std::to_string(Cap) + ")");
     for (uint64_t I = 0; I < Count; ++I) {
       uint64_t NameLen = 0;
       if (!readVarint(Payload, PayloadSize, Pos, NameLen) ||
@@ -357,9 +340,9 @@ bool BinaryTraceReader::loadNextFrame() {
                             static_cast<size_t>(NameLen));
       Pos += static_cast<size_t>(NameLen);
       uint32_t Id = 0;
-      if (!internSymbolCapped(Table, Name, Id))
+      if (!internSymbolCapped(Table, Name, Cap, Id))
         return fail(std::string("too many distinct ") + What +
-                    " names (cap " + std::to_string(maxTraceSymbols()) + ")");
+                    " names (cap " + std::to_string(Cap) + ")");
       Map.push_back(Id);
     }
     return true;
@@ -460,11 +443,6 @@ bool BinaryTraceReader::endOfFrame() const {
   return !Failed && FrameIdx > 0 && EventsLeftInFrame == 0;
 }
 
-void BinaryTraceReader::resumeCounters(uint64_t Line, uint64_t Events) {
-  Ordinal = Line;
-  NumEvents = Events;
-}
-
 bool BinaryTraceReader::seekTo(uint64_t SeekPos, uint64_t Line,
                                uint64_t Events, std::string &ErrorOut) {
   if (Failed) {
@@ -501,7 +479,8 @@ bool BinaryTraceReader::seekTo(uint64_t SeekPos, uint64_t Line,
   Identity(VarMap, Syms.Vars.size());
   Identity(LockMap, Syms.Locks.size());
   Identity(LabelMap, Syms.Labels.size());
-  resumeCounters(Line, Events);
+  Ordinal = Line;
+  NumEvents = Events;
   return true;
 }
 

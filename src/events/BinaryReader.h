@@ -34,26 +34,29 @@ public:
   BinaryTraceReader(const BinaryTraceReader &) = delete;
   BinaryTraceReader &operator=(const BinaryTraceReader &) = delete;
 
-  /// mmap Path and validate the container frame structure. Returns
-  /// NotFound/IoError with ErrorOut set when the file cannot be mapped;
-  /// ParseError when the container is malformed (the reader is then in
-  /// the failed() state with the same message, so callers may also just
-  /// stream it through their normal parse-error path); Ok otherwise.
-  TraceReadStatus open(const std::string &Path, std::string &ErrorOut);
-
-  /// Like open(), but in salvage mode: a complete container is accepted
-  /// as-is, and a truncated or tail-corrupted one (crashed tracer, torn
-  /// final write) degrades to the longest prefix of intact events frames
-  /// — each frame checksummed *and* structurally pre-validated, so a
-  /// successful salvage never fails mid-stream. ParseError only when not
-  /// even one frame survives. salvage() describes what was recovered.
-  TraceReadStatus openSalvage(const std::string &Path, std::string &ErrorOut);
+  /// mmap the container open on Fd (borrowed: the mapping outlives the
+  /// descriptor, which the caller closes) and validate its frame
+  /// structure; Path names it in diagnostics. Fd must be a regular file.
+  /// Returns IoError with ErrorOut set when it is not one or cannot be
+  /// mapped; ParseError when the container is malformed (the reader is
+  /// then in the failed() state with the same message, so callers may
+  /// also just stream it through their normal parse-error path); Ok
+  /// otherwise.
+  ///
+  /// With Salvage set, a complete container is accepted as-is, and a
+  /// truncated or tail-corrupted one (crashed tracer, torn final write)
+  /// degrades to the longest prefix of intact events frames — each frame
+  /// checksummed *and* structurally pre-validated, so a successful salvage
+  /// never fails mid-stream. ParseError only when not even one frame
+  /// survives. salvage() describes what was recovered.
+  TraceReadStatus open(int Fd, const std::string &Path, bool Salvage,
+                       std::string &ErrorOut);
 
   /// Validate an in-memory container (tests, fuzzing). Data must outlive
   /// the reader. Returns false when malformed (failed() has the message).
   bool openBuffer(std::string_view Data);
 
-  /// Salvage-mode openBuffer (tests, fuzzing); see openSalvage.
+  /// Salvage-mode openBuffer (tests, fuzzing); see open().
   bool openBufferSalvage(std::string_view Data);
 
   /// Recovery outcome of the last salvage open.
@@ -62,12 +65,12 @@ public:
   // TraceSource:
   bool next(Event &Out) override;
   bool failed() const override { return Failed; }
+  bool readFailed() const override { return false; } // mmap'd: no read()
   const std::string &error() const override { return Error; }
   uint64_t lineNo() const override { return Ordinal; }
   uint64_t eventCount() const override { return NumEvents; }
   bool tell(uint64_t &PosOut) override;
   bool endOfFrame() const override;
-  void resumeCounters(uint64_t Line, uint64_t Events) override;
   bool seekTo(uint64_t Pos, uint64_t Line, uint64_t Events,
               std::string &ErrorOut) override;
 
@@ -83,8 +86,6 @@ private:
 
   /// Record a malformed-container failure at the next event position.
   bool fail(const std::string &Msg);
-  TraceReadStatus openPath(const std::string &Path, std::string &ErrorOut,
-                           bool Salvage);
   bool validateContainer();
   bool salvageContainer();
   /// Structurally pre-validate one checksummed frame payload without

@@ -2,6 +2,7 @@
 
 #include "events/TraceGen.h"
 
+#include "events/TraceSanitizer.h"
 #include "support/Rng.h"
 
 #include <set>
@@ -146,6 +147,22 @@ Trace generateRandomTrace(uint64_t Seed, const TraceGenOptions &Opts) {
       if (Threads[Id].Started)
         T.push(Event::join(0, Id));
   }
+  return T;
+}
+
+Trace generateClosedChunk(uint64_t Seed, uint64_t Index,
+                          const TraceGenOptions &Opts) {
+  Trace T = generateRandomTrace(Seed * 7919 + Index + 1, Opts);
+  // The chunk is well formed on its own, so the lenient sanitizer passes
+  // it through unchanged and only finish() has anything to add.
+  TraceSanitizer Closer(SanitizeMode::Lenient);
+  std::vector<Event> Tail;
+  for (const Event &E : T)
+    Closer.push(E, Tail);
+  Tail.clear();
+  Closer.finish(Tail);
+  for (const Event &E : Tail)
+    T.push(E);
   return T;
 }
 

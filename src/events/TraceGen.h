@@ -49,6 +49,16 @@ struct TraceGenOptions {
 /// Generate a well-formed trace (Trace::validate holds by construction).
 Trace generateRandomTrace(uint64_t Seed, const TraceGenOptions &Opts);
 
+/// Chunk Index of an arbitrarily long well-formed stream, for throughput
+/// benches: generateRandomTrace(Seed * 7919 + Index + 1, Opts) followed by
+/// the releases and ends that close what it leaves open (a lenient
+/// TraceSanitizer's finish()). Chunks 0, 1, 2, ... concatenated form a
+/// trace Trace::validate accepts, provided Opts.UseForkJoin is off (a
+/// joined thread cannot run again). Every chunk interns the same names in
+/// the same order, so symbol ids agree across chunks.
+Trace generateClosedChunk(uint64_t Seed, uint64_t Index,
+                          const TraceGenOptions &Opts);
+
 } // namespace velo
 
 #endif // VELO_EVENTS_TRACEGEN_H

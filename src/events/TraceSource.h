@@ -2,15 +2,18 @@
 //
 // One streaming-reader interface over both trace encodings, so the
 // sequential checker loop and the parallel pipeline ingest text and
-// VELOTRC binary traces through identical code paths. TextTraceSource
-// wraps TraceStream; BinaryTraceReader (events/BinaryReader.h) implements
-// the same interface over an mmap'd VELOTRC file. openTraceSource sniffs
-// the magic and returns whichever matches.
+// VELOTRC binary traces through identical code paths. openTraceSource
+// opens the input once, sniffs the VELOTRC magic from its first bytes and
+// returns either a BinaryTraceReader (events/BinaryReader.h) over an mmap
+// of the file or a text source: TraceStream's block scanner over the same
+// descriptor, which also serves pipes and stdin.
 //
-// Error contract: error() is always "line N: message", exactly like
-// TraceStream, so tools can keep rendering "<path>:N: message" by
-// skipping the first five characters. For a binary source, N is the
-// 1-based event ordinal (binary frames have no lines).
+// Error contract: error() is "line N: message" for malformed input, so
+// tools can keep rendering "<path>:N: message" by skipping the first five
+// characters (describeFailure does exactly that). For a binary source, N
+// is the 1-based event ordinal (binary frames have no lines). A text
+// source whose read() fails reports "read error on <path>: <strerror>"
+// instead, with readFailed() set.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +23,6 @@
 #include "events/TraceStream.h"
 #include "events/TraceText.h"
 
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -32,12 +34,18 @@ class TraceSource {
 public:
   virtual ~TraceSource() = default;
 
-  /// Advance to the next event. Returns false at end of input or on the
-  /// first malformed record (distinguish via failed()).
+  /// Advance to the next event. Returns false at end of input, on the
+  /// first malformed record, or on a failed read (distinguish via
+  /// failed() and readFailed()).
   virtual bool next(Event &Out) = 0;
 
-  /// Did the stream stop on malformed input (rather than clean EOF)?
+  /// Did the stream stop on malformed input or a failed read (rather than
+  /// clean EOF)?
   virtual bool failed() const = 0;
+
+  /// Did it stop because read() failed? error() then is the complete
+  /// "read error on <path>: <strerror>".
+  virtual bool readFailed() const = 0;
 
   /// "line N: message"; empty unless failed().
   virtual const std::string &error() const = 0;
@@ -46,13 +54,14 @@ public:
   /// line, or the 1-based event ordinal for binary.
   virtual uint64_t lineNo() const = 0;
 
-  /// Events returned so far (monotone; primed by resumeCounters).
+  /// Events returned so far (monotone; restored by seekTo).
   virtual uint64_t eventCount() const = 0;
 
   /// If the source currently sits on a position a checkpoint can resume
-  /// from, set PosOut to it and return true. Text: any line boundary
-  /// (stream tellg). Binary: only frame boundaries — callers defer the
-  /// checkpoint until the frame ends.
+  /// from, set PosOut to it and return true. Text: the offset after the
+  /// last line read, until the scanner meets the end of the input. Binary:
+  /// only frame boundaries — callers defer the checkpoint until the frame
+  /// ends.
   virtual bool tell(uint64_t &PosOut) = 0;
 
   /// True when the source just finished a storage frame — a natural batch
@@ -60,75 +69,21 @@ public:
   /// false).
   virtual bool endOfFrame() const = 0;
 
-  /// Restore the position counters after an out-of-band seek: Line is
-  /// lineNo() at the checkpoint, Events the events delivered up to it.
-  virtual void resumeCounters(uint64_t Line, uint64_t Events) = 0;
-
   /// Seek to Pos (a value a previous tell() produced, persisted in a
-  /// checkpoint) and restore counters. Returns false with ErrorOut set if
-  /// the position is not a valid boundary in this file.
+  /// checkpoint) and restore the counters: Line is lineNo() at the
+  /// checkpoint, Events the events delivered up to it. Returns false with
+  /// ErrorOut set if the position is not a valid boundary in this file.
   virtual bool seekTo(uint64_t Pos, uint64_t Line, uint64_t Events,
                       std::string &ErrorOut) = 0;
 };
 
-/// Text-format source: a thin TraceSource adapter over TraceStream. Can
-/// borrow a caller-owned stream (tests, stdin) or own a file stream.
-class TextTraceSource : public TraceSource {
-public:
-  /// Borrow In; the caller keeps it alive for the source's lifetime.
-  TextTraceSource(std::istream &In, SymbolTable &Syms)
-      : In(&In), TS(In, Syms) {}
-
-  /// Own a file stream. Check ok() before use.
-  TextTraceSource(const std::string &Path, SymbolTable &Syms)
-      : Owned(std::make_unique<std::ifstream>(Path)), In(Owned.get()),
-        TS(*Owned, Syms) {}
-
-  bool ok() const { return !Owned || static_cast<bool>(*Owned); }
-
-  bool next(Event &Out) override { return TS.next(Out); }
-  bool failed() const override { return TS.failed(); }
-  const std::string &error() const override { return TS.error(); }
-  uint64_t lineNo() const override { return TS.lineNo(); }
-  uint64_t eventCount() const override { return TS.eventCount(); }
-
-  bool tell(uint64_t &PosOut) override {
-    auto Off = In->tellg();
-    if (Off == std::istream::pos_type(-1))
-      return false;
-    PosOut = static_cast<uint64_t>(Off);
-    return true;
-  }
-
-  bool endOfFrame() const override { return false; }
-
-  void resumeCounters(uint64_t Line, uint64_t Events) override {
-    TS.resumeAt(static_cast<size_t>(Line), Events);
-  }
-
-  bool seekTo(uint64_t Pos, uint64_t Line, uint64_t Events,
-              std::string &ErrorOut) override {
-    In->clear();
-    In->seekg(static_cast<std::istream::off_type>(Pos));
-    if (!*In) {
-      ErrorOut = "cannot seek to checkpoint offset " + std::to_string(Pos);
-      return false;
-    }
-    resumeCounters(Line, Events);
-    return true;
-  }
-
-  /// The wrapped stream (velodrome-check reads I/O state off it).
-  std::istream &stream() { return *In; }
-
-private:
-  std::unique_ptr<std::ifstream> Owned; ///< null when borrowing
-  std::istream *In;
-  TraceStream TS;
-};
+/// What the tools print after "error: " for Src, opened on Path, once it
+/// stopped with failed(): "<Path>:N: message" for a malformed record, or
+/// the read error itself.
+std::string describeFailure(const TraceSource &Src, const std::string &Path);
 
 /// What a salvage open of a VELOTRC container recovered (see
-/// BinaryTraceReader::openSalvage). Used stays false when the container
+/// BinaryTraceReader::open). Used stays false when the container
 /// was complete and no recovery was needed.
 struct SalvageSummary {
   bool Used = false;         ///< prefix recovery actually engaged
@@ -141,17 +96,20 @@ struct SalvageSummary {
 struct TraceOpenOptions {
   /// Binary containers: accept the longest intact frame prefix of a
   /// truncated file instead of rejecting it (velodrome-check --salvage).
-  /// Text input cannot be salvaged; callers gate the flag on the sniffed
-  /// format first.
+  /// Text input cannot be salvaged, and the open is refused.
   bool Salvage = false;
   /// When non-null and the source is binary, receives the recovery
   /// outcome after a salvage open.
   SalvageSummary *SalvageOut = nullptr;
 };
 
-/// Open Path as a trace source, sniffing the VELOTRC magic to pick the
-/// encoding. On NotFound/IoError returns null with StatusOut/ErrorOut set
-/// (same messages as readTraceFileStatus). A malformed binary container
+/// Open Path — a file, pipe, FIFO or /dev/stdin — as a trace source,
+/// sniffing the VELOTRC magic from the same descriptor it then reads to
+/// pick the encoding. Returns null with StatusOut/ErrorOut set (same
+/// messages as readTraceFileStatus) when the input cannot be streamed:
+/// NotFound/IoError when open or read fails, or when a VELOTRC container
+/// is not a regular file (it must be mmap'd); ParseError when
+/// Opts.Salvage asks to salvage a text trace. A malformed binary container
 /// yields a non-null source that fails on the first next() — callers
 /// handle it through their normal parse-error path. Symbols interned
 /// while reading land in Syms.

@@ -2,15 +2,10 @@
 
 #include "events/TraceText.h"
 
-#include "events/BinaryFormat.h"
-#include "events/BinaryReader.h"
 #include "events/BinaryWriter.h"
-#include "events/TraceStream.h"
+#include "events/TraceSource.h"
 
-#include <cerrno>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace velo {
 
@@ -115,8 +110,7 @@ std::string printTrace(const Trace &T) {
 }
 
 bool parseTrace(const std::string &Text, Trace &Out, std::string &ErrorOut) {
-  std::istringstream In(Text);
-  TraceStream TS(In, Out.symbols());
+  TraceStream TS(Text, Out.symbols());
   Event E;
   while (TS.next(E))
     Out.push(E);
@@ -125,16 +119,6 @@ bool parseTrace(const std::string &Text, Trace &Out, std::string &ErrorOut) {
     return false;
   }
   return true;
-}
-
-TraceFormat detectTraceFormat(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  char Buf[sizeof(binfmt::Magic)] = {};
-  if (!In || !In.read(Buf, sizeof(Buf)))
-    return TraceFormat::Text;
-  return std::memcmp(Buf, binfmt::Magic, sizeof(Buf)) == 0
-             ? TraceFormat::Binary
-             : TraceFormat::Text;
 }
 
 TraceFormat traceFormatForWrite(const std::string &Path) {
@@ -159,43 +143,17 @@ bool writeTraceFile(const Trace &T, const std::string &Path) {
 
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
                                     std::string &ErrorOut) {
-  if (detectTraceFormat(Path) == TraceFormat::Binary) {
-    BinaryTraceReader R(Out.symbols());
-    TraceReadStatus St = R.open(Path, ErrorOut);
-    if (St == TraceReadStatus::NotFound || St == TraceReadStatus::IoError)
-      return St;
-    Event E;
-    while (R.next(E))
-      Out.push(E);
-    if (R.failed()) {
-      // "path:N: message" (error() is "line N: message").
-      ErrorOut = Path + ":" + R.error().substr(5);
-      return TraceReadStatus::ParseError;
-    }
-    return TraceReadStatus::Ok;
-  }
-  errno = 0;
-  std::ifstream In(Path);
-  if (!In) {
-    int Err = errno;
-    ErrorOut = "cannot open " + Path + ": " +
-               (Err != 0 ? std::strerror(Err) : "open failed");
-    return Err == ENOENT ? TraceReadStatus::NotFound : TraceReadStatus::IoError;
-  }
-  TraceStream TS(In, Out.symbols());
+  TraceReadStatus St = TraceReadStatus::Ok;
+  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut);
+  if (!Src)
+    return St;
   Event E;
-  while (TS.next(E))
+  while (Src->next(E))
     Out.push(E);
-  if (TS.failed()) {
-    // "path:N: message" (TS.error() is "line N: message").
-    ErrorOut = Path + ":" + TS.error().substr(5);
-    return TraceReadStatus::ParseError;
-  }
-  if (In.bad()) {
-    int Err = errno;
-    ErrorOut = "read error on " + Path + ": " +
-               (Err != 0 ? std::strerror(Err) : "stream error");
-    return TraceReadStatus::IoError;
+  if (Src->failed()) {
+    ErrorOut = describeFailure(*Src, Path);
+    return Src->readFailed() ? TraceReadStatus::IoError
+                             : TraceReadStatus::ParseError;
   }
   return TraceReadStatus::Ok;
 }

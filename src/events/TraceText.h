@@ -58,10 +58,6 @@ bool writeTraceFile(const Trace &T, const std::string &Path);
 /// binary, anything else = text).
 enum class TraceFormat { Text, Binary };
 
-/// Sniff the format of an existing file. Returns Text when the file
-/// cannot be read (the text path then reports the real error).
-TraceFormat detectTraceFormat(const std::string &Path);
-
 /// Format a write to Path should use (by extension).
 TraceFormat traceFormatForWrite(const std::string &Path);
 
@@ -74,7 +70,8 @@ enum class TraceReadStatus {
   ParseError, ///< the file was read but a line is malformed
 };
 
-/// Read a trace from a file. On failure, ErrorOut carries the failing path
+/// Read a whole trace, text or VELOTRC, through openTraceSource
+/// (events/TraceSource.h). On failure, ErrorOut carries the failing path
 /// and strerror(errno) for I/O problems, or "<path>:N: message" for parse
 /// problems.
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,

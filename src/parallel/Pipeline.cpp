@@ -61,19 +61,6 @@ ParallelPipeline::ParallelPipeline(TraceSource &Src, SymbolTable &Syms,
     this->Opts.BatchEvents = 1;
 }
 
-ParallelPipeline::ParallelPipeline(std::istream &In, SymbolTable &Syms,
-                                   TraceSanitizer &San,
-                                   ReductionFilter *Filter,
-                                   std::vector<Backend *> Delivery,
-                                   ParallelOptions Opts)
-    : OwnedSrc(std::make_unique<TextTraceSource>(In, Syms)), Src(*OwnedSrc),
-      Syms(Syms), San(San), Filter(Filter), Delivery(std::move(Delivery)),
-      Opts(std::move(Opts)), Q1(this->Opts.RingDepth),
-      QF(this->Opts.RingDepth) {
-  if (this->Opts.BatchEvents == 0)
-    this->Opts.BatchEvents = 1;
-}
-
 void ParallelPipeline::maybeStall(int Stage, int WorkerIndex) const {
   const PipelineStall &St = Opts.Stall;
   if (St.At != Stage || St.MicrosPerBatch == 0)
@@ -82,6 +69,21 @@ void ParallelPipeline::maybeStall(int Stage, int WorkerIndex) const {
       St.WorkerIndex != WorkerIndex)
     return;
   std::this_thread::sleep_for(std::chrono::microseconds(St.MicrosPerBatch));
+  if (Stage == PipelineStall::Reader)
+    awaitDrainedDownstream();
+}
+
+void ParallelPipeline::awaitDrainedDownstream() const {
+  auto Drained = [this] {
+    if (!Q1.consumerParked() || (Filter && !QF.consumerParked()))
+      return false;
+    for (const Worker &W : Workers)
+      if (!W.Ring->consumerParked())
+        return false;
+    return true;
+  };
+  while (!Drained() && !Stop.load() && !Aborted.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
 }
 
 void ParallelPipeline::abortPipeline() {
@@ -128,17 +130,11 @@ void ParallelPipeline::deposit(
 }
 
 //===----------------------------------------------------------------------===//
-// Reader stage: parse lines into batches, record symbol deltas, tag
+// Reader stage: decode records into batches, record symbol deltas, tag
 // checkpoint boundaries. Runs on the thread that called run().
 //===----------------------------------------------------------------------===//
 
 void ParallelPipeline::readerMain() {
-  // A caller that seeked the source already restored its counters; for
-  // the istream convenience path this primes them (idempotent when the
-  // values are already in place).
-  if (Opts.StartLine != 0 || Opts.StartEvents != 0)
-    Src.resumeCounters(Opts.StartLine, Opts.StartEvents);
-
   // Baseline interner sizes for delta extraction.
   size_t VarsN = Syms.Vars.size();
   size_t LocksN = Syms.Locks.size();
@@ -173,8 +169,8 @@ void ParallelPipeline::readerMain() {
         Src.eventCount() >= NextCkpt && !B->Events.empty()) {
       // The batch's last record is fully parsed, so the source position
       // is a clean resume boundary when tell() succeeds. Text: any line
-      // boundary, but tellg() fails at EOF on a file without a trailing
-      // newline (the run is about to finish anyway). Binary: only frame
+      // boundary, but tell() fails once the scanner has met the end of
+      // the input (the run is about to finish anyway). Binary: only frame
       // boundaries; mid-frame boundaries simply defer the cut to the
       // frame's end.
       uint64_t Off = 0;
@@ -203,7 +199,7 @@ void ParallelPipeline::readerMain() {
     // A checkpoint boundary ends the batch early: cuts can only land on
     // batch boundaries, so the cadence must not be quantized up to
     // BatchEvents (a batch larger than the whole trace would otherwise
-    // push the only cut to EOF, where tellg() no longer works). It only
+    // push the only cut to EOF, where tell() no longer works). It only
     // fires where the source can actually checkpoint (tell succeeds), so
     // a binary trace is not shredded into one-event batches between a
     // due checkpoint and the frame boundary that can host it. A frame
@@ -236,6 +232,7 @@ void ParallelPipeline::readerMain() {
   // exactly as in the sequential loop.
   Finalize(Cur, /*AtEof=*/true);
   if (!Cur->Events.empty() || !Cur->Symbols.empty()) {
+    maybeStall(PipelineStall::Reader);
     ++Batches;
     Q1.push(std::move(Cur));
   }

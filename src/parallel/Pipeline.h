@@ -7,11 +7,11 @@
 // back-ends:
 //
 //   reader ──Q1──▶ sanitizer ──QF──▶ filter ──┬─▶ worker 0 (backends …)
-//   (parse)        (repair/reject)  (--reduce)├─▶ worker 1 (backends …)
+//   (decode)       (repair/reject)  (--reduce)├─▶ worker 1 (backends …)
 //                                             └─▶ worker N-1
 //
 // (without --reduce the sanitizer broadcasts directly). Each mutable
-// component — the TraceStream's symbol table, the TraceSanitizer, the
+// component — the TraceSource's symbol table, the TraceSanitizer, the
 // ReductionFilter, every Backend — is owned by exactly one thread for the
 // lifetime of the run; batches are immutable after hand-off, and workers
 // track symbol interning through per-batch deltas applied to private
@@ -40,7 +40,6 @@
 #include <atomic>
 #include <csignal>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -51,7 +50,11 @@ namespace velo {
 /// Injectable stall point: slows one stage down by a fixed sleep per
 /// batch, so tests can force any stage to be the bottleneck and prove
 /// output equivalence under adversarial interleavings (queue-full on the
-/// stalled stage's input, queue-drain everywhere downstream).
+/// stalled stage's input, queue-drain everywhere downstream). A stalled
+/// reader also pushes each batch only once every downstream stage is
+/// blocked in pop() on an empty ring, so the drained case does not depend
+/// on the scheduler: a worker ring holds at most the batch just pushed and
+/// the sanitizer's end-of-input flush.
 struct PipelineStall {
   enum Stage { None = -1, Reader = 0, Sanitizer = 1, Filter = 2,
                Worker = 3 };
@@ -71,7 +74,7 @@ bool parsePipelineStall(const char *Spec, PipelineStall &Out);
 /// its fprintf (e.g. "line 3: bad thread id" for Parse).
 enum class PipelineError {
   None,       ///< clean end of stream (or governor stop)
-  Parse,      ///< malformed line; Detail = TraceStream::error()
+  Parse,      ///< malformed record or failed read; Detail = Src.error()
   Sanitize,   ///< strict-mode rejection; Detail = TraceSanitizer::error()
   Checkpoint, ///< checkpoint sink failed; Detail = sink's error
 };
@@ -109,9 +112,8 @@ struct ParallelOptions {
   std::function<bool(const CheckpointCut &, std::string &ErrorOut)>
       CheckpointSink;
 
-  /// Resume position: the 1-based line and delivered-event/thread counts
-  /// recorded in the snapshot. The caller seeks the stream first.
-  uint64_t StartLine = 0;
+  /// Resume position: the delivered-event/thread counts recorded in the
+  /// snapshot. The caller seeks the source (TraceSource::seekTo) first.
   uint64_t StartEvents = 0;
   uint32_t StartThreads = 0;
   /// Sanitized-stream events already consumed before this run (resume):
@@ -166,11 +168,6 @@ public:
                    ReductionFilter *Filter, std::vector<Backend *> Delivery,
                    ParallelOptions Opts);
 
-  /// Convenience: ingest text from a caller-owned stream (tests, bench).
-  ParallelPipeline(std::istream &In, SymbolTable &Syms, TraceSanitizer &San,
-                   ReductionFilter *Filter, std::vector<Backend *> Delivery,
-                   ParallelOptions Opts);
-
   /// Execute the pipeline to completion (blocking; spawns and joins all
   /// stage and worker threads).
   PipelineResult run();
@@ -194,6 +191,9 @@ private:
   /// the pipeline is aborting.
   bool deliver(BatchPtr B);
   void maybeStall(int Stage, int WorkerIndex = -1) const;
+  /// The stalled reader's handshake: wait until every stage downstream of
+  /// Q1 is blocked in pop() on an empty ring (or the run is ending).
+  void awaitDrainedDownstream() const;
 
   /// Deposit into a ticket under its mutex; the final depositor hands the
   /// completed cut to the sink (ordered, at most once per boundary).
@@ -201,7 +201,6 @@ private:
                const std::function<void(CheckpointCut &)> &Fill);
   void abortPipeline();
 
-  std::unique_ptr<TextTraceSource> OwnedSrc; ///< istream-ctor adapter
   TraceSource &Src;
   SymbolTable &Syms;
   TraceSanitizer &San;

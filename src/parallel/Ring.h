@@ -52,7 +52,9 @@ public:
   /// false when the ring is aborted, or closed and fully drained.
   bool pop(T &Out) {
     std::unique_lock<std::mutex> Lock(Mu);
+    ++Waiting;
     NotEmpty.wait(Lock, [&] { return Size > 0 || Closed || Aborted; });
+    --Waiting;
     if (Aborted || Size == 0)
       return false;
     Out = std::move(Slots[Head]);
@@ -81,6 +83,14 @@ public:
 
   size_t capacity() const { return Cap; }
 
+  /// True while the consumer is blocked in pop() on an empty ring, or the
+  /// ring is closed or aborted and empty: everything pushed so far has
+  /// been taken. The pipeline's stalled-reader handshake polls this.
+  bool consumerParked() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Size == 0 && (Waiting > 0 || Closed || Aborted);
+  }
+
   /// Peak occupancy ever observed (backpressure evidence for tests).
   size_t highWater() const {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -93,6 +103,7 @@ private:
   std::vector<T> Slots;
   size_t Cap;
   size_t Head = 0, Size = 0, HighWater = 0;
+  size_t Waiting = 0; ///< consumers inside pop()
   bool Closed = false, Aborted = false;
 };
 

@@ -257,9 +257,10 @@ bool decodeEventsPayload(const uint8_t *Data, size_t Size, SymbolTable &Syms,
       Err = "impossible symbol count";
       return false;
     }
-    if (Base + Count > maxTraceSymbols()) {
+    const uint64_t Cap = maxTraceSymbols();
+    if (Base + Count > Cap) {
       Err = std::string("too many distinct ") + What + " names (cap " +
-            std::to_string(maxTraceSymbols()) + ")";
+            std::to_string(Cap) + ")";
       return false;
     }
     for (uint64_t I = 0; I < Count; ++I) {
@@ -272,9 +273,9 @@ bool decodeEventsPayload(const uint8_t *Data, size_t Size, SymbolTable &Syms,
                             static_cast<size_t>(NameLen));
       Pos += static_cast<size_t>(NameLen);
       uint32_t Id = 0;
-      if (!internSymbolCapped(Table, Name, Id)) {
+      if (!internSymbolCapped(Table, Name, Cap, Id)) {
         Err = std::string("too many distinct ") + What + " names (cap " +
-              std::to_string(maxTraceSymbols()) + ")";
+              std::to_string(Cap) + ")";
         return false;
       }
       if (Id != Base + I) {

@@ -4,6 +4,10 @@
 // the interner maps those ids back to human-readable names for warnings and
 // dot error graphs (mirroring RoadRunner's field/method naming).
 //
+// The text trace reader resolves every event's name here, so lookup is on
+// the decode hot path: the map's hash and equality are transparent, so a
+// string_view is looked up as is, without building a std::string.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_SUPPORT_STRINGINTERNER_H
@@ -11,6 +15,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,7 +29,7 @@ class StringInterner {
 public:
   /// Intern Name, returning its id (allocating a new id on first sight).
   uint32_t intern(std::string_view Name) {
-    auto It = IdByName.find(std::string(Name));
+    auto It = IdByName.find(Name);
     if (It != IdByName.end())
       return It->second;
     uint32_t Id = static_cast<uint32_t>(Names.size());
@@ -35,7 +40,7 @@ public:
 
   /// Look up a name without interning. Returns false if absent.
   bool lookup(std::string_view Name, uint32_t &IdOut) const {
-    auto It = IdByName.find(std::string(Name));
+    auto It = IdByName.find(Name);
     if (It == IdByName.end())
       return false;
     IdOut = It->second;
@@ -69,8 +74,19 @@ public:
   }
 
 private:
+  /// std::hash over string_view, which std::string keys share; with
+  /// std::equal_to<> it makes find() accept a string_view (C++20
+  /// heterogeneous lookup).
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const {
+      return std::hash<std::string_view>{}(Name);
+    }
+  };
+
   std::vector<std::string> Names;
-  std::unordered_map<std::string, uint32_t> IdByName;
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
+      IdByName;
 };
 
 } // namespace velo

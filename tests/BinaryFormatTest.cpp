@@ -567,9 +567,6 @@ TEST(BinaryFormat, FactoryDetectsBothFormats) {
   ASSERT_TRUE(writeTraceFile(T, TextPath));
   ASSERT_TRUE(writeTraceFile(T, BinPath)); // .vtrc extension -> binary
 
-  EXPECT_EQ(detectTraceFormat(TextPath), TraceFormat::Text);
-  EXPECT_EQ(detectTraceFormat(BinPath), TraceFormat::Binary);
-
   for (const std::string &Path : {TextPath, BinPath}) {
     SymbolTable Syms;
     TraceReadStatus St = TraceReadStatus::Ok;
@@ -577,6 +574,9 @@ TEST(BinaryFormat, FactoryDetectsBothFormats) {
     auto Src = openTraceSource(Path, Syms, St, Err);
     ASSERT_TRUE(Src) << Err;
     ASSERT_EQ(St, TraceReadStatus::Ok);
+    EXPECT_EQ(dynamic_cast<BinaryTraceReader *>(Src.get()) != nullptr,
+              Path == BinPath)
+        << Path;
     Event E;
     std::vector<Event> Events;
     while (Src->next(E))

@@ -180,6 +180,14 @@ struct GenParam {
   unsigned GuardedPct;
 };
 
+// gtest's default printer dumps the struct's bytes, padding included, and
+// ctest bakes the printed parameter into the test name; print the fields so
+// the test name is the same in every build.
+void PrintTo(const GenParam &P, std::ostream *OS) {
+  *OS << "seed" << P.Seed << "-threads" << P.Threads
+      << (P.ForkJoin ? "-forkjoin" : "") << "-guard" << P.GuardedPct;
+}
+
 class TraceGenTest : public ::testing::TestWithParam<GenParam> {};
 
 TEST_P(TraceGenTest, GeneratedTracesAreWellFormed) {

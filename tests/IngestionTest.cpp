@@ -2,22 +2,30 @@
 //
 // TraceStream must agree event-for-event with the batch parser (they share
 // parseTraceLine, but the loop logic differs), report precise line numbers,
-// and stop cleanly on malformed input. readTraceFileStatus must distinguish
+// and stop cleanly on malformed input — over a string and over a pipe whose
+// short reads split lines anywhere. readTraceFileStatus must distinguish
 // missing files from unreadable files from malformed contents, and carry the
 // path in every diagnostic.
 //
 //===----------------------------------------------------------------------===//
 
+#include "events/BinaryWriter.h"
 #include "events/TraceGen.h"
+#include "events/TraceSource.h"
 #include "events/TraceStream.h"
 #include "events/TraceText.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <thread>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 namespace velo {
 namespace {
@@ -25,12 +33,12 @@ namespace {
 /// Drives a TraceStream over a string and keeps the stream alive for
 /// post-run inspection (failed / error / lineNo).
 struct StreamRun {
-  std::istringstream In;
+  std::string Text;
   SymbolTable Syms;
   TraceStream TS;
   std::vector<Event> Events;
 
-  explicit StreamRun(const std::string &Text) : In(Text), TS(In, Syms) {
+  explicit StreamRun(const std::string &Input) : Text(Input), TS(Text, Syms) {
     Event E;
     while (TS.next(E))
       Events.push_back(E);
@@ -146,7 +154,7 @@ TEST(ReadTraceFileTest, MalformedFileIsParseErrorWithPathAndLine) {
 
 TEST(TraceStreamTest, StripsTrailingCarriageReturns) {
   // Windows-authored traces (CRLF line endings) must parse identically to
-  // Unix ones: getline leaves the \r on the line, the parser strips it.
+  // Unix ones: the \r left on each line is token whitespace.
   StreamRun Run("T0 fork T1\r\n"
                 "T0 wr x\r\n"
                 "# comment line\r\n"
@@ -255,6 +263,218 @@ TEST(ReadTraceFileTest, WellFormedFileRoundTrips) {
       << Error;
   EXPECT_EQ(printTrace(Out), printTrace(T));
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The block scanner over a descriptor: a pipe's short reads split lines at
+// arbitrary bytes, and nothing about the result may change.
+//===----------------------------------------------------------------------===//
+
+/// Everything a TraceStream run exposes.
+struct Drained {
+  std::vector<Event> Events;
+  std::vector<size_t> Lines; ///< lineNo() after each event
+  std::vector<std::string> Vars;
+  bool Failed = false;
+  std::string Error;
+  size_t LastLine = 0;
+};
+
+Drained drain(TraceStream &TS, const SymbolTable &Syms) {
+  Drained D;
+  Event E;
+  while (TS.next(E)) {
+    D.Events.push_back(E);
+    D.Lines.push_back(TS.lineNo());
+  }
+  for (uint32_t I = 0; I < Syms.Vars.size(); ++I)
+    D.Vars.push_back(Syms.Vars.name(I));
+  D.Failed = TS.failed();
+  D.Error = TS.error();
+  D.LastLine = TS.lineNo();
+  return D;
+}
+
+/// Scan Text through a pipe whose writer sends it in 1-37-byte write()s.
+Drained drainThroughPipe(const std::string &Text, uint64_t Seed) {
+  int Fds[2];
+  EXPECT_EQ(::pipe(Fds), 0);
+  std::thread Writer([&Text, Seed, WriteFd = Fds[1]] {
+    Rng R(Seed);
+    for (size_t Off = 0; Off < Text.size();) {
+      size_t Len = std::min<size_t>(1 + R.below(37), Text.size() - Off);
+      ssize_t N = ::write(WriteFd, Text.data() + Off, Len);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        break;
+      Off += static_cast<size_t>(N);
+    }
+    ::close(WriteFd);
+  });
+  SymbolTable Syms;
+  Drained D;
+  {
+    TraceStream TS(Fds[0], "pipe", Syms);
+    D = drain(TS, Syms);
+  }
+  // Let a writer that the stream stopped reading (malformed line) finish.
+  char Sink[4096];
+  while (::read(Fds[0], Sink, sizeof(Sink)) > 0) {
+  }
+  Writer.join();
+  ::close(Fds[0]);
+  return D;
+}
+
+TEST(TraceStreamTest, PipeShortReadsMatchParseTrace) {
+  TraceGenOptions Opts;
+  Opts.Threads = 5;
+  Opts.Steps = 30000; // ~300 KB: several 64 KiB blocks
+  Opts.UseForkJoin = true;
+  const std::string LongName(100000, 'v'); // longer than one block
+  const std::string Inputs[] = {
+      printTrace(generateRandomTrace(3, Opts)),
+      "# header\r\nT0 fork T1\r\n\r\nT0 wr x\r\nT1 rd x  # tail\r\n",
+      "T0 wr x\nT1 rd x",                          // no final newline
+      "T0 wr x\n\nT1 rd x\n\n",                    // trailing blank line
+      "T0 wr a\\x20b\nT0 acq \\e\nT0 rel \\e\n",   // escapes
+      "T0 wr x\v\f\t\r\nT1 rd x\n",                // C-locale whitespace
+      "T0 wr x\nT1 wr y\x01z\nT0 rd x\n",          // control byte
+      std::string("T0 wr x\nT\0 rd x\n", 16),      // NUL in the thread id
+      std::string("T0 wr a\0b\n", 10),             // NUL in a name
+      "T0 wr x\nT1 rd x\nbogus line\nT0 wr y\n",   // malformed mid-stream
+      "T0 wr " + LongName + "\nT1 rd " + LongName + "\n# " + LongName,
+      "",
+  };
+  uint64_t Seed = 0;
+  for (const std::string &Text : Inputs) {
+    SCOPED_TRACE("input " + std::to_string(Seed));
+    SymbolTable Syms;
+    TraceStream InMemory(Text, Syms);
+    Drained Want = drain(InMemory, Syms);
+    Trace Batch;
+    std::string BatchError;
+    bool BatchOk = parseTrace(Text, Batch, BatchError);
+    ASSERT_EQ(BatchOk, !Want.Failed);
+    EXPECT_EQ(Want.Error, BatchOk ? "" : BatchError);
+    ASSERT_EQ(Want.Events.size(), Batch.size());
+    for (size_t I = 0; I < Batch.size(); ++I)
+      EXPECT_TRUE(Want.Events[I] == Batch[I]) << "event " << I;
+
+    for (uint64_t Round = 0; Round < 3; ++Round) {
+      Drained Got = drainThroughPipe(Text, ++Seed);
+      EXPECT_EQ(Got.Failed, Want.Failed);
+      EXPECT_EQ(Got.Error, Want.Error);
+      EXPECT_EQ(Got.LastLine, Want.LastLine);
+      EXPECT_EQ(Got.Lines, Want.Lines);
+      EXPECT_EQ(Got.Vars, Want.Vars);
+      ASSERT_EQ(Got.Events.size(), Want.Events.size());
+      for (size_t I = 0; I < Got.Events.size(); ++I)
+        EXPECT_TRUE(Got.Events[I] == Want.Events[I]) << "event " << I;
+    }
+  }
+}
+
+TEST(TraceStreamTest, ReadErrorIsAFailureNotEndOfInput) {
+  // A directory opens fine; read() then fails with EISDIR.
+  const std::string Dir = ::testing::TempDir();
+  int Fd = ::open(Dir.c_str(), O_RDONLY);
+  ASSERT_GE(Fd, 0);
+  SymbolTable Syms;
+  TraceStream TS(Fd, Dir, Syms);
+  Event E;
+  EXPECT_FALSE(TS.next(E));
+  EXPECT_TRUE(TS.failed());
+  EXPECT_TRUE(TS.readFailed());
+  EXPECT_EQ(TS.error(), "read error on " + Dir + ": Is a directory");
+  ::close(Fd);
+
+  Trace Out;
+  std::string Error;
+  EXPECT_EQ(readTraceFileStatus(Dir, Out, Error), TraceReadStatus::IoError);
+  EXPECT_EQ(Error, "read error on " + Dir + ": Is a directory");
+}
+
+TEST(TraceStreamTest, TellStopsAtTheEndOfTheInput) {
+  // tell() is the checkpoint position: after each line's newline, and
+  // unavailable once a read has met the end of the input.
+  SymbolTable Syms;
+  const std::string Text = "T0 wr x\n# c\nT1 rd x";
+  TraceStream TS(Text, Syms);
+  Event E;
+  uint64_t Pos = 0;
+  ASSERT_TRUE(TS.next(E));
+  ASSERT_TRUE(TS.tell(Pos));
+  EXPECT_EQ(Pos, 8u);
+  ASSERT_TRUE(TS.next(E));
+  EXPECT_FALSE(TS.tell(Pos)) << "last line has no newline";
+
+  const std::string Closed = "T0 wr x\n\n";
+  TraceStream TC(Closed, Syms);
+  ASSERT_TRUE(TC.next(E));
+  ASSERT_TRUE(TC.tell(Pos));
+  EXPECT_EQ(Pos, 8u);
+  EXPECT_FALSE(TC.next(E));
+  EXPECT_FALSE(TC.tell(Pos)) << "next() ran out of lines";
+}
+
+//===----------------------------------------------------------------------===//
+// openTraceSource reads a pipe once: the format sniff costs it no bytes,
+// and a VELOTRC container (which is mmap'd) is refused.
+//===----------------------------------------------------------------------===//
+
+/// A pipe already holding Bytes (which fit its buffer), write end closed;
+/// returns the read end's /dev/fd path and sets FdOut to close afterwards.
+std::string pipeHolding(const std::string &Bytes, int &FdOut) {
+  int Fds[2];
+  EXPECT_EQ(::pipe(Fds), 0);
+  EXPECT_EQ(::write(Fds[1], Bytes.data(), Bytes.size()),
+            static_cast<ssize_t>(Bytes.size()));
+  ::close(Fds[1]);
+  FdOut = Fds[0];
+  return "/dev/fd/" + std::to_string(Fds[0]);
+}
+
+TEST(OpenTraceSourceTest, TextFromAPipeLosesNothingToTheSniff) {
+  TraceGenOptions Opts;
+  Opts.Steps = 400;
+  const std::string Text = printTrace(generateRandomTrace(5, Opts));
+  ASSERT_LT(Text.size(), 60000u) << "must fit the pipe buffer";
+  int Fd = -1;
+  const std::string Path = pipeHolding(Text, Fd);
+  SymbolTable Syms;
+  TraceReadStatus St = TraceReadStatus::Ok;
+  std::string Err;
+  auto Src = openTraceSource(Path, Syms, St, Err);
+  ASSERT_TRUE(Src) << Err;
+  Trace Want;
+  ASSERT_TRUE(parseTrace(Text, Want, Err)) << Err;
+  std::vector<Event> Got;
+  Event E;
+  while (Src->next(E))
+    Got.push_back(E);
+  EXPECT_FALSE(Src->failed()) << Src->error();
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Got.size(); ++I)
+    EXPECT_TRUE(Got[I] == Want[I]) << "event " << I;
+  ::close(Fd);
+}
+
+TEST(OpenTraceSourceTest, BinaryContainerMustBeARegularFile) {
+  Trace T;
+  std::string Err;
+  ASSERT_TRUE(parseTrace("T0 wr x\nT1 rd x\n", T, Err)) << Err;
+  const std::string Bin = printBinaryTrace(T);
+  int Fd = -1;
+  const std::string Path = pipeHolding(Bin, Fd);
+  SymbolTable Syms;
+  TraceReadStatus St = TraceReadStatus::Ok;
+  EXPECT_FALSE(openTraceSource(Path, Syms, St, Err));
+  EXPECT_EQ(St, TraceReadStatus::IoError);
+  EXPECT_NE(Err.find("must be read from a regular file"), std::string::npos)
+      << Err;
+  ::close(Fd);
 }
 
 } // namespace

@@ -24,11 +24,12 @@
 #include "parallel/Pipeline.h"
 #include "staticpass/StaticPipeline.h"
 
+#include "OpenTextSource.h"
+
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 using namespace velo;
@@ -85,9 +86,8 @@ ReductionPlan planFor(const std::string &Text) {
 RunResult runSequential(const std::string &Text, SanitizeMode Mode,
                         const ReductionPlan *Plan) {
   RunResult Out;
-  std::istringstream In(Text);
   SymbolTable Syms;
-  TraceStream TS(In, Syms);
+  TraceStream TS(Text, Syms);
   TraceSanitizer San(Mode);
   ReductionFilter Filter;
   if (Plan)
@@ -148,8 +148,10 @@ RunResult runSequential(const std::string &Text, SanitizeMode Mode,
 RunResult runPipeline(const std::string &Text, SanitizeMode Mode,
                       const ReductionPlan *Plan, ParallelOptions Opts) {
   RunResult Out;
-  std::istringstream In(Text);
   SymbolTable Syms;
+  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
+  if (!Src)
+    return Out;
   TraceSanitizer San(Mode);
   ReductionFilter Filter;
   if (Plan)
@@ -157,8 +159,8 @@ RunResult runPipeline(const std::string &Text, SanitizeMode Mode,
   BackendSet Set;
   for (Backend *B : Set.all())
     B->beginAnalysis(Syms);
-  ParallelPipeline Pipe(In, Syms, San, Plan ? &Filter : nullptr, Set.all(),
-                        std::move(Opts));
+  ParallelPipeline Pipe(*Src, Syms, San, Plan ? &Filter : nullptr,
+                        Set.all(), std::move(Opts));
   Out.PR = Pipe.run();
   Out.Err = Out.PR.Err;
   Out.Detail = Out.PR.Detail;

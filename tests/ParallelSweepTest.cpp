@@ -24,9 +24,9 @@
 #include "parallel/Pipeline.h"
 #include "staticpass/StaticPipeline.h"
 
-#include "gtest/gtest.h"
+#include "OpenTextSource.h"
 
-#include <sstream>
+#include "gtest/gtest.h"
 
 using namespace velo;
 
@@ -67,9 +67,8 @@ void capture(BackendSet &Set, Observed &Out) {
 // Out-parameter (not a return value): ASSERT_* macros return void.
 void runSequentialInto(const std::string &Text, const ReductionPlan *Plan,
                        Observed &Out) {
-  std::istringstream In(Text);
   SymbolTable Syms;
-  TraceStream TS(In, Syms);
+  TraceStream TS(Text, Syms);
   TraceSanitizer San(SanitizeMode::Strict);
   ReductionFilter Filter;
   if (Plan)
@@ -115,8 +114,10 @@ void runSequentialInto(const std::string &Text, const ReductionPlan *Plan,
 Observed runParallel(const std::string &Text, const ReductionPlan *Plan,
                      const ParallelOptions &Opts) {
   Observed Out;
-  std::istringstream In(Text);
   SymbolTable Syms;
+  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
+  if (!Src)
+    return Out;
   TraceSanitizer San(SanitizeMode::Strict);
   ReductionFilter Filter;
   if (Plan)
@@ -124,8 +125,8 @@ Observed runParallel(const std::string &Text, const ReductionPlan *Plan,
   BackendSet Set;
   for (Backend *B : Set.all())
     B->beginAnalysis(Syms);
-  ParallelPipeline Pipe(In, Syms, San, Plan ? &Filter : nullptr, Set.all(),
-                        Opts);
+  ParallelPipeline Pipe(*Src, Syms, San, Plan ? &Filter : nullptr,
+                        Set.all(), Opts);
   PipelineResult R = Pipe.run();
   EXPECT_EQ(static_cast<int>(R.Err), static_cast<int>(PipelineError::None))
       << R.Detail;

@@ -1146,4 +1146,183 @@ TEST(RunCliTest, PolicyAndCorruptionFlagsParse) {
   EXPECT_TRUE(Code == 0 || Code == 1);
 }
 
+//===----------------------------------------------------------------------===//
+// Inputs that are not regular files. Text streams from a pipe, a FIFO or
+// /dev/stdin exactly as from the file; a directory is a read error; what
+// must come back to the trace (--reduce, --checkpoint, --resume, a mmap'd
+// VELOTRC container) refuses a pipe with one line and exit 2.
+//===----------------------------------------------------------------------===//
+
+/// A strictly well-formed generated trace of at least MinEvents events.
+std::string writeBigTrace(const std::string &Name, uint64_t MinEvents) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::ofstream Out(Path);
+  velo::TraceGenOptions Opts;
+  Opts.Threads = 6;
+  Opts.Vars = 24;
+  Opts.Locks = 4;
+  Opts.Steps = 5000;
+  Opts.GuardedAccessPct = 50;
+  uint64_t Written = 0;
+  for (uint64_t Chunk = 0; Written < MinEvents; ++Chunk) {
+    velo::Trace T = velo::generateClosedChunk(11, Chunk, Opts);
+    Out << velo::printTrace(T);
+    Written += T.size();
+  }
+  return Path;
+}
+
+/// Run Cmd with Input piped into /dev/stdin as its last argument; the
+/// merged output names the input as the file run would.
+int runOnPipe(const std::string &Cmd, const std::string &Input,
+              std::string &Out) {
+  int Code = runCmdAll("cat " + Input + " | " + Cmd + " /dev/stdin", Out);
+  replaceAll(Out, "/dev/stdin", Input);
+  return Code;
+}
+
+TEST(PipeCliTest, CheckReadsAPipeLikeTheFile) {
+  const std::string Big = writeBigTrace("velo_pipe_big.trace", 120000);
+  struct Case {
+    std::string Trace, Flags;
+  };
+  const Case Cases[] = {
+      {dataFile("intro_cycle.trace"), ""},
+      {dataFile("intro_cycle.trace"), "--parallel"},
+      {dataFile("fuzz/end_without_begin.trace"), "--lenient"},
+      {dataFile("fuzz/end_without_begin.trace"), ""},
+      {dataFile("fuzz/crlf_line_endings.trace"), "--witness"},
+      {Big, "--backend=aero"},
+      {Big, "--backend=velodrome --parallel"},
+  };
+  for (const Case &C : Cases) {
+    const std::string Cmd = std::string(VELO_CHECK_BIN) + " " + C.Flags;
+    std::string FromFile, FromPipe;
+    int FileCode = runCmdAll(Cmd + " " + C.Trace, FromFile);
+    int PipeCode = runOnPipe(Cmd, C.Trace, FromPipe);
+    EXPECT_EQ(PipeCode, FileCode) << C.Trace << " " << C.Flags;
+    EXPECT_EQ(FromPipe, FromFile) << C.Trace << " " << C.Flags;
+  }
+  // A FIFO, written by a concurrent process.
+  const std::string Fifo = ::testing::TempDir() + "velo_pipe_fifo";
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  std::string FromFifo, FromFile;
+  int FifoCode = runCmdAll("cat " + Big + " > " + Fifo + " & " +
+                               VELO_CHECK_BIN + " --backend=aero " + Fifo,
+                           FromFifo);
+  replaceAll(FromFifo, Fifo, Big);
+  int FileCode =
+      runCmdAll(std::string(VELO_CHECK_BIN) + " --backend=aero " + Big,
+                FromFile);
+  EXPECT_EQ(FifoCode, FileCode);
+  EXPECT_EQ(FromFifo, FromFile);
+  std::remove(Fifo.c_str());
+  std::remove(Big.c_str());
+}
+
+TEST(PipeCliTest, ConvertAndAnalyzeReadAPipeLikeTheFile) {
+  const std::string Big = writeBigTrace("velo_pipe_conv.trace", 100000);
+  const std::string Dir = ::testing::TempDir();
+  for (const std::string &Trace : {dataFile("intro_cycle.trace"), Big}) {
+    for (const char *Ext : {".vtrc", ".trace"}) {
+      const std::string FileOut = Dir + "velo_pipe_from_file" + Ext;
+      const std::string PipeOut = Dir + "velo_pipe_from_pipe" + Ext;
+      std::string FromFile, FromPipe;
+      int FileCode = runCmdAll(std::string(VELO_CONVERT_BIN) + " " + Trace +
+                                   " " + FileOut,
+                               FromFile);
+      int PipeCode = runCmdAll("cat " + Trace + " | " + VELO_CONVERT_BIN +
+                                   " /dev/stdin " + PipeOut,
+                               FromPipe);
+      replaceAll(FromPipe, "/dev/stdin", Trace);
+      replaceAll(FromPipe, PipeOut, FileOut);
+      EXPECT_EQ(FileCode, 0) << FromFile;
+      EXPECT_EQ(PipeCode, 0) << FromPipe;
+      EXPECT_EQ(FromPipe, FromFile);
+      EXPECT_EQ(readFileBytes(PipeOut), readFileBytes(FileOut)) << Ext;
+      std::remove(FileOut.c_str());
+      std::remove(PipeOut.c_str());
+    }
+    std::string FromFile, FromPipe;
+    const std::string Cmd = std::string(VELO_ANALYZE_BIN) + " --lint";
+    int FileCode = runCmdAll(Cmd + " " + Trace, FromFile);
+    int PipeCode = runOnPipe(Cmd, Trace, FromPipe);
+    EXPECT_EQ(PipeCode, FileCode);
+    EXPECT_EQ(FromPipe, FromFile);
+  }
+  std::remove(Big.c_str());
+}
+
+TEST(PipeCliTest, DirectoryInputExitsTwo) {
+  const std::string Dir = VELO_TEST_DATA_DIR;
+  const std::string Want = "error: read error on " + Dir + ": Is a directory\n";
+  const std::string Cmds[] = {
+      std::string(VELO_CHECK_BIN) + " " + Dir,
+      std::string(VELO_CHECK_BIN) + " --parallel " + Dir,
+      std::string(VELO_ANALYZE_BIN) + " " + Dir,
+      std::string(VELO_CONVERT_BIN) + " " + Dir + " " +
+          ::testing::TempDir() + "velo_dir_out.vtrc",
+  };
+  for (const std::string &Cmd : Cmds) {
+    std::string Out;
+    EXPECT_EQ(runCmdAll(Cmd, Out), 2) << Cmd;
+    EXPECT_EQ(Out, Want) << Cmd;
+  }
+}
+
+TEST(PipeCliTest, WhatNeedsARegularFileRefusesAPipe) {
+  const std::string Trace = dataFile("intro_cycle.trace");
+  const std::string Ckpt = ::testing::TempDir() + "velo_pipe.ckpt";
+  std::remove(Ckpt.c_str());
+  ASSERT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --checkpoint=" + Ckpt +
+                   " --checkpoint-every=1 " + Trace),
+            1);
+  struct Refusal {
+    std::string Flags, Says;
+  };
+  const Refusal Refusals[] = {
+      {"--reduce=all", "--reduce reads the trace twice"},
+      {"--reduce=all --parallel", "--reduce reads the trace twice"},
+      {"--checkpoint=" + Ckpt + ".new",
+       "--checkpoint records trace offsets to resume from"},
+      {"--resume=" + Ckpt, "--resume seeks in the trace"},
+  };
+  for (const Refusal &R : Refusals) {
+    std::string Out;
+    EXPECT_EQ(runCmdAll("cat " + Trace + " | " + VELO_CHECK_BIN + " " +
+                            R.Flags + " /dev/stdin",
+                        Out),
+              2)
+        << R.Flags;
+    EXPECT_EQ(Out, "error: " + R.Says +
+                       ", so it needs a regular file, and /dev/stdin is not "
+                       "one\n")
+        << R.Flags;
+  }
+  struct stat St;
+  EXPECT_NE(::stat((Ckpt + ".new").c_str(), &St), 0);
+  std::remove(Ckpt.c_str());
+
+  // A VELOTRC container is mmap'd, so it too must be a regular file.
+  const std::string Bin = ::testing::TempDir() + "velo_pipe.vtrc";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + Trace + " " + Bin),
+            0);
+  const std::string Cmds[] = {
+      std::string(VELO_CHECK_BIN) + " /dev/stdin",
+      std::string(VELO_ANALYZE_BIN) + " /dev/stdin",
+      std::string(VELO_CONVERT_BIN) + " /dev/stdin " + ::testing::TempDir() +
+          "velo_pipe_out.trace",
+  };
+  for (const std::string &Cmd : Cmds) {
+    std::string Out;
+    EXPECT_EQ(runCmdAll("cat " + Bin + " | " + Cmd, Out), 2) << Cmd;
+    EXPECT_EQ(Out, "error: /dev/stdin holds a VELOTRC container, which must "
+                   "be read from a regular file (it is memory-mapped), not a "
+                   "pipe or device\n")
+        << Cmd;
+  }
+  std::remove(Bin.c_str());
+}
+
 } // namespace

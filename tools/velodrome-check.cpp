@@ -55,7 +55,9 @@
 //
 // The trace is streamed: events reach the back-ends as they are parsed, so
 // memory stays constant in the trace length (the file is buffered only for
-// --witness, whose serializability oracle needs random access).
+// --witness, whose serializability oracle needs random access). A text
+// trace may come from a pipe, a FIFO or /dev/stdin; a .vtrc container,
+// --reduce and --checkpoint/--resume need a regular file (exit 2 otherwise).
 //
 // Exit status: 0 serializable, 1 atomicity violation, 2 usage/input error,
 // 3 resource-limited (budget exhausted before a verdict was reached),
@@ -66,10 +68,8 @@
 
 #include "analysis/CrashDump.h"
 #include "analysis/Plan.h"
-#include "events/BinaryReader.h"
 #include "events/TraceSanitizer.h"
 #include "events/TraceSource.h"
-#include "events/TraceStream.h"
 #include "events/TraceText.h"
 #include "oracle/SerializabilityOracle.h"
 #include "parallel/Pipeline.h"
@@ -435,7 +435,7 @@ bool readTraceSalvaged(const std::string &Path, Trace &Out,
   while (Src->next(E))
     Out.push(E);
   if (Src->failed()) {
-    Err = Path + ":" + (Src->error().c_str() + 5);
+    Err = describeFailure(*Src, Path);
     return false;
   }
   return true;
@@ -481,6 +481,24 @@ int runAnalysis(Options O) {
     }
   }
 
+  // A pipe, FIFO or device can be read only once, front to back. Text
+  // streams from one fine, but these modes need to come back to the
+  // trace. A path that cannot be stat'ed is left to the open below.
+  const char *Rereads =
+      Resuming ? "--resume seeks in the trace"
+      : !O.CheckpointFile.empty()
+          ? "--checkpoint records trace offsets to resume from"
+      : Reducing ? "--reduce reads the trace twice"
+                 : nullptr;
+  struct stat TraceSt;
+  if (Rereads && ::stat(O.TraceFile.c_str(), &TraceSt) == 0 &&
+      !S_ISREG(TraceSt.st_mode)) {
+    std::fprintf(stderr,
+                 "error: %s, so it needs a regular file, and %s is not one\n",
+                 Rereads, O.TraceFile.c_str());
+    return 2;
+  }
+
   std::string PlanError;
   std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(O.Plan, PlanError);
   if (!Plan) {
@@ -510,23 +528,8 @@ int runAnalysis(Options O) {
   // no back-ends attached and classify every variable; pass B below then
   // filters on replay. Both passes parse the same bytes with fresh symbol
   // tables, so variable ids line up. A resumed run restores the filter
-  // from the snapshot instead and skips this sweep.
-  // --salvage only makes sense for a VELOTRC container; a text trace (or a
-  // prefix too short to even keep its 8-byte magic) has nothing frame-
-  // structured to salvage.
-  if (O.Salvage &&
-      detectTraceFormat(O.TraceFile) != TraceFormat::Binary) {
-    if (::access(O.TraceFile.c_str(), R_OK) != 0)
-      std::fprintf(stderr, "error: cannot open %s: %s\n", O.TraceFile.c_str(),
-                   std::strerror(errno));
-    else
-      std::fprintf(stderr,
-                   "error: --salvage requires a VELOTRC binary container "
-                   "and %s is not one\n",
-                   O.TraceFile.c_str());
-    return 2;
-  }
-
+  // from the snapshot instead and skips this sweep. Every open passes
+  // --salvage on, and openTraceSource refuses it for text input.
   ReductionFilter Filter;
   if (Reducing && !Resuming) {
     SymbolTable ClsSyms;
@@ -555,8 +558,8 @@ int runAnalysis(Options O) {
         Classifier.onEvent(Out);
     }
     if (ClsSrc->failed()) {
-      std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                   ClsSrc->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   describeFailure(*ClsSrc, O.TraceFile).c_str());
       return 2;
     }
     ClsScratch.clear();
@@ -646,7 +649,6 @@ int runAnalysis(Options O) {
       ParallelOptions POpts;
       POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
       POpts.BatchEvents = O.BatchEvents;
-      POpts.StartLine = Ckpt.LineNo;
       Plan->wire(POpts);
       if (!O.CheckpointFile.empty()) {
         POpts.CheckpointEvery = O.CheckpointEvery;
@@ -667,9 +669,9 @@ int runAnalysis(Options O) {
       PipelineResult PR = Pipe.run();
       switch (PR.Err) {
       case PipelineError::Parse:
-        // PR.Detail is "line N: message"; render as "<path>:N: message".
-        std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                     PR.Detail.c_str() + 5);
+        // The run is over, so the source is ours to ask again.
+        std::fprintf(stderr, "error: %s\n",
+                     describeFailure(*Src, O.TraceFile).c_str());
         return 2;
       case PipelineError::Sanitize:
         std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
@@ -709,8 +711,8 @@ int runAnalysis(Options O) {
       if (Plan->stopped())
         break;
       if (!O.CheckpointFile.empty() && Plan->eventsSeen() >= NextCkpt) {
-        // Text: tellg() only fails at EOF on a file without a trailing
-        // newline (the run is about to finish anyway). Binary: tell()
+        // Text: tell() fails only once the scanner has met the end of
+        // the input (the run is about to finish anyway). Binary: tell()
         // fails mid-frame, deferring the snapshot to the frame's end — so
         // the cadence reset stays inside the success branch.
         uint64_t Off = 0;
@@ -744,9 +746,8 @@ int runAnalysis(Options O) {
       }
     }
     if (Src->failed()) {
-      // error() is "line N: message"; render as "<path>:N: message".
-      std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                   Src->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   describeFailure(*Src, O.TraceFile).c_str());
       return 2;
     }
     Plan->finish();
@@ -825,8 +826,8 @@ void peekCheckpoint(const std::string &Path, uint64_t &EventsOut,
 
 /// Write "<checkpoint>.crash/" with the post-mortem: info.txt (what
 /// happened), last-events.txt (the in-process handler's ring dump, when
-/// the signal was catchable), window.trace (the trace lines the crashing
-/// window was replaying).
+/// the signal was catchable), window.trace (the events the crashing
+/// window was replaying, rendered as text).
 std::string writeCrashBundle(const Options &O, int Sig, uint64_t CkptEvents,
                              uint64_t CkptLine, uint64_t Crashes) {
   std::string Dir = O.CheckpointFile + ".crash";
@@ -852,33 +853,21 @@ std::string writeCrashBundle(const Options &O, int Sig, uint64_t CkptEvents,
     uint64_t First = CkptLine + 1;
     Out << "# trace lines from " << First
         << " (first line after the last checkpoint) onward\n";
-    if (detectTraceFormat(O.TraceFile) == TraceFormat::Binary) {
-      // Render the window as text so the bundle stays human-readable
-      // regardless of the input encoding.
-      SymbolTable Syms;
-      BinaryTraceReader R(Syms);
-      std::string Err;
-      if ((O.Salvage ? R.openSalvage(O.TraceFile, Err)
-                     : R.open(O.TraceFile, Err)) == TraceReadStatus::Ok) {
-        Event E;
-        while (R.next(E)) {
-          uint64_t N = R.lineNo();
-          if (N < First)
-            continue;
-          Out << renderEvent(E, Syms) << "\n";
-          if (N >= First + 199)
-            break;
-        }
-      }
-    } else {
-      std::ifstream TraceIn(O.TraceFile);
-      std::string Line;
-      uint64_t N = 0;
-      while (std::getline(TraceIn, Line)) {
-        ++N;
+    // Rendered as text, so the bundle stays human-readable regardless of
+    // the input encoding; positions are lines for text, ordinals for
+    // binary.
+    SymbolTable Syms;
+    TraceReadStatus St = TraceReadStatus::Ok;
+    std::string Err;
+    TraceOpenOptions Opts;
+    Opts.Salvage = O.Salvage;
+    if (auto Src = openTraceSource(O.TraceFile, Syms, St, Err, Opts)) {
+      Event E;
+      while (Src->next(E)) {
+        uint64_t N = Src->lineNo();
         if (N < First)
           continue;
-        Out << Line << "\n";
+        Out << renderEvent(E, Syms) << "\n";
         if (N >= First + 199)
           break;
       }

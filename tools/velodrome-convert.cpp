@@ -125,18 +125,6 @@ int main(int argc, char **argv) {
   if (!HaveTo)
     To = traceFormatForWrite(OutFile);
 
-  if (Salvage && detectTraceFormat(InFile) != TraceFormat::Binary) {
-    if (::access(InFile.c_str(), R_OK) != 0)
-      std::fprintf(stderr, "error: cannot open %s: %s\n", InFile.c_str(),
-                   std::strerror(errno));
-    else
-      std::fprintf(stderr,
-                   "error: --salvage requires a VELOTRC binary container "
-                   "and %s is not one\n",
-                   InFile.c_str());
-    return 2;
-  }
-
   SymbolTable Syms;
   TraceReadStatus St = TraceReadStatus::Ok;
   std::string Err;
@@ -171,9 +159,8 @@ int main(int argc, char **argv) {
     while (Src->next(E))
       W.add(E);
     if (Src->failed()) {
-      // error() is "line N: message"; render as "<path>:N: message".
-      std::fprintf(stderr, "error: %s:%s\n", InFile.c_str(),
-                   Src->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   describeFailure(*Src, InFile).c_str());
       return 2;
     }
     if (!W.finish()) {
@@ -189,8 +176,8 @@ int main(int argc, char **argv) {
       ++Converted;
     }
     if (Src->failed()) {
-      std::fprintf(stderr, "error: %s:%s\n", InFile.c_str(),
-                   Src->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   describeFailure(*Src, InFile).c_str());
       return 2;
     }
     Out.flush();
