@@ -35,7 +35,7 @@ namespace velo {
 
 /// Current snapshot layout version. Bump on any change to what any
 /// serialize() writes; resume rejects mismatches rather than guessing.
-inline constexpr uint32_t SnapshotVersion = 5;
+inline constexpr uint32_t SnapshotVersion = 6;
 
 /// FNV-1a 64-bit hash of a byte string (the payload checksum).
 uint64_t snapshotChecksum(const std::string &Bytes);

@@ -2,6 +2,7 @@
 
 #include "core/HbGraph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -179,17 +180,24 @@ HbGraph::AddEdgeResult HbGraph::addEdge(Step From, Step To,
 
   // Propagate ancestors: B and all its descendants gain Ancestors(A)+{A}.
   // Pruning on "did not grow" is sound because ancestor sets are closed
-  // (child's set always contains parent's set plus the parent).
-  FlatSet<NodeId> Gain = Slots[A].Ancestors;
-  Gain.insert(A);
-  std::vector<NodeId> Work{B};
-  while (!Work.empty()) {
-    NodeId X = Work.back();
-    Work.pop_back();
-    if (!Slots[X].Ancestors.unionWith(Gain))
+  // (child's set always contains parent's set plus the parent). Ancestors(A)
+  // is read in place: B does not reach A (checked above), so the walk never
+  // updates A's own set.
+  const FlatSet<NodeId> &Gain = Slots[A].Ancestors;
+  EdgeWork.clear();
+  EdgeWork.push_back(B);
+  while (!EdgeWork.empty()) {
+    NodeId X = EdgeWork.back();
+    EdgeWork.pop_back();
+    assert(X != A && "a descendant of B is an ancestor of A");
+    FlatSet<NodeId> &Anc = Slots[X].Ancestors;
+    bool Grew = Anc.insert(A);
+    if (Anc.unionWith(Gain))
+      Grew = true;
+    if (!Grew)
       continue;
     for (const HbEdge &Succ : Slots[X].Out)
-      Work.push_back(Succ.Dst);
+      EdgeWork.push_back(Succ.Dst);
   }
   return AddEdgeResult::Added;
 }
@@ -204,30 +212,35 @@ void HbGraph::finishNode(NodeId Slot) {
 }
 
 void HbGraph::collect(NodeId Slot) {
-  std::vector<NodeId> Work{Slot};
-  while (!Work.empty()) {
-    NodeId S = Work.back();
-    Work.pop_back();
+  if (VisitMark.size() < Slots.size())
+    VisitMark.resize(Slots.size(), 0);
+  CollectWork.clear();
+  CollectWork.push_back(Slot);
+  while (!CollectWork.empty()) {
+    NodeId S = CollectWork.back();
+    CollectWork.pop_back();
     Node &N = Slots[S];
     assert(N.InUse && !N.Active && N.RefCount == 0 && "collecting live node");
 
     // Remove S from the ancestor sets of everything it reaches. Because S
     // has no incoming edges, no other node's ancestry passes through S, so
     // erasing S itself is the only repair needed.
-    {
-      FlatSet<NodeId> Visited;
-      std::vector<NodeId> Dfs;
-      for (const HbEdge &E : N.Out)
-        Dfs.push_back(E.Dst);
-      while (!Dfs.empty()) {
-        NodeId X = Dfs.back();
-        Dfs.pop_back();
-        if (!Visited.insert(X))
-          continue;
-        Slots[X].Ancestors.erase(S);
-        for (const HbEdge &E : Slots[X].Out)
-          Dfs.push_back(E.Dst);
-      }
+    if (++VisitEpoch == 0) { // marks wrapped: forget every old walk
+      std::fill(VisitMark.begin(), VisitMark.end(), 0);
+      VisitEpoch = 1;
+    }
+    CollectDfs.clear();
+    for (const HbEdge &E : N.Out)
+      CollectDfs.push_back(E.Dst);
+    while (!CollectDfs.empty()) {
+      NodeId X = CollectDfs.back();
+      CollectDfs.pop_back();
+      if (VisitMark[X] == VisitEpoch)
+        continue;
+      VisitMark[X] = VisitEpoch;
+      Slots[X].Ancestors.erase(S);
+      for (const HbEdge &E : Slots[X].Out)
+        CollectDfs.push_back(E.Dst);
     }
 
     // Drop outgoing edges; successors whose last reference this was are
@@ -236,7 +249,7 @@ void HbGraph::collect(NodeId Slot) {
       Node &Dst = Slots[E.Dst];
       assert(Dst.RefCount > 0 && "edge refcount underflow");
       if (--Dst.RefCount == 0 && !Dst.Active)
-        Work.push_back(E.Dst);
+        CollectWork.push_back(E.Dst);
     }
 
     N.Out.clear();
@@ -248,10 +261,13 @@ void HbGraph::collect(NodeId Slot) {
   }
 }
 
-Step HbGraph::merge(const std::vector<Step> &Inputs, Tid Owner,
+Step HbGraph::merge(std::span<const Step> Inputs, Tid Owner,
                     const EdgeInfo &Info) {
   // Resolve and deduplicate by slot (keeping the latest stamp per slot).
-  std::vector<Step> Live;
+  // The list is walked again below while addEdge() runs for the fresh node,
+  // so it must not be addEdge()'s worklist.
+  std::vector<Step> &Live = MergeLive;
+  Live.clear();
   for (Step S : Inputs) {
     S = resolve(S);
     if (S.isBottom())
@@ -307,6 +323,8 @@ Step HbGraph::merge(const std::vector<Step> &Inputs, Tid Owner,
 void HbGraph::clear() {
   Slots.clear();
   FreeList.clear();
+  VisitMark.clear();
+  VisitEpoch = 0;
   NumAllocated = NumEdges = NumMerged = 0;
   Alive = HighWater();
   Full = false;

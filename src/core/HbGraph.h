@@ -24,6 +24,14 @@
 // assignment and dot error graphs. At most one edge is kept per node pair
 // (the paper's H (+) operation), bounding |H| by |Node|^2.
 //
+// The per-event operations allocate nothing once warm. merge() resolves its
+// inputs into a member list, addEdge() reads Ancestors(A) in place and
+// reuses its worklist, ancestor sets union in place (FlatSet), and collect()
+// reuses its worklists and per-slot visit marks. Recycled slots keep their
+// edge and ancestor buffers. Only cycle reports allocate. merge()'s list and
+// addEdge()'s worklist are separate buffers: merge() walks its list while
+// addEdge() runs for the fresh node.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_CORE_HBGRAPH_H
@@ -36,6 +44,8 @@
 #include "support/Stats.h"
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,8 +155,12 @@ public:
   ///  - else allocates a fresh (finished, unary) node with an edge from
   ///    every live input, and returns its first step.
   /// Info describes the unary operation, for edge labeling.
-  Step merge(const std::vector<Step> &Inputs, Tid Owner,
-             const EdgeInfo &Info);
+  Step merge(std::span<const Step> Inputs, Tid Owner, const EdgeInfo &Info);
+  Step merge(std::initializer_list<Step> Inputs, Tid Owner,
+             const EdgeInfo &Info) {
+    return merge(std::span<const Step>(Inputs.begin(), Inputs.size()), Owner,
+                 Info);
+  }
 
   // --- Statistics (Table 1, right half) ---
   uint64_t nodesAllocated() const { return NumAllocated; }
@@ -187,6 +201,14 @@ private:
 
   std::vector<Node> Slots;
   std::vector<NodeId> FreeList;
+
+  // Scratch buffers, empty between calls and never serialized.
+  std::vector<Step> MergeLive;       ///< merge(): resolved, deduped inputs
+  std::vector<NodeId> EdgeWork;      ///< addEdge(): ancestor propagation
+  std::vector<NodeId> CollectWork;   ///< collect(): nodes to free
+  std::vector<NodeId> CollectDfs;    ///< collect(): descendants to repair
+  std::vector<uint32_t> VisitMark;   ///< collect(): by slot, == VisitEpoch
+  uint32_t VisitEpoch = 0;           ///<   when visited in this walk
 
   uint64_t NumAllocated = 0;
   uint64_t NumEdges = 0;

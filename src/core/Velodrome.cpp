@@ -2,6 +2,7 @@
 
 #include "core/Velodrome.h"
 
+#include "events/TraceStream.h"
 #include "report/Report.h"
 #include "support/DotWriter.h"
 
@@ -15,13 +16,24 @@ void Velodrome::beginAnalysis(const SymbolTable &Syms) {
   Graph.clear();
   Threads.clear();
   LastUnlock.clear();
-  LastWrite.clear();
-  LastReads.clear();
+  Vars.clear();
   Violations.clear();
   ReportedMethods.clear();
 }
 
-Velodrome::ThreadState &Velodrome::state(Tid T) { return Threads[T]; }
+void Velodrome::growLocks(LockId M) { LastUnlock.resize(size_t(M) + 1); }
+
+void Velodrome::growVars(VarId X) { Vars.resize(size_t(X) + 1); }
+
+void Velodrome::recordRead(std::vector<ReadEntry> &Reads, Tid T, Step S) {
+  auto It = std::lower_bound(
+      Reads.begin(), Reads.end(), T,
+      [](const ReadEntry &R, Tid Key) { return R.Thread < Key; });
+  if (It != Reads.end() && It->Thread == T)
+    It->At = S;
+  else
+    Reads.insert(It, {T, S});
+}
 
 Step Velodrome::tickInside(ThreadState &TS) {
   assert(TS.InTxn && "tickInside outside a transaction");
@@ -47,7 +59,7 @@ Step Velodrome::unaryProgramStep(ThreadState &TS, Tid T,
   return Graph.merge({L}, T, Info); // active predecessor: fresh unary node
 }
 
-Step Velodrome::naiveUnary(Tid T, const std::vector<Step> &Sources,
+Step Velodrome::naiveUnary(Tid T, std::span<const Step> Sources,
                            const EdgeInfo &Info) {
   Step S = Graph.allocNode(T, NoLabel, /*Active=*/true);
   if (S.isBottom()) // GraphFull: the operation goes untracked
@@ -96,7 +108,7 @@ void Velodrome::onEvent(const Event &E) {
 }
 
 void Velodrome::onBegin(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   if (!TS.InTxn) {
     // [INS2 ENTER]: fresh node; program-order edge from L(t).
     Step S = Graph.allocNode(E.Thread, E.label(), /*Active=*/true);
@@ -120,7 +132,7 @@ void Velodrome::onBegin(const Event &E) {
 }
 
 void Velodrome::onEnd(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   // Ill-formed input is the sanitizer's to reject; if an unmatched end
   // slips through anyway, tolerate it rather than corrupting the graph
   // (release builds compile the old assert out entirely).
@@ -136,9 +148,9 @@ void Velodrome::onEnd(const Event &E) {
 }
 
 void Velodrome::onAcquire(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Acquire, E.lock(), E.Thread};
-  Step &U = LastUnlock[E.lock()];
+  Step U = lastUnlock(E.lock());
   if (TS.InTxn) {
     // [INS2 INSIDE ACQUIRE]: edge from the last unlock.
     Step S = tickInside(TS);
@@ -146,89 +158,73 @@ void Velodrome::onAcquire(const Event &E) {
     TS.Last = S;
     return;
   }
-  if (Opts.UseMerge) {
-    TS.Last = Graph.merge({TS.Last, U}, E.Thread, Info);
-    return;
-  }
-  TS.Last = naiveUnary(E.Thread, {TS.Last, U}, Info);
+  const Step Sources[] = {TS.Last, U};
+  TS.Last = outside(E.Thread, Sources, Info);
 }
 
 void Velodrome::onRelease(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Release, E.lock(), E.Thread};
+  Step S;
   if (TS.InTxn) {
-    Step S = tickInside(TS);
-    LastUnlock[E.lock()] = S;
-    TS.Last = S;
-    return;
-  }
-  if (Opts.UseMerge) {
+    S = tickInside(TS);
+  } else if (Opts.UseMerge) {
     // [INS2 OUTSIDE RELEASE]: s = L(t)+1 — the release's only predecessor
     // is program order, so it merges into the thread's previous node (or
     // vanishes if that node was already collected).
-    Step S = unaryProgramStep(TS, E.Thread, Info);
-    LastUnlock[E.lock()] = S;
-    TS.Last = S;
-    return;
+    S = unaryProgramStep(TS, E.Thread, Info);
+  } else {
+    const Step Sources[] = {TS.Last};
+    S = naiveUnary(E.Thread, Sources, Info);
   }
-  Step S = naiveUnary(E.Thread, {TS.Last}, Info);
-  LastUnlock[E.lock()] = S;
+  lastUnlock(E.lock()) = S;
   TS.Last = S;
 }
 
 void Velodrome::onRead(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Read, E.var(), E.Thread};
-  Step &W = LastWrite[E.var()];
-  std::vector<Step> &Reads = LastReads[E.var()];
-  if (Reads.size() <= E.Thread)
-    Reads.resize(E.Thread + 1);
-
+  VarState &X = var(E.var());
+  Step S;
   if (TS.InTxn) {
     // [INS2 INSIDE READ]: edge from the last write.
-    Step S = tickInside(TS);
-    addEdgeChecked(W, S, Info, TS);
-    Reads[E.Thread] = S;
-    TS.Last = S;
-    return;
+    S = tickInside(TS);
+    addEdgeChecked(X.LastWrite, S, Info, TS);
+  } else {
+    const Step Sources[] = {TS.Last, X.LastWrite};
+    S = outside(E.Thread, Sources, Info);
   }
-  Step S = Opts.UseMerge ? Graph.merge({TS.Last, W}, E.Thread, Info)
-                         : naiveUnary(E.Thread, {TS.Last, W}, Info);
-  Reads[E.Thread] = S;
+  recordRead(X.Reads, E.Thread, S);
   TS.Last = S;
 }
 
 void Velodrome::onWrite(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Write, E.var(), E.Thread};
-  Step &W = LastWrite[E.var()];
-  std::vector<Step> &Reads = LastReads[E.var()];
-
+  VarState &X = var(E.var());
+  Step S;
   if (TS.InTxn) {
-    // [INS2 INSIDE WRITE]: edges from the last write and all last reads.
-    Step S = tickInside(TS);
-    addEdgeChecked(W, S, Info, TS);
-    for (Step R : Reads)
-      addEdgeChecked(R, S, Info, TS);
-    Reads.clear(); // frontier reduction: later conflicts reach them via S
-    W = S;
-    TS.Last = S;
-    return;
+    // [INS2 INSIDE WRITE]: edges from the last write and all last reads,
+    // readers in ascending tid.
+    S = tickInside(TS);
+    addEdgeChecked(X.LastWrite, S, Info, TS);
+    for (const ReadEntry &R : X.Reads)
+      addEdgeChecked(R.At, S, Info, TS);
+  } else {
+    WriteSources.clear();
+    WriteSources.push_back(TS.Last);
+    WriteSources.push_back(X.LastWrite);
+    for (const ReadEntry &R : X.Reads)
+      WriteSources.push_back(R.At);
+    S = outside(E.Thread, WriteSources, Info);
   }
-  std::vector<Step> Sources;
-  Sources.push_back(TS.Last);
-  Sources.push_back(W);
-  for (Step R : Reads)
-    Sources.push_back(R);
-  Step S = Opts.UseMerge ? Graph.merge(Sources, E.Thread, Info)
-                         : naiveUnary(E.Thread, Sources, Info);
-  Reads.clear();
-  W = S;
+  X.Reads.clear(); // frontier reduction: later conflicts reach them via S
+  X.LastWrite = S;
   TS.Last = S;
 }
 
 void Velodrome::onFork(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   // The fork is an operation of the parent; its step becomes the child's
   // initial L(u), so the child's first transaction is ordered after it.
   Step S;
@@ -238,56 +234,42 @@ void Velodrome::onFork(const Event &E) {
     // Program order only, like outside-release.
     S = unaryProgramStep(TS, E.Thread, {Op::Fork, E.child(), E.Thread});
   } else {
-    S = naiveUnary(E.Thread, {TS.Last}, {Op::Fork, E.child(), E.Thread});
+    const Step Sources[] = {TS.Last};
+    S = naiveUnary(E.Thread, Sources, {Op::Fork, E.child(), E.Thread});
   }
   TS.Last = S;
   // The fork step may come back stale: naiveUnary (and merge) can hand out
   // a node that was collected the moment it was finished, when every source
   // was already dead. Resolve before publishing so the child starts from a
   // live step (or bottom) instead of inheriting a dangling one and paying
-  // the resolution on every later edge it draws.
-  state(E.child()).Last = Graph.resolve(S);
+  // the resolution on every later edge it draws. (TS is not used past this
+  // point: the child's first use may move the thread table.)
+  Threads[E.child()].Last = Graph.resolve(S);
 }
 
 void Velodrome::onJoin(const Event &E) {
-  ThreadState &TS = state(E.Thread);
-  ThreadState &Child = state(E.child());
   EdgeInfo Info{Op::Join, E.child(), E.Thread};
   // Same staleness hazard as onFork: the child's final step may have been
   // collected already. Resolve it once here rather than relying on every
-  // downstream consumer to do so.
-  Step ChildLast = Graph.resolve(Child.Last);
+  // downstream consumer to do so. The child is looked up first: its first
+  // use may move the thread table, which would leave TS dangling.
+  Step ChildLast = Graph.resolve(Threads[E.child()].Last);
+  ThreadState &TS = Threads[E.Thread];
   if (TS.InTxn) {
     Step S = tickInside(TS);
     addEdgeChecked(ChildLast, S, Info, TS);
     TS.Last = S;
     return;
   }
-  TS.Last = Opts.UseMerge
-                ? Graph.merge({TS.Last, ChildLast}, E.Thread, Info)
-                : naiveUnary(E.Thread, {TS.Last, ChildLast}, Info);
+  const Step Sources[] = {TS.Last, ChildLast};
+  TS.Last = outside(E.Thread, Sources, Info);
 }
 
 void Velodrome::endAnalysis() {}
 
-namespace {
-
-/// Iterate an unordered map in sorted key order so snapshots are
-/// byte-stable across runs (the analysis itself never depends on map
-/// order; this is purely for reproducible checkpoint artifacts).
-template <typename MapT, typename Fn>
-void forEachSorted(const MapT &M, Fn Visit) {
-  std::vector<typename MapT::key_type> Keys;
-  Keys.reserve(M.size());
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  for (const auto &K : Keys)
-    Visit(K, M.at(K));
-}
-
-} // namespace
-
+// Layout: the graph, then every thread seen in ascending tid, then U and
+// W/R(x,*) as ascending-id entries for the ids with any state (bottom and
+// empty entries are skipped, so the bytes do not depend on table sizes).
 void Velodrome::serialize(SnapshotWriter &W) const {
   serializeBase(W);
   W.boolean(Opts.UseMerge);
@@ -295,8 +277,10 @@ void Velodrome::serialize(SnapshotWriter &W) const {
   W.u64(Opts.MaxWarnings);
   Graph.serialize(W);
 
-  W.u64(Threads.size());
-  forEachSorted(Threads, [&](Tid T, const ThreadState &TS) {
+  std::vector<Tid> Tids = Threads.sortedTids();
+  W.u64(Tids.size());
+  for (Tid T : Tids) {
+    const ThreadState &TS = *Threads.find(T);
     W.u32(T);
     W.u64(TS.Stack.size());
     for (const BlockEntry &B : TS.Stack) {
@@ -306,25 +290,34 @@ void Velodrome::serialize(SnapshotWriter &W) const {
     W.u64(TS.Last.raw());
     W.u32(TS.CurNode);
     W.boolean(TS.InTxn);
-  });
+  }
 
-  W.u64(LastUnlock.size());
-  forEachSorted(LastUnlock, [&](LockId M, const Step &S) {
+  uint64_t NumUnlocks = std::count_if(LastUnlock.begin(), LastUnlock.end(),
+                                      [](Step S) { return !S.isBottom(); });
+  W.u64(NumUnlocks);
+  for (LockId M = 0; M < LastUnlock.size(); ++M) {
+    if (LastUnlock[M].isBottom())
+      continue;
     W.u32(M);
-    W.u64(S.raw());
-  });
-  W.u64(LastWrite.size());
-  forEachSorted(LastWrite, [&](VarId X, const Step &S) {
+    W.u64(LastUnlock[M].raw());
+  }
+
+  auto HasState = [](const VarState &X) {
+    return !X.LastWrite.isBottom() || !X.Reads.empty();
+  };
+  W.u64(std::count_if(Vars.begin(), Vars.end(), HasState));
+  for (VarId X = 0; X < Vars.size(); ++X) {
+    const VarState &V = Vars[X];
+    if (!HasState(V))
+      continue;
     W.u32(X);
-    W.u64(S.raw());
-  });
-  W.u64(LastReads.size());
-  forEachSorted(LastReads, [&](VarId X, const std::vector<Step> &Reads) {
-    W.u32(X);
-    W.u64(Reads.size());
-    for (Step S : Reads)
-      W.u64(S.raw());
-  });
+    W.u64(V.LastWrite.raw());
+    W.u64(V.Reads.size());
+    for (const ReadEntry &R : V.Reads) {
+      W.u32(R.Thread);
+      W.u64(R.At.raw());
+    }
+  }
 
   W.u64(Violations.size());
   for (const AtomicityViolation &V : Violations) {
@@ -350,9 +343,14 @@ bool Velodrome::deserialize(SnapshotReader &R) {
   if (!Graph.deserialize(R))
     return false;
 
+  // Ids ascend strictly, as serialize() writes them, and lie below the
+  // readers' caps, so a crafted snapshot cannot size the tables.
   uint64_t NumThreads = R.u64();
-  for (uint64_t I = 0; I < NumThreads && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumThreads && !R.failed(); ++I) {
     Tid T = R.u32();
+    if (T >= MaxTraceThreads || (I > 0 && T <= Prev))
+      return false;
+    Prev = T;
     ThreadState &TS = Threads[T];
     uint64_t Depth = R.u64();
     for (uint64_t J = 0; J < Depth && !R.failed(); ++J) {
@@ -367,22 +365,29 @@ bool Velodrome::deserialize(SnapshotReader &R) {
   }
 
   uint64_t NumUnlocks = R.u64();
-  for (uint64_t I = 0; I < NumUnlocks && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumUnlocks && !R.failed(); ++I) {
     LockId M = R.u32();
-    LastUnlock[M] = Step::fromRaw(R.u64());
+    if (M >= MaxTraceSymbols || (I > 0 && M <= Prev))
+      return false;
+    Prev = M;
+    lastUnlock(M) = Step::fromRaw(R.u64());
   }
-  uint64_t NumWrites = R.u64();
-  for (uint64_t I = 0; I < NumWrites && !R.failed(); ++I) {
+  uint64_t NumVars = R.u64();
+  for (uint64_t I = 0, Prev = 0; I < NumVars && !R.failed(); ++I) {
     VarId X = R.u32();
-    LastWrite[X] = Step::fromRaw(R.u64());
-  }
-  uint64_t NumReadVars = R.u64();
-  for (uint64_t I = 0; I < NumReadVars && !R.failed(); ++I) {
-    VarId X = R.u32();
-    uint64_t N = R.u64();
-    std::vector<Step> &Reads = LastReads[X];
-    for (uint64_t J = 0; J < N && !R.failed(); ++J)
-      Reads.push_back(Step::fromRaw(R.u64()));
+    if (X >= MaxTraceSymbols || (I > 0 && X <= Prev))
+      return false;
+    Prev = X;
+    VarState &V = var(X);
+    V.LastWrite = Step::fromRaw(R.u64());
+    uint64_t NumReads = R.u64();
+    for (uint64_t J = 0; J < NumReads && !R.failed(); ++J) {
+      Tid T = R.u32();
+      Step S = Step::fromRaw(R.u64());
+      if (T >= MaxTraceThreads || (J > 0 && T <= V.Reads.back().Thread))
+        return false;
+      V.Reads.push_back({T, S});
+    }
   }
 
   uint64_t NumViolations = R.u64();

@@ -27,6 +27,14 @@
 // and R(x,*) entries are cleared when a write to x is recorded (a
 // reachability-preserving frontier reduction).
 //
+// State layout (docs/ALGORITHM.md section 3): lock and variable ids are
+// dense interner ids, so U and W live in vectors indexed by id. Per-thread
+// state sits in a ThreadTable, so memory grows with the threads seen, not
+// with the largest tid. R(x,*) holds (tid, step) pairs for the threads that
+// read x since its last write, in ascending raw tid: the write rules visit
+// readers in that order, which decides which edge closes a cycle first and
+// so the reported cycle and its blame.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_CORE_VELODROME_H
@@ -34,9 +42,10 @@
 
 #include "analysis/Backend.h"
 #include "core/HbGraph.h"
+#include "support/ThreadTable.h"
 
 #include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace velo {
@@ -107,7 +116,34 @@ private:
     bool InTxn = false;
   };
 
-  ThreadState &state(Tid T);
+  /// R(x,*) entry: T's last read of the variable since its last write.
+  struct ReadEntry {
+    Tid Thread;
+    Step At;
+  };
+
+  /// W(x) and R(x,*), the latter in ascending raw tid.
+  struct VarState {
+    Step LastWrite;
+    std::vector<ReadEntry> Reads;
+  };
+
+  /// U(m) and the state of x. A first-seen id grows its table out of line.
+  Step &lastUnlock(LockId M) {
+    if (M >= LastUnlock.size()) [[unlikely]]
+      growLocks(M);
+    return LastUnlock[M];
+  }
+  VarState &var(VarId X) {
+    if (X >= Vars.size()) [[unlikely]]
+      growVars(X);
+    return Vars[X];
+  }
+  [[gnu::noinline]] void growLocks(LockId M);
+  [[gnu::noinline]] void growVars(VarId X);
+
+  /// Record S as T's read in R(x,*), keeping ascending tid order.
+  static void recordRead(std::vector<ReadEntry> &Reads, Tid T, Step S);
 
   /// Next stamp in the current transaction node of T (L(t)+1 inside).
   Step tickInside(ThreadState &TS);
@@ -118,8 +154,14 @@ private:
 
   /// Naive [INS OUTSIDE]: wrap one operation in its own unary transaction
   /// node with edges from Sources; returns the node's (only) step.
-  Step naiveUnary(Tid T, const std::vector<Step> &Sources,
-                  const EdgeInfo &Info);
+  Step naiveUnary(Tid T, std::span<const Step> Sources, const EdgeInfo &Info);
+
+  /// An operation outside any transaction with predecessors Sources: the
+  /// merge rule, or naiveUnary without UseMerge.
+  Step outside(Tid T, std::span<const Step> Sources, const EdgeInfo &Info) {
+    return Opts.UseMerge ? Graph.merge(Sources, T, Info)
+                         : naiveUnary(T, Sources, Info);
+  }
 
   /// Add Src -> Dst, reporting a violation if it would close a cycle.
   void addEdgeChecked(Step Src, Step Dst, const EdgeInfo &Info,
@@ -140,10 +182,10 @@ private:
 
   VelodromeOptions Opts;
   HbGraph Graph;
-  std::unordered_map<Tid, ThreadState> Threads;
-  std::unordered_map<LockId, Step> LastUnlock;       ///< U
-  std::unordered_map<VarId, Step> LastWrite;         ///< W
-  std::unordered_map<VarId, std::vector<Step>> LastReads; ///< R (by tid)
+  ThreadTable<ThreadState> Threads; ///< C and L
+  std::vector<Step> LastUnlock;     ///< U, by lock id
+  std::vector<VarState> Vars;       ///< W and R, by variable id
+  std::vector<Step> WriteSources;   ///< outside write: [L(t), W(x), R(x,*)]
   std::vector<AtomicityViolation> Violations;
   std::set<Label> ReportedMethods;
 };

@@ -2,7 +2,10 @@
 
 #include "events/TraceSanitizer.h"
 
+#include "events/TraceStream.h"
+
 #include <algorithm>
+#include <cassert>
 
 namespace velo {
 
@@ -43,6 +46,26 @@ bool TraceSanitizer::reject(const std::string &Msg, size_t SourceLine) {
   return false;
 }
 
+void TraceSanitizer::holdLock(LockId M, Tid T) {
+  if (M >= Locks.size())
+    Locks.resize(size_t(M) + 1);
+  assert(Locks[M].Depth == 0 && "acquire of a held lock was emitted");
+  Locks[M] = {T, 1, static_cast<uint32_t>(HeldLocks.size())};
+  HeldLocks.push_back(M);
+}
+
+void TraceSanitizer::freeLock(LockId M) {
+  // One release frees the lock even at depth > 1: the emitted stream only
+  // ever saw the outermost acquire.
+  LockState &LS = Locks[M];
+  assert(LS.Depth != 0 && "release of a free lock was emitted");
+  LockId Moved = HeldLocks.back();
+  HeldLocks[LS.HeldPos] = Moved;
+  Locks[Moved].HeldPos = LS.HeldPos;
+  HeldLocks.pop_back();
+  LS.Depth = 0;
+}
+
 void TraceSanitizer::emit(const Event &E, std::vector<Event> &Out) {
   // The state machine advances only here: dropped events leave no trace, so
   // re-sanitizing the emitted stream reproduces the same decisions with
@@ -57,10 +80,10 @@ void TraceSanitizer::emit(const Event &E, std::vector<Event> &Out) {
     TS.Depth--;
     break;
   case Op::Acquire:
-    Locks[E.lock()] = {E.Thread, 1};
+    holdLock(E.lock(), E.Thread);
     break;
   case Op::Release:
-    Locks.erase(E.lock());
+    freeLock(E.lock());
     break;
   case Op::Fork:
     Threads[E.child()].Forked = true;
@@ -85,12 +108,11 @@ void TraceSanitizer::closeOpenBlocks(Tid T, ThreadState &TS,
 
 void TraceSanitizer::releaseHeldLocks(Tid T, std::vector<Event> &Out) {
   // Snapshot and sort for a deterministic synthesis order (same reasoning
-  // as finish()). One release fully erases the lock even when re-entrant
-  // acquires were filtered at depth > 1: the emitted stream only ever saw
-  // the outermost acquire.
+  // as finish()). One release fully frees the lock even when re-entrant
+  // acquires were filtered at depth > 1 (freeLock).
   std::vector<LockId> Held;
-  for (const auto &[M, LS] : Locks)
-    if (LS.Holder == T)
+  for (LockId M : HeldLocks)
+    if (Locks[M].Holder == T)
       Held.push_back(M);
   std::sort(Held.begin(), Held.end());
   for (LockId M : Held) {
@@ -105,8 +127,8 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
     return false;
   ++EventIdx;
   bool Strict = Mode == SanitizeMode::Strict;
-  // Note: fork/join branches insert the child into Threads, which can rehash
-  // the map — take references only after all insertions for this event.
+  // Note: fork/join branches insert the child into Threads, which can move
+  // the table — take references only after all insertions for this event.
   if (Threads[E.Thread].Joined) {
     if (Strict)
       return reject("thread acts after being joined", SourceLine);
@@ -130,13 +152,12 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
     break;
 
   case Op::Acquire: {
-    auto It = Locks.find(E.lock());
-    if (It != Locks.end()) {
-      if (It->second.Holder == E.Thread) {
+    if (LockState *LS = heldLock(E.lock())) {
+      if (LS->Holder == E.Thread) {
         if (Strict)
           return reject("re-entrant acquire (should be filtered)",
                         SourceLine);
-        It->second.Depth++;
+        LS->Depth++;
         Repairs.ReentrantAcquires++;
         return true;
       }
@@ -149,17 +170,17 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
   }
 
   case Op::Release: {
-    auto It = Locks.find(E.lock());
-    if (It == Locks.end() || It->second.Holder != E.Thread) {
+    LockState *LS = heldLock(E.lock());
+    if (!LS || LS->Holder != E.Thread) {
       if (Strict)
         return reject("release of a lock not held by this thread",
                       SourceLine);
       Repairs.UnheldReleases++;
       return true;
     }
-    if (It->second.Depth > 1) {
+    if (LS->Depth > 1) {
       // Matching release of a filtered re-entrant acquire (counted there).
-      It->second.Depth--;
+      LS->Depth--;
       return true;
     }
     break;
@@ -225,18 +246,17 @@ bool TraceSanitizer::finish(std::vector<Event> &Out) {
     return false;
   if (Mode == SanitizeMode::Lenient) {
     // Snapshot and sort: the synthesis helpers only touch existing
-    // entries, but iterating the unordered maps directly would make the
-    // synthesized-event order depend on hashing. Every thread ends at
-    // trace finish, so threads with open blocks *or* held locks get their
-    // tail synthesized, releases first (inside the block).
+    // entries, but the held-lock list is in no particular order. Every
+    // thread ends at trace finish, so threads with open blocks *or* held
+    // locks get their tail synthesized, releases first (inside the block).
     std::vector<Tid> Open;
-    for (const auto &[T, TS] : Threads)
-      if (TS.Depth > 0)
+    for (Tid T : Threads.sortedTids())
+      if (Threads.find(T)->Depth > 0)
         Open.push_back(T);
-    for (const auto &[M, LS] : Locks) {
-      (void)M;
-      if (std::find(Open.begin(), Open.end(), LS.Holder) == Open.end())
-        Open.push_back(LS.Holder);
+    for (LockId M : HeldLocks) {
+      Tid Holder = Locks[M].Holder;
+      if (std::find(Open.begin(), Open.end(), Holder) == Open.end())
+        Open.push_back(Holder);
     }
     std::sort(Open.begin(), Open.end());
     for (Tid T : Open) {
@@ -249,26 +269,21 @@ bool TraceSanitizer::finish(std::vector<Event> &Out) {
 
 void TraceSanitizer::serialize(SnapshotWriter &W) const {
   W.u8(Mode == SanitizeMode::Lenient ? 1 : 0);
-  std::vector<Tid> Tids;
-  for (const auto &KV : Threads)
-    Tids.push_back(KV.first);
-  std::sort(Tids.begin(), Tids.end());
+  std::vector<Tid> Tids = Threads.sortedTids();
   W.u64(Tids.size());
   for (Tid T : Tids) {
-    const ThreadState &TS = Threads.at(T);
+    const ThreadState &TS = *Threads.find(T);
     W.u32(T);
     W.u64(static_cast<uint64_t>(TS.Depth));
     W.boolean(TS.Ran);
     W.boolean(TS.Forked);
     W.boolean(TS.Joined);
   }
-  std::vector<LockId> LockIds;
-  for (const auto &KV : Locks)
-    LockIds.push_back(KV.first);
-  std::sort(LockIds.begin(), LockIds.end());
-  W.u64(LockIds.size());
-  for (LockId M : LockIds) {
-    const LockState &LS = Locks.at(M);
+  std::vector<LockId> Held = HeldLocks;
+  std::sort(Held.begin(), Held.end());
+  W.u64(Held.size());
+  for (LockId M : Held) {
+    const LockState &LS = Locks[M];
     W.u32(M);
     W.u32(LS.Holder);
     W.u32(LS.Depth);
@@ -290,9 +305,14 @@ bool TraceSanitizer::deserialize(SnapshotReader &R) {
   SanitizeMode Saved = R.u8() ? SanitizeMode::Lenient : SanitizeMode::Strict;
   if (Saved != Mode)
     return false; // resumed with a different --lenient/--strict setting
+  // Ids ascend strictly, as serialize() writes them, and lie below the
+  // readers' caps, so a crafted snapshot cannot size the tables.
   uint64_t NumThreads = R.u64();
-  for (uint64_t I = 0; I < NumThreads && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumThreads && !R.failed(); ++I) {
     Tid T = R.u32();
+    if (T >= MaxTraceThreads || (I > 0 && T <= Prev))
+      return false;
+    Prev = T;
     ThreadState &TS = Threads[T];
     TS.Depth = static_cast<int>(R.u64());
     TS.Ran = R.boolean();
@@ -300,11 +320,15 @@ bool TraceSanitizer::deserialize(SnapshotReader &R) {
     TS.Joined = R.boolean();
   }
   uint64_t NumLocks = R.u64();
-  for (uint64_t I = 0; I < NumLocks && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumLocks && !R.failed(); ++I) {
     LockId M = R.u32();
-    LockState &LS = Locks[M];
-    LS.Holder = R.u32();
-    LS.Depth = R.u32();
+    Tid Holder = R.u32();
+    uint32_t Depth = R.u32();
+    if (M >= MaxTraceSymbols || Depth == 0 || (I > 0 && M <= Prev))
+      return false;
+    Prev = M;
+    holdLock(M, Holder);
+    Locks[M].Depth = Depth;
   }
   Repairs.ReentrantAcquires = R.u64();
   Repairs.ForeignAcquires = R.u64();

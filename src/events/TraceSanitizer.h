@@ -43,6 +43,13 @@
 // State is advanced only by *emitted* events, which is what makes the
 // lenient mode idempotent by construction.
 //
+// State layout: per-thread state sits in a ThreadTable (first-use slots, so
+// memory grows with the threads seen rather than the largest tid); lock
+// state is a vector indexed by the dense lock id, plus the list of held
+// locks for the end-of-thread repairs. A thread is present once it acts or
+// is named as a non-self fork/join child, and a lock while it is held: the
+// snapshot lists exactly those, in ascending id.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_EVENTS_TRACESANITIZER_H
@@ -50,9 +57,9 @@
 
 #include "analysis/Snapshot.h"
 #include "events/Trace.h"
+#include "support/ThreadTable.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace velo {
@@ -130,8 +137,18 @@ private:
   };
   struct LockState {
     Tid Holder = 0;
-    uint32_t Depth = 0; ///< re-entrancy depth (1 = plain held)
+    uint32_t Depth = 0;   ///< re-entrancy depth (1 = plain held, 0 = free)
+    uint32_t HeldPos = 0; ///< index in HeldLocks while held
   };
+
+  /// The state of lock M if it is held, else null.
+  LockState *heldLock(LockId M) {
+    return M < Locks.size() && Locks[M].Depth != 0 ? &Locks[M] : nullptr;
+  }
+  /// Mark M held by T at depth 1 / free; the only code that changes
+  /// HeldLocks.
+  void holdLock(LockId M, Tid T);
+  void freeLock(LockId M);
 
   /// Record a strict-mode rejection. Always returns false.
   bool reject(const std::string &Msg, size_t SourceLine);
@@ -146,8 +163,9 @@ private:
   void releaseHeldLocks(Tid T, std::vector<Event> &Out);
 
   SanitizeMode Mode;
-  std::unordered_map<Tid, ThreadState> Threads;
-  std::unordered_map<LockId, LockState> Locks;
+  ThreadTable<ThreadState> Threads;
+  std::vector<LockState> Locks;  ///< by lock id
+  std::vector<LockId> HeldLocks; ///< the locks with Depth != 0, any order
   RepairCounts Repairs;
   std::string Error;
   size_t EventIdx = 0; ///< input events seen (for diagnostics)

@@ -15,7 +15,7 @@
 namespace velo {
 
 uint64_t maxTraceSymbols() {
-  constexpr uint64_t Default = 1 << 20;
+  constexpr uint64_t Default = MaxTraceSymbols;
   const char *Env = std::getenv("VELO_MAX_SYMBOLS");
   if (!Env || !*Env)
     return Default;

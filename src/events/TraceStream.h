@@ -27,12 +27,18 @@
 
 namespace velo {
 
-/// Thread ids are dense from 0 and the back-ends allocate per-thread state,
-/// so an absurd id in a corrupt dump must be a parse error, not a
-/// multi-gigabyte allocation. Shared by the text and binary readers.
+/// Cap on thread ids: a tid at or above it is a parse error. Shared by the
+/// text, binary and wire readers. Below it, ids may be sparse: the
+/// sanitizer and Velodrome keep per-thread state by first use, but
+/// AeroDrome and the HB race detector still size vector clocks by the
+/// largest tid (docs/INGESTION.md section 1).
 inline constexpr uint64_t MaxTraceThreads = 1 << 20;
 
-/// Cap on distinct names per symbol kind (variables, locks, labels). A
+/// Default cap on distinct names per symbol kind (variables, locks,
+/// labels); symbol ids are therefore below it.
+inline constexpr uint64_t MaxTraceSymbols = 1 << 20;
+
+/// Cap on distinct names per symbol kind: MaxTraceSymbols, or lower. A
 /// hostile trace of nothing but fresh names would otherwise exhaust the
 /// symbol table before the Governor sees a single event; the same cap
 /// guards the binary reader's symbol blocks. The VELO_MAX_SYMBOLS

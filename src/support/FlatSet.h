@@ -7,6 +7,12 @@
 // here: lookup, iteration, and memory locality during the cascading updates
 // performed at edge insertion and node collection.
 //
+// Every operation works in place: unionWith merges backwards into the
+// set's own storage rather than through a temporary, and clear() keeps the
+// capacity. A recycled graph slot therefore reuses its set's buffer, and
+// ancestor propagation allocates only when a set outgrows every earlier
+// incarnation of its slot.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_SUPPORT_FLATSET_H
@@ -45,17 +51,37 @@ public:
     return std::binary_search(Keys.begin(), Keys.end(), Key);
   }
 
-  /// Set-union with another FlatSet. Returns true if this set grew.
+  /// Set-union with another FlatSet, in place. Returns true if this set
+  /// grew. A first pass counts Other's missing keys and returns without
+  /// touching the set when there are none; otherwise the set is resized
+  /// once and merged from the back, so no temporary is allocated.
   bool unionWith(const FlatSet &Other) {
-    if (Other.empty())
+    size_t Missing = 0;
+    auto Mine = Keys.begin(), MineEnd = Keys.end();
+    for (T Key : Other.Keys) {
+      while (Mine != MineEnd && *Mine < Key)
+        ++Mine;
+      if (Mine == MineEnd || Key < *Mine)
+        ++Missing;
+    }
+    if (Missing == 0)
       return false;
-    std::vector<T> Merged;
-    Merged.reserve(Keys.size() + Other.Keys.size());
-    std::set_union(Keys.begin(), Keys.end(), Other.Keys.begin(),
-                   Other.Keys.end(), std::back_inserter(Merged));
-    bool Grew = Merged.size() != Keys.size();
-    Keys = std::move(Merged);
-    return Grew;
+    size_t OldSize = Keys.size();
+    Keys.resize(OldSize + Missing);
+    // Merge backwards: Out never overtakes I because exactly Missing of
+    // Other's keys are still to be placed.
+    auto I = Keys.begin() + OldSize, Out = Keys.end();
+    auto J = Other.Keys.end(), OtherBegin = Other.Keys.begin();
+    while (J != OtherBegin) {
+      if (I != Keys.begin() && *(J - 1) < *(I - 1)) {
+        *--Out = *--I;
+      } else {
+        if (I != Keys.begin() && *(I - 1) == *(J - 1))
+          --I; // present in both: keep one copy
+        *--Out = *--J;
+      }
+    }
+    return true;
   }
 
   void clear() { Keys.clear(); }

@@ -220,6 +220,58 @@ TEST(HbGraphTest, AncestorSetsAreRepairedOnCollection) {
   EXPECT_EQ(G.nodesAlive(), 0u);
 }
 
+TEST(HbGraphTest, CascadingCollectRepairsEveryAncestorSet) {
+  // Chain N0 -> N1 -> N2 -> N3 -> N4 with shortcuts N1 -> N3 and N1 -> N4,
+  // and an open R -> N2 that keeps the tail alive. Finishing N0 collects N0
+  // and then N1 in one cascade; each collection walks every descendant,
+  // reaching N3 and N4 along more than one path, and must erase the
+  // collected slot from all of their ancestor sets.
+  HbGraph G;
+  Step R = G.allocNode(9, 0, true);
+  std::vector<Step> N;
+  for (Tid T = 0; T < 5; ++T)
+    N.push_back(G.allocNode(T, 0, true));
+  for (int I = 0; I + 1 < 5; ++I)
+    ASSERT_EQ(G.addEdge(N[I], N[I + 1], TestInfo, nullptr),
+              HbGraph::AddEdgeResult::Added);
+  G.addEdge(N[1], N[3], TestInfo, nullptr);
+  G.addEdge(N[1], N[4], TestInfo, nullptr);
+  G.addEdge(R, N[2], TestInfo, nullptr);
+  for (int I = 4; I >= 1; --I)
+    G.finishNode(N[I].slot());
+  ASSERT_EQ(G.nodesAlive(), 6u);
+
+  G.finishNode(N[0].slot());
+  EXPECT_EQ(G.nodesAlive(), 4u) << "N0 and N1 cascade; R pins N2";
+  EXPECT_FALSE(G.isLive(N[0]));
+  EXPECT_FALSE(G.isLive(N[1]));
+  for (int I = 2; I < 5; ++I) {
+    ASSERT_TRUE(G.isLive(N[I]));
+    EXPECT_TRUE(G.happensBeforeEq(R.slot(), N[I].slot()));
+  }
+  EXPECT_TRUE(G.happensBeforeEq(N[2].slot(), N[4].slot()));
+
+  // Recycle both freed slots. A stale entry for either in N3's or N4's set
+  // would turn these edges into false cycles.
+  Step C0 = G.allocNode(7, 0, true);
+  Step C1 = G.allocNode(8, 0, true);
+  ASSERT_TRUE((C0.slot() == N[0].slot() && C1.slot() == N[1].slot()) ||
+              (C0.slot() == N[1].slot() && C1.slot() == N[0].slot()));
+  EXPECT_EQ(G.addEdge(N[4], C0, TestInfo, nullptr),
+            HbGraph::AddEdgeResult::Added);
+  EXPECT_EQ(G.addEdge(N[3], C1, TestInfo, nullptr),
+            HbGraph::AddEdgeResult::Added);
+  EXPECT_TRUE(G.happensBeforeEq(R.slot(), C0.slot()));
+
+  // Finishing R now takes the whole tail; the open recycled nodes stay.
+  G.finishNode(R.slot());
+  EXPECT_EQ(G.nodesAlive(), 2u);
+  EXPECT_FALSE(G.happensBeforeEq(N[4].slot(), C0.slot()));
+  G.finishNode(C0.slot());
+  G.finishNode(C1.slot());
+  EXPECT_EQ(G.nodesAlive(), 0u);
+}
+
 // --- merge ---
 
 TEST(HbMergeTest, AllBottomYieldsBottom) {
@@ -290,6 +342,33 @@ TEST(HbMergeTest, IncomparableInputsGetFreshJoinNode) {
   EXPECT_TRUE(G.happensBeforeEq(Y.slot(), M.slot()));
   (void)A;
   (void)B;
+}
+
+TEST(HbMergeTest, FreshNodeDrawsAnEdgeFromEveryLiveInput) {
+  // merge() walks its resolved input list while addEdge() runs for the
+  // fresh node. If the two shared a buffer, addEdge()'s worklist would
+  // clobber the list after the first edge.
+  HbGraph G;
+  Step P = G.allocNode(0, 0, true);
+  Step X = G.allocNode(1, 0, true);
+  Step Y = G.allocNode(2, 0, true); // stays open
+  Step Q = G.allocNode(3, 0, true);
+  Step Z = G.allocNode(4, 0, true); // stays open
+  G.addEdge(P, X, TestInfo, nullptr);
+  G.addEdge(Q, Z, TestInfo, nullptr);
+  G.finishNode(X.slot()); // finished, but no representative: Y, Z are open
+  Step Z2 = G.tick(Z);
+
+  uint64_t Edges = G.edgesAdded(), Allocated = G.nodesAllocated();
+  Step M = G.merge({X, Step::bottom(), Y, Z, Z2}, 5, TestInfo);
+  ASSERT_FALSE(M.isBottom());
+  EXPECT_EQ(G.nodesAllocated(), Allocated + 1) << "fresh node";
+  EXPECT_EQ(G.edgesAdded(), Edges + 3) << "one edge per live input slot";
+  for (Step S : {P, X, Y, Q, Z})
+    EXPECT_TRUE(G.happensBeforeEq(S.slot(), M.slot()));
+  EXPECT_FALSE(G.isActive(M.slot()));
+  EXPECT_EQ(G.ownerOf(M.slot()), 5u);
+  EXPECT_EQ(G.rootOf(M.slot()), NoLabel);
 }
 
 TEST(HbMergeTest, MergeNodeIsBornFinishedAndCollectable) {

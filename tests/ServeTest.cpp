@@ -37,6 +37,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -323,6 +324,50 @@ TEST(ServeSessionTest, EvictRehydrateByteIdentical) {
     EXPECT_EQ(S.report(), WantReport) << "seed " << Seed;
     EXPECT_EQ(S.exitCode(), WantExit) << "seed " << Seed;
   }
+}
+
+TEST(ServeSessionTest, SparseTidsCostWhatDenseTidsCost) {
+  // A tenant may send any tid below the 2^20 cap. Velodrome and the
+  // sanitizer hold per-thread state by first use and R(x,*) holds only the
+  // readers since the last write, so 200 reads by the largest legal tid
+  // cost what 200 reads by T1 cost: in memory, in snapshot bytes, and in
+  // the report, whose header alone names the thread count.
+  auto run = [](Tid Reader, std::string &Report, int &Exit, size_t &Blob) {
+    Session S;
+    SessionConfig C;
+    C.Name = "sess";
+    C.BackendSel = "velodrome";
+    std::string Err;
+    ASSERT_TRUE(S.configure(C, Err)) << Err;
+    for (int I = 0; I < 200; ++I) {
+      VarId X = S.symbols().Vars.intern("x" + std::to_string(I));
+      ASSERT_TRUE(S.feed(Event::read(Reader, X), Err)) << Err;
+      if (I == 100) { // evict and rehydrate mid-stream
+        std::string Snap;
+        ASSERT_TRUE(S.evict(Snap, Err)) << Err;
+        Blob = Snap.size();
+        ASSERT_TRUE(S.rehydrate(Snap, Err)) << Err;
+      }
+    }
+    ASSERT_TRUE(S.finish(Err)) << Err;
+    Report = S.report().substr(S.report().find('\n') + 1); // drop header
+    Exit = S.exitCode();
+  };
+  struct rusage Before {};
+  ::getrusage(RUSAGE_SELF, &Before);
+  std::string SparseReport, DenseReport;
+  int SparseExit = -1, DenseExit = -1;
+  size_t SparseBlob = 0, DenseBlob = 0;
+  run((1u << 20) - 1, SparseReport, SparseExit, SparseBlob);
+  struct rusage After {};
+  ::getrusage(RUSAGE_SELF, &After);
+  run(1, DenseReport, DenseExit, DenseBlob);
+  EXPECT_EQ(SparseExit, 0);
+  EXPECT_EQ(SparseExit, DenseExit);
+  EXPECT_EQ(SparseReport, DenseReport);
+  EXPECT_EQ(SparseBlob, DenseBlob) << "snapshot bytes independent of tids";
+  EXPECT_LE(After.ru_maxrss - Before.ru_maxrss, 64 * 1024)
+      << "peak RSS growth in KiB";
 }
 
 /// A session asked for --format=json in its Hello renders the verdict

@@ -6,6 +6,7 @@
 #include "support/Stats.h"
 #include "support/StringInterner.h"
 #include "support/TablePrinter.h"
+#include "support/ThreadTable.h"
 
 #include <gtest/gtest.h>
 
@@ -114,6 +115,72 @@ TEST(FlatSetTest, UnionWithReportsGrowth) {
   EXPECT_FALSE(A.unionWith(B)) << "no growth the second time";
   FlatSet<uint32_t> Empty;
   EXPECT_FALSE(A.unionWith(Empty));
+}
+
+TEST(FlatSetTest, UnionWithMergesInPlace) {
+  // Interleaved keys, keys present in both, keys beyond either end.
+  FlatSet<uint32_t> A, B;
+  for (uint32_t V : {3u, 5u, 9u, 12u})
+    A.insert(V);
+  for (uint32_t V : {1u, 5u, 7u, 12u, 20u})
+    B.insert(V);
+  EXPECT_TRUE(A.unionWith(B));
+  EXPECT_EQ(std::vector<uint32_t>(A.begin(), A.end()),
+            (std::vector<uint32_t>{1, 3, 5, 7, 9, 12, 20}));
+  EXPECT_FALSE(A.unionWith(A)) << "self-union adds nothing";
+
+  // A set that already has the room merges without moving its storage.
+  for (uint32_t V = 100; V < 108; ++V)
+    A.insert(V);
+  A.clear();
+  A.insert(4);
+  const uint32_t *Storage = &*A.begin();
+  EXPECT_TRUE(A.unionWith(B));
+  EXPECT_EQ(&*A.begin(), Storage);
+  EXPECT_EQ(std::vector<uint32_t>(A.begin(), A.end()),
+            (std::vector<uint32_t>{1, 4, 5, 7, 12, 20}));
+}
+
+TEST(FlatSetTest, UnionWithMatchesSetUnion) {
+  Rng R(7);
+  for (int Round = 0; Round < 500; ++Round) {
+    std::set<uint32_t> Want;
+    FlatSet<uint32_t> A, B;
+    for (uint64_t I = 0, N = R.below(12); I < N; ++I) {
+      uint32_t V = static_cast<uint32_t>(R.below(24));
+      A.insert(V);
+      Want.insert(V);
+    }
+    size_t Before = A.size();
+    for (uint64_t I = 0, N = R.below(12); I < N; ++I) {
+      uint32_t V = static_cast<uint32_t>(R.below(24));
+      B.insert(V);
+      Want.insert(V);
+    }
+    EXPECT_EQ(A.unionWith(B), Want.size() != Before);
+    EXPECT_EQ(std::vector<uint32_t>(A.begin(), A.end()),
+              std::vector<uint32_t>(Want.begin(), Want.end()));
+  }
+}
+
+// --- ThreadTable ---
+
+TEST(ThreadTableTest, SparseTidsTakeSlotsByFirstUse) {
+  ThreadTable<int> T;
+  EXPECT_EQ(T.find(5), nullptr);
+  T[(1u << 20) - 1] = 7;
+  T[3] = 4;
+  T[(1u << 20) - 1] += 1; // a hit, not a second slot
+  EXPECT_EQ(T.size(), 2u);
+  ASSERT_NE(T.find(3), nullptr);
+  EXPECT_EQ(*T.find(3), 4);
+  EXPECT_EQ(*T.find((1u << 20) - 1), 8);
+  EXPECT_EQ(T.find(4), nullptr);
+  EXPECT_EQ(T[9], 0) << "first use default-constructs";
+  EXPECT_EQ(T.sortedTids(), (std::vector<uint32_t>{3, 9, (1u << 20) - 1}));
+  T.clear();
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.find(3), nullptr);
 }
 
 // --- StringInterner ---

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -244,6 +246,93 @@ TEST(CheckCliTest, GovernorDegradationKeepsTheVerdict) {
                    " --quiet --backend=all --max-live-nodes=1 " +
                    dataFile("flag_handoff.trace")),
             0);
+}
+
+/// Run Argv with stdout to OutPath and stderr discarded. Returns the exit
+/// status (128+signal when killed) and the child's own peak resident set
+/// size in KiB, as wait4 reports it.
+int runForPeakRss(const std::vector<std::string> &Argv,
+                  const std::string &OutPath, long &MaxRssKb) {
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    int Out = ::open(OutPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    int Null = ::open("/dev/null", O_WRONLY);
+    ::dup2(Out, 1);
+    ::dup2(Null, 2);
+    std::vector<char *> Args;
+    for (const std::string &A : Argv)
+      Args.push_back(const_cast<char *>(A.c_str()));
+    Args.push_back(nullptr);
+    ::execv(Args[0], Args.data());
+    ::_exit(127);
+  }
+  int Status = 0;
+  struct rusage Usage {};
+  if (Pid < 0 || ::wait4(Pid, &Status, 0, &Usage) != Pid)
+    return -1;
+  MaxRssKb = Usage.ru_maxrss;
+  return WIFSIGNALED(Status) ? 128 + WTERMSIG(Status) : WEXITSTATUS(Status);
+}
+
+/// The report lines that must not depend on which tids a trace uses: the
+/// verdict and the per-backend warning counts.
+std::string verdictLines(const std::string &Path) {
+  std::ifstream In(Path);
+  std::string Line, Out;
+  while (std::getline(In, Line))
+    if (Line.rfind("verdict:", 0) == 0 || Line.rfind("[", 0) == 0)
+      Out += Line + "\n";
+  return Out;
+}
+
+TEST(CheckCliTest, SparseTidsCostWhatDenseTidsCost) {
+  // Velodrome and the sanitizer keep per-thread state by first use, so a
+  // trace run by the largest legal tid costs what the same trace run by T1
+  // costs. State indexed by raw tid would take 1.6 GB on the 3.3 KB
+  // 200-read trace below. The header's thread count (largest tid + 1)
+  // differs; the verdict, the warning counts and the exit status must not.
+  // The 128 MB bound leaves room for a sanitizer build's shadow memory.
+  std::string Dir = ::testing::TempDir();
+  struct Shape {
+    const char *Name;
+    std::string (*Text)(const std::string &A, const std::string &B);
+  };
+  const Shape Shapes[] = {
+      {"reads",
+       [](const std::string &A, const std::string &) {
+         std::string T;
+         for (int I = 0; I < 200; ++I)
+           T += A + " rd x" + std::to_string(I) + "\n";
+         return T;
+       }},
+      {"rmw", // Section 2's interleaved read-modify-write
+       [](const std::string &A, const std::string &B) {
+         return A + " begin increment\n" + A + " rd x\n" + B + " wr x\n" +
+                A + " wr x\n" + A + " end\n";
+       }},
+  };
+  for (const Shape &S : Shapes) {
+    std::string Sparse = Dir + "/velo_sparse_" + S.Name + ".trace";
+    std::string Dense = Dir + "/velo_dense_" + S.Name + ".trace";
+    std::ofstream(Sparse) << S.Text("T1048575", "T524288");
+    std::ofstream(Dense) << S.Text("T1", "T0");
+    long SparseRss = 0, DenseRss = 0;
+    int SparseExit = runForPeakRss(
+        {VELO_CHECK_BIN, "--backend=velodrome", Sparse}, Sparse + ".out",
+        SparseRss);
+    int DenseExit = runForPeakRss(
+        {VELO_CHECK_BIN, "--backend=velodrome", Dense}, Dense + ".out",
+        DenseRss);
+    EXPECT_EQ(SparseExit, DenseExit) << S.Name;
+    EXPECT_EQ(SparseExit, std::string(S.Name) == "rmw" ? 1 : 0) << S.Name;
+    EXPECT_LE(SparseRss, 128 * 1024) << S.Name << ": peak RSS in KiB";
+    EXPECT_EQ(verdictLines(Sparse + ".out"), verdictLines(Dense + ".out"))
+        << S.Name;
+    for (const std::string &F : {Sparse, Dense}) {
+      std::remove(F.c_str());
+      std::remove((F + ".out").c_str());
+    }
+  }
 }
 
 TEST(CheckCliTest, ResourceExhaustionExitsThree) {
