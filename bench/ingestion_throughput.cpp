@@ -15,7 +15,7 @@
 // text. The upper bound guards the text scanner: a text reader more than
 // 6x behind binary has lost its block-scanning fast path.
 //
-//   ingestion_throughput [--events=N] [--seed=N] [--keep] [--check]
+//   ingestion_throughput [options]   (`--help` lists them)
 //
 // Exit: 0 ok, 1 measurement failed or the --check gate missed, 2 usage.
 //
@@ -27,6 +27,7 @@
 #include "events/TraceSanitizer.h"
 #include "events/TraceSource.h"
 #include "events/TraceText.h"
+#include "support/Flags.h"
 
 #include <sys/resource.h>
 
@@ -132,23 +133,19 @@ long fileSizeKb(const std::string &Path) {
 int main(int argc, char **argv) {
   uint64_t NumEvents = 10'000'000, Seed = 1;
   bool Keep = false, Check = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--events=", 0) == 0)
-      NumEvents = std::strtoull(Arg.c_str() + 9, nullptr, 10);
-    else if (Arg.rfind("--seed=", 0) == 0)
-      Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
-    else if (Arg == "--keep")
-      Keep = true;
-    else if (Arg == "--check")
-      Check = true;
-    else {
-      std::fprintf(stderr,
-                   "usage: ingestion_throughput [--events=N] [--seed=N] "
-                   "[--keep] [--check]\n");
-      return 2;
-    }
-  }
+  const FlagTable Table{
+      "ingestion_throughput [options]",
+      {u64Flag("--events=N", NumEvents,
+               "approximate trace length (default 10000000)"),
+       u64Flag("--seed=N", Seed, "generator seed (default 1)"),
+       boolFlag("--keep", Keep, "keep the generated trace files"),
+       boolFlag("--check", Check,
+                "gate: 1.5x <= binary/text parse throughput <= 6x")},
+      "exit: 0 ok, 1 measurement failed or the --check gate missed, "
+      "2 usage error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
 
   std::string Path = "/tmp/velo_ingestion_bench.trace";
   std::string BinPath = "/tmp/velo_ingestion_bench.vtrc";

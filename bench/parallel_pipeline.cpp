@@ -10,8 +10,7 @@
 // shared transactions — the shape the paper's benchmarks have, and the one
 // a deployment would stream.
 //
-//   parallel_pipeline [--events=N] [--threads=N] [--workers=N] [--reps=N]
-//                     [--seed=N] [--check] [--min-speedup=X] [--keep]
+//   parallel_pipeline [options]   (`parallel_pipeline --help` lists them)
 //
 // --check first verifies the hard invariant (identical verdicts and
 // warning lists between the sequential and parallel runs; this part always
@@ -33,9 +32,9 @@
 #include "events/TraceText.h"
 #include "hbrace/HbRaceDetector.h"
 #include "parallel/Pipeline.h"
+#include "support/Flags.h"
 #include "support/Stopwatch.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,26 +46,6 @@
 using namespace velo;
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: parallel_pipeline [options]\n"
-               "  --events=N       approximate trace length (default "
-               "2000000)\n"
-               "  --threads=N      threads in the generated trace "
-               "(default 8)\n"
-               "  --workers=N      pipeline worker threads (default: one "
-               "per back-end)\n"
-               "  --reps=N         timing repetitions, best-of (default 3)\n"
-               "  --seed=N         generator seed (default 1)\n"
-               "  --check          gate: identical output, then speedup >= "
-               "--min-speedup\n"
-               "  --min-speedup=X  speedup gate (default 1.8; implies the "
-               "gate runs\n"
-               "                   even on hosts with < 4 hardware "
-               "threads)\n"
-               "  --keep           keep the generated trace file\n");
-}
 
 /// Write an approximately NumEvents-long well-formed trace to Path in
 /// bounded memory (closed chunks). Mostly thread-local accesses (each
@@ -214,59 +193,32 @@ int main(int argc, char **argv) {
   bool Check = false, Keep = false, ExplicitGate = false;
   double MinSpeedup = 1.8;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto U64 = [&](size_t Prefix, uint64_t &Out) {
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long V = std::strtoull(Arg.c_str() + Prefix, &End, 10);
-      if (errno != 0 || End == Arg.c_str() + Prefix || *End != '\0') {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        return false;
-      }
-      Out = V;
-      return true;
-    };
-    if (Arg.rfind("--events=", 0) == 0) {
-      if (!U64(9, Events))
-        return 2;
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      if (!U64(10, Threads))
-        return 2;
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      if (!U64(10, Workers))
-        return 2;
-    } else if (Arg.rfind("--reps=", 0) == 0) {
-      if (!U64(7, Reps))
-        return 2;
-    } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!U64(7, Seed))
-        return 2;
-    } else if (Arg.rfind("--min-speedup=", 0) == 0) {
-      char *End = nullptr;
-      MinSpeedup = std::strtod(Arg.c_str() + 14, &End);
-      if (End == Arg.c_str() + 14 || *End != '\0' || MinSpeedup <= 0) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        return 2;
-      }
-      ExplicitGate = true;
-    } else if (Arg == "--check") {
-      Check = true;
-    } else if (Arg == "--keep") {
-      Keep = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-  if (Threads == 0 || Reps == 0) {
-    std::fprintf(stderr, "--threads and --reps must be nonzero\n");
-    return 2;
-  }
+  const FlagTable Table{
+      "parallel_pipeline [options]",
+      {u64Flag("--events=N", Events,
+               "approximate trace length (default 2000000)"),
+       u64Flag("--threads=N", Threads,
+               "threads in the generated trace (default 8)", 1, UINT32_MAX),
+       u64Flag("--workers=N", Workers,
+               "pipeline worker threads (default: one per back-end)"),
+       u64Flag("--reps=N", Reps, "timing repetitions, best-of (default 3)", 1),
+       u64Flag("--seed=N", Seed, "generator seed (default 1)"),
+       boolFlag("--check", Check,
+                "gate: identical output, then speedup >= --min-speedup"),
+       {"--min-speedup=X",
+        [&](const std::string &V) {
+          char *End = nullptr;
+          MinSpeedup = std::strtod(V.c_str(), &End);
+          ExplicitGate = true;
+          return !V.empty() && *End == '\0' && MinSpeedup > 0;
+        },
+        "speedup gate (default 1.8); given, the gate runs even on hosts "
+        "with < 4 hardware threads"},
+       boolFlag("--keep", Keep, "keep the generated trace file")},
+      "exit: 0 pass, 1 gate failed, 2 usage error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
 
   std::string Path = "/tmp/parallel_pipeline_bench.trace";
   uint64_t Written = writeBigTrace(Path, Events,

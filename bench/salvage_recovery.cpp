@@ -10,7 +10,7 @@
 // it, and the recovered prefix must re-validate as a byte-valid container
 // prefix (every kept frame checksummed, event counts consistent).
 //
-//   salvage_recovery [--events=N] [--seed=N] [--check]
+//   salvage_recovery [options]    (`salvage_recovery --help` lists them)
 //
 // --check gates: salvage throughput over the 50% cut must be at least
 // half of the full-container strict-open throughput (salvage is a linear
@@ -25,12 +25,12 @@
 #include "events/BinaryWriter.h"
 #include "events/Trace.h"
 #include "events/TraceGen.h"
+#include "support/Flags.h"
 #include "support/Stopwatch.h"
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -71,28 +71,24 @@ double mbPerSec(size_t Bytes, double Seconds) {
                      : 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: salvage_recovery [--events=N] [--seed=N] [--check]\n");
-  return 2;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   uint64_t Events = 2'000'000;
   uint64_t Seed = 7;
   bool Check = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--events=", 9) == 0)
-      Events = std::strtoull(Argv[I] + 9, nullptr, 10);
-    else if (std::strncmp(Argv[I], "--seed=", 7) == 0)
-      Seed = std::strtoull(Argv[I] + 7, nullptr, 10);
-    else if (std::strcmp(Argv[I], "--check") == 0)
-      Check = true;
-    else
-      return usage();
-  }
+  const FlagTable Table{
+      "salvage_recovery [options]",
+      {u64Flag("--events=N", Events, "events in the container (default "
+                                     "2000000)"),
+       u64Flag("--seed=N", Seed, "generator seed (default 7)"),
+       boolFlag("--check", Check,
+                "gate: salvage at the 50% cut runs at >= half the strict "
+                "open's throughput")},
+      "exit: 0 ok, 1 contract or gate failure, 2 usage error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(Argc, Argv, Operands); Rc >= 0)
+    return Rc;
 
   TraceGenOptions Opts;
   Opts.Threads = 8;

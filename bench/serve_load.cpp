@@ -7,9 +7,7 @@
 // byte-identical to a directly-fed Session (the same pipeline
 // velodrome-check builds) — the daemon adds concurrency, never semantics.
 //
-//   serve_load [--sessions=N] [--events=N] [--threads=N] [--frame-events=N]
-//              [--workers=N] [--backend=SEL] [--seed=N] [--reps=N]
-//              [--socket=PATH] [--check] [--min-eps=X]
+//   serve_load [options]          (`serve_load --help` lists them)
 //
 // --check gates: identity (always), then aggregate events/sec >= --min-eps
 // (default 50000) when the host has at least 4 hardware threads; on
@@ -22,6 +20,7 @@
 #include "serve/Server.h"
 
 #include "events/TraceGen.h"
+#include "support/Flags.h"
 #include "support/Stopwatch.h"
 #include "support/Syscalls.h"
 
@@ -40,40 +39,6 @@ using namespace velo;
 using namespace velo::serve;
 
 namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: serve_load [options]\n"
-      "  --sessions=N      concurrent sessions (default 8)\n"
-      "  --events=N        approximate events per session (default 100000)\n"
-      "  --threads=N       threads in each generated trace (default 4)\n"
-      "  --frame-events=N  events per wire frame (default 4096)\n"
-      "  --workers=N       daemon worker threads (default 4)\n"
-      "  --backend=SEL     session backend selection (default velodrome;\n"
-      "                    'all' includes the quadratic reference checker)\n"
-      "  --seed=N          generator seed (default 1)\n"
-      "  --reps=N          timing repetitions, best-of (default 3)\n"
-      "  --socket=PATH     drive an external daemon instead of in-process\n"
-      "  --connect-timeout-ms=N  retry refused connects with backoff for\n"
-      "                    up to N ms (default 0 = one attempt); useful\n"
-      "                    with --socket while the daemon is still coming up\n"
-      "  --check           gate: identity, then events/sec >= --min-eps\n"
-      "  --min-eps=X       aggregate events/sec gate (default 50000;\n"
-      "                    explicit value forces the gate on small hosts)\n");
-}
-
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
 
 /// Reference verdict: the trace through one directly-fed Session.
 bool referenceVerdict(const Trace &T, const std::string &Name,
@@ -114,66 +79,43 @@ int main(int argc, char **argv) {
   bool Check = false, ExplicitGate = false;
   double MinEps = 50000;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    uint64_t *U64Target = nullptr;
-    size_t U64Prefix = 0;
-    if (Arg.rfind("--sessions=", 0) == 0) {
-      U64Target = &Sessions;
-      U64Prefix = 11;
-    } else if (Arg.rfind("--events=", 0) == 0) {
-      U64Target = &EventsPer;
-      U64Prefix = 9;
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      U64Target = &Threads;
-      U64Prefix = 10;
-    } else if (Arg.rfind("--frame-events=", 0) == 0) {
-      U64Target = &FrameEvents;
-      U64Prefix = 15;
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      U64Target = &Workers;
-      U64Prefix = 10;
-    } else if (Arg.rfind("--seed=", 0) == 0) {
-      U64Target = &Seed;
-      U64Prefix = 7;
-    } else if (Arg.rfind("--reps=", 0) == 0) {
-      U64Target = &Reps;
-      U64Prefix = 7;
-    } else if (Arg.rfind("--backend=", 0) == 0) {
-      BackendSel = Arg.substr(10);
-    } else if (Arg.rfind("--socket=", 0) == 0) {
-      ExternalSocket = Arg.substr(9);
-    } else if (Arg.rfind("--connect-timeout-ms=", 0) == 0) {
-      U64Target = &ConnectTimeoutMs;
-      U64Prefix = 21;
-    } else if (Arg == "--check") {
-      Check = true;
-    } else if (Arg.rfind("--min-eps=", 0) == 0) {
-      char *End = nullptr;
-      MinEps = std::strtod(Arg.c_str() + 10, &End);
-      if (End == Arg.c_str() + 10 || *End != '\0' || MinEps <= 0) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        return 2;
-      }
-      ExplicitGate = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-    if (U64Target && !parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
-      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-      return 2;
-    }
-  }
-  if (Sessions == 0 || EventsPer == 0 || Threads == 0 || Reps == 0 ||
-      FrameEvents == 0) {
-    std::fprintf(stderr, "counts must be nonzero\n");
-    return 2;
-  }
+  const FlagTable Table{
+      "serve_load [options]",
+      {u64Flag("--sessions=N", Sessions, "concurrent sessions (default 8)",
+               1),
+       u64Flag("--events=N", EventsPer,
+               "approximate events per session (default 100000)", 1),
+       u64Flag("--threads=N", Threads,
+               "threads in each generated trace (default 4)", 1, UINT32_MAX),
+       u64Flag("--frame-events=N", FrameEvents,
+               "events per wire frame (default 4096)", 1),
+       u64Flag("--workers=N", Workers, "daemon worker threads (default 4)"),
+       stringFlag("--backend=SEL", BackendSel,
+                  "session backend selection (default velodrome; 'all' "
+                  "includes the quadratic reference checker)"),
+       u64Flag("--seed=N", Seed, "generator seed (default 1)"),
+       u64Flag("--reps=N", Reps, "timing repetitions, best-of (default 3)",
+               1),
+       stringFlag("--socket=PATH", ExternalSocket,
+                  "drive an external daemon instead of in-process"),
+       u64Flag("--connect-timeout-ms=N", ConnectTimeoutMs,
+               "retry refused connects with backoff for up to N ms "
+               "(default 0 = one attempt), for a daemon still coming up"),
+       boolFlag("--check", Check,
+                "gate: identity, then events/sec >= --min-eps"),
+       {"--min-eps=X",
+        [&](const std::string &V) {
+          char *End = nullptr;
+          MinEps = std::strtod(V.c_str(), &End);
+          ExplicitGate = true;
+          return !V.empty() && *End == '\0' && MinEps > 0;
+        },
+        "aggregate events/sec gate (default 50000); given, the gate runs "
+        "even on small hosts"}},
+      "exit: 0 pass, 1 gate failed, 2 usage/setup error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
 
   // Per-session workloads and reference verdicts (identity baseline).
   std::vector<Trace> Traces;

@@ -9,7 +9,7 @@
 // sweep is charged to the reduction, and reports per-pass dropped-event
 // counts and the speedup.
 //
-//   static_reduction [--events=N] [--threads=N] [--reps=N] [--check]
+//   static_reduction [options]    (`static_reduction --help` lists them)
 //
 // --check exits 1 unless the verdicts match and the end-to-end speedup is
 // at least 2x (the acceptance bar for the reduction work); CI runs it on
@@ -19,10 +19,10 @@
 
 #include "core/Velodrome.h"
 #include "staticpass/StaticPipeline.h"
+#include "support/Flags.h"
 #include "support/Stopwatch.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace velo;
@@ -66,9 +66,9 @@ Trace makeWorkload(uint64_t NumEvents, uint32_t Threads) {
   return T;
 }
 
-double replaySeconds(const Trace &T, int Reps, bool &ViolationOut) {
+double replaySeconds(const Trace &T, unsigned Reps, bool &ViolationOut) {
   double Best = 1e30;
-  for (int R = 0; R < Reps; ++R) {
+  for (unsigned R = 0; R < Reps; ++R) {
     Velodrome V;
     Stopwatch Timer;
     replay(T, V);
@@ -85,29 +85,21 @@ double replaySeconds(const Trace &T, int Reps, bool &ViolationOut) {
 int main(int argc, char **argv) {
   uint64_t NumEvents = 2'000'000;
   uint32_t Threads = 4;
-  int Reps = 3;
+  unsigned Reps = 3;
   bool Check = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--events=", 0) == 0)
-      NumEvents = std::strtoull(Arg.c_str() + 9, nullptr, 10);
-    else if (Arg.rfind("--threads=", 0) == 0)
-      Threads = static_cast<uint32_t>(
-          std::strtoul(Arg.c_str() + 10, nullptr, 10));
-    else if (Arg.rfind("--reps=", 0) == 0)
-      Reps = std::atoi(Arg.c_str() + 7);
-    else if (Arg == "--check")
-      Check = true;
-    else {
-      std::fprintf(stderr, "usage: static_reduction [--events=N] "
-                           "[--threads=N] [--reps=N] [--check]\n");
-      return 2;
-    }
-  }
-  if (Threads == 0 || Reps <= 0) {
-    std::fprintf(stderr, "error: --threads and --reps must be positive\n");
-    return 2;
-  }
+  const FlagTable Table{
+      "static_reduction [options]",
+      {u64Flag("--events=N", NumEvents, "approximate trace length "
+                                        "(default 2000000)"),
+       u64Flag("--threads=N", Threads, "threads (default 4)", 1),
+       u64Flag("--reps=N", Reps, "timing repetitions, best-of (default 3)",
+               1),
+       boolFlag("--check", Check,
+                "gate: identical verdicts and an end-to-end speedup >= 2x")},
+      "exit: 0 ok, 1 the --check gate missed, 2 usage error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
 
   Trace T = makeWorkload(NumEvents, Threads);
   std::printf("workload: %zu events, %u threads (thread-local heavy)\n",
@@ -121,7 +113,7 @@ int main(int argc, char **argv) {
   double PlanSec = 0, FilterSec = 0, ReplaySec = 0;
   bool ReducedViolation = false;
   PassStats Stats;
-  for (int R = 0; R < Reps; ++R) {
+  for (unsigned R = 0; R < Reps; ++R) {
     Stopwatch Timer;
     ReductionPlan Plan = planTrace(T, PassMask::all());
     double AfterPlan = Timer.seconds();

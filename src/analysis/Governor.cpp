@@ -4,31 +4,25 @@
 
 #include "support/ParseInt.h"
 
-#include <cstring>
-
 namespace velo {
 
-bool parseGovernorFlag(const std::string &Arg, GovernorLimits &L,
-                       bool &Valid) {
-  static const struct {
-    const char *Prefix;
-    uint64_t GovernorLimits::*Field;
-    uint64_t Unit;
-  } Flags[] = {{"--max-events=", &GovernorLimits::MaxEvents, 1},
-               {"--max-live-nodes=", &GovernorLimits::MaxLiveNodes, 1},
-               {"--max-memory-mb=", &GovernorLimits::MaxMemoryBytes, 1 << 20},
-               {"--deadline-ms=", &GovernorLimits::DeadlineMillis, 1}};
-  for (const auto &F : Flags) {
-    size_t N = std::strlen(F.Prefix);
-    if (Arg.compare(0, N, F.Prefix) != 0)
-      continue;
-    uint64_t V = 0;
-    Valid = parseU64(Arg.c_str() + N, V) && V <= UINT64_MAX / F.Unit;
-    if (Valid)
-      L.*F.Field = V * F.Unit;
-    return true;
-  }
-  return false;
+std::vector<Flag> governorFlags(GovernorLimits &L) {
+  return {u64Flag("--max-events=N", L.MaxEvents,
+                  "stop the analysis after N events (0 = unlimited)"),
+          u64Flag("--max-live-nodes=N", L.MaxLiveNodes,
+                  "graph node cap; on breach fall back to the vector-clock "
+                  "checker (default 60000)"),
+          {"--max-memory-mb=N",
+           [&L](const std::string &V) {
+             uint64_t Mb = 0;
+             if (!parseU64(V.c_str(), Mb) || Mb > UINT64_MAX / (1 << 20))
+               return false;
+             L.MaxMemoryBytes = Mb << 20;
+             return true;
+           },
+           "estimated-memory cap (0 = unlimited)"},
+          u64Flag("--deadline-ms=N", L.DeadlineMillis,
+                  "wall-clock budget (0 = unlimited)")};
 }
 
 void GovernedAnalysis::beginAnalysis(const SymbolTable &Syms) {

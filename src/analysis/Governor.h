@@ -26,6 +26,7 @@
 #define VELO_ANALYSIS_GOVERNOR_H
 
 #include "analysis/Backend.h"
+#include "support/Flags.h"
 
 #include <chrono>
 #include <functional>
@@ -56,12 +57,10 @@ struct GovernorLimits {
   }
 };
 
-/// The one parser for the cap flags every tool takes: --max-events=N,
-/// --max-live-nodes=N, --max-memory-mb=N, --deadline-ms=N. Returns false
-/// when Arg is none of them; otherwise Valid says whether its value was a
-/// plain decimal that fits (megabytes are checked against overflow).
-bool parseGovernorFlag(const std::string &Arg, GovernorLimits &L,
-                       bool &Valid);
+/// The rows for the cap flags check, run and serve take: --max-events=N,
+/// --max-live-nodes=N, --max-memory-mb=N (refused when its bytes overflow)
+/// and --deadline-ms=N.
+std::vector<Flag> governorFlags(GovernorLimits &L);
 
 enum class GovernorState {
   Normal,    ///< primary (and fallback) running

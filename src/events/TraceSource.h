@@ -82,27 +82,6 @@ public:
 /// the read error itself.
 std::string describeFailure(const TraceSource &Src, const std::string &Path);
 
-/// What a salvage open of a VELOTRC container recovered (see
-/// BinaryTraceReader::open). Used stays false when the container
-/// was complete and no recovery was needed.
-struct SalvageSummary {
-  bool Used = false;         ///< prefix recovery actually engaged
-  uint64_t FramesKept = 0;   ///< intact events frames accepted
-  uint64_t EventsKept = 0;   ///< events in the accepted prefix
-  uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
-};
-
-/// Options for openTraceSource.
-struct TraceOpenOptions {
-  /// Binary containers: accept the longest intact frame prefix of a
-  /// truncated file instead of rejecting it (velodrome-check --salvage).
-  /// Text input cannot be salvaged, and the open is refused.
-  bool Salvage = false;
-  /// When non-null and the source is binary, receives the recovery
-  /// outcome after a salvage open.
-  SalvageSummary *SalvageOut = nullptr;
-};
-
 /// Open Path — a file, pipe, FIFO or /dev/stdin — as a trace source,
 /// sniffing the VELOTRC magic from the same descriptor it then reads to
 /// pick the encoding. Returns null with StatusOut/ErrorOut set (same

@@ -142,9 +142,10 @@ bool writeTraceFile(const Trace &T, const std::string &Path) {
 }
 
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
-                                    std::string &ErrorOut) {
+                                    std::string &ErrorOut,
+                                    const TraceOpenOptions &Opts) {
   TraceReadStatus St = TraceReadStatus::Ok;
-  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut);
+  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut, Opts);
   if (!Src)
     return St;
   Event E;

@@ -70,12 +70,34 @@ enum class TraceReadStatus {
   ParseError, ///< the file was read but a line is malformed
 };
 
+/// What a salvage open of a VELOTRC container recovered (see
+/// BinaryTraceReader::open). Used stays false when the container
+/// was complete and no recovery was needed.
+struct SalvageSummary {
+  bool Used = false;         ///< prefix recovery actually engaged
+  uint64_t FramesKept = 0;   ///< intact events frames accepted
+  uint64_t EventsKept = 0;   ///< events in the accepted prefix
+  uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
+};
+
+/// Options for openTraceSource.
+struct TraceOpenOptions {
+  /// Binary containers: accept the longest intact frame prefix of a
+  /// truncated file instead of rejecting it (velodrome-check --salvage).
+  /// Text input cannot be salvaged, and the open is refused.
+  bool Salvage = false;
+  /// When non-null and the source is binary, receives the recovery
+  /// outcome after a salvage open.
+  SalvageSummary *SalvageOut = nullptr;
+};
+
 /// Read a whole trace, text or VELOTRC, through openTraceSource
-/// (events/TraceSource.h). On failure, ErrorOut carries the failing path
-/// and strerror(errno) for I/O problems, or "<path>:N: message" for parse
-/// problems.
+/// (events/TraceSource.h) with Opts. On failure, ErrorOut carries the
+/// failing path and strerror(errno) for I/O problems, or "<path>:N:
+/// message" for parse problems.
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
-                                    std::string &ErrorOut);
+                                    std::string &ErrorOut,
+                                    const TraceOpenOptions &Opts = {});
 
 /// Read a trace from a file. Returns false and sets ErrorOut on failure.
 inline bool readTraceFile(const std::string &Path, Trace &Out,

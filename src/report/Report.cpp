@@ -21,6 +21,12 @@ bool parseReportFormat(const std::string &V, ReportFormat &Out) {
   return true;
 }
 
+Flag formatFlag(ReportFormat &Out) {
+  return {"--format=<text|json|sarif>",
+          [&Out](const std::string &V) { return parseReportFormat(V, Out); },
+          "report rendering (default text; see docs/REPORTING.md)"};
+}
+
 namespace {
 
 // The one fallback rule for a warning whose emitter registered nothing:

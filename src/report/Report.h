@@ -24,6 +24,7 @@
 
 #include "analysis/Backend.h"
 #include "report/Rules.h"
+#include "support/Flags.h"
 
 #include <cstdint>
 #include <string>
@@ -36,6 +37,9 @@ enum class ReportFormat { Text, Json, Sarif };
 
 /// Parse "text"/"json"/"sarif". Returns false on anything else.
 bool parseReportFormat(const std::string &V, ReportFormat &Out);
+
+/// The --format= row of every tool that renders a report.
+Flag formatFlag(ReportFormat &Out);
 
 /// Run-level metadata rendered into the document header.
 struct RunInfo {

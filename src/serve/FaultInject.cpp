@@ -2,25 +2,10 @@
 
 #include "serve/FaultInject.h"
 
-#include <cstdlib>
+#include "support/ParseInt.h"
 
 namespace velo {
 namespace serve {
-
-namespace {
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S[0] == '-' || S[0] == '+')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (!End || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
-} // namespace
 
 bool parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
                     std::string &Err) {
@@ -44,8 +29,9 @@ bool parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
     if (Kind == "wedge") {
       size_t Colon2 = Rest.find(':');
       uint64_t Ms = 0;
-      if (Colon2 == std::string::npos || !parseU64(Rest.substr(0, Colon2), N) ||
-          !parseU64(Rest.substr(Colon2 + 1), Ms) || N == 0) {
+      if (Colon2 == std::string::npos ||
+          !parseU64(Rest.substr(0, Colon2).c_str(), N) ||
+          !parseU64(Rest.substr(Colon2 + 1).c_str(), Ms) || N == 0) {
         Err = "malformed fault spec '" + Item + "' (expected wedge:N:MS)";
         return false;
       }
@@ -53,7 +39,7 @@ bool parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
       Plan.WedgeMillis = Ms;
       continue;
     }
-    if (!parseU64(Rest, N) || N == 0) {
+    if (!parseU64(Rest.c_str(), N) || N == 0) {
       Err = "malformed fault spec '" + Item + "' (count must be a positive "
             "integer)";
       return false;

@@ -55,9 +55,9 @@ struct FaultPlan {
 bool parseFaultSpec(const std::string &Spec, FaultPlan &Plan,
                     std::string &Err);
 
-/// Fold VELO_SERVE_FAULT (if set) into Plan. Malformed env specs are
-/// reported via Err but non-fatal to the caller by convention (a bad env
-/// var should not keep the daemon from starting; the caller warns).
+/// Fold VELO_SERVE_FAULT (if set) into Plan. Returns false with Err set on
+/// a malformed spec, and velodrome-serve then exits 2. The daemon applies
+/// it before its --fault-at flags, so the flags win.
 bool applyFaultEnv(FaultPlan &Plan, std::string &Err);
 
 } // namespace serve

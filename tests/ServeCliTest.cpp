@@ -20,6 +20,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -94,17 +96,27 @@ int checkCli(const std::string &TracePath, std::string &Stdout,
 struct Daemon {
   pid_t Pid = -1;
   std::string Socket;
+  int OutFd = -1; ///< the daemon's stdout, when start() captured it
 
   void start(std::vector<std::string> ExtraArgs,
-             const std::string &FaultEnv = "") {
+             const std::string &FaultEnv = "", bool CaptureStdout = false) {
     Socket = uniquePath("daemon", ".sock");
     std::vector<std::string> Args = {VELO_SERVE_BIN, "--socket=" + Socket,
                                      "--quiet"};
     for (auto &A : ExtraArgs)
       Args.push_back(A);
+    int Out[2] = {-1, -1};
+    if (CaptureStdout) {
+      ASSERT_EQ(::pipe(Out), 0);
+    }
     Pid = ::fork();
     ASSERT_GE(Pid, 0) << "fork failed";
     if (Pid == 0) {
+      if (CaptureStdout) {
+        ::dup2(Out[1], STDOUT_FILENO);
+        ::close(Out[0]);
+        ::close(Out[1]);
+      }
       if (!FaultEnv.empty())
         ::setenv("VELO_SERVE_FAULT", FaultEnv.c_str(), 1);
       std::vector<char *> Argv;
@@ -115,6 +127,19 @@ struct Daemon {
       std::perror("execv velodrome-serve");
       ::_exit(127);
     }
+    if (CaptureStdout) {
+      ::close(Out[1]);
+      OutFd = Out[0];
+    }
+  }
+
+  /// The next line of the captured stdout ("" at its end).
+  std::string readLine() {
+    std::string Line;
+    char C;
+    while (::read(OutFd, &C, 1) == 1 && C != '\n')
+      Line += C;
+    return Line;
   }
 
   bool alive() const { return Pid > 0 && ::kill(Pid, 0) == 0; }
@@ -144,6 +169,8 @@ struct Daemon {
   }
 
   ~Daemon() {
+    if (OutFd >= 0)
+      ::close(OutFd);
     if (Pid > 0) {
       ::kill(Pid, SIGKILL);
       ::waitpid(Pid, nullptr, 0);
@@ -256,9 +283,132 @@ TEST(ServeCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(serve("--bogus" + Sock), 2);
   EXPECT_EQ(serve("--workers=0" + Sock), 2);
   EXPECT_EQ(serve("--max-events=-1" + Sock), 2);
+  EXPECT_EQ(serve("--supervise --max-crashes=0" + Sock), 2)
+      << "zero crashes allowed is a bad value, as in velodrome-check";
   // 2^44 MB is 2^64 bytes: refused, not wrapped to 0 (unlimited) or 1 MiB.
   for (const char *Mb : {"17592186044416", "17592186044417"})
     EXPECT_EQ(serve(std::string("--max-memory-mb=") + Mb + Sock), 2) << Mb;
+}
+
+/// A session over loopback TCP: --tcp=0 binds an ephemeral port, prints it
+/// as "tcp port: N", and serves there as on the unix socket.
+TEST(ServeCliTest, TcpPortZeroServesOnThePrintedPort) {
+  Daemon D;
+  D.start({"--tcp=0"}, "", /*CaptureStdout=*/true);
+  ASSERT_GT(D.Pid, 0);
+  std::string Line = D.readLine();
+  if (Line.rfind("listening on ", 0) == 0)
+    Line = D.readLine();
+  ASSERT_EQ(Line.rfind("tcp port: ", 0), 0u) << Line;
+  int Port = std::atoi(Line.c_str() + 10);
+  ASSERT_GT(Port, 0) << Line;
+
+  Trace T = genTrace(5);
+  std::string Path = writeTraceFile(T, "tcp");
+  Client Cl;
+  Cl.ConnectTimeoutMillis = 10000;
+  std::string Err;
+  ASSERT_TRUE(Cl.connectTcp(Port, Err)) << Err;
+  HelloMsg H;
+  H.Name = Path;
+  HelloOkMsg Ok;
+  ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+  RunResult R;
+  ASSERT_TRUE(Cl.run(T.symbols(), std::vector<Event>(T.begin(), T.end()), Ok,
+                     64, 0, R, Err))
+      << Err;
+  expectMatchesCheckCli(R, Path);
+  ::unlink(Path.c_str());
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+TEST(ServeCliTest, MaxSessionsRefusesASecondConcurrentSession) {
+  Daemon D;
+  D.start({"--max-sessions=1"});
+  ASSERT_GT(D.Pid, 0);
+  Trace T = genTrace(21);
+  std::string Path = writeTraceFile(T, "first");
+  Client First;
+  ASSERT_TRUE(connectRetry(First, D.Socket));
+  HelloMsg H;
+  H.Name = Path;
+  HelloOkMsg Ok;
+  std::string Err;
+  ASSERT_TRUE(First.hello(H, Ok, Err)) << Err;
+
+  Client Second;
+  ASSERT_TRUE(connectRetry(Second, D.Socket));
+  HelloMsg H2;
+  H2.Name = "second";
+  HelloOkMsg Ok2;
+  NakMsg Nak;
+  EXPECT_FALSE(Second.hello(H2, Ok2, Err, &Nak));
+  EXPECT_NE(Nak.Reason.find("session limit reached (1)"), std::string::npos)
+      << Nak.Reason;
+
+  // The first session is untouched.
+  RunResult R;
+  ASSERT_TRUE(First.run(T.symbols(), std::vector<Event>(T.begin(), T.end()),
+                        Ok, 64, 0, R, Err))
+      << Err;
+  expectMatchesCheckCli(R, Path);
+  ::unlink(Path.c_str());
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+TEST(ServeCliTest, QueueFramesIsTheHelloCredit) {
+  Daemon D;
+  D.start({"--queue-frames=3"});
+  ASSERT_GT(D.Pid, 0);
+  Client Cl;
+  ASSERT_TRUE(connectRetry(Cl, D.Socket));
+  HelloMsg H;
+  H.Name = "credit";
+  HelloOkMsg Ok;
+  std::string Err;
+  ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+  EXPECT_EQ(Ok.Credit, 3u);
+  Cl.close();
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+/// --idle-evict-ms: a session that sends nothing is snapshotted to the
+/// state directory while its client still holds it, and the verdict after
+/// rehydration is velodrome-check's.
+TEST(ServeCliTest, IdleSessionEvictsToTheStateDir) {
+  std::string StateDir = uniquePath("idlestate", "");
+  ASSERT_EQ(::mkdir(StateDir.c_str(), 0755), 0);
+  Daemon D;
+  D.start({"--state-dir=" + StateDir, "--idle-evict-ms=50"});
+  ASSERT_GT(D.Pid, 0);
+  Trace T = genTrace(23);
+  std::string Path = writeTraceFile(T, "idle");
+  Client Cl;
+  ASSERT_TRUE(connectRetry(Cl, D.Socket));
+  HelloMsg H;
+  H.Name = Path;
+  HelloOkMsg Ok;
+  std::string Err;
+  ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+
+  auto SessionFiles = [&StateDir] {
+    size_t N = 0;
+    for (const auto &E : std::filesystem::directory_iterator(StateDir))
+      N += E.path().extension() == ".session";
+    return N;
+  };
+  for (int I = 0; I < 500 && SessionFiles() == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(SessionFiles(), 1u) << "the idle session was never evicted";
+
+  RunResult R;
+  ASSERT_TRUE(Cl.run(T.symbols(), std::vector<Event>(T.begin(), T.end()), Ok,
+                     64, 0, R, Err))
+      << Err;
+  expectMatchesCheckCli(R, Path);
+  ::unlink(Path.c_str());
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+  std::filesystem::remove_all(StateDir);
 }
 
 TEST(ServeCliTest, FaultMatrixIsolatesSessionsAndDaemonSurvives) {
@@ -371,6 +521,71 @@ TEST(ServeCliTest, SupervisedKillWorkerRestartsAndSessionResumes) {
   ::unlink(Path.c_str());
   EXPECT_TRUE(D.alive()) << "the supervisor must outlive worker crashes";
   EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+/// FaultInject.h: flags win over VELO_SERVE_FAULT. The environment alone
+/// would fail the first session's first frame with ENOMEM; the flag moves
+/// that fault past the end of the run.
+TEST(ServeCliTest, FaultFlagOverridesEnv) {
+  Daemon D;
+  D.start({"--fault-at=enomem:1000"}, /*FaultEnv=*/"enomem:1");
+  ASSERT_GT(D.Pid, 0);
+  Trace T = genTrace(31);
+  std::string Path = writeTraceFile(T, "faultflag");
+  RunResult R;
+  std::string Err;
+  runSession(D.Socket, Path, T, R, Err);
+  EXPECT_FALSE(R.GotNak) << R.Nak.Reason;
+  expectMatchesCheckCli(R, Path);
+  ::unlink(Path.c_str());
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
+/// kill-worker:1 kills every incarnation of the daemon on its first
+/// frame, so each crash is a rapid one: with --max-crashes=2 the
+/// supervisor gives up on the second with exit 4, and the ledger in the
+/// state directory holds one line per crash.
+TEST(ServeCliTest, SupervisedGivesUpAfterRapidCrashes) {
+  std::string StateDir = uniquePath("rapidstate", "");
+  ASSERT_EQ(::mkdir(StateDir.c_str(), 0755), 0);
+  Daemon D;
+  D.start({"--supervise", "--state-dir=" + StateDir, "--max-crashes=2",
+           "--fault-at=kill-worker:1"});
+  ASSERT_GT(D.Pid, 0);
+  Trace T = genTrace(37, 300);
+  int Status = 0;
+  bool Exited = false;
+  for (int Attempt = 0; Attempt < 20 && !Exited; ++Attempt) {
+    RunResult R;
+    std::string Err;
+    EXPECT_FALSE(runSession(D.Socket, "rapid-" + std::to_string(Attempt), T,
+                            R, Err, /*EventsPerFrame=*/64, {}, 0,
+                            /*Resume=*/false, "velodrome") &&
+                 R.GotVerdict)
+        << "no incarnation gets past its first frame";
+    for (int I = 0; I < 100 && !Exited; ++I) {
+      Exited = ::waitpid(D.Pid, &Status, WNOHANG) == D.Pid;
+      if (!Exited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(Exited) << "the supervisor never gave up";
+  D.Pid = -1;
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 4);
+  std::ifstream Ledger(StateDir + "/velodrome-serve.crashes");
+  std::string Line;
+  std::vector<std::string> Lines;
+  while (std::getline(Ledger, Line))
+    Lines.push_back(Line);
+  ASSERT_EQ(Lines.size(), 2u);
+  for (size_t I = 0; I < Lines.size(); ++I)
+    EXPECT_EQ(Lines[I], "worker killed by signal 9 (crash " +
+                            std::to_string(I + 1) +
+                            " in this window); sessions resume from " +
+                            StateDir);
+  ::unlink(D.Socket.c_str());
+  std::filesystem::remove_all(StateDir);
 }
 
 TEST(ServeCliTest, GracefulShutdownPersistsSessionsAcrossRestart) {

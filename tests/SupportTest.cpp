@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support library unit tests -----------------===//
 
 #include "support/DotWriter.h"
+#include "support/Flags.h"
 #include "support/FlatSet.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
@@ -285,6 +286,127 @@ TEST(DotWriterTest, EmitsWellFormedDigraph) {
 
 TEST(DotWriterTest, EscapesQuotesAndBackslashes) {
   EXPECT_EQ(DotWriter::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+}
+
+// --- Flags ---
+
+/// A two-flag table: --seed=N (a u64 in [0, 2^64)), --n=N (in [1, 9]),
+/// --name=S and the switch --quiet; up to three operands.
+struct FlagFixture {
+  uint64_t Seed = 0, N = 5;
+  std::string Name;
+  bool Quiet = false;
+  std::vector<std::string> Operands;
+  std::string Stderr;
+
+  FlagTable table() {
+    return {"tool [options] <a> [<b> <c>]",
+            {u64Flag("--seed=N", Seed, "the seed"),
+             u64Flag("--n=N", N, "a count in [1, 9]", 1, 9),
+             stringFlag("--name=S", Name, "a name"),
+             boolFlag("--quiet", Quiet, "say less")},
+            "exit: 0 or 2\n",
+            1,
+            3};
+  }
+
+  int parse(std::vector<std::string> Args) {
+    std::vector<char *> Argv = {const_cast<char *>("tool")};
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    const FlagTable T = table();
+    testing::internal::CaptureStderr();
+    int Rc = T.parse(static_cast<int>(Argv.size()), Argv.data(), Operands);
+    Stderr = testing::internal::GetCapturedStderr();
+    return Rc;
+  }
+};
+
+TEST(FlagsTest, UnknownSpellingExitsTwo) {
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"--bogus", "a"}), 2);
+  EXPECT_EQ(F.Stderr.rfind("error: unknown option '--bogus'\nusage: tool", 0),
+            0u)
+      << F.Stderr;
+}
+
+TEST(FlagsTest, ValueFlagWithoutEqualsIsUnknown) {
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"--seed", "7", "a"}), 2);
+  EXPECT_NE(F.Stderr.find("unknown option '--seed'"), std::string::npos);
+  EXPECT_EQ(F.Seed, 0u);
+}
+
+TEST(FlagsTest, SwitchGivenAValueIsUnknown) {
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"--quiet=x", "a"}), 2);
+  EXPECT_NE(F.Stderr.find("unknown option '--quiet=x'"), std::string::npos);
+  EXPECT_FALSE(F.Quiet);
+}
+
+TEST(FlagsTest, BadU64ValuesExitTwo) {
+  for (const char *Bad :
+       {"", "-1", "+4", "0x10", "18446744073709551616", "12junk"}) {
+    FlagFixture F;
+    EXPECT_EQ(F.parse({std::string("--seed=") + Bad, "a"}), 2) << Bad;
+    EXPECT_NE(F.Stderr.find(std::string("bad value in '--seed=") + Bad +
+                            "'"),
+              std::string::npos)
+        << F.Stderr;
+    EXPECT_EQ(F.Seed, 0u) << Bad;
+  }
+  FlagFixture Max;
+  EXPECT_EQ(Max.parse({"--seed=18446744073709551615", "a"}), -1);
+  EXPECT_EQ(Max.Seed, UINT64_MAX);
+}
+
+TEST(FlagsTest, U64BoundsAreBadValues) {
+  for (const char *Bad : {"--n=0", "--n=10"}) {
+    FlagFixture F;
+    EXPECT_EQ(F.parse({Bad, "a"}), 2) << Bad;
+    EXPECT_EQ(F.N, 5u);
+  }
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"--n=9", "a"}), -1);
+  EXPECT_EQ(F.N, 9u);
+}
+
+TEST(FlagsTest, OperandsKeepTheirOrder) {
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"c", "--quiet", "a", "--name=x", "b"}), -1);
+  EXPECT_EQ(F.Operands, (std::vector<std::string>{"c", "a", "b"}));
+  EXPECT_TRUE(F.Quiet);
+  EXPECT_EQ(F.Name, "x");
+  EXPECT_TRUE(F.Stderr.empty()) << F.Stderr;
+
+  FlagFixture TooMany;
+  EXPECT_EQ(TooMany.parse({"a", "b", "c", "d"}), 2);
+  EXPECT_NE(TooMany.Stderr.find("unexpected operand 'd'"), std::string::npos);
+  FlagFixture TooFew;
+  EXPECT_EQ(TooFew.parse({"--quiet"}), 2);
+  EXPECT_EQ(TooFew.Stderr.rfind("usage: tool", 0), 0u) << TooFew.Stderr;
+}
+
+TEST(FlagsTest, RepeatedFlagLastWins) {
+  FlagFixture F;
+  EXPECT_EQ(F.parse({"--seed=3", "--name=x", "a", "--seed=9", "--name="}),
+            -1);
+  EXPECT_EQ(F.Seed, 9u);
+  EXPECT_EQ(F.Name, "");
+}
+
+TEST(FlagsTest, HelpPrintsEveryRowAndExitsZero) {
+  for (const char *Help : {"--help", "-h"}) {
+    FlagFixture F;
+    // Help answers at once, before the operands are counted and before
+    // anything after it is parsed.
+    EXPECT_EQ(F.parse({Help, "--bogus"}), 0) << Help;
+    EXPECT_EQ(F.Stderr.rfind("usage: tool [options] <a> [<b> <c>]\n", 0), 0u)
+        << F.Stderr;
+    for (const char *Row : {"  --seed=N ", "  --n=N ", "  --name=S ",
+                            "  --quiet ", "  --help, -h ", "exit: 0 or 2\n"})
+      EXPECT_NE(F.Stderr.find(Row), std::string::npos) << Row;
+  }
 }
 
 } // namespace

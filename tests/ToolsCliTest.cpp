@@ -170,6 +170,17 @@ TEST(CheckCliTest, StrictModeRejectsIllFormedTraces) {
   }
 }
 
+TEST(CheckCliTest, StrictAfterLenientRejects) {
+  // --lenient and --strict set one mode; the last one given wins.
+  const std::string T = dataFile("fuzz/end_without_begin.trace");
+  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet --lenient "
+                                                 "--strict " + T),
+            2);
+  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet --strict "
+                                                 "--lenient " + T),
+            0);
+}
+
 TEST(CheckCliTest, LenientModeRepairsAndReportsAVerdict) {
   for (const char *F :
        {"fuzz/end_without_begin.trace", "fuzz/unheld_release.trace",
@@ -221,6 +232,43 @@ TEST(CheckCliTest, SalvageRecoversTruncatedContainerVerdict) {
   std::string All;
   runCmdAll(std::string(VELO_CHECK_BIN) + " --salvage " + Bin, All);
   EXPECT_NE(All.find("salvage: recovered"), std::string::npos) << All;
+  std::remove(Bin.c_str());
+}
+
+/// --witness reads the whole trace through the same salvage open: on the
+/// truncated container it reports what --witness reports on the intact
+/// one, and notes the recovery once.
+TEST(CheckCliTest, WitnessSalvageMatchesTheIntactContainer) {
+  std::string Bin = ::testing::TempDir() + "/velo_witness_salv.vtrc";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " +
+                   dataFile("rmw_violation.trace") + " " + Bin),
+            0);
+  std::string Want;
+  int WantCode =
+      runCmdStdout(std::string(VELO_CHECK_BIN) + " --witness " + Bin, Want);
+  EXPECT_EQ(WantCode, 1);
+  std::string Bytes;
+  {
+    std::ifstream In(Bin, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(Bytes.size(), 1u);
+  {
+    std::ofstream Out(Bin, std::ios::binary | std::ios::trunc);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() - 1));
+  }
+  const std::string Cmd =
+      std::string(VELO_CHECK_BIN) + " --witness --salvage " + Bin;
+  std::string Got;
+  EXPECT_EQ(runCmdStdout(Cmd, Got), WantCode);
+  EXPECT_EQ(Got, Want);
+  std::string Err;
+  runCmdCapture(Cmd + " 2>&1 >/dev/null", Err);
+  size_t First = Err.find("salvage: recovered");
+  ASSERT_NE(First, std::string::npos) << Err;
+  EXPECT_EQ(Err.find("salvage: recovered", First + 1), std::string::npos)
+      << "one note per run: " << Err;
   std::remove(Bin.c_str());
 }
 
@@ -557,6 +605,31 @@ TEST(FuzzCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(runCmd(std::string(VELO_FUZZ_BIN) + " --seed=-3"), 2);
 }
 
+TEST(FuzzCliTest, VerboseReportsProgress) {
+  const std::string Cmd = std::string(VELO_FUZZ_BIN) + " --corpus=" +
+                          dataFile("fuzz") + " --seed=1 --iters=120 --save=" +
+                          ::testing::TempDir();
+  std::string Quiet, Verbose;
+  ASSERT_EQ(runCmdStdout(Cmd, Quiet), 0);
+  ASSERT_EQ(runCmdStdout(Cmd + " --verbose", Verbose), 0);
+  EXPECT_EQ(Quiet.find("  iter "), std::string::npos) << Quiet;
+  EXPECT_NE(Verbose.find("  iter 0...\n"), std::string::npos) << Verbose;
+  EXPECT_NE(Verbose.find("  iter 100...\n"), std::string::npos) << Verbose;
+}
+
+TEST(RunCliTest, ExcludeKnownSkipsTheKnownNonAtomicMethods) {
+  std::string Plain, Excluded;
+  EXPECT_EQ(runCmdStdout(std::string(VELO_RUN_BIN) + " multiset --seed=3",
+                         Plain),
+            1);
+  EXPECT_EQ(runCmdStdout(std::string(VELO_RUN_BIN) +
+                             " multiset --seed=3 --exclude-known",
+                         Excluded),
+            0);
+  EXPECT_NE(Excluded.find("[Velodrome] 0 violation(s)"), std::string::npos)
+      << Excluded;
+}
+
 TEST(RunCliTest, ListAndUnknownWorkload) {
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) + " --list"), 0);
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) + " no-such-workload"), 2);
@@ -757,6 +830,17 @@ TEST(AnalyzeCliTest, UsageErrorsExitTwo) {
             2);
 }
 
+TEST(AnalyzeCliTest, StrictAfterLenientRejects) {
+  const std::string T = dataFile("fuzz/end_without_begin.trace");
+  EXPECT_EQ(runCmd(std::string(VELO_ANALYZE_BIN) + " --lenient --strict " +
+                   T),
+            2);
+  // Repaired, the trace reaches the lint, which finds the race.
+  EXPECT_EQ(runCmd(std::string(VELO_ANALYZE_BIN) + " --strict --lenient " +
+                   T),
+            1);
+}
+
 //===----------------------------------------------------------------------===//
 // --parallel: the hard invariant is byte-identity with the sequential
 // loop — stdout, stderr, and exit code — on every golden trace and under
@@ -827,6 +911,25 @@ TEST(ParallelCliTest, CompositionRefusalsExitTwo) {
   EXPECT_TRUE(SeqResume == 0 || SeqResume == 1)
       << "the same snapshot stays resumable on the sequential path";
   std::remove(Ckpt.c_str());
+}
+
+/// Caps that spell out the defaults are no caps: --parallel takes them.
+TEST(ParallelCliTest, DefaultCapsComposeWithParallel) {
+  std::string T = dataFile("set_add.trace");
+  std::string Want;
+  int WantCode =
+      runCmdAll(std::string(VELO_CHECK_BIN) + " --parallel " + T, Want);
+  ASSERT_TRUE(WantCode == 0 || WantCode == 1) << Want;
+  for (const char *Caps : {"--max-live-nodes=60000", "--max-events=0",
+                           "--max-memory-mb=0 --deadline-ms=0"}) {
+    std::string Got;
+    EXPECT_EQ(runCmdAll(std::string(VELO_CHECK_BIN) + " --parallel " + Caps +
+                            " " + T,
+                        Got),
+              WantCode)
+        << Caps;
+    EXPECT_EQ(Got, Want) << Caps;
+  }
 }
 
 TEST(ParallelCliTest, KillResumeRoundTripsAcrossModes) {
@@ -1222,6 +1325,77 @@ TEST(CheckCliTest, SupervisedSigtermLandsAResumableCheckpoint) {
   std::remove(Ckpt.c_str());
 }
 
+/// --grace-ms=0 gives the worker no time to drain: the supervisor
+/// escalates to SIGKILL at once and says so. Checkpoints are rename-atomic,
+/// so the last one still resumes to the uninterrupted report.
+TEST(CheckCliTest, SupervisedSigtermWithoutGraceEscalates) {
+  velo::TraceGenOptions Opts;
+  Opts.Threads = 4;
+  Opts.Vars = 32;
+  Opts.Locks = 4;
+  Opts.Steps = 40000;
+  Opts.GuardedAccessPct = 60;
+  velo::Trace T = velo::generateRandomTrace(31, Opts);
+  std::string Stem = "/tmp/velo_cli_nograce_" + std::to_string(::getpid());
+  std::string TracePath = Stem + ".trace", Ckpt = Stem + ".snap",
+              ErrPath = Stem + ".err";
+  {
+    std::ofstream Out(TracePath);
+    Out << velo::printTrace(T);
+    ASSERT_TRUE(Out.good());
+  }
+  std::remove(Ckpt.c_str());
+
+  std::string Straight;
+  int StraightCode =
+      runCmdStdout(std::string(VELO_CHECK_BIN) + " " + TracePath, Straight);
+  ASSERT_TRUE(StraightCode == 0 || StraightCode == 1) << Straight;
+
+  pid_t Pid = ::fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    (void)std::freopen("/dev/null", "w", stdout);
+    (void)std::freopen(ErrPath.c_str(), "w", stderr);
+    ::execl(VELO_CHECK_BIN, VELO_CHECK_BIN, "--supervise", "--grace-ms=0",
+            ("--checkpoint=" + Ckpt).c_str(), "--checkpoint-every=8",
+            TracePath.c_str(), static_cast<char *>(nullptr));
+    std::_Exit(127);
+  }
+  bool Seen = false;
+  for (int I = 0; I < 2500 && !Seen; ++I) {
+    struct stat St;
+    Seen = ::stat(Ckpt.c_str(), &St) == 0;
+    if (!Seen)
+      ::usleep(2 * 1000);
+  }
+  ASSERT_TRUE(Seen) << "no checkpoint ever appeared";
+  ::usleep(30 * 1000);
+  ASSERT_EQ(::kill(Pid, SIGTERM), 0);
+  int Status = 0;
+  ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 128 + SIGTERM);
+  std::string Err;
+  {
+    std::ifstream In(ErrPath);
+    Err.assign(std::istreambuf_iterator<char>(In),
+               std::istreambuf_iterator<char>());
+  }
+  EXPECT_NE(Err.find("supervisor: worker did not stop within 0 ms; "
+                     "escalating to SIGKILL\n"),
+            std::string::npos)
+      << Err;
+
+  std::string Resumed;
+  int ResumedCode = runCmdStdout(std::string(VELO_CHECK_BIN) +
+                                     " --resume=" + Ckpt + " " + TracePath,
+                                 Resumed);
+  EXPECT_EQ(ResumedCode, StraightCode);
+  EXPECT_EQ(Resumed, Straight);
+  for (const std::string &F : {TracePath, Ckpt, Ckpt + ".tmp", ErrPath})
+    std::remove(F.c_str());
+}
+
 TEST(RunCliTest, PolicyAndCorruptionFlagsParse) {
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
                    " raja --adversarial --policy=reads --seed=2"),
@@ -1334,7 +1508,7 @@ TEST(PipeCliTest, ConvertAndAnalyzeReadAPipeLikeTheFile) {
       std::remove(PipeOut.c_str());
     }
     std::string FromFile, FromPipe;
-    const std::string Cmd = std::string(VELO_ANALYZE_BIN) + " --lint";
+    const std::string Cmd = VELO_ANALYZE_BIN;
     int FileCode = runCmdAll(Cmd + " " + Trace, FromFile);
     int PipeCode = runOnPipe(Cmd, Trace, FromPipe);
     EXPECT_EQ(PipeCode, FileCode);

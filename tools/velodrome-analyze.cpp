@@ -9,15 +9,7 @@
 //
 //   velodrome-analyze [options] <trace-file>
 //
-//     --reduce=<spec>        passes to plan with (default all)
-//     --write-reduced=<file> write the reduced trace
-//     --no-lint              suppress the lint report (and the exit-1
-//                            finding gate below)
-//     --lint-ok              report lint findings but keep exit status 0
-//     --format=<text|json|sarif>  report rendering (default text; see
-//                            docs/REPORTING.md)
-//     --lenient / --strict   sanitize mode (default strict, as in
-//                            velodrome-check)
+// `velodrome-analyze --help` lists the options.
 //
 // Exit status: 0 analysis completed and no lint findings, 1 lint findings
 // exist (racy or inconsistently-guarded variables, or a lock-order
@@ -41,24 +33,6 @@
 using namespace velo;
 
 namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: velodrome-analyze [options] <trace-file>\n"
-      "  --reduce=<all|none|escape,readonly,redundant,lockset>\n"
-      "                 passes to plan with (default all)\n"
-      "  --write-reduced=<file>  write the statically reduced trace\n"
-      "                 (.vtrc writes the VELOTRC binary container;\n"
-      "                 input format is always auto-detected)\n"
-      "  --no-lint      suppress the lint report entirely\n"
-      "  --lint-ok      report lint findings but exit 0 anyway\n"
-      "  --format=<text|json|sarif>  report rendering (default text;\n"
-      "                 see docs/REPORTING.md)\n"
-      "  --lenient      repair ill-formed traces instead of rejecting\n"
-      "exit: 0 no lint findings, 1 lint findings (unless --lint-ok),\n"
-      "      2 usage/input error\n");
-}
 
 /// Fold the lockset lint into structured findings: one VELO-LINT-001 per
 /// racy variable, one VELO-LINT-002 per inconsistently-guarded (but not
@@ -91,50 +65,42 @@ void lintFindings(const LintReport &LR, ReportManager &RM) {
 
 int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
-  std::string TraceFile, ReducedFile, ReduceSpec = "all";
+  std::string ReducedFile, ReduceSpec = "all";
   bool Lint = true;
   bool LintOk = false;
   ReportFormat Format = ReportFormat::Text;
   SanitizeMode Mode = SanitizeMode::Strict;
+  auto SetMode = [&Mode](SanitizeMode M) {
+    return [&Mode, M](const std::string &) {
+      Mode = M;
+      return true;
+    };
+  };
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--reduce=", 0) == 0) {
-      ReduceSpec = Arg.substr(9);
-    } else if (Arg.rfind("--write-reduced=", 0) == 0) {
-      ReducedFile = Arg.substr(16);
-    } else if (Arg == "--no-lint") {
-      Lint = false;
-    } else if (Arg == "--lint-ok") {
-      LintOk = true;
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      if (!parseReportFormat(Arg.substr(9), Format)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-    } else if (Arg == "--lenient") {
-      Mode = SanitizeMode::Lenient;
-    } else if (Arg == "--strict") {
-      Mode = SanitizeMode::Strict;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    } else if (TraceFile.empty()) {
-      TraceFile = Arg;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (TraceFile.empty()) {
-    usage();
-    return 2;
-  }
+  const FlagTable Table{
+      "velodrome-analyze [options] <trace-file>",
+      {stringFlag("--reduce=<spec>", ReduceSpec,
+                  "passes to plan with: all (the default), none, or a comma "
+                  "list of escape, readonly, redundant, lockset"),
+       stringFlag("--write-reduced=<file>", ReducedFile,
+                  "write the statically reduced trace (.vtrc writes the "
+                  "VELOTRC binary container)"),
+       boolFlag("--no-lint", Lint, "suppress the lint report entirely",
+                false),
+       boolFlag("--lint-ok", LintOk,
+                "report lint findings but exit 0 anyway"),
+       formatFlag(Format),
+       {"--lenient", SetMode(SanitizeMode::Lenient),
+        "repair ill-formed traces instead of rejecting them"},
+       {"--strict", SetMode(SanitizeMode::Strict),
+        "reject ill-formed traces (the default)"}},
+      "exit: 0 no lint findings, 1 lint findings (unless --lint-ok),\n"
+      "      2 usage/input error\n",
+      1, 1};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
+  const std::string &TraceFile = Operands[0];
   PassMask Mask;
   std::string Error;
   if (!parsePassSpec(ReduceSpec, Mask, Error)) {

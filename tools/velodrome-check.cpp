@@ -5,64 +5,18 @@
 //
 //   velodrome-check [options] <trace-file>
 //
-//     --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>
-//                      (default all; deadlock is the lock-order-cycle
-//                      checker and must be selected explicitly)
-//     --format=<text|json|sarif>  report rendering (default text; see
-//                      docs/REPORTING.md for the JSON schema and SARIF
-//                      conventions). Machine formats replace the stdout
-//                      report; stderr and the exit code are unchanged.
-//     --max-warnings=N cap recorded warnings per back-end (0 = unlimited)
-//     --dot=<file>     write the first violation's error graph as dot
-//     --witness        print a serial witness when the trace is serializable
-//     --no-merge       run Velodrome with the naive [INS OUTSIDE] rule
-//     --reduce=<spec>  statically reduce the trace before analysis; spec is
-//                      all, none, or a comma list of escape, readonly,
-//                      redundant, lockset (docs/STATIC.md). Verdict and
-//                      warnings are identical to the unreduced run.
-//     --stats          print happens-before graph statistics (and per-pass
-//                      reduction counts under --reduce)
-//     --quiet          verdict only
-//     --lenient        repair ill-formed traces instead of rejecting them
-//     --parallel[=N]   run parsing, sanitizing, reduction, and the
-//                      back-ends as a multi-threaded pipeline with N
-//                      worker threads (default: one per back-end). The
-//                      report is byte-identical to the sequential run
-//                      (docs/PARALLEL.md). Composes with --reduce,
-//                      --stats, --checkpoint/--resume (snapshots land on
-//                      batch boundaries), and --supervise; incompatible
-//                      with --witness and with explicit resource caps.
-//     --batch-events=N events per pipeline batch          (default 4096)
-//     --max-events=N       stop after N events            (0 = unlimited)
-//     --max-live-nodes=N   graph node cap, fall back to the vector-clock
-//                          checker on breach              (default 60000)
-//     --max-memory-mb=N    estimated-memory cap           (0 = unlimited)
-//     --deadline-ms=N      wall-clock budget              (0 = unlimited)
-//
-//   Crash resilience (docs/OPERATIONS.md):
-//     --checkpoint=<file>    write atomic snapshots of the analysis state
-//     --checkpoint-every=N   events between snapshots     (default 4096)
-//     --resume=<file>        continue a run from a snapshot; the verdict
-//                            and warnings are identical to an uninterrupted
-//                            run over the same trace
-//     --supervise            fork the analysis into a worker, restart it
-//                            from the last checkpoint when a signal kills
-//                            it (requires --checkpoint)
-//     --max-crashes=K        consecutive crashes in the same event window
-//                            before giving up with a bundle (default 3)
-//     --crash-at=N           test hook: die after N events this process
-//     --crash-signal=S       test hook: signal to die with (default KILL)
-//
-// The trace is streamed: events reach the back-ends as they are parsed, so
-// memory stays constant in the trace length (the file is buffered only for
-// --witness, whose serializability oracle needs random access). A text
-// trace may come from a pipe, a FIFO or /dev/stdin; a .vtrc container,
-// --reduce and --checkpoint/--resume need a regular file (exit 2 otherwise).
+// `velodrome-check --help` lists the options. The trace is streamed:
+// events reach the back-ends as they are parsed, so memory stays constant
+// in the trace length (--witness buffers it, for the serializability
+// oracle's random access). A text trace may come from a pipe, a FIFO or
+// /dev/stdin; a .vtrc container, --reduce and --checkpoint/--resume need a
+// regular file.
 //
 // Exit status: 0 serializable, 1 atomicity violation, 2 usage/input error,
 // 3 resource-limited (budget exhausted before a verdict was reached),
-// 4 crashed repeatedly under --supervise (see the crash bundle).
-// docs/INGESTION.md and docs/OPERATIONS.md specify the full contract.
+// 4 crashed repeatedly under --supervise (see the crash bundle), 128+N
+// stopped by signal N. docs/INGESTION.md and docs/OPERATIONS.md specify
+// the full contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,62 +31,19 @@
 #include "staticpass/PassManager.h"
 #include "staticpass/ReductionFilter.h"
 #include "support/ParseInt.h"
+#include "support/Supervisor.h"
 #include "support/Syscalls.h"
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 using namespace velo;
 
 namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: velodrome-check [options] <trace-file>\n"
-      "  <trace-file> may be text or a VELOTRC .vtrc container\n"
-      "  (auto-detected; see velodrome-convert and docs/INGESTION.md)\n"
-      "  --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>"
-      "  (default all)\n"
-      "  --format=<text|json|sarif>  report rendering (default text;\n"
-      "                 see docs/REPORTING.md)\n"
-      "  --max-warnings=N  cap recorded warnings per back-end\n"
-      "                 (0 = unlimited)\n"
-      "  --dot=<file>   write the first violation's error graph\n"
-      "  --witness      print a serial witness when serializable\n"
-      "  --no-merge     disable the merge optimization\n"
-      "  --reduce=<all|none|escape,readonly,redundant,lockset>\n"
-      "                 sound static reduction before analysis\n"
-      "                 (see docs/STATIC.md)\n"
-      "  --stats        print happens-before graph statistics\n"
-      "  --quiet        verdict only\n"
-      "  --lenient      repair ill-formed traces instead of rejecting\n"
-      "  --salvage      accept the longest intact frame prefix of a\n"
-      "                 truncated .vtrc container (crashed tracer; see\n"
-      "                 docs/TRACING.md)\n"
-      "  --parallel[=N] multi-threaded pipeline, N back-end workers\n"
-      "                 (byte-identical report; see docs/PARALLEL.md)\n"
-      "  --batch-events=N  events per pipeline batch (default 4096)\n"
-      "  --max-events=N --max-live-nodes=N --max-memory-mb=N\n"
-      "  --deadline-ms=N      resource governor caps (0 = unlimited;\n"
-      "                       see docs/INGESTION.md)\n"
-      "  --checkpoint=<file> --checkpoint-every=N --resume=<file>\n"
-      "  --supervise --max-crashes=K   crash resilience\n"
-      "  --grace-ms=N   SIGTERM/SIGINT: wait N ms for the worker's final\n"
-      "                 checkpoint before SIGKILL (default 2000)\n"
-      "                       (see docs/OPERATIONS.md)\n"
-      "exit: 0 serializable, 1 violation, 2 usage/input error,\n"
-      "      3 resource-limited, 4 crashed under --supervise,\n"
-      "      128+N stopped by signal N after a clean checkpoint\n");
-}
 
 struct Options {
   PlanConfig Plan; ///< --backend, --lenient, --no-merge, --max-warnings, caps
@@ -140,109 +51,107 @@ struct Options {
   std::string ReduceSpec; ///< empty = reduction off
   std::string CheckpointFile, ResumeFile;
   uint64_t CheckpointEvery = 4096;
-  uint64_t MaxCrashes = 3;
-  uint64_t GraceMillis = 2000; ///< SIGTERM-to-SIGKILL escalation window
-  uint64_t CrashAt = 0;  ///< test hook: die after N events this process
+  SupervisorOptions Sup;
+  uint64_t CrashAt = 0; ///< test hook: die after N events this process
   uint64_t CrashSignal = SIGKILL;
-  bool Supervise = false;
   bool Salvage = false; ///< --salvage: longest-prefix recovery for .vtrc
   bool Witness = false, Stats = false, Quiet = false;
-  bool Parallel = false;       ///< --parallel given
+  bool Parallel = false;        ///< --parallel given
   uint64_t ParallelWorkers = 0; ///< 0 = one worker per back-end
   uint64_t BatchEvents = 4096;
   bool BatchEventsSet = false;
-  bool ExplicitLimits = false; ///< any resource-cap flag given
   ReportFormat Format = ReportFormat::Text;
 };
 
-/// Returns 0 to continue, 2 on usage error, -1 when --help was handled.
-int parseArgs(int argc, char **argv, Options &O) {
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    uint64_t *U64Target = nullptr;
-    size_t U64Prefix = 0;
-    bool Valid = true;
-    if (Arg.rfind("--backend=", 0) == 0) {
-      O.Plan.BackendSel = Arg.substr(10);
-    } else if (Arg.rfind("--dot=", 0) == 0) {
-      O.DotFile = Arg.substr(6);
-    } else if (Arg == "--witness") {
-      O.Witness = true;
-    } else if (Arg == "--no-merge") {
-      O.Plan.NoMerge = true;
-    } else if (Arg.rfind("--reduce=", 0) == 0) {
-      O.ReduceSpec = Arg.substr(9);
-    } else if (Arg == "--stats") {
-      O.Stats = true;
-    } else if (Arg == "--quiet") {
-      O.Quiet = true;
-    } else if (Arg == "--lenient") {
-      O.Plan.Mode = SanitizeMode::Lenient;
-    } else if (Arg == "--strict") {
-      O.Plan.Mode = SanitizeMode::Strict;
-    } else if (Arg == "--salvage") {
-      O.Salvage = true;
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      Valid = parseReportFormat(Arg.substr(9), O.Format);
-    } else if (Arg.rfind("--max-warnings=", 0) == 0) {
-      Valid = parseU64(Arg.c_str() + 15, O.Plan.MaxWarnings.emplace());
-    } else if (Arg.rfind("--checkpoint=", 0) == 0) {
-      O.CheckpointFile = Arg.substr(13);
-    } else if (Arg.rfind("--resume=", 0) == 0) {
-      O.ResumeFile = Arg.substr(9);
-    } else if (Arg == "--supervise") {
-      O.Supervise = true;
-    } else if (Arg == "--parallel") {
-      O.Parallel = true;
-    } else if (Arg.rfind("--parallel=", 0) == 0) {
-      O.Parallel = true;
-      U64Target = &O.ParallelWorkers;
-      U64Prefix = 11;
-    } else if (Arg.rfind("--batch-events=", 0) == 0) {
-      U64Target = &O.BatchEvents;
-      U64Prefix = 15;
-      O.BatchEventsSet = true;
-    } else if (Arg.rfind("--checkpoint-every=", 0) == 0) {
-      U64Target = &O.CheckpointEvery;
-      U64Prefix = 19;
-    } else if (Arg.rfind("--max-crashes=", 0) == 0) {
-      U64Target = &O.MaxCrashes;
-      U64Prefix = 14;
-    } else if (Arg.rfind("--grace-ms=", 0) == 0) {
-      U64Target = &O.GraceMillis;
-      U64Prefix = 11;
-    } else if (Arg.rfind("--crash-at=", 0) == 0) {
-      U64Target = &O.CrashAt;
-      U64Prefix = 11;
-    } else if (Arg.rfind("--crash-signal=", 0) == 0) {
-      U64Target = &O.CrashSignal;
-      U64Prefix = 15;
-    } else if (parseGovernorFlag(Arg, O.Plan.Limits, Valid)) {
-      O.ExplicitLimits = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return -1;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    } else if (O.TraceFile.empty()) {
-      O.TraceFile = Arg;
-    } else {
-      usage();
-      return 2;
-    }
-    if (!Valid ||
-        (U64Target && !parseU64(Arg.c_str() + U64Prefix, *U64Target))) {
-      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-  if (O.TraceFile.empty()) {
-    usage();
-    return 2;
-  }
+/// Caps other than the defaults stop the analysis mid-stream, and the
+/// parallel pipeline stops only at batch boundaries.
+bool explicitCaps(const GovernorLimits &L) {
+  const GovernorLimits D = GovernorLimits::defaults();
+  return L.MaxEvents != D.MaxEvents || L.MaxLiveNodes != D.MaxLiveNodes ||
+         L.MaxMemoryBytes != D.MaxMemoryBytes ||
+         L.DeadlineMillis != D.DeadlineMillis;
+}
+
+/// Returns -1 to go on, else the status to exit with.
+int parseArgs(int Argc, char **Argv, Options &O) {
+  auto Mode = [&O](SanitizeMode M) {
+    return [&O, M](const std::string &) {
+      O.Plan.Mode = M;
+      return true;
+    };
+  };
+  std::vector<Flag> Rows = {
+      stringFlag("--backend=<sel>", O.Plan.BackendSel,
+                 "velodrome, basic, aero, atomizer, eraser, hb, deadlock or "
+                 "all (default all; deadlock runs only when named)"),
+      formatFlag(O.Format),
+      {"--max-warnings=N",
+       [&O](const std::string &V) {
+         return parseU64(V.c_str(), O.Plan.MaxWarnings.emplace());
+       },
+       "cap recorded warnings per back-end (0 = unlimited)"},
+      stringFlag("--dot=<file>", O.DotFile,
+                 "write the first violation's error graph as dot"),
+      boolFlag("--witness", O.Witness,
+               "print a serial witness when the trace is serializable"),
+      boolFlag("--no-merge", O.Plan.NoMerge,
+               "run Velodrome with the naive [INS OUTSIDE] rule"),
+      stringFlag("--reduce=<spec>", O.ReduceSpec,
+                 "reduce statically first: all, none, or a comma list of "
+                 "escape, readonly, redundant, lockset (docs/STATIC.md)"),
+      boolFlag("--stats", O.Stats,
+               "print graph statistics (and per-pass counts under --reduce)"),
+      boolFlag("--quiet", O.Quiet, "verdict only"),
+      {"--lenient", Mode(SanitizeMode::Lenient),
+       "repair ill-formed traces instead of rejecting them"},
+      {"--strict", Mode(SanitizeMode::Strict),
+       "reject ill-formed traces (the default)"},
+      boolFlag("--salvage", O.Salvage,
+               "accept the longest intact frame prefix of a truncated .vtrc "
+               "(docs/TRACING.md)"),
+      boolFlag("--parallel", O.Parallel,
+               "run as a multi-threaded pipeline, one worker per back-end; "
+               "the report is the same (docs/PARALLEL.md)"),
+      {"--parallel=N",
+       [&O](const std::string &V) {
+         O.Parallel = true;
+         return parseU64(V.c_str(), O.ParallelWorkers);
+       },
+       "the same with N back-end workers"},
+      {"--batch-events=N",
+       [&O](const std::string &V) {
+         O.BatchEventsSet = true;
+         return parseU64(V.c_str(), O.BatchEvents) && O.BatchEvents != 0;
+       },
+       "events per pipeline batch (default 4096)"},
+      stringFlag("--checkpoint=<file>", O.CheckpointFile,
+                 "write atomic snapshots of the analysis state "
+                 "(docs/OPERATIONS.md)"),
+      u64Flag("--checkpoint-every=N", O.CheckpointEvery,
+              "events between snapshots (default 4096)", 1),
+      stringFlag("--resume=<file>", O.ResumeFile,
+                 "continue a run from a snapshot; the report is the "
+                 "uninterrupted run's"),
+      u64Flag("--crash-at=N", O.CrashAt,
+              "test hook: die after N events in this process"),
+      u64Flag("--crash-signal=S", O.CrashSignal,
+              "test hook: the signal to die with (default 9, SIGKILL)", 1,
+              31),
+  };
+  addFlags(Rows, governorFlags(O.Plan.Limits));
+  addFlags(Rows, supervisionFlags(O.Sup));
+  const FlagTable Table{
+      "velodrome-check [options] <trace-file>", std::move(Rows),
+      "<trace-file> is text or a VELOTRC .vtrc container (auto-detected)\n"
+      "exit: 0 serializable, 1 violation, 2 usage/input error,\n"
+      "      3 resource-limited, 4 crashed under --supervise,\n"
+      "      128+N stopped by signal N after a clean checkpoint\n",
+      1, 1};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(Argc, Argv, Operands); Rc >= 0)
+    return Rc;
+  O.TraceFile = Operands[0];
+
   if (O.Witness && (!O.CheckpointFile.empty() || !O.ResumeFile.empty())) {
     std::fprintf(stderr, "error: --witness buffers the whole trace and is "
                          "incompatible with --checkpoint/--resume\n");
@@ -280,7 +189,7 @@ int parseArgs(int argc, char **argv, Options &O) {
                    "serially and is incompatible with --parallel\n");
       return 2;
     }
-    if (O.ExplicitLimits) {
+    if (explicitCaps(O.Plan.Limits)) {
       std::fprintf(stderr,
                    "error: explicit resource caps (--max-events, "
                    "--max-live-nodes, --max-memory-mb, --deadline-ms) stop "
@@ -289,32 +198,19 @@ int parseArgs(int argc, char **argv, Options &O) {
                    "boundaries); run sequentially to use them\n");
       return 2;
     }
-    if (O.BatchEvents == 0) {
-      std::fprintf(stderr, "error: --batch-events must be > 0\n");
-      return 2;
-    }
   } else if (O.BatchEventsSet) {
     std::fprintf(stderr,
                  "error: --batch-events only applies to the parallel "
                  "pipeline; add --parallel\n");
     return 2;
   }
-  if (O.Supervise && O.CheckpointFile.empty()) {
+  if (O.Sup.Enabled && O.CheckpointFile.empty()) {
     std::fprintf(stderr,
                  "error: --supervise requires --checkpoint (the restart "
                  "point after a crash)\n");
     return 2;
   }
-  if (O.CheckpointEvery == 0 || O.MaxCrashes == 0) {
-    std::fprintf(stderr,
-                 "error: --checkpoint-every and --max-crashes must be > 0\n");
-    return 2;
-  }
-  if (O.CrashSignal == 0 || O.CrashSignal >= 32) {
-    std::fprintf(stderr, "error: --crash-signal must be in [1, 31]\n");
-    return 2;
-  }
-  return 0;
+  return -1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -372,34 +268,6 @@ bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
 }
 
 //===----------------------------------------------------------------------===//
-// Graceful shutdown: SIGTERM/SIGINT set a flag; the sequential loop drains
-// the record in flight, persists a final checkpoint at that boundary, and
-// exits 128+signal. The supervisor forwards the signal to its worker and
-// escalates to SIGKILL after --grace-ms, so a checkpoint write is never
-// torn (writeFile is rename-atomic regardless; the grace window just lets
-// the final snapshot land).
-//===----------------------------------------------------------------------===//
-
-volatile std::sig_atomic_t StopSignal = 0;
-
-void noteStopSignal(int Sig) { StopSignal = Sig; }
-
-void installStopHandlers() {
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = noteStopSignal;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0; // no SA_RESTART: blocked waits must wake up
-  ::sigaction(SIGTERM, &SA, nullptr);
-  ::sigaction(SIGINT, &SA, nullptr);
-}
-
-void resetStopHandlers() {
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-}
-
-//===----------------------------------------------------------------------===//
 // One analysis run (fresh or resumed). Under --supervise this is the
 // worker; otherwise it is the whole program.
 //===----------------------------------------------------------------------===//
@@ -415,30 +283,6 @@ void printSalvageNote(const SalvageSummary &S) {
                static_cast<unsigned long long>(S.FramesKept),
                static_cast<unsigned long long>(S.EventsKept),
                static_cast<unsigned long long>(S.BytesDropped));
-}
-
-/// Buffered read for the --witness path under --salvage: stream the
-/// recovered prefix into a Trace. Err comes back already path-prefixed.
-bool readTraceSalvaged(const std::string &Path, Trace &Out,
-                       SalvageSummary &Salv, std::string &Err) {
-  TraceReadStatus St = TraceReadStatus::Ok;
-  std::string OpenErr;
-  TraceOpenOptions Opts;
-  Opts.Salvage = true;
-  Opts.SalvageOut = &Salv;
-  auto Src = openTraceSource(Path, Out.symbols(), St, OpenErr, Opts);
-  if (!Src) {
-    Err = OpenErr;
-    return false;
-  }
-  Event E;
-  while (Src->next(E))
-    Out.push(E);
-  if (Src->failed()) {
-    Err = describeFailure(*Src, Path);
-    return false;
-  }
-  return true;
 }
 
 int runAnalysis(Options O) {
@@ -458,10 +302,7 @@ int runAnalysis(Options O) {
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
     // parseArgs does for caps given on the command line.
-    const GovernorLimits &L = O.Plan.Limits;
-    if (O.Parallel &&
-        (L.MaxEvents != 0 || L.MaxMemoryBytes != 0 || L.DeadlineMillis != 0 ||
-         L.MaxLiveNodes != GovernorLimits::defaults().MaxLiveNodes)) {
+    if (O.Parallel && explicitCaps(O.Plan.Limits)) {
       std::fprintf(stderr,
                    "error: %s was written by a run with explicit resource "
                    "caps, which are incompatible with --parallel; resume "
@@ -517,28 +358,34 @@ int runAnalysis(Options O) {
                                                      ".lastevents";
   crashdump::installHandlers(DumpPath.empty() ? nullptr : DumpPath.c_str());
 
-  // Graceful-shutdown flag: only the sequential streaming loop can drain
-  // to a checkpoint boundary; elsewhere the default disposition (die, let
-  // the rename-atomic checkpoint and the supervisor handle it) is the
-  // honest behavior.
+  // Graceful shutdown: SIGTERM/SIGINT only set a flag, and the sequential
+  // loop drains the record in flight, persists a final checkpoint at that
+  // boundary and exits 128+signal. Only that loop can drain to a
+  // checkpoint boundary; elsewhere the default disposition (die, let the
+  // rename-atomic checkpoint and the supervisor handle it) is the honest
+  // behavior.
   if (!O.CheckpointFile.empty() && !O.Parallel && !O.Witness)
     installStopHandlers();
+
+  // Every open passes --salvage on, and openTraceSource refuses it for
+  // text input.
+  SalvageSummary Salv;
+  TraceOpenOptions OpenOpts;
+  OpenOpts.Salvage = O.Salvage;
+  OpenOpts.SalvageOut = &Salv;
 
   // Pass A of the static pipeline: stream the (sanitized) trace once with
   // no back-ends attached and classify every variable; pass B below then
   // filters on replay. Both passes parse the same bytes with fresh symbol
   // tables, so variable ids line up. A resumed run restores the filter
-  // from the snapshot instead and skips this sweep. Every open passes
-  // --salvage on, and openTraceSource refuses it for text input.
+  // from the snapshot instead and skips this sweep.
   ReductionFilter Filter;
   if (Reducing && !Resuming) {
     SymbolTable ClsSyms;
     TraceReadStatus ClsSt = TraceReadStatus::Ok;
     std::string ClsErr;
-    TraceOpenOptions ClsOpts;
-    ClsOpts.Salvage = O.Salvage;
     auto ClsSrc =
-        openTraceSource(O.TraceFile, ClsSyms, ClsSt, ClsErr, ClsOpts);
+        openTraceSource(O.TraceFile, ClsSyms, ClsSt, ClsErr, OpenOpts);
     if (!ClsSrc) {
       std::fprintf(stderr, "error: %s\n", ClsErr.c_str());
       return 2;
@@ -580,20 +427,12 @@ int runAnalysis(Options O) {
     // then replay the repaired trace.
     Trace Raw;
     std::string Error;
-    if (O.Salvage) {
-      SalvageSummary Salv;
-      if (!readTraceSalvaged(O.TraceFile, Raw, Salv, Error)) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
-        return 2;
-      }
-      printSalvageNote(Salv);
-    } else {
-      TraceReadStatus St = readTraceFileStatus(O.TraceFile, Raw, Error);
-      if (St != TraceReadStatus::Ok) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
-        return 2;
-      }
+    if (readTraceFileStatus(O.TraceFile, Raw, Error, OpenOpts) !=
+        TraceReadStatus::Ok) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return 2;
     }
+    printSalvageNote(Salv);
     RepairCounts Repairs;
     if (!sanitizeTrace(Raw, O.Plan.Mode, Buffered, &Repairs, Error)) {
       std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
@@ -615,11 +454,8 @@ int runAnalysis(Options O) {
     // flow through the same loop.
     TraceReadStatus SrcSt = TraceReadStatus::Ok;
     std::string SrcErr;
-    TraceOpenOptions SrcOpts;
-    SrcOpts.Salvage = O.Salvage;
-    SalvageSummary Salv;
-    SrcOpts.SalvageOut = &Salv;
-    auto Src = openTraceSource(O.TraceFile, StreamSyms, SrcSt, SrcErr, SrcOpts);
+    auto Src =
+        openTraceSource(O.TraceFile, StreamSyms, SrcSt, SrcErr, OpenOpts);
     if (!Src) {
       std::fprintf(stderr, "error: %s\n", SrcErr.c_str());
       return 2;
@@ -726,9 +562,8 @@ int runAnalysis(Options O) {
           NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
         }
       }
-      if (StopSignal != 0) {
+      if (int Sig = stopSignal()) {
         // Graceful drain: persist this boundary and exit 128+signal.
-        int Sig = static_cast<int>(StopSignal);
         uint64_t Off = 0;
         if (!O.CheckpointFile.empty() && Src->tell(Off)) {
           std::string Error;
@@ -806,7 +641,7 @@ int runAnalysis(Options O) {
 
 
 //===----------------------------------------------------------------------===//
-// Supervision: fork the analysis, restart from the last checkpoint on
+// Supervision (support/Supervisor.h): restart from the last checkpoint on
 // signal death, give up with a crash bundle when it stops making progress.
 //===----------------------------------------------------------------------===//
 
@@ -876,120 +711,35 @@ std::string writeCrashBundle(const Options &O, int Sig, uint64_t CkptEvents,
   return Dir;
 }
 
+/// The worker resumes from the checkpoint once there is one. A crash
+/// window is the span between checkpoints: a worker that moved the
+/// checkpoint's event count made progress.
 int runSupervised(const Options &O) {
-  uint64_t LastWindowEvents = ~0ull; // sentinel: no crash observed yet
-  uint64_t SameWindow = 0;
-  installStopHandlers();
-  for (;;) {
-    Options Worker = O;
-    Worker.Supervise = false;
-    struct stat St;
-    if (::stat(O.CheckpointFile.c_str(), &St) == 0)
-      Worker.ResumeFile = O.CheckpointFile;
-    std::fflush(nullptr);
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      std::perror("velodrome-check: fork");
-      return 2;
-    }
-    if (Pid == 0) {
-      // Drop the supervisor's handlers: the worker re-installs its own
-      // when it can drain gracefully (sequential + checkpointing), and
-      // must die by default elsewhere so escalation semantics stay honest.
-      resetStopHandlers();
-      int Rc = runAnalysis(std::move(Worker));
-      // _Exit skips atexit/static destructors (this is a fork, the parent
-      // owns them) but also stdio flushing — do that explicitly.
-      std::fflush(nullptr);
-      std::_Exit(Rc);
-    }
-    // Reap the worker with a WNOHANG poll so a stop signal is noticed
-    // race-free even if it lands between checks (EINTR wakes usleep).
-    int Status = 0;
-    bool Stopping = false;
-    int StopSig = 0;
-    for (;;) {
-      if (StopSignal != 0 && !Stopping) {
-        // Graceful shutdown: forward the signal, give the worker
-        // --grace-ms to land its final checkpoint, then escalate.
-        Stopping = true;
-        StopSig = static_cast<int>(StopSignal);
-        ::kill(Pid, StopSig);
-        uint64_t WaitedMs = 0;
-        pid_t Done = 0;
-        while (WaitedMs < O.GraceMillis) {
-          Done = sys::waitpidRetry(Pid, &Status, WNOHANG);
-          if (Done == Pid)
-            break;
-          ::usleep(20 * 1000);
-          WaitedMs += 20;
-        }
-        if (Done != Pid) {
-          std::fprintf(stderr,
-                       "supervisor: worker did not stop within %llu ms; "
-                       "escalating to SIGKILL (checkpoint stays intact: "
-                       "writes are rename-atomic)\n",
-                       static_cast<unsigned long long>(O.GraceMillis));
-          ::kill(Pid, SIGKILL);
-          sys::waitpidRetry(Pid, &Status, 0);
-        }
-        break;
-      }
-      pid_t R = sys::waitpidRetry(Pid, &Status, WNOHANG);
-      if (R == Pid)
-        break;
-      if (R < 0) {
-        std::perror("velodrome-check: waitpid");
-        return 2;
-      }
-      ::usleep(10 * 1000);
-    }
-    if (Stopping) {
-      std::fprintf(stderr,
-                   "supervisor: stopped by signal %d; checkpoint %s is "
-                   "resumable\n",
-                   StopSig, O.CheckpointFile.c_str());
-      return 128 + StopSig;
-    }
-    if (WIFEXITED(Status)) {
-      int Rc = WEXITSTATUS(Status);
-      // A worker that drained on a direct SIGTERM/SIGINT (e.g. a signal
-      // sent to the whole process group) reports 128+signal; treat it as
-      // shutdown, not as a verdict to re-run for.
-      return Rc;
-    }
-    int Sig = WIFSIGNALED(Status) ? WTERMSIG(Status) : 0;
-    uint64_t CkptEvents = 0, CkptLine = 0;
-    peekCheckpoint(O.CheckpointFile, CkptEvents, CkptLine);
-    if (CkptEvents == LastWindowEvents) {
-      ++SameWindow;
-    } else {
-      SameWindow = 1;
-      LastWindowEvents = CkptEvents;
-    }
-    std::fprintf(stderr,
-                 "supervisor: worker killed by signal %d; last checkpoint "
-                 "at event %llu (crash %llu of %llu in this window)\n",
-                 Sig, static_cast<unsigned long long>(CkptEvents),
-                 static_cast<unsigned long long>(SameWindow),
-                 static_cast<unsigned long long>(O.MaxCrashes));
-    if (SameWindow >= O.MaxCrashes) {
-      std::string Bundle =
-          writeCrashBundle(O, Sig, CkptEvents, CkptLine, SameWindow);
-      std::fprintf(stderr,
-                   "supervisor: no progress after %llu crashes; "
-                   "crashed: see bundle %s\n",
-                   static_cast<unsigned long long>(SameWindow),
-                   Bundle.c_str());
-      return 4;
-    }
-    // Exponential backoff before the restart; a transient cause (memory
-    // pressure, a flaky disk) gets room to clear.
-    unsigned BackoffMs = 50u << (SameWindow - 1);
-    if (BackoffMs > 2000)
-      BackoffMs = 2000;
-    ::usleep(BackoffMs * 1000);
-  }
+  uint64_t LastEvents = ~0ull, CkptEvents = 0, CkptLine = 0;
+  return supervise(
+      O.Sup,
+      [&O] {
+        Options Worker = O;
+        struct stat St;
+        if (::stat(O.CheckpointFile.c_str(), &St) == 0)
+          Worker.ResumeFile = O.CheckpointFile;
+        return runAnalysis(std::move(Worker));
+      },
+      [&](double) {
+        peekCheckpoint(O.CheckpointFile, CkptEvents, CkptLine);
+        bool Moved = CkptEvents != LastEvents;
+        LastEvents = CkptEvents;
+        return Moved;
+      },
+      [&](const WorkerCrash &C) {
+        std::string Note =
+            "last checkpoint at event " + std::to_string(CkptEvents);
+        if (C.GivingUp)
+          Note += "; crashed: see bundle " +
+                  writeCrashBundle(O, C.Signal, CkptEvents, CkptLine,
+                                   C.InWindow);
+        return Note;
+      });
 }
 
 } // namespace
@@ -999,15 +749,9 @@ int main(int argc, char **argv) {
   // failed write, not SIGPIPE process death.
   sys::ignoreSigpipe();
   Options O;
-  switch (parseArgs(argc, argv, O)) {
-  case -1:
-    return 0;
-  case 2:
-    return 2;
-  default:
-    break;
-  }
-  if (O.Supervise)
+  if (int Rc = parseArgs(argc, argv, O); Rc >= 0)
+    return Rc;
+  if (O.Sup.Enabled)
     return runSupervised(O);
   return runAnalysis(std::move(O));
 }

@@ -8,12 +8,7 @@
 //
 //   velodrome-convert [options] <in-trace> <out-trace>
 //
-//     --to=<text|binary>   output format (default: by <out-trace>
-//                          extension — .vtrc means binary, else text)
-//     --frame-events=N     events per binary frame (default 4096)
-//     --format=<text|json|sarif>  conversion-summary rendering: json and
-//                          sarif write a findings-free report document to
-//                          stdout (docs/REPORTING.md)
+// `velodrome-convert --help` lists the options.
 //
 // Both directions are verdict-preserving by construction (the checker
 // sees the identical event stream), and binary -> text -> binary is a
@@ -28,100 +23,48 @@
 #include "events/TraceSource.h"
 #include "events/TraceText.h"
 #include "report/Report.h"
+#include "support/Syscalls.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
-#include <unistd.h>
-
-#include "support/ParseInt.h"
-#include "support/Syscalls.h"
-
 using namespace velo;
-
-namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: velodrome-convert [options] <in-trace> <out-trace>\n"
-      "  --to=<text|binary>  output format (default: by <out-trace>\n"
-      "                      extension -- .vtrc means binary, else text)\n"
-      "  --frame-events=N    events per binary frame (default %zu)\n"
-      "  --salvage           accept the longest intact frame prefix of a\n"
-      "                      truncated .vtrc input (see docs/TRACING.md)\n"
-      "  --format=<text|json|sarif>  summary rendering (default text;\n"
-      "                      see docs/REPORTING.md)\n"
-      "converts between the text trace grammar and the VELOTRC binary\n"
-      "container (docs/INGESTION.md); input format is auto-detected\n"
-      "exit: 0 converted, 2 usage/input/parse error\n",
-      BinaryTraceWriter::DefaultFrameEvents);
-}
-
-} // namespace
 
 int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
-  std::string InFile, OutFile;
   TraceFormat To = TraceFormat::Text;
   bool HaveTo = false;
   bool Salvage = false;
   ReportFormat Format = ReportFormat::Text;
   size_t FrameEvents = BinaryTraceWriter::DefaultFrameEvents;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--to=", 0) == 0) {
-      std::string V = Arg.substr(5);
-      if (V == "text") {
-        To = TraceFormat::Text;
-      } else if (V == "binary") {
-        To = TraceFormat::Binary;
-      } else {
-        std::fprintf(stderr, "error: bad --to format '%s'\n", V.c_str());
-        usage();
-        return 2;
-      }
-      HaveTo = true;
-    } else if (Arg.rfind("--frame-events=", 0) == 0) {
-      uint64_t N = 0;
-      if (!parseU64(Arg.c_str() + 15, N) || N == 0 || N > (1ull << 24)) {
-        std::fprintf(stderr, "error: bad --frame-events value\n");
-        return 2;
-      }
-      FrameEvents = static_cast<size_t>(N);
-    } else if (Arg == "--salvage") {
-      Salvage = true;
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      if (!parseReportFormat(Arg.substr(9), Format)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    } else if (InFile.empty()) {
-      InFile = Arg;
-    } else if (OutFile.empty()) {
-      OutFile = Arg;
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (InFile.empty() || OutFile.empty()) {
-    usage();
-    return 2;
-  }
+  const FlagTable Table{
+      "velodrome-convert [options] <in-trace> <out-trace>",
+      {{"--to=<text|binary>",
+        [&](const std::string &V) {
+          HaveTo = true;
+          To = V == "binary" ? TraceFormat::Binary : TraceFormat::Text;
+          return V == "text" || V == "binary";
+        },
+        "output format (default: by <out-trace> extension; .vtrc means "
+        "binary, else text)"},
+       u64Flag("--frame-events=N", FrameEvents,
+               "events per binary frame (default " +
+                   std::to_string(BinaryTraceWriter::DefaultFrameEvents) + ")",
+               1, 1ull << 24),
+       boolFlag("--salvage", Salvage,
+                "accept the longest intact frame prefix of a truncated .vtrc "
+                "input (docs/TRACING.md)"),
+       formatFlag(Format)},
+      "converts between the text trace grammar and the VELOTRC binary\n"
+      "container (docs/INGESTION.md); input format is auto-detected\n"
+      "exit: 0 converted, 2 usage/input/parse error\n",
+      2, 2};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
+  const std::string &InFile = Operands[0], &OutFile = Operands[1];
   if (!HaveTo)
     To = traceFormatForWrite(OutFile);
 

@@ -43,8 +43,7 @@
 // --seed. CI runs a bounded smoke (fixed seed, small --iters) under
 // ASan+UBSan on every PR.
 //
-//   velodrome-fuzz [--corpus=DIR] [--seed=N] [--iters=N] [--save=DIR]
-//                  [--verbose]
+//   velodrome-fuzz [options]      (`velodrome-fuzz --help` lists them)
 //
 // Exit status: 0 all checks passed, 1 a check failed, 2 usage error.
 //
@@ -78,26 +77,12 @@
 #include <string>
 #include <vector>
 
-#include "support/ParseInt.h"
+#include "support/Flags.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: velodrome-fuzz [options]\n"
-               "  --corpus=DIR  seed corpus directory (default "
-               "tests/data/fuzz)\n"
-               "  --seed=N      PRNG seed              (default 1)\n"
-               "  --iters=N     mutants to execute     (default 500)\n"
-               "  --save=DIR    where to write failing inputs (default .)\n"
-               "  --parallel=N  worker threads for the multi-back-end\n"
-               "                replays (default: hardware threads)\n"
-               "  --no-parallel run every replay sequentially\n"
-               "  --verbose     per-iteration progress\n");
-}
 
 /// Deterministic xorshift64* PRNG — no global state, replayable runs.
 struct Rng {
@@ -904,37 +889,30 @@ int main(int argc, char **argv) {
   uint64_t Seed = 1, Iters = 500, ParallelThreads = 0;
   bool Verbose = false, Parallel = true;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    bool Valid = true;
-    if (Arg.rfind("--corpus=", 0) == 0) {
-      CorpusDir = Arg.substr(9);
-    } else if (Arg.rfind("--save=", 0) == 0) {
-      SaveDir = Arg.substr(7);
-    } else if (Arg.rfind("--seed=", 0) == 0) {
-      Valid = parseU64(Arg.c_str() + 7, Seed);
-    } else if (Arg.rfind("--iters=", 0) == 0) {
-      Valid = parseU64(Arg.c_str() + 8, Iters);
-    } else if (Arg.rfind("--parallel=", 0) == 0) {
-      Valid = parseU64(Arg.c_str() + 11, ParallelThreads);
-      Parallel = ParallelThreads != 0;
-    } else if (Arg == "--no-parallel") {
-      Parallel = false;
-    } else if (Arg == "--verbose") {
-      Verbose = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-    if (!Valid) {
-      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-      return 2;
-    }
-  }
+  const FlagTable Table{
+      "velodrome-fuzz [options]",
+      {stringFlag("--corpus=DIR", CorpusDir,
+                  "seed corpus directory (default tests/data/fuzz)"),
+       u64Flag("--seed=N", Seed, "PRNG seed (default 1)"),
+       u64Flag("--iters=N", Iters, "mutants to execute (default 500)"),
+       stringFlag("--save=DIR", SaveDir,
+                  "where to write failing inputs (default .)"),
+       {"--parallel=N",
+        [&](const std::string &V) {
+          if (!parseU64(V.c_str(), ParallelThreads))
+            return false;
+          Parallel = ParallelThreads != 0;
+          return true;
+        },
+        "worker threads for the multi-back-end replays (default: hardware "
+        "threads; 0 = sequential)"},
+       boolFlag("--no-parallel", Parallel, "run every replay sequentially",
+                false),
+       boolFlag("--verbose", Verbose, "per-iteration progress")},
+      "exit: 0 all checks passed, 1 a check failed, 2 usage error\n"};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
 
   // Seed corpus: every readable *.trace under --corpus, in sorted order for
   // determinism. An empty/missing corpus still fuzzes generated traces.

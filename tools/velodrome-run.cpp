@@ -6,27 +6,7 @@
 //
 //   velodrome-run [options] <workload>
 //
-//     --list               list available workloads and their guard sites
-//     --seed=<n>           scheduler/workload seed          (default 1)
-//     --scale=<n>          work multiplier >= 1             (default 1)
-//     --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>
-//                          back-ends to report              (default velodrome)
-//     --record=<file>      write the observed trace
-//     --disable=<site>     disable a guard site (repeatable)
-//     --adversarial        Atomizer-guided scheduling
-//     --policy=<all|writes|reads|spare-main>  stall policy  (default all)
-//     --exclude-known      don't check ground-truth non-atomic methods
-//     --reduce=<spec>      record the execution, statically reduce it, and
-//                          run the back-ends on the reduced trace offline
-//                          (docs/STATIC.md); results are identical to live
-//                          monitoring of the same execution
-//     --format=<text|json|sarif>  report rendering (default text;
-//                          see docs/REPORTING.md)
-//     --max-events=N       stop the analysis after N events (0 = unlimited)
-//     --max-live-nodes=N   graph node cap, fall back to the vector-clock
-//                          checker on breach               (default 60000)
-//     --max-memory-mb=N    estimated-memory cap            (0 = unlimited)
-//     --deadline-ms=N      wall-clock budget               (0 = unlimited)
+// `velodrome-run --help` lists the options, and --list the workloads.
 //
 // Live monitoring runs under the same analysis plan and resource governor
 // as the offline checker (analysis/Plan.h). Behind a graph-checker primary
@@ -45,32 +25,18 @@
 #include "events/TraceText.h"
 #include "report/Report.h"
 #include "staticpass/StaticPipeline.h"
-#include "support/ParseInt.h"
+#include "support/Flags.h"
 #include "support/Syscalls.h"
 #include "workloads/Workload.h"
 
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace velo;
 
 namespace {
-
-void usage() {
-  std::fprintf(stderr,
-               "usage: velodrome-run [options] <workload>\n"
-               "  --list  --seed=N  --scale=N  --record=FILE\n"
-               "                 (a .vtrc FILE records the VELOTRC binary\n"
-               "                 container; anything else records text)\n"
-               "  --backend=velodrome|basic|aero|atomizer|eraser|hb|"
-               "deadlock|all\n"
-               "  --disable=SITE  --adversarial  --policy=POLICY\n"
-               "  --exclude-known  --reduce=SPEC\n"
-               "  --format=text|json|sarif   report rendering\n"
-               "  --max-events=N  --max-live-nodes=N  --max-memory-mb=N\n"
-               "  --deadline-ms=N      resource governor caps\n");
-}
 
 void listWorkloads() {
   std::printf("%-12s %-9s %s\n", "workload", "bugs", "guard sites");
@@ -131,7 +97,7 @@ void printBlock(AnalysisPlan &Plan, const Backend &B,
 
 int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
-  std::string Name, RecordFile, ReduceSpec;
+  std::string RecordFile, ReduceSpec;
   uint64_t Seed = 1, Scale = 1;
   bool Adversarial = false, ExcludeKnown = false;
   ReportFormat Format = ReportFormat::Text;
@@ -141,83 +107,65 @@ int main(int argc, char **argv) {
   Config.BackendSel = "velodrome";
   Config.HotSpare = true;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    bool Valid = true;
-    if (Arg == "--list") {
-      listWorkloads();
-      return 0;
-    } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 7, Seed)) {
-        std::fprintf(stderr, "invalid --seed value: '%s'\n", Arg.c_str() + 7);
-        usage();
-        return 2;
-      }
-    } else if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 8, Scale) || Scale < 1 || Scale > INT_MAX) {
-        std::fprintf(stderr, "invalid --scale value: '%s' (must be >= 1)\n",
-                     Arg.c_str() + 8);
-        usage();
-        return 2;
-      }
-    } else if (Arg.rfind("--backend=", 0) == 0) {
-      Config.BackendSel = Arg.substr(10);
-    } else if (Arg.rfind("--record=", 0) == 0) {
-      RecordFile = Arg.substr(9);
-    } else if (Arg.rfind("--disable=", 0) == 0) {
-      Disabled.push_back(Arg.substr(10));
-    } else if (Arg == "--adversarial") {
-      Adversarial = true;
-    } else if (Arg.rfind("--policy=", 0) == 0) {
-      std::string P = Arg.substr(9);
-      if (P == "all")
-        Policy = StallPolicy::AllOps;
-      else if (P == "writes")
-        Policy = StallPolicy::WritesOnly;
-      else if (P == "reads")
-        Policy = StallPolicy::ReadsOnly;
-      else if (P == "spare-main")
-        Policy = StallPolicy::SpareMainOps;
-      else {
-        std::fprintf(stderr, "unknown policy: %s\n", P.c_str());
-        return 2;
-      }
-    } else if (Arg == "--exclude-known") {
-      ExcludeKnown = true;
-    } else if (Arg.rfind("--reduce=", 0) == 0) {
-      ReduceSpec = Arg.substr(9);
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      Valid = parseReportFormat(Arg.substr(9), Format);
-    } else if (parseGovernorFlag(Arg, Config.Limits, Valid)) {
-      // A governor cap; its value is checked below.
-    } else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      usage();
-      return 2;
-    } else if (Name.empty()) {
-      Name = Arg;
-    } else {
-      usage();
-      return 2;
-    }
-    if (!Valid) {
-      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-      usage();
-      return 2;
-    }
-  }
-  if (Name.empty()) {
-    usage();
-    return 2;
-  }
+  std::vector<Flag> Rows = {
+      {"--list",
+       [](const std::string &) -> bool {
+         // Acts at once, as --help does.
+         listWorkloads();
+         std::exit(0);
+       },
+       "list the workloads and their guard sites"},
+      u64Flag("--seed=N", Seed, "scheduler and workload seed (default 1)"),
+      u64Flag("--scale=N", Scale, "work multiplier (default 1)", 1, INT_MAX),
+      stringFlag("--backend=<sel>", Config.BackendSel,
+                 "velodrome, basic, aero, atomizer, eraser, hb, deadlock or "
+                 "all (default velodrome)"),
+      stringFlag("--record=FILE", RecordFile,
+                 "write the observed trace (a .vtrc FILE records the VELOTRC "
+                 "binary container; anything else records text)"),
+      {"--disable=SITE",
+       [&Disabled](const std::string &V) {
+         Disabled.push_back(V);
+         return true;
+       },
+       "disable a guard site (repeatable)"},
+      boolFlag("--adversarial", Adversarial, "Atomizer-guided scheduling"),
+      {"--policy=POLICY",
+       [&Policy](const std::string &V) {
+         if (V == "all")
+           Policy = StallPolicy::AllOps;
+         else if (V == "writes")
+           Policy = StallPolicy::WritesOnly;
+         else if (V == "reads")
+           Policy = StallPolicy::ReadsOnly;
+         else if (V == "spare-main")
+           Policy = StallPolicy::SpareMainOps;
+         else
+           return false;
+         return true;
+       },
+       "stall policy: all, writes, reads or spare-main (default all)"},
+      boolFlag("--exclude-known", ExcludeKnown,
+               "don't check the ground-truth non-atomic methods"),
+      stringFlag("--reduce=<spec>", ReduceSpec,
+                 "record, reduce statically and run the back-ends on the "
+                 "reduced trace offline (docs/STATIC.md)"),
+      formatFlag(Format),
+  };
+  addFlags(Rows, governorFlags(Config.Limits));
+  const FlagTable Table{"velodrome-run [options] <workload>", std::move(Rows),
+                        "exit: 0 no violation, 1 violation, 2 usage error, "
+                        "3 resource-limited\n",
+                        1, 1};
+  std::vector<std::string> Operands;
+  if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
+    return Rc;
+  const std::string &Name = Operands[0];
   std::string PlanError;
   std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(Config, PlanError);
   if (!Plan) {
     std::fprintf(stderr, "%s\n", PlanError.c_str());
-    usage();
+    Table.printUsage();
     return 2;
   }
   bool Reducing = !ReduceSpec.empty();
