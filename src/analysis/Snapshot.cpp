@@ -17,50 +17,17 @@ namespace {
 // snapshot to a terminal shows one clean marker line, like PNG's header.
 constexpr char Magic[8] = {'V', 'E', 'L', 'O', 'S', 'N', 'P', '\n'};
 
-void appendU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void appendU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint32_t decodeU32(const char *P) {
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
-uint64_t decodeU64(const char *P) {
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
 } // namespace
-
-uint64_t snapshotChecksum(const std::string &Bytes) {
-  uint64_t H = 14695981039346656037ULL; // FNV offset basis
-  for (char C : Bytes) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ULL; // FNV prime
-  }
-  return H;
-}
 
 bool SnapshotWriter::writeFile(const std::string &Path,
                                std::string &ErrorOut) const {
   std::string File;
   File.reserve(sizeof(Magic) + 24 + Buf.size());
   File.append(Magic, sizeof(Magic));
-  appendU32(File, SnapshotVersion);
-  appendU32(File, 0); // reserved
-  appendU64(File, Buf.size());
-  appendU64(File, snapshotChecksum(Buf));
+  binfmt::appendU32le(File, SnapshotVersion);
+  binfmt::appendU32le(File, 0); // reserved
+  binfmt::appendU64le(File, Buf.size());
+  binfmt::appendU64le(File, snapshotChecksum(Buf));
   File.append(Buf);
 
   // Raw POSIX I/O with EINTR retries: snapshots are written from
@@ -103,15 +70,17 @@ bool SnapshotReader::readFile(const std::string &Path, SnapshotReader &Out,
     ErrorOut = Path + ": not a snapshot file (bad magic)";
     return false;
   }
-  uint32_t Version = decodeU32(File.data() + sizeof(Magic));
+  const auto *Head =
+      reinterpret_cast<const uint8_t *>(File.data()) + sizeof(Magic);
+  uint32_t Version = binfmt::readU32le(Head);
   if (Version != SnapshotVersion) {
     ErrorOut = Path + ": snapshot version " + std::to_string(Version) +
                " does not match this binary's version " +
                std::to_string(SnapshotVersion);
     return false;
   }
-  uint64_t PayloadSize = decodeU64(File.data() + sizeof(Magic) + 8);
-  uint64_t Checksum = decodeU64(File.data() + sizeof(Magic) + 16);
+  uint64_t PayloadSize = binfmt::readU64le(Head + 8);
+  uint64_t Checksum = binfmt::readU64le(Head + 16);
   if (File.size() - HeaderSize != PayloadSize) {
     ErrorOut = Path + ": truncated snapshot (payload " +
                std::to_string(File.size() - HeaderSize) + " of " +

@@ -26,6 +26,7 @@
 #ifndef VELO_ANALYSIS_SNAPSHOT_H
 #define VELO_ANALYSIS_SNAPSHOT_H
 
+#include "events/BinaryFormat.h"
 #include "events/Trace.h"
 
 #include <cstdint>
@@ -38,22 +39,17 @@ namespace velo {
 inline constexpr uint32_t SnapshotVersion = 6;
 
 /// FNV-1a 64-bit hash of a byte string (the payload checksum).
-uint64_t snapshotChecksum(const std::string &Bytes);
+inline uint64_t snapshotChecksum(const std::string &Bytes) {
+  return binfmt::fnv1a64(Bytes);
+}
 
 /// Appends fixed-width little-endian primitives to a payload buffer.
 class SnapshotWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(static_cast<char>(V)); }
 
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  }
-
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  }
+  void u32(uint32_t V) { binfmt::appendU32le(Buf, V); }
+  void u64(uint64_t V) { binfmt::appendU64le(Buf, V); }
 
   void boolean(bool V) { u8(V ? 1 : 0); }
 
@@ -98,18 +94,16 @@ public:
   uint32_t u32() {
     if (!have(4))
       return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<uint8_t>(Buf[Pos++])) << (8 * I);
+    uint32_t V = binfmt::readU32le(at(Pos));
+    Pos += 4;
     return V;
   }
 
   uint64_t u64() {
     if (!have(8))
       return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<uint8_t>(Buf[Pos++])) << (8 * I);
+    uint64_t V = binfmt::readU64le(at(Pos));
+    Pos += 8;
     return V;
   }
 
@@ -132,6 +126,10 @@ public:
   bool atEnd() const { return Pos == Buf.size(); }
 
 private:
+  const uint8_t *at(size_t Off) const {
+    return reinterpret_cast<const uint8_t *>(Buf.data()) + Off;
+  }
+
   bool have(uint64_t N) {
     if (Failed || N > Buf.size() - Pos) {
       Failed = true;

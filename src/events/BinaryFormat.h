@@ -1,7 +1,7 @@
 //===- events/BinaryFormat.h - VELOTRC wire format --------------*- C++ -*-===//
 //
-// Constants and primitive encoders for the VELOTRC binary trace container
-// (docs/INGESTION.md has the full spec). Layout:
+// The VELOTRC binary trace format (docs/INGESTION.md has the full spec)
+// and its one codec. Layout:
 //
 //   file    := header frame* index-frame trailer
 //   header  := "VELOTRC\n" u32le version=1 u32le reserved=0       (16 bytes)
@@ -11,31 +11,45 @@
 //
 // Events-frame payload (kind 1): three symbol blocks (vars, locks,
 // labels), then varint event-count, then the events. A symbol block is
-// `varint base-id, varint count, count x (varint len, bytes)` and must be
-// contiguous with the ids already defined (base-id == ids seen so far).
-// An event is `u8 op, varint tid[, varint target]`; `end` carries no
-// target. The index frame (kind 2) holds, per events frame, `varint
-// file-offset, varint first-event-ordinal, varint event-count`, then the
-// total event count; the trailer points at it so --resume can seek
-// straight to a frame boundary.
+// `varint base-id, varint count, count x (varint len, bytes)`; its base
+// must equal the number of names of that kind defined so far, and every
+// name it defines must be new, so the ids in a stream are the ids of the
+// decoder's symbol table. An event is `u8 op, varint tid[, varint
+// target]`; `end` carries no target. The index frame (kind 2) holds, per
+// events frame, `varint file-offset, varint first-event-ordinal, varint
+// event-count`, then the total event count; the trailer points at it so
+// --resume can seek straight to a frame boundary.
 //
 // Varints are the common LEB128-style base-128 little-endian encoding,
 // at most 10 bytes for a u64. Every multi-byte fixed-width integer is
-// little-endian. The checksum is FNV-1a-64, the same function the
-// snapshot container uses (analysis/Snapshot.h) — an independent copy
-// lives here so events/ does not depend on analysis/.
+// little-endian. The checksum is FNV-1a-64, which the snapshot container
+// (analysis/Snapshot.h) uses too.
+//
+// One encoder (appendEventsPayload, appendFrame) and one decoder
+// (checkFrame, EventsFrameDecoder) serve the container writer, the
+// container reader and its salvage pre-scan, and the velodrome-serve wire
+// (serve/Wire.h), whose EVENTS payload is an events-frame payload. The
+// LD_PRELOAD tracer keeps its own allocation-free encoder
+// (preload/TraceRuntime.cpp) and uses only the primitives here.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_EVENTS_BINARYFORMAT_H
 #define VELO_EVENTS_BINARYFORMAT_H
 
+#include "events/Event.h"
+
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
 namespace velo {
+
+class StringInterner;
+struct SymbolTable;
+
 namespace binfmt {
 
 /// First 8 bytes of every VELOTRC file. The trailing '\n' catches text-mode
@@ -59,8 +73,7 @@ enum FrameKind : uint8_t {
 /// length field before the checksum is even computed.
 inline constexpr uint64_t MaxFramePayload = 1ull << 30;
 
-/// FNV-1a-64 over Data (same function as analysis/Snapshot.h's
-/// snapshotChecksum, duplicated to keep the layering acyclic).
+/// FNV-1a-64 over Data.
 inline uint64_t fnv1a64(std::string_view Data) {
   uint64_t H = 14695981039346656037ull;
   for (char C : Data) {
@@ -121,6 +134,108 @@ inline uint64_t readU64le(const uint8_t *P) {
     V = V << 8 | P[I];
   return V;
 }
+
+//===----------------------------------------------------------------------===//
+// Encoder
+//===----------------------------------------------------------------------===//
+
+/// Append one events-frame payload for Events to Out. The Done counters
+/// are the names of each kind already emitted on this stream; each block
+/// defines the names from there up to the largest id Events references
+/// (ids are dense in first-use order, so that is exactly the names these
+/// events are the first to need), and the counters advance past them.
+void appendEventsPayload(std::string &Out, std::span<const Event> Events,
+                         const SymbolTable &Syms, size_t &VarsDone,
+                         size_t &LocksDone, size_t &LabelsDone);
+
+/// Append one frame: kind, payload length, FNV-1a-64, payload.
+void appendFrame(std::string &Out, uint8_t Kind, std::string_view Payload);
+
+//===----------------------------------------------------------------------===//
+// Decoder
+//===----------------------------------------------------------------------===//
+
+enum class FrameCheck {
+  Ok,
+  NeedMore,   ///< the bytes end inside the header or the payload
+  TooLong,    ///< the length field exceeds the caller's cap
+  BadChecksum,
+};
+
+struct FrameView {
+  uint8_t Kind = 0; ///< set once the header is in
+  uint64_t Len = 0; ///< the length field, set once the header is in
+  std::string_view Payload; ///< set on Ok and BadChecksum
+};
+
+/// The one frame check: Data[0..Avail) starts with a frame header whose
+/// length is at most Cap, followed by a payload that matches the checksum.
+/// TooLong is found from the header alone, before any payload byte is
+/// needed; the caller judges the kind.
+FrameCheck checkFrame(const uint8_t *Data, size_t Avail, uint64_t Cap,
+                      FrameView &Out);
+
+/// A cursor over one events-frame payload. start() reads the symbol
+/// blocks, interning their names into Syms, and the event count; next()
+/// then decodes one event at a time, and finish() checks that the payload
+/// ends after the last one. Each returns false on a malformed payload,
+/// with error() saying why, and the caller stops there. Names a failing
+/// start() interned stay in Syms.
+class EventsFrameDecoder {
+public:
+  /// Payload is borrowed: it must outlive the last next() or finish().
+  bool start(std::string_view Payload, SymbolTable &Syms);
+
+  /// Events not yet decoded.
+  uint64_t left() const { return Left; }
+
+  /// Decode the next event; left() must be nonzero. Ids are checked
+  /// against the names defined when start() returned.
+  bool next(Event &Out) {
+    if (Pos >= Size)
+      return fault("truncated event");
+    const uint8_t OpByte = Data[Pos++];
+    if (OpByte > static_cast<uint8_t>(Op::Join))
+      return badOp(OpByte);
+    uint64_t TidV = 0;
+    if (!readVarint(Data, Size, Pos, TidV))
+      return fault("truncated event");
+    if (TidV >= MaxTraceThreads)
+      return badThread(TidV);
+    const Op Kind = static_cast<Op>(OpByte);
+    uint64_t TargetV = 0;
+    if (Kind != Op::End) {
+      if (!readVarint(Data, Size, Pos, TargetV))
+        return fault("truncated event");
+      if (TargetV >= TargetBound[OpByte] &&
+          !(Kind == Op::Begin && TargetV == NoLabel))
+        return badTarget(Kind, TargetV);
+    }
+    Out = Event{Kind, static_cast<Tid>(TidV), static_cast<uint32_t>(TargetV)};
+    --Left;
+    return true;
+  }
+
+  /// After the last event: true when no bytes follow it.
+  bool finish() { return Pos == Size || fault("trailing bytes after events"); }
+
+  const std::string &error() const { return Err; }
+
+private:
+  bool fault(const char *Msg);
+  bool badOp(uint8_t OpByte);
+  bool badThread(uint64_t TidV);
+  bool badTarget(Op Kind, uint64_t TargetV);
+  bool readBlock(StringInterner &Table, const char *What);
+
+  const uint8_t *Data = nullptr;
+  size_t Size = 0;
+  size_t Pos = 0;
+  uint64_t Left = 0;
+  /// Exclusive bound on each op's target (End has none).
+  uint64_t TargetBound[8] = {};
+  std::string Err;
+};
 
 } // namespace binfmt
 } // namespace velo

@@ -70,9 +70,7 @@ bool BinaryTraceReader::openBufferSalvage(std::string_view Buf) {
   return salvageContainer();
 }
 
-bool BinaryTraceReader::validateContainer() {
-  if (Size < HeaderSize + FrameHeaderSize + TrailerSize)
-    return fail("truncated container");
+bool BinaryTraceReader::checkHeader() {
   if (std::memcmp(Data, Magic, sizeof(Magic)) != 0)
     return fail("bad magic (not a VELOTRC file)");
   if (readU32le(Data + 8) != Version)
@@ -80,6 +78,14 @@ bool BinaryTraceReader::validateContainer() {
                 std::to_string(readU32le(Data + 8)));
   if (readU32le(Data + 12) != 0)
     return fail("corrupt header (reserved bits set)");
+  return true;
+}
+
+bool BinaryTraceReader::validateContainer() {
+  if (Size < HeaderSize + FrameHeaderSize + TrailerSize)
+    return fail("truncated container");
+  if (!checkHeader())
+    return false;
   if (std::memcmp(Data + Size - 8, TrailerMagic, sizeof(TrailerMagic)) != 0)
     return fail("truncated container (missing trailer)");
   // IdxOff comes off the wire, so every bound on it is written in
@@ -92,21 +98,22 @@ bool BinaryTraceReader::validateContainer() {
     return fail("corrupt trailer (index offset out of range)");
 
   // Index frame: must span exactly from its offset to the trailer.
-  const uint8_t *FH = Data + IdxOff;
-  if (FH[0] != IndexFrame)
+  FrameView Idx;
+  FrameCheck Check =
+      checkFrame(Data + IdxOff, Size - TrailerSize - IdxOff, MaxFramePayload,
+                 Idx);
+  if (Idx.Kind != IndexFrame)
     return fail("corrupt index frame (bad kind)");
-  uint64_t Len = readU32le(FH + 1);
-  if (Len > MaxFramePayload ||
-      Len != Size - TrailerSize - FrameHeaderSize - IdxOff)
+  if (Check == FrameCheck::TooLong ||
+      Idx.Len != Size - TrailerSize - FrameHeaderSize - IdxOff)
     return fail("corrupt index frame (bad length)");
-  const uint8_t *IdxPayload = FH + FrameHeaderSize;
-  std::string_view IdxView(reinterpret_cast<const char *>(IdxPayload),
-                           static_cast<size_t>(Len));
-  if (fnv1a64(IdxView) != readU64le(FH + 5))
+  if (Check != FrameCheck::Ok)
     return fail("corrupt index frame (checksum mismatch)");
 
+  const auto *IdxPayload =
+      reinterpret_cast<const uint8_t *>(Idx.Payload.data());
+  const size_t PSize = Idx.Payload.size();
   size_t P = 0;
-  auto PSize = static_cast<size_t>(Len);
   uint64_t NumFrames = 0;
   if (!readVarint(IdxPayload, PSize, P, NumFrames))
     return fail("corrupt index frame (truncated frame count)");
@@ -131,7 +138,7 @@ bool BinaryTraceReader::validateContainer() {
       return fail("corrupt index frame (ordinal gap)");
     ExpectOrdinal += F.Count;
     // The next frame must start exactly where this one's payload ends;
-    // the length is validated again (against the checksum) at load time.
+    // kind and checksum are checked when the frame loads.
     uint64_t FLen = readU32le(Data + F.Offset + 1);
     if (FLen > MaxFramePayload ||
         FLen > IdxOff - FrameHeaderSize - F.Offset)
@@ -155,21 +162,15 @@ bool BinaryTraceReader::salvageContainer() {
   // validator first, so salvage mode is a strict superset of a normal
   // open and never changes the verdict on an intact file. The strict
   // validator proves the frame tiling and the index, but frame *bodies*
-  // are only checksummed at load time — and a salvage open promises
-  // streaming never fails — so verify every body up front and drop to
-  // prefix recovery when one is corrupt.
+  // are only checked as they load — and a salvage open promises streaming
+  // never fails — so decode every body up front and drop to prefix
+  // recovery when one is bad.
   if (validateContainer()) {
-    uint64_t SymsSeen[3] = {0, 0, 0};
+    SymbolTable Scratch;
     bool BodiesGood = true;
     for (const FrameInfo &F : Frames) {
-      const uint8_t *FH = Data + F.Offset;
-      auto Len = static_cast<size_t>(readU32le(FH + 1));
-      std::string_view View(
-          reinterpret_cast<const char *>(FH + FrameHeaderSize), Len);
-      uint64_t Count = 0;
-      if (FH[0] != EventsFrame || fnv1a64(View) != readU64le(FH + 5) ||
-          !scanFrame(FH + FrameHeaderSize, Len, SymsSeen, Count) ||
-          Count != F.Count) {
+      uint64_t Len = 0, Count = 0;
+      if (!decodesWhole(F.Offset, Scratch, Len, Count) || Count != F.Count) {
         BodiesGood = false;
         break;
       }
@@ -191,38 +192,17 @@ bool BinaryTraceReader::salvageContainer() {
 
   if (Size < HeaderSize)
     return fail("truncated container (missing header)");
-  if (std::memcmp(Data, Magic, sizeof(Magic)) != 0)
-    return fail("bad magic (not a VELOTRC file)");
-  if (readU32le(Data + 8) != Version)
-    return fail("unsupported container version " +
-                std::to_string(readU32le(Data + 8)));
-  if (readU32le(Data + 12) != 0)
-    return fail("corrupt header (reserved bits set)");
+  if (!checkHeader())
+    return false;
 
   uint64_t Off = HeaderSize;
   uint64_t ExpectOrdinal = 0;
-  uint64_t SymsSeen[3] = {0, 0, 0};
-  // Off only grows by whole validated frames, so Size - Off never
-  // underflows; lengths are bounds-checked in subtraction form exactly
-  // like validateContainer (wire data must never reach an addition).
-  while (Size - Off >= FrameHeaderSize) {
-    const uint8_t *FH = Data + Off;
-    if (FH[0] != EventsFrame)
-      break; // index frame (or garbage): the events prefix ends here
-    uint64_t Len = readU32le(FH + 1);
-    if (Len > MaxFramePayload || Len > Size - Off - FrameHeaderSize)
-      break; // truncated mid-frame
-    std::string_view View(reinterpret_cast<const char *>(FH + FrameHeaderSize),
-                          static_cast<size_t>(Len));
-    if (fnv1a64(View) != readU64le(FH + 5))
-      break; // torn or bit-flipped payload
-    uint64_t Count = 0;
-    if (!scanFrame(FH + FrameHeaderSize, static_cast<size_t>(Len), SymsSeen,
-                   Count))
-      break; // checksummed but structurally bogus: refuse to stream it
+  SymbolTable Scratch;
+  // Off only grows by whole decoded frames, so it never passes Size.
+  for (uint64_t Len = 0, Count = 0; decodesWhole(Off, Scratch, Len, Count);
+       Off += FrameHeaderSize + Len) {
     Frames.push_back({Off, ExpectOrdinal, Count});
     ExpectOrdinal += Count;
-    Off += FrameHeaderSize + Len;
   }
   if (Frames.empty())
     return fail("no intact frames to salvage");
@@ -234,130 +214,41 @@ bool BinaryTraceReader::salvageContainer() {
   return true;
 }
 
-bool BinaryTraceReader::scanFrame(const uint8_t *P, size_t N,
-                                  uint64_t SymsSeen[3], uint64_t &CountOut) {
-  size_t Pos = 0;
-  for (int B = 0; B < 3; ++B) {
-    uint64_t Base = 0, Count = 0;
-    if (!readVarint(P, N, Pos, Base) || !readVarint(P, N, Pos, Count))
-      return false;
-    if (Base != SymsSeen[B] || Count > N - Pos ||
-        Base + Count > maxTraceSymbols())
-      return false;
-    for (uint64_t I = 0; I < Count; ++I) {
-      uint64_t NameLen = 0;
-      if (!readVarint(P, N, Pos, NameLen) || NameLen > N - Pos)
-        return false;
-      Pos += static_cast<size_t>(NameLen);
-    }
-    SymsSeen[B] += Count;
-  }
-  uint64_t Num = 0;
-  if (!readVarint(P, N, Pos, Num))
+bool BinaryTraceReader::decodesWhole(uint64_t Off, SymbolTable &Scratch,
+                                     uint64_t &Len, uint64_t &Count) {
+  FrameView F;
+  if (checkFrame(Data + Off, Size - Off, MaxFramePayload, F) !=
+          FrameCheck::Ok ||
+      F.Kind != EventsFrame)
     return false;
-  for (uint64_t I = 0; I < Num; ++I) {
-    if (Pos >= N)
+  EventsFrameDecoder D;
+  if (!D.start(F.Payload, Scratch))
+    return false;
+  Count = D.left();
+  for (Event E; D.left() != 0;)
+    if (!D.next(E))
       return false;
-    uint8_t OpByte = P[Pos++];
-    if (OpByte > static_cast<uint8_t>(Op::Join))
-      return false;
-    Op Kind = static_cast<Op>(OpByte);
-    uint64_t TidV = 0;
-    if (!readVarint(P, N, Pos, TidV) || TidV >= MaxTraceThreads)
-      return false;
-    if (Kind == Op::End)
-      continue;
-    uint64_t TgtV = 0;
-    if (!readVarint(P, N, Pos, TgtV))
-      return false;
-    switch (Kind) {
-    case Op::Read:
-    case Op::Write:
-      if (TgtV >= SymsSeen[0])
-        return false;
-      break;
-    case Op::Acquire:
-    case Op::Release:
-      if (TgtV >= SymsSeen[1])
-        return false;
-      break;
-    case Op::Begin:
-      if (TgtV != NoLabel && TgtV >= SymsSeen[2])
-        return false;
-      break;
-    case Op::Fork:
-    case Op::Join:
-      if (TgtV >= MaxTraceThreads)
-        return false;
-      break;
-    case Op::End:
-      break;
-    }
-  }
-  if (Pos != N)
-    return false; // trailing bytes after events
-  CountOut = Num;
-  return true;
+  Len = F.Len;
+  return D.finish();
 }
 
 bool BinaryTraceReader::loadNextFrame() {
   const FrameInfo &F = Frames[FrameIdx];
-  const uint8_t *FH = Data + F.Offset;
-  if (FH[0] != EventsFrame)
+  // The open proved the frame's length fits before IdxOff, so only the
+  // kind and the checksum are left to check.
+  FrameView FV;
+  FrameCheck Check =
+      checkFrame(Data + F.Offset, IdxOff - F.Offset, MaxFramePayload, FV);
+  if (FV.Kind != EventsFrame)
     return fail("corrupt frame (bad kind)");
-  auto Len = static_cast<size_t>(readU32le(FH + 1));
-  Payload = FH + FrameHeaderSize;
-  PayloadSize = Len;
-  std::string_view View(reinterpret_cast<const char *>(Payload), Len);
-  if (fnv1a64(View) != readU64le(FH + 5))
+  if (Check != FrameCheck::Ok)
     return fail("corrupt frame (checksum mismatch)");
   if (F.FirstOrdinal != Ordinal)
     return fail("frame ordinal does not match resume position");
-  Pos = 0;
-
-  // Symbol blocks: contiguous with the ids defined so far, capped like
-  // the text parser's interning.
-  auto ReadBlock = [&](StringInterner &Table, std::vector<uint32_t> &Map,
-                       const char *What) {
-    uint64_t Base = 0, Count = 0;
-    if (!readVarint(Payload, PayloadSize, Pos, Base) ||
-        !readVarint(Payload, PayloadSize, Pos, Count))
-      return fail("corrupt frame (truncated symbol block)");
-    if (Base != Map.size())
-      return fail("corrupt frame (symbol block not contiguous)");
-    if (Count > PayloadSize - Pos)
-      return fail("corrupt frame (impossible symbol count)");
-    const uint64_t Cap = maxTraceSymbols();
-    if (Base + Count > Cap)
-      return fail(std::string("too many distinct ") + What + " names (cap " +
-                  std::to_string(Cap) + ")");
-    for (uint64_t I = 0; I < Count; ++I) {
-      uint64_t NameLen = 0;
-      if (!readVarint(Payload, PayloadSize, Pos, NameLen) ||
-          NameLen > PayloadSize - Pos)
-        return fail("corrupt frame (truncated symbol name)");
-      std::string_view Name(reinterpret_cast<const char *>(Payload + Pos),
-                            static_cast<size_t>(NameLen));
-      Pos += static_cast<size_t>(NameLen);
-      uint32_t Id = 0;
-      if (!internSymbolCapped(Table, Name, Cap, Id))
-        return fail(std::string("too many distinct ") + What +
-                    " names (cap " + std::to_string(Cap) + ")");
-      Map.push_back(Id);
-    }
-    return true;
-  };
-  if (!ReadBlock(Syms.Vars, VarMap, "variable") ||
-      !ReadBlock(Syms.Locks, LockMap, "lock") ||
-      !ReadBlock(Syms.Labels, LabelMap, "label"))
-    return false;
-
-  uint64_t NumInFrame = 0;
-  if (!readVarint(Payload, PayloadSize, Pos, NumInFrame))
-    return fail("corrupt frame (truncated event count)");
-  if (NumInFrame != F.Count)
+  if (!Dec.start(FV.Payload, Syms))
+    return fail(Dec.error());
+  if (Dec.left() != F.Count)
     return fail("corrupt frame (event count disagrees with index)");
-  EventsLeftInFrame = NumInFrame;
   ++FrameIdx;
   return true;
 }
@@ -365,82 +256,30 @@ bool BinaryTraceReader::loadNextFrame() {
 bool BinaryTraceReader::next(Event &Out) {
   if (Failed)
     return false;
-  while (EventsLeftInFrame == 0) {
-    if (FrameIdx > 0 && Pos != PayloadSize)
-      return fail("corrupt frame (trailing bytes after events)");
+  while (Dec.left() == 0) {
+    if (FrameIdx > 0 && !Dec.finish())
+      return fail(Dec.error());
     if (FrameIdx >= Frames.size())
       return false; // clean EOF
     if (!loadNextFrame())
       return false;
   }
-
-  if (Pos >= PayloadSize)
-    return fail("corrupt frame (truncated event)");
-  uint8_t OpByte = Payload[Pos++];
-  if (OpByte > static_cast<uint8_t>(Op::Join))
-    return fail("unknown operation code " + std::to_string(OpByte));
-  Op Kind = static_cast<Op>(OpByte);
-
-  uint64_t TidV = 0;
-  if (!readVarint(Payload, PayloadSize, Pos, TidV))
-    return fail("corrupt frame (truncated event)");
-  if (TidV >= MaxTraceThreads)
-    return fail("thread id " + std::to_string(TidV) + " out of range");
-
-  uint32_t Target = 0;
-  if (Kind != Op::End) {
-    uint64_t TgtV = 0;
-    if (!readVarint(Payload, PayloadSize, Pos, TgtV))
-      return fail("corrupt frame (truncated event)");
-    switch (Kind) {
-    case Op::Read:
-    case Op::Write:
-      if (TgtV >= VarMap.size())
-        return fail("undefined variable id " + std::to_string(TgtV));
-      Target = VarMap[static_cast<size_t>(TgtV)];
-      break;
-    case Op::Acquire:
-    case Op::Release:
-      if (TgtV >= LockMap.size())
-        return fail("undefined lock id " + std::to_string(TgtV));
-      Target = LockMap[static_cast<size_t>(TgtV)];
-      break;
-    case Op::Begin:
-      if (TgtV == NoLabel) {
-        Target = NoLabel;
-      } else if (TgtV >= LabelMap.size()) {
-        return fail("undefined label id " + std::to_string(TgtV));
-      } else {
-        Target = LabelMap[static_cast<size_t>(TgtV)];
-      }
-      break;
-    case Op::Fork:
-    case Op::Join:
-      if (TgtV >= MaxTraceThreads)
-        return fail("thread id " + std::to_string(TgtV) + " out of range");
-      Target = static_cast<uint32_t>(TgtV);
-      break;
-    case Op::End:
-      break;
-    }
-  }
-
-  Out = Event{Kind, static_cast<Tid>(TidV), Target};
-  --EventsLeftInFrame;
+  if (!Dec.next(Out))
+    return fail(Dec.error());
   ++Ordinal;
   ++NumEvents;
   return true;
 }
 
 bool BinaryTraceReader::tell(uint64_t &PosOut) {
-  if (Failed || EventsLeftInFrame != 0)
+  if (Failed || Dec.left() != 0)
     return false;
   PosOut = FrameIdx < Frames.size() ? Frames[FrameIdx].Offset : IdxOff;
   return true;
 }
 
 bool BinaryTraceReader::endOfFrame() const {
-  return !Failed && FrameIdx > 0 && EventsLeftInFrame == 0;
+  return !Failed && FrameIdx > 0 && Dec.left() == 0;
 }
 
 bool BinaryTraceReader::seekTo(uint64_t SeekPos, uint64_t Line,
@@ -463,22 +302,10 @@ bool BinaryTraceReader::seekTo(uint64_t SeekPos, uint64_t Line,
       return false;
     }
   }
+  // The snapshot restored Syms to its state at the cut: for a binary
+  // trace, exactly the names of the frames before this one.
   FrameIdx = Target;
-  EventsLeftInFrame = 0;
-  Pos = 0;
-  PayloadSize = 0;
-  // The snapshot restored Syms to its state at the cut, which for a
-  // binary trace is exactly the file's first-use order up to this frame,
-  // so the file-id -> Syms-id maps are identity prefixes.
-  auto Identity = [](std::vector<uint32_t> &Map, size_t N) {
-    Map.clear();
-    Map.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Map.push_back(static_cast<uint32_t>(I));
-  };
-  Identity(VarMap, Syms.Vars.size());
-  Identity(LockMap, Syms.Locks.size());
-  Identity(LabelMap, Syms.Labels.size());
+  Dec = EventsFrameDecoder();
   Ordinal = Line;
   NumEvents = Events;
   return true;

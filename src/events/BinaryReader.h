@@ -6,6 +6,15 @@
 // TraceSource, so the sequential checker loop and the parallel pipeline
 // ingest binary traces through the same code they use for text.
 //
+// Frames are checked and decoded by the one VELOTRC codec
+// (events/BinaryFormat.h), the same code the serve wire runs. A frame's
+// symbol blocks are interned straight into the reader's SymbolTable, whose
+// ids are therefore the file's ids: the table must hold exactly the names
+// of the frames before the next one (empty at the start, or restored from
+// a snapshot cut before a seekTo()). The salvage pre-scan decodes every
+// kept frame into a scratch table, so streaming a salvaged prefix runs the
+// same code on the same bytes and cannot fail.
+//
 // The reader is paranoid by construction: every offset, length, count,
 // id, and checksum is validated before use, so a truncated, bit-flipped,
 // or deliberately hostile file yields a clean ParseError ("line N:
@@ -17,6 +26,7 @@
 #ifndef VELO_EVENTS_BINARYREADER_H
 #define VELO_EVENTS_BINARYREADER_H
 
+#include "events/BinaryFormat.h"
 #include "events/TraceSource.h"
 
 #include <cstdint>
@@ -46,9 +56,9 @@ public:
   /// With Salvage set, a complete container is accepted as-is, and a
   /// truncated or tail-corrupted one (crashed tracer, torn final write)
   /// degrades to the longest prefix of intact events frames — each frame
-  /// checksummed *and* structurally pre-validated, so a successful salvage
-  /// never fails mid-stream. ParseError only when not even one frame
-  /// survives. salvage() describes what was recovered.
+  /// checksummed *and* decoded in full, so a successful salvage never
+  /// fails mid-stream. ParseError only when not even one frame survives.
+  /// salvage() describes what was recovered.
   TraceReadStatus open(int Fd, const std::string &Path, bool Salvage,
                        std::string &ErrorOut);
 
@@ -86,14 +96,14 @@ private:
 
   /// Record a malformed-container failure at the next event position.
   bool fail(const std::string &Msg);
+  /// Magic, version and reserved bits of the 16-byte header.
+  bool checkHeader();
   bool validateContainer();
   bool salvageContainer();
-  /// Structurally pre-validate one checksummed frame payload without
-  /// interning: symbol blocks contiguous with SymsSeen (var/lock/label
-  /// counts so far), every event decodable against them. On success bumps
-  /// SymsSeen and sets CountOut to the frame's event count.
-  bool scanFrame(const uint8_t *P, size_t N, uint64_t SymsSeen[3],
-                 uint64_t &CountOut);
+  /// Salvage's pre-scan of the events frame at Off: the frame check, then
+  /// a whole decode into Scratch. Sets Len (payload bytes) and Count.
+  bool decodesWhole(uint64_t Off, SymbolTable &Scratch, uint64_t &Len,
+                    uint64_t &Count);
   bool loadNextFrame();
 
   SymbolTable &Syms;
@@ -113,14 +123,7 @@ private:
   /// Next frame to load; the current frame (if any) is FrameIdx - 1.
   size_t FrameIdx = 0;
   /// Decode cursor into the current frame's payload.
-  const uint8_t *Payload = nullptr;
-  size_t PayloadSize = 0;
-  size_t Pos = 0;
-  uint64_t EventsLeftInFrame = 0;
-
-  /// File id -> id in Syms, per symbol kind. File ids are dense in
-  /// first-use order, so these grow append-only as frames define names.
-  std::vector<uint32_t> VarMap, LockMap, LabelMap;
+  binfmt::EventsFrameDecoder Dec;
 
   uint64_t Ordinal = 0;   ///< lineNo(): ordinal of the last event returned
   uint64_t NumEvents = 0; ///< eventCount()

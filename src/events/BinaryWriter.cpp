@@ -60,71 +60,19 @@ void BinaryTraceWriter::writeFrame(uint8_t Kind, const std::string &Payload) {
             std::to_string(maxWriterFramePayload()) + " bytes";
     return;
   }
-  std::string Header;
-  Header += static_cast<char>(Kind);
-  appendU32le(Header, static_cast<uint32_t>(Payload.size()));
-  appendU64le(Header, fnv1a64(Payload));
-  Out.write(Header.data(), static_cast<std::streamsize>(Header.size()));
-  Out.write(Payload.data(), static_cast<std::streamsize>(Payload.size()));
-  BytesWritten += Header.size() + Payload.size();
+  std::string Frame;
+  Frame.reserve(FrameHeaderSize + Payload.size());
+  appendFrame(Frame, Kind, Payload);
+  Out.write(Frame.data(), static_cast<std::streamsize>(Frame.size()));
+  BytesWritten += Frame.size();
 }
 
 void BinaryTraceWriter::flushFrame() {
   if (Pending.empty())
     return;
-
-  // A frame's symbol blocks define every id its events reference that no
-  // earlier frame has defined. Ids are dense in first-use order (the
-  // interners guarantee it), so each block is the contiguous range from
-  // the high-water mark to the largest id this frame touches.
-  size_t VarsNeed = VarsDone, LocksNeed = LocksDone, LabelsNeed = LabelsDone;
-  for (const Event &E : Pending) {
-    switch (E.Kind) {
-    case Op::Read:
-    case Op::Write:
-      if (E.var() >= VarsNeed)
-        VarsNeed = E.var() + 1;
-      break;
-    case Op::Acquire:
-    case Op::Release:
-      if (E.lock() >= LocksNeed)
-        LocksNeed = E.lock() + 1;
-      break;
-    case Op::Begin:
-      if (E.label() != NoLabel && E.label() >= LabelsNeed)
-        LabelsNeed = E.label() + 1;
-      break;
-    case Op::End:
-    case Op::Fork:
-    case Op::Join:
-      break;
-    }
-  }
-
   std::string Payload;
-  auto EmitBlock = [&](const StringInterner &Table, size_t &Done,
-                       size_t Need) {
-    appendVarint(Payload, Done);
-    appendVarint(Payload, Need - Done);
-    for (size_t I = Done; I < Need; ++I) {
-      const std::string &Name = Table.name(static_cast<uint32_t>(I));
-      appendVarint(Payload, Name.size());
-      Payload += Name;
-    }
-    Done = Need;
-  };
-  EmitBlock(Syms.Vars, VarsDone, VarsNeed);
-  EmitBlock(Syms.Locks, LocksDone, LocksNeed);
-  EmitBlock(Syms.Labels, LabelsDone, LabelsNeed);
-
-  appendVarint(Payload, Pending.size());
-  for (const Event &E : Pending) {
-    Payload += static_cast<char>(static_cast<uint8_t>(E.Kind));
-    appendVarint(Payload, E.Thread);
-    if (E.Kind != Op::End)
-      appendVarint(Payload, E.Target);
-  }
-
+  appendEventsPayload(Payload, Pending, Syms, VarsDone, LocksDone,
+                      LabelsDone);
   Index.push_back({BytesWritten, TotalEvents - Pending.size(),
                    Pending.size()});
   writeFrame(EventsFrame, Payload);

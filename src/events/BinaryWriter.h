@@ -1,12 +1,13 @@
 //===- events/BinaryWriter.h - VELOTRC emission -----------------*- C++ -*-===//
 //
 // Streaming writer for the VELOTRC binary trace container
-// (events/BinaryFormat.h). Events are buffered into fixed-size frames;
-// each frame's symbol blocks carry exactly the names its events are the
-// first to reference, in first-use interning order, so a writer fed the
-// same event stream always produces the same bytes — that canonical form
-// is what makes velodrome-convert's binary->text->binary round trip a
-// byte-identical fixpoint.
+// (events/BinaryFormat.h). Events are buffered into fixed-size frames and
+// encoded by the format's one encoder (binfmt::appendEventsPayload, which
+// the serve wire also runs): each frame's symbol blocks carry exactly the
+// names its events are the first to reference, in first-use interning
+// order, so a writer fed the same event stream always produces the same
+// bytes — that canonical form is what makes velodrome-convert's
+// binary->text->binary round trip a byte-identical fixpoint.
 //
 //===----------------------------------------------------------------------===//
 

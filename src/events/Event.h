@@ -24,6 +24,13 @@ namespace velo {
 
 /// Thread identifier. Threads are numbered densely from 0.
 using Tid = uint32_t;
+
+/// Cap on thread ids: a tid at or above it is a parse error. Shared by the
+/// text, binary and wire readers. Below it, ids may be sparse: the
+/// sanitizer and Velodrome keep per-thread state by first use, but
+/// AeroDrome and the HB race detector still size vector clocks by the
+/// largest tid (docs/INGESTION.md section 1).
+inline constexpr uint64_t MaxTraceThreads = 1 << 20;
 /// Shared-variable identifier (a field in RoadRunner terms).
 using VarId = uint32_t;
 /// Lock identifier.

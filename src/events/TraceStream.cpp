@@ -52,7 +52,7 @@ constexpr size_t BlockBytes = size_t{64} * 1024;
 bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
 
 /// Parse "T<digits>" into a thread id. Rejects non-digits and ids at or
-/// above MaxTraceThreads (see TraceStream.h).
+/// above MaxTraceThreads (see events/Event.h).
 bool parseTid(std::string_view Token, Tid &Out) {
   if (Token.size() < 2 || Token[0] != 'T')
     return false;

@@ -27,13 +27,6 @@
 
 namespace velo {
 
-/// Cap on thread ids: a tid at or above it is a parse error. Shared by the
-/// text, binary and wire readers. Below it, ids may be sparse: the
-/// sanitizer and Velodrome keep per-thread state by first use, but
-/// AeroDrome and the HB race detector still size vector clocks by the
-/// largest tid (docs/INGESTION.md section 1).
-inline constexpr uint64_t MaxTraceThreads = 1 << 20;
-
 /// Default cap on distinct names per symbol kind (variables, locks,
 /// labels); symbol ids are therefore below it.
 inline constexpr uint64_t MaxTraceSymbols = 1 << 20;

@@ -2,7 +2,6 @@
 
 #include "serve/Wire.h"
 
-#include "events/TraceStream.h"
 #include "support/Syscalls.h"
 
 namespace velo {
@@ -183,202 +182,50 @@ void encodeEventsPayload(std::string &Out, const std::vector<Event> &Events,
                          size_t Begin, size_t End, const SymbolTable &Syms,
                          size_t &VarsDone, size_t &LocksDone,
                          size_t &LabelsDone) {
-  // Mirror of BinaryTraceWriter::flushFrame over a slice: compute each
-  // kind's high-water mark, emit the contiguous definition blocks, then
-  // the events themselves.
-  size_t VarsNeed = VarsDone, LocksNeed = LocksDone, LabelsNeed = LabelsDone;
-  for (size_t I = Begin; I < End; ++I) {
-    const Event &E = Events[I];
-    switch (E.Kind) {
-    case Op::Read:
-    case Op::Write:
-      if (E.var() >= VarsNeed)
-        VarsNeed = E.var() + 1;
-      break;
-    case Op::Acquire:
-    case Op::Release:
-      if (E.lock() >= LocksNeed)
-        LocksNeed = E.lock() + 1;
-      break;
-    case Op::Begin:
-      if (E.label() != NoLabel && E.label() >= LabelsNeed)
-        LabelsNeed = E.label() + 1;
-      break;
-    case Op::End:
-    case Op::Fork:
-    case Op::Join:
-      break;
-    }
-  }
-
-  auto EmitBlock = [&](const StringInterner &Table, size_t &Done,
-                       size_t Need) {
-    appendVarint(Out, Done);
-    appendVarint(Out, Need - Done);
-    for (size_t I = Done; I < Need; ++I) {
-      const std::string &Name = Table.name(static_cast<uint32_t>(I));
-      appendVarint(Out, Name.size());
-      Out += Name;
-    }
-    Done = Need;
-  };
-  EmitBlock(Syms.Vars, VarsDone, VarsNeed);
-  EmitBlock(Syms.Locks, LocksDone, LocksNeed);
-  EmitBlock(Syms.Labels, LabelsDone, LabelsNeed);
-
-  appendVarint(Out, End - Begin);
-  for (size_t I = Begin; I < End; ++I) {
-    const Event &E = Events[I];
-    Out += static_cast<char>(static_cast<uint8_t>(E.Kind));
-    appendVarint(Out, E.Thread);
-    if (E.Kind != Op::End)
-      appendVarint(Out, E.Target);
-  }
+  appendEventsPayload(Out,
+                      std::span<const Event>(Events).subspan(Begin,
+                                                             End - Begin),
+                      Syms, VarsDone, LocksDone, LabelsDone);
 }
 
 bool decodeEventsPayload(const uint8_t *Data, size_t Size, SymbolTable &Syms,
                          std::vector<Event> &Out, std::string &Err) {
-  size_t Pos = 0;
-  // The session's symbol table holds exactly the stream's names in
-  // first-use order, so wire ids and table ids coincide — a block is valid
-  // iff its base equals the table size and every name is genuinely new.
-  auto ReadBlock = [&](StringInterner &Table, const char *What) {
-    uint64_t Base = 0, Count = 0;
-    if (!readVarint(Data, Size, Pos, Base) ||
-        !readVarint(Data, Size, Pos, Count)) {
-      Err = "truncated symbol block";
-      return false;
-    }
-    if (Base != Table.size()) {
-      Err = "symbol block not contiguous";
-      return false;
-    }
-    if (Count > Size - Pos) {
-      Err = "impossible symbol count";
-      return false;
-    }
-    const uint64_t Cap = maxTraceSymbols();
-    if (Base + Count > Cap) {
-      Err = std::string("too many distinct ") + What + " names (cap " +
-            std::to_string(Cap) + ")";
-      return false;
-    }
-    for (uint64_t I = 0; I < Count; ++I) {
-      uint64_t NameLen = 0;
-      if (!readVarint(Data, Size, Pos, NameLen) || NameLen > Size - Pos) {
-        Err = "truncated symbol name";
-        return false;
-      }
-      std::string_view Name(reinterpret_cast<const char *>(Data + Pos),
-                            static_cast<size_t>(NameLen));
-      Pos += static_cast<size_t>(NameLen);
-      uint32_t Id = 0;
-      if (!internSymbolCapped(Table, Name, Cap, Id)) {
-        Err = std::string("too many distinct ") + What + " names (cap " +
-              std::to_string(Cap) + ")";
-        return false;
-      }
-      if (Id != Base + I) {
-        Err = std::string("duplicate ") + What + " name in symbol block";
-        return false;
-      }
-    }
+  EventsFrameDecoder D;
+  bool Ok = D.start(
+      std::string_view(reinterpret_cast<const char *>(Data), Size), Syms);
+  if (Ok)
+    Out.reserve(Out.size() + static_cast<size_t>(D.left()));
+  Event E;
+  while (Ok && D.left() != 0 && (Ok = D.next(E)))
+    Out.push_back(E);
+  if (Ok && D.finish())
     return true;
-  };
-  if (!ReadBlock(Syms.Vars, "variable") || !ReadBlock(Syms.Locks, "lock") ||
-      !ReadBlock(Syms.Labels, "label"))
-    return false;
-
-  uint64_t Count = 0;
-  if (!readVarint(Data, Size, Pos, Count)) {
-    Err = "truncated event count";
-    return false;
-  }
-  // Each event is at least two bytes (op + tid varint), so a count beyond
-  // the remaining payload is a lie — reject before reserving.
-  if (Count > (Size - Pos + 1) / 2) {
-    Err = "impossible event count";
-    return false;
-  }
-  Out.reserve(Out.size() + static_cast<size_t>(Count));
-  for (uint64_t I = 0; I < Count; ++I) {
-    if (Pos >= Size) {
-      Err = "truncated event";
-      return false;
-    }
-    uint8_t OpByte = Data[Pos++];
-    if (OpByte > static_cast<uint8_t>(Op::Join)) {
-      Err = "unknown operation code " + std::to_string(OpByte);
-      return false;
-    }
-    Op Kind = static_cast<Op>(OpByte);
-    uint64_t TidV = 0;
-    if (!readVarint(Data, Size, Pos, TidV)) {
-      Err = "truncated event";
-      return false;
-    }
-    if (TidV >= MaxTraceThreads) {
-      Err = "thread id " + std::to_string(TidV) + " out of range";
-      return false;
-    }
-    uint32_t Target = 0;
-    if (Kind != Op::End) {
-      uint64_t TgtV = 0;
-      if (!readVarint(Data, Size, Pos, TgtV)) {
-        Err = "truncated event";
-        return false;
-      }
-      switch (Kind) {
-      case Op::Read:
-      case Op::Write:
-        if (TgtV >= Syms.Vars.size()) {
-          Err = "undefined variable id " + std::to_string(TgtV);
-          return false;
-        }
-        break;
-      case Op::Acquire:
-      case Op::Release:
-        if (TgtV >= Syms.Locks.size()) {
-          Err = "undefined lock id " + std::to_string(TgtV);
-          return false;
-        }
-        break;
-      case Op::Begin:
-        if (TgtV != NoLabel && TgtV >= Syms.Labels.size()) {
-          Err = "undefined label id " + std::to_string(TgtV);
-          return false;
-        }
-        break;
-      case Op::Fork:
-      case Op::Join:
-        if (TgtV >= MaxTraceThreads) {
-          Err = "thread id " + std::to_string(TgtV) + " out of range";
-          return false;
-        }
-        break;
-      case Op::End:
-        break;
-      }
-      Target = static_cast<uint32_t>(TgtV);
-    }
-    Out.push_back(Event{Kind, static_cast<Tid>(TidV), Target});
-  }
-  if (Pos != Size) {
-    Err = "trailing bytes after events";
-    return false;
-  }
-  return true;
+  Err = D.error();
+  return false;
 }
 
 std::string frameBytes(uint8_t Kind, std::string_view Payload) {
   std::string Out;
   Out.reserve(FrameHeaderSize + Payload.size());
-  Out += static_cast<char>(Kind);
-  appendU32le(Out, static_cast<uint32_t>(Payload.size()));
-  appendU64le(Out, fnv1a64(Payload));
-  Out += Payload;
+  appendFrame(Out, Kind, Payload);
   return Out;
 }
+
+namespace {
+
+const uint8_t *bytes(const std::string &S) {
+  return reinterpret_cast<const uint8_t *>(S.data());
+}
+
+/// The diagnostic for a frame the shared frame check refused.
+std::string frameFault(FrameCheck Check, const FrameView &F) {
+  if (Check == FrameCheck::TooLong)
+    return "frame payload of " + std::to_string(F.Len) +
+           " bytes exceeds the protocol limit";
+  return "frame checksum mismatch (torn or corrupt frame)";
+}
+
+} // namespace
 
 bool FrameSplitter::next(uint8_t &KindOut, std::string &PayloadOut) {
   if (Failed)
@@ -389,58 +236,51 @@ bool FrameSplitter::next(uint8_t &KindOut, std::string &PayloadOut) {
     Buf.erase(0, Pos);
     Pos = 0;
   }
-  if (buffered() < FrameHeaderSize)
+  FrameView F;
+  FrameCheck Check =
+      checkFrame(bytes(Buf) + Pos, buffered(), MaxWirePayload, F);
+  if (Check == FrameCheck::NeedMore)
     return false;
-  const uint8_t *H = reinterpret_cast<const uint8_t *>(Buf.data()) + Pos;
-  uint8_t Kind = H[0];
-  uint64_t Len = readU32le(H + 1);
-  if (Len > MaxWirePayload) {
+  if (Check != FrameCheck::Ok) {
     Failed = true;
-    Err = "frame payload of " + std::to_string(Len) +
-          " bytes exceeds the protocol limit";
+    Err = frameFault(Check, F);
     return false;
   }
-  if (buffered() - FrameHeaderSize < Len)
-    return false; // need more bytes
-  std::string_view Payload(Buf.data() + Pos + FrameHeaderSize,
-                           static_cast<size_t>(Len));
-  if (fnv1a64(Payload) != readU64le(H + 5)) {
-    Failed = true;
-    Err = "frame checksum mismatch (torn or corrupt frame)";
-    return false;
-  }
-  KindOut = Kind;
-  PayloadOut.assign(Payload.data(), Payload.size());
-  Pos += FrameHeaderSize + static_cast<size_t>(Len);
+  KindOut = F.Kind;
+  PayloadOut.assign(F.Payload);
+  Pos += FrameHeaderSize + F.Payload.size();
   return true;
 }
 
 int readWireFrame(int Fd, uint8_t &KindOut, std::string &PayloadOut,
                   std::string &Err) {
-  uint8_t Header[FrameHeaderSize];
-  int R = sys::readFull(Fd, Header, sizeof(Header));
+  std::string Frame(FrameHeaderSize, '\0');
+  int R = sys::readFull(Fd, Frame.data(), FrameHeaderSize);
   if (R == 0)
     return 0;
   if (R < 0) {
     Err = "connection closed mid-frame";
     return -1;
   }
-  KindOut = Header[0];
-  uint64_t Len = readU32le(Header + 1);
-  if (Len > MaxWirePayload) {
-    Err = "frame payload of " + std::to_string(Len) +
-          " bytes exceeds the protocol limit";
+  // The header alone settles the length check, before the payload is
+  // allocated; the second check sees the whole frame.
+  FrameView F;
+  FrameCheck C = checkFrame(bytes(Frame), Frame.size(), MaxWirePayload, F);
+  if (C == FrameCheck::NeedMore) {
+    Frame.resize(FrameHeaderSize + static_cast<size_t>(F.Len));
+    if (sys::readFull(Fd, Frame.data() + FrameHeaderSize,
+                      static_cast<size_t>(F.Len)) != 1) {
+      Err = "connection closed mid-frame";
+      return -1;
+    }
+    C = checkFrame(bytes(Frame), Frame.size(), MaxWirePayload, F);
+  }
+  if (C != FrameCheck::Ok) {
+    Err = frameFault(C, F);
     return -1;
   }
-  PayloadOut.resize(static_cast<size_t>(Len));
-  if (Len > 0 && sys::readFull(Fd, PayloadOut.data(), PayloadOut.size()) != 1) {
-    Err = "connection closed mid-frame";
-    return -1;
-  }
-  if (fnv1a64(PayloadOut) != readU64le(Header + 5)) {
-    Err = "frame checksum mismatch (torn or corrupt frame)";
-    return -1;
-  }
+  KindOut = F.Kind;
+  PayloadOut.assign(F.Payload);
   return 1;
 }
 

@@ -1,17 +1,18 @@
 //===- serve/Wire.h - velodrome-serve wire protocol -------------*- C++ -*-===//
 //
-// Length-framed session protocol for the velodrome-serve daemon, derived
-// from the VELOTRC frame codec (events/BinaryFormat.h): every message is
+// Length-framed session protocol for the velodrome-serve daemon, built on
+// the VELOTRC frame codec (events/BinaryFormat.h): every message is
 //
 //   frame := u8 kind  u32le payload-len  u64le fnv1a64(payload)  payload
 //
-// — the identical 13-byte header the .vtrc container uses, so torn or
-// bit-flipped frames are rejected by the same checksum discipline, and an
-// events frame's payload *is* a VELOTRC events-frame payload (symbol
-// blocks + varint-coded events), letting clients stream a .vtrc file's
-// frames over a socket nearly unmodified.
+// — the 13-byte header the .vtrc container uses, checked by the same
+// binfmt::checkFrame under the wire's own length cap. An EVENTS payload
+// *is* a VELOTRC events-frame payload (symbol blocks + varint-coded
+// events): it is encoded and decoded by the codec the container writer and
+// reader run, with the same diagnostics, so the payloads of a .vtrc
+// file's events frames stream over a socket unmodified.
 //
-// Session lifecycle (docs/OPERATIONS.md §7 has the full grammar):
+// Session lifecycle (docs/OPERATIONS.md §6.1 has the full grammar):
 //
 //   client: HELLO ──▶            server: HELLO-OK (resume position, credit)
 //   client: EVENTS* ──▶          server: ACK per frame (progress, credit)
@@ -121,18 +122,19 @@ bool decodeVerdict(const uint8_t *Data, size_t Size, VerdictMsg &Out,
                    std::string &Err);
 
 /// Append one VELOTRC events-frame payload covering Events[Begin..End) to
-/// Out. The Done counters are the per-kind symbol high-water marks already
-/// emitted on this stream; they advance as blocks are written (same
-/// canonical first-use grammar as BinaryTraceWriter::flushFrame).
+/// Out through binfmt::appendEventsPayload, the container writer's
+/// encoder. The Done counters are the per-kind symbol high-water marks
+/// already emitted on this stream; they advance as blocks are written.
 void encodeEventsPayload(std::string &Out, const std::vector<Event> &Events,
                          size_t Begin, size_t End, const SymbolTable &Syms,
                          size_t &VarsDone, size_t &LocksDone,
                          size_t &LabelsDone);
 
-/// Decode an events-frame payload, interning new names into Syms (which
+/// Decode a whole events-frame payload through binfmt::EventsFrameDecoder,
+/// the container reader's decoder, interning new names into Syms (which
 /// must contain exactly the stream's previously defined names, so ids
-/// align) and appending the events to Out. Enforces the binary reader's
-/// caps: contiguous symbol blocks, symbol-count cap, thread-id cap.
+/// align) and appending the events to Out. Err gets the decoder's message,
+/// the one a container reader prints after "line N: ".
 bool decodeEventsPayload(const uint8_t *Data, size_t Size, SymbolTable &Syms,
                          std::vector<Event> &Out, std::string &Err);
 

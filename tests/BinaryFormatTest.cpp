@@ -351,6 +351,35 @@ TEST(BinaryFormat, UndefinedSymbolIdIsRejected) {
   EXPECT_EQ(R.error().rfind("line 1:", 0), 0u) << R.error();
 }
 
+TEST(BinaryFormat, RepeatedSymbolNameIsRejected) {
+  // A block defining x twice would give two file ids one name; ids must
+  // be symbol-table ids, so the repeat is a parse error on the first frame.
+  std::string P;
+  binfmt::appendVarint(P, 0); // vars base
+  binfmt::appendVarint(P, 2);
+  for (int I = 0; I < 2; ++I) {
+    binfmt::appendVarint(P, 1);
+    P += "x";
+  }
+  for (int I = 0; I < 2; ++I) { // locks, labels
+    binfmt::appendVarint(P, 0);
+    binfmt::appendVarint(P, 0);
+  }
+  binfmt::appendVarint(P, 2);
+  for (uint64_t Var : {0, 1}) {
+    P += static_cast<char>(static_cast<uint8_t>(Op::Write));
+    binfmt::appendVarint(P, 0);
+    binfmt::appendVarint(P, Var);
+  }
+  const std::string Bytes = buildContainer(P, 2);
+  SymbolTable Syms;
+  BinaryTraceReader R(Syms);
+  ASSERT_TRUE(R.openBuffer(Bytes)) << R.error();
+  EXPECT_TRUE(drain(R).empty());
+  ASSERT_TRUE(R.failed());
+  EXPECT_EQ(R.error(), "line 1: duplicate variable name in symbol block");
+}
+
 TEST(BinaryFormat, BadOpCodeIsRejected) {
   std::string P = emptySymbolBlocks();
   binfmt::appendVarint(P, 1);

@@ -239,6 +239,31 @@ TEST(ServeWireTest, EventsDecodeRejectsNonContiguousSymbols) {
   EXPECT_NE(Err.find("symbol"), std::string::npos) << Err;
 }
 
+TEST(ServeWireTest, EventsDecodeRejectsRepeatedSymbolName) {
+  // A lock block defining m twice: the second m is not a new name, so the
+  // payload's ids could not be the session table's ids.
+  std::string Payload;
+  binfmt::appendVarint(Payload, 0); // vars
+  binfmt::appendVarint(Payload, 0);
+  binfmt::appendVarint(Payload, 0); // locks
+  binfmt::appendVarint(Payload, 2);
+  for (int I = 0; I < 2; ++I) {
+    binfmt::appendVarint(Payload, 1);
+    Payload += "m";
+  }
+  binfmt::appendVarint(Payload, 0); // labels
+  binfmt::appendVarint(Payload, 0);
+  binfmt::appendVarint(Payload, 0); // events
+  SymbolTable Syms;
+  std::vector<Event> Out;
+  std::string Err;
+  EXPECT_FALSE(decodeEventsPayload(
+      reinterpret_cast<const uint8_t *>(Payload.data()), Payload.size(), Syms,
+      Out, Err));
+  EXPECT_EQ(Err, "duplicate lock name in symbol block");
+  EXPECT_TRUE(Out.empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Frame splitter
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "VtrcBuilder.h"
+
 #include "events/TraceGen.h"
 #include "events/TraceText.h"
 
@@ -1168,6 +1170,43 @@ TEST(ConvertCliTest, CorruptedContainersExitTwoWithDiagnostic) {
   for (const char *F : {"velo_corrupt.vtrc", "velo_corrupt_cut.vtrc",
                         "velo_corrupt_flip.vtrc"})
     std::remove((Tmp + "/" + F).c_str());
+}
+
+TEST(CheckCliTest, RepeatedSymbolNameInContainerExitsTwo) {
+  // Three frames, ten events; the first frame defines x twice. Ids in a
+  // container are symbol-table ids, which a resumed run rebuilds from the
+  // names alone, so the repeat is a parse error at the first event whether
+  // the reader runs sequentially or in the pipeline.
+  using velo::Op;
+  using velo::test::PayloadBuilder;
+  PayloadBuilder F1, F2, F3;
+  F1.block(0, {"x", "x"}).block(0, {"m"}).block(0, {}).count(4);
+  F1.event(Op::Acquire, 0, 0)
+      .event(Op::Read, 0, 0)
+      .event(Op::Write, 0, 1)
+      .event(Op::Release, 0, 0);
+  F2.block(2, {"y"}).block(1, {}).block(0, {}).count(3);
+  F2.event(Op::Read, 0, 2).event(Op::Write, 0, 2).event(Op::Read, 0, 0);
+  F3.block(3, {}).block(1, {}).block(0, {}).count(3);
+  F3.event(Op::Write, 0, 0).event(Op::Write, 0, 1).event(Op::Read, 0, 2);
+  const std::string Path = ::testing::TempDir() + "/velo_dup_names.vtrc";
+  {
+    const std::string Bytes = velo::test::containerOf({F1, F2, F3});
+    std::ofstream Out(Path, std::ios::binary);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+  for (const char *Mode : {"", " --parallel"}) {
+    std::string Diag;
+    EXPECT_EQ(runCmdAll(std::string(VELO_CHECK_BIN) + Mode +
+                            " --backend=velodrome " + Path,
+                        Diag),
+              2)
+        << Mode;
+    EXPECT_NE(Diag.find(Path + ":1: duplicate variable name in symbol block"),
+              std::string::npos)
+        << Mode << ": " << Diag;
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(ConvertCliTest, RecordedVtrcIsNativeBinaryAndVerdictPreserving) {
