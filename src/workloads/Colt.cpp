@@ -323,7 +323,8 @@ public:
                     AtomicRegion A(T, "Descriptive.windowWidth");
                     if (GDesc)
                       T.lockAcquire(DescMu);
-                    int64_t Width = T.read(WindowHi) - T.read(WindowLo);
+                    int64_t Width = T.read(WindowHi);
+                    Width -= T.read(WindowLo);
                     (void)Width;
                     if (GDesc)
                       T.lockRelease(DescMu);
@@ -342,7 +343,8 @@ public:
                     AtomicRegion A(T, "Histogram.checkRange");
                     if (GHist)
                       T.lockAcquire(HistMu);
-                    int64_t Out = T.read(Overflow) + T.read(Underflow);
+                    int64_t Out = T.read(Overflow);
+                    Out += T.read(Underflow);
                     (void)Out;
                     if (GHist)
                       T.lockRelease(HistMu);

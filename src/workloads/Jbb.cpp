@@ -114,7 +114,8 @@ public:
                   "Worker.creditCheck", "Worker.catalogScan",
                   "Worker.warmup",     "Worker.auditConfig"};
               AtomicRegion A(T, Helpers[O % 6]);
-              int64_t Probe = T.read(CfgItems) + T.read(CfgPayRate);
+              int64_t Probe = T.read(CfgItems);
+              Probe += T.read(CfgPayRate);
               if (O % 2 == 0)
                 Probe += T.read(Phase);
               (void)Probe;
@@ -216,8 +217,8 @@ public:
               AtomicRegion A(T, "Warehouse.orderStatus");
               if (Guard)
                 T.lockAcquire(*WhMu[W]);
-              int64_t Status =
-                  T.read(*PendingOrders[W]) * 100 + T.read(*NextOrder[W]);
+              int64_t Status = T.read(*PendingOrders[W]) * 100;
+              Status += T.read(*NextOrder[W]);
               (void)Status;
               if (Guard)
                 T.lockRelease(*WhMu[W]);

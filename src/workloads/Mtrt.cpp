@@ -109,8 +109,9 @@ public:
               AtomicRegion A(T, Inspect[Row % 8]);
               int S1 = static_cast<int>(Row % NumSpheres);
               int S2 = static_cast<int>((Row + 1) % NumSpheres);
-              int64_t Probe = T.read(*SphereX[S1]) + T.read(*SphereR[S2]) +
-                              T.read(*LightI[Row % 2]);
+              int64_t Probe = T.read(*SphereX[S1]);
+              Probe += T.read(*SphereR[S2]);
+              Probe += T.read(*LightI[Row % 2]);
               (void)Probe;
             }
 
@@ -138,8 +139,10 @@ public:
               { // Scene.shade: light reads (FP).
                 AtomicRegion A(T, "Scene.shade");
                 int64_t Shade = 0;
-                if (Hit >= 0)
-                  Shade = T.read(*LightI[0]) + T.read(*LightI[1]) / (Hit + 1);
+                if (Hit >= 0) {
+                  Shade = T.read(*LightI[0]);
+                  Shade += T.read(*LightI[1]) / (Hit + 1);
+                }
                 RowSum += Shade;
               }
             }

@@ -15,6 +15,12 @@
 //   - guardSites(): named synchronization sites the defect-injection
 //     framework (Section 6's study) can disable one at a time.
 //
+// Two monitored operations are never unsequenced operands of one
+// expression, as in `T.read(A) + T.read(B)`: C++ leaves their order
+// unspecified, so the recorded trace would depend on the compiler and its
+// flags (the ASan build and the plain one once disagreed on mtrt). Read
+// into separate statements; `T.write(X, T.read(X) + 1)` is sequenced.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_WORKLOADS_WORKLOAD_H
