@@ -3,11 +3,71 @@
 #include "rt/Runtime.h"
 
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace velo {
+
+namespace {
+
+/// Usable stack of every Deterministic-mode thread. Sized so the whole
+/// suite passes under ASan+UBSan, whose frames are larger; MAP_NORESERVE
+/// makes only the pages a thread touches cost memory.
+constexpr size_t FiberStackBytes = size_t(1) << 20;
+
+/// The Runtime whose Deterministic run occupies this OS thread: a fiber's
+/// entry function finds its host here.
+thread_local Runtime *FiberHost = nullptr;
+
+} // namespace
+
+/// One Deterministic-mode thread's execution context: a ucontext and an
+/// mmap'd stack with a PROT_NONE guard page below it. The context of the
+/// OS thread that called run() is a Fiber with no mapping of its own; its
+/// stack bounds are learned (under ASan) on the first switch away from it.
+struct Runtime::Fiber {
+  ucontext_t Ctx{};
+  void *Map = nullptr; ///< guard page + stack
+  size_t MapBytes = 0;
+  void *Stack = nullptr; ///< lowest usable stack byte
+  size_t StackBytes = 0;
+  void *FakeStack = nullptr; ///< ASan's fake stack while switched out
+  void *Tsan = nullptr;      ///< TSan's fiber for this context
+
+  Fiber() = default;
+  Fiber(const Fiber &) = delete;
+  Fiber &operator=(const Fiber &) = delete;
+  /// Runs in ~Runtime, after the fiber has switched away for the last
+  /// time: never on the stack it frees.
+  ~Fiber() {
+    if (!Map)
+      return; // run()'s context owns nothing
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(Tsan);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    // A finished thread never unwound its last frames; clear their
+    // redzones so a later mapping at this address starts unpoisoned.
+    ASAN_UNPOISON_MEMORY_REGION(Stack, StackBytes);
+#endif
+    ::munmap(Map, MapBytes);
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // MonitoredThread
@@ -55,13 +115,11 @@ void MonitoredThread::lockAcquire(LockVar &M) {
   }
   RT.schedPoint(Id);
   if (RT.deterministic()) {
-    std::unique_lock<std::mutex> L(RT.SchedMu);
     if (M.Held) {
       Runtime::ThreadRec &Rec = RT.ThreadTable[Id];
       Rec.State = Runtime::ThreadState::Blocked;
       Rec.Unblocked = [&M] { return !M.Held; };
-      RT.scheduleNextLocked();
-      RT.waitUntilRunning(L, Id);
+      RT.reschedule(Rec);
     }
     assert(!M.Held && "scheduled while lock still held");
     M.Held = true;
@@ -84,14 +142,8 @@ void MonitoredThread::lockRelease(LockVar &M) {
     return; // re-entrant: filtered
   RT.schedPoint(Id);
   if (RT.deterministic()) {
-    {
-      std::unique_lock<std::mutex> L(RT.SchedMu);
-      assert(M.Held && M.Holder == Id && "release by non-holder");
-      M.Held = false;
-    }
-    // Emit outside SchedMu: emit() may re-take it for adversarial stalls,
-    // and no other monitored thread can run before we reach our next
-    // scheduling point anyway.
+    assert(M.Held && M.Holder == Id && "release by non-holder");
+    M.Held = false;
     RT.emit(Event::release(Id, M.Id));
     return;
   }
@@ -135,7 +187,6 @@ Tid MonitoredThread::fork(std::function<void(MonitoredThread &)> Body) {
 void MonitoredThread::join(Tid Child) {
   RT.schedPoint(Id);
   if (RT.deterministic()) {
-    std::unique_lock<std::mutex> L(RT.SchedMu);
     Runtime::ThreadRec &ChildRec = RT.ThreadTable[Child];
     if (ChildRec.State != Runtime::ThreadState::Finished) {
       Runtime::ThreadRec &Rec = RT.ThreadTable[Id];
@@ -143,8 +194,7 @@ void MonitoredThread::join(Tid Child) {
       Rec.Unblocked = [&ChildRec] {
         return ChildRec.State == Runtime::ThreadState::Finished;
       };
-      RT.scheduleNextLocked();
-      RT.waitUntilRunning(L, Id);
+      RT.reschedule(Rec);
     }
   } else {
     std::unique_lock<std::mutex> L(RT.SchedMu);
@@ -172,6 +222,7 @@ Runtime::Runtime(RuntimeOptions Opts, std::vector<Backend *> Backends)
       SchedRng(Opts.SchedulerSeed) {}
 
 Runtime::~Runtime() {
+  // Fibers unmap their stacks as the table goes; OS threads join first.
   for (ThreadRec &Rec : ThreadTable)
     if (Rec.Worker.joinable())
       Rec.Worker.join();
@@ -211,10 +262,8 @@ void Runtime::emit(const Event &E) {
     for (Backend *B : Backends)
       B->onEvent(E);
     if (Opts.Adversarial && Guide && Guide->lastEventSuspicious() &&
-        stallPolicyAllows(E)) {
-      std::lock_guard<std::mutex> G(SchedMu);
+        stallPolicyAllows(E))
       ThreadTable[E.Thread].Stall = Opts.AdversarialStall;
-    }
     return;
   }
   std::lock_guard<std::mutex> G(EmitMu);
@@ -236,14 +285,10 @@ bool Runtime::stallPolicyAllows(const Event &E) const {
   return true;
 }
 
-void Runtime::waitUntilRunning(std::unique_lock<std::mutex> &L, Tid Self) {
-  ThreadRec &Rec = ThreadTable[Self];
-  Rec.Cv.wait(L, [&Rec] { return Rec.State == ThreadState::Running; });
-}
-
-void Runtime::scheduleNextLocked() {
+Runtime::ThreadRec *Runtime::scheduleNext() {
   // Candidates: ready threads and blocked threads whose predicate holds.
-  std::vector<ThreadRec *> Runnable, Stalled;
+  Runnable.clear();
+  Stalled.clear();
   for (ThreadRec &Rec : ThreadTable) {
     bool Can = Rec.State == ThreadState::Ready ||
                (Rec.State == ThreadState::Blocked && Rec.Unblocked &&
@@ -261,7 +306,7 @@ void Runtime::scheduleNextLocked() {
   std::vector<ThreadRec *> &Pool = Runnable.empty() ? Stalled : Runnable;
   if (Pool.empty()) {
     if (LiveThreads == 0)
-      return; // clean shutdown; run() is waiting on AllDoneCv
+      return nullptr; // clean shutdown: the last fiber returns to run()
     std::fprintf(stderr,
                  "velodrome rt: deadlock — %zu live threads, none runnable\n",
                  LiveThreads);
@@ -276,7 +321,74 @@ void Runtime::scheduleNextLocked() {
   Next->State = ThreadState::Running;
   Next->Unblocked = nullptr;
   Current = Next->Id;
-  Next->Cv.notify_all();
+  return Next;
+}
+
+void Runtime::reschedule(ThreadRec &Self) {
+  ThreadRec *Next = scheduleNext();
+  assert(Next && "Self is live, so a thread is scheduled");
+  if (Next != &Self)
+    switchFiber(*Self.Context, *Next->Context, /*FromFinished=*/false);
+}
+
+void Runtime::switchFiber(Fiber &From, Fiber &To,
+                          [[maybe_unused]] bool FromFinished) {
+#if defined(__SANITIZE_ADDRESS__)
+  // A null save slot tells ASan the leaving fiber is gone for good.
+  __sanitizer_start_switch_fiber(FromFinished ? nullptr : &From.FakeStack,
+                                 To.Stack, To.StackBytes);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(To.Tsan, 0);
+#endif
+  ::swapcontext(&From.Ctx, &To.Ctx);
+  // Resumed: another fiber switched back to this one.
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(From.FakeStack, nullptr, nullptr);
+#endif
+}
+
+std::unique_ptr<Runtime::Fiber> Runtime::makeFiber() {
+  static const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  auto F = std::make_unique<Fiber>();
+  F->MapBytes = Page + FiberStackBytes;
+  void *Map = ::mmap(nullptr, F->MapBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+  if (Map == MAP_FAILED || ::mprotect(Map, Page, PROT_NONE) != 0) {
+    std::fprintf(stderr, "velodrome rt: cannot map a thread stack: %s\n",
+                 std::strerror(errno));
+    std::abort();
+  }
+  F->Map = Map;
+  F->Stack = static_cast<char *>(Map) + Page;
+  F->StackBytes = FiberStackBytes;
+  ::getcontext(&F->Ctx);
+  F->Ctx.uc_stack.ss_sp = F->Stack;
+  F->Ctx.uc_stack.ss_size = F->StackBytes;
+  F->Ctx.uc_link = nullptr; // threadMain never returns into the trampoline
+  ::makecontext(&F->Ctx, &Runtime::fiberMain, 0);
+#if defined(__SANITIZE_THREAD__)
+  F->Tsan = __tsan_create_fiber(0);
+#endif
+  return F;
+}
+
+void Runtime::fiberMain() {
+  Runtime &RT = *FiberHost;
+  ThreadRec &Rec = RT.ThreadTable[RT.Current];
+#if defined(__SANITIZE_ADDRESS__)
+  // Thread 0 is entered from run(): learn the caller's stack, which the
+  // last thread to exit switches back to.
+  const void *FromStack = nullptr;
+  size_t FromBytes = 0;
+  __sanitizer_finish_switch_fiber(nullptr, &FromStack, &FromBytes);
+  if (Rec.Id == 0) {
+    RT.Caller->Stack = const_cast<void *>(FromStack);
+    RT.Caller->StackBytes = FromBytes;
+  }
+#endif
+  RT.threadMain(Rec);
 }
 
 void Runtime::schedPoint(Tid Self) {
@@ -290,10 +402,9 @@ void Runtime::schedPoint(Tid Self) {
     }
     return;
   }
-  std::unique_lock<std::mutex> L(SchedMu);
-  ThreadTable[Self].State = ThreadState::Ready;
-  scheduleNextLocked();
-  waitUntilRunning(L, Self);
+  ThreadRec &Rec = ThreadTable[Self];
+  Rec.State = ThreadState::Ready;
+  reschedule(Rec);
 }
 
 Tid Runtime::spawnThread(std::function<void(MonitoredThread &)> Body,
@@ -302,12 +413,14 @@ Tid Runtime::spawnThread(std::function<void(MonitoredThread &)> Body,
   ThreadRec *Rec;
   {
     // The deque never relocates elements, but concurrent push_back and
-    // operator[] still race on its internals in FreeRunning mode — so every
-    // table access goes through a pointer captured under SchedMu.
-    std::lock_guard<std::mutex> G(SchedMu);
+    // operator[] still race on its internals in FreeRunning mode — so there
+    // every table access goes through a pointer captured under SchedMu. A
+    // Deterministic run has one OS thread and takes no lock.
+    std::unique_lock<std::mutex> G(SchedMu, std::defer_lock);
+    if (!deterministic())
+      G.lock();
     Child = static_cast<Tid>(ThreadTable.size());
-    ThreadTable.emplace_back();
-    Rec = &ThreadTable.back();
+    Rec = &ThreadTable.emplace_back();
     Rec->Id = Child;
     Rec->Body = std::move(Body);
     Rec->State = ThreadState::Ready;
@@ -316,36 +429,41 @@ Tid Runtime::spawnThread(std::function<void(MonitoredThread &)> Body,
   // Emit the fork before the child can run, so its events follow the fork
   // in the linearized stream. Thread 0 has no fork event (the "main"
   // thread pre-exists, as in the paper's semantics).
-  bool IsMain = Child == 0;
-  if (!IsMain)
+  if (Child != 0)
     emit(Event::fork(Parent, Child));
-  Rec->Worker = std::thread([this, Rec] { threadMain(Rec); });
+  if (deterministic())
+    Rec->Context = makeFiber(); // first runs when the scheduler picks it
+  else
+    Rec->Worker = std::thread([this, Rec] { threadMain(*Rec); });
   return Child;
 }
 
-void Runtime::threadMain(ThreadRec *RecPtr) {
-  Tid Self = RecPtr->Id;
-  if (deterministic()) {
-    std::unique_lock<std::mutex> L(SchedMu);
-    waitUntilRunning(L, Self);
-  }
+void Runtime::threadMain(ThreadRec &Rec) {
+  Tid Self = Rec.Id;
   {
     SplitMix64 Mix(Opts.WorkloadSeed ^ (0x9e3779b97f4a7c15ULL * (Self + 1)));
     MonitoredThread Handle(*this, Self, Mix.next());
-    RecPtr->Body(Handle);
+    Rec.Body(Handle);
     if (Handle.BlockDepth != 0) {
       std::fprintf(stderr, "velodrome rt: T%u exits inside an atomic block\n",
                    Self);
       std::abort();
     }
   }
-  std::unique_lock<std::mutex> L(SchedMu);
-  ThreadRec &Rec = *RecPtr;
+  if (deterministic()) {
+    // Nothing on this stack owns anything by now: its last switch leaves
+    // for good, and ~Runtime unmaps it.
+    Rec.State = ThreadState::Finished;
+    --LiveThreads;
+    ThreadRec *Next = scheduleNext();
+    switchFiber(*Rec.Context, Next ? *Next->Context : *Caller,
+                /*FromFinished=*/true);
+    std::abort(); // a finished fiber is never resumed
+  }
+  std::lock_guard<std::mutex> G(SchedMu);
   Rec.State = ThreadState::Finished;
   --LiveThreads;
   Rec.Cv.notify_all(); // free-running joiners wait on the child's Cv
-  if (deterministic())
-    scheduleNextLocked();
   if (LiveThreads == 0)
     AllDoneCv.notify_all();
 }
@@ -360,15 +478,24 @@ void Runtime::run(std::function<void(MonitoredThread &)> Body) {
       B->beginAnalysis(Symbols);
 
   spawnThread(std::move(Body), 0);
-  {
-    std::unique_lock<std::mutex> L(SchedMu);
-    if (deterministic() && LiveThreads > 0)
-      scheduleNextLocked();
-    AllDoneCv.wait(L, [this] { return LiveThreads == 0; });
-  }
-  for (ThreadRec &Rec : ThreadTable)
-    if (Rec.Worker.joinable())
+  if (deterministic()) {
+    Caller = std::make_unique<Fiber>();
+#if defined(__SANITIZE_THREAD__)
+    Caller->Tsan = __tsan_get_current_fiber();
+#endif
+    // Regains control when the last monitored thread exits. A run started
+    // from inside another run's thread hands the OS thread back after.
+    Runtime *Outer = std::exchange(FiberHost, this);
+    switchFiber(*Caller, *scheduleNext()->Context, /*FromFinished=*/false);
+    FiberHost = Outer;
+  } else {
+    {
+      std::unique_lock<std::mutex> L(SchedMu);
+      AllDoneCv.wait(L, [this] { return LiveThreads == 0; });
+    }
+    for (ThreadRec &Rec : ThreadTable)
       Rec.Worker.join();
+  }
 
   if (emitting())
     for (Backend *B : Backends)

@@ -25,9 +25,22 @@
 //   * Deterministic — a cooperative scheduler runs exactly one monitored
 //     thread at a time and picks the next runnable thread with a seeded RNG
 //     at every operation. Traces are exactly reproducible from the seed.
-//   * FreeRunning — real preemptive threads; events are serialized into the
-//     back-ends under one mutex (the linearized stream RoadRunner feeds its
-//     back-ends). Used by the throughput/slowdown benchmarks.
+//     Every monitored thread is a fiber on the OS thread that calls run(),
+//     so a Deterministic run uses one CPU and starts no OS thread. Each
+//     fiber has a ucontext and an mmap'd stack of FiberStackBytes (1 MiB, a
+//     constant in Runtime.cpp; MAP_NORESERVE, so only touched pages cost
+//     memory) above a PROT_NONE guard page, so an overflow faults instead
+//     of corrupting a neighbour. A decision that picks another thread is
+//     one swapcontext. This path takes no lock, and a thread body must not
+//     hold an OS lock across a monitored operation: the next fiber on the
+//     same OS thread would deadlock on it. Under ASan every switch is
+//     bracketed by __sanitizer_start/finish_switch_fiber; under TSan each
+//     thread is a TSan fiber switched with flags 0, so every switch orders
+//     memory.
+//   * FreeRunning — real preemptive threads (std::thread); events are
+//     serialized into the back-ends under one mutex (the linearized stream
+//     RoadRunner feeds its back-ends). Used by the throughput/slowdown
+//     benchmarks.
 //   * Baseline — FreeRunning with event emission compiled out; the
 //     uninstrumented-time denominator of Table 1's slowdowns.
 //
@@ -92,7 +105,7 @@ public:
 private:
   LockId Id;
   // FreeRunning/Baseline modes use the real mutex; Deterministic mode uses
-  // Holder under the scheduler lock.
+  // Held/Holder, which only the running fiber touches.
   std::mutex RealMu;
   Tid Holder = 0;
   bool Held = false;
@@ -246,12 +259,16 @@ public:
 private:
   enum class ThreadState { Created, Ready, Running, Blocked, Finished };
 
+  /// A Deterministic-mode execution context (defined in Runtime.cpp).
+  struct Fiber;
+
   struct ThreadRec {
     Tid Id = 0;
-    std::thread Worker;
+    std::thread Worker;             // FreeRunning/Baseline
+    std::unique_ptr<Fiber> Context; // Deterministic
     ThreadState State = ThreadState::Created;
-    std::function<bool()> Unblocked; // predicate, checked under SchedMu
-    std::condition_variable Cv;
+    std::function<bool()> Unblocked; // Deterministic: may this Blocked run?
+    std::condition_variable Cv; // FreeRunning/Baseline joiners, under SchedMu
     int Stall = 0;
     std::function<void(MonitoredThread &)> Body;
   };
@@ -272,13 +289,23 @@ private:
 
   /// Deterministic-mode scheduling point: maybe switch to another thread.
   void schedPoint(Tid Self);
-  /// Pick and wake the next runnable thread. SchedMu must be held.
-  void scheduleNextLocked();
-  /// Wait until this thread is scheduled. SchedMu must be held (lock passed).
-  void waitUntilRunning(std::unique_lock<std::mutex> &L, Tid Self);
+  /// Pick the next runnable thread and mark it Running; null once no
+  /// thread is live. Aborts on a deadlock. Deterministic mode only.
+  ThreadRec *scheduleNext();
+  /// Schedule, and switch away from Self unless it was picked again;
+  /// returns once Self runs. Self must be Ready or Blocked.
+  void reschedule(ThreadRec &Self);
+  /// Switch the OS thread from one fiber to another. A Finished fiber's
+  /// last switch never returns.
+  void switchFiber(Fiber &From, Fiber &To, bool FromFinished);
+  /// A fiber whose first switch-in runs threadMain for the thread that
+  /// scheduleNext just picked.
+  std::unique_ptr<Fiber> makeFiber();
+  /// makecontext entry of every fiber.
+  static void fiberMain();
 
   Tid spawnThread(std::function<void(MonitoredThread &)> Body, Tid Parent);
-  void threadMain(ThreadRec *RecPtr);
+  void threadMain(ThreadRec &Rec);
 
   RuntimeOptions Opts;
   std::vector<Backend *> Backends;
@@ -291,13 +318,19 @@ private:
   std::deque<LockVar> Locks;
   std::mutex RegistryMu;
 
-  // Scheduler state (Deterministic mode) / thread table (all modes).
+  // The thread table (all modes). FreeRunning/Baseline threads reach it
+  // and LiveThreads under SchedMu; in Deterministic mode only the running
+  // fiber touches them, so that path takes no lock.
   std::mutex SchedMu;
   std::deque<ThreadRec> ThreadTable;
-  Tid Current = 0;
   size_t LiveThreads = 0;
   std::condition_variable AllDoneCv;
+
+  // Deterministic scheduler state.
+  Tid Current = 0;
   Rng SchedRng;
+  std::unique_ptr<Fiber> Caller;              // run()'s own context
+  std::vector<ThreadRec *> Runnable, Stalled; // scheduleNext's candidates
 
   // Event serialization for FreeRunning mode.
   std::mutex EmitMu;

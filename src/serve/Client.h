@@ -1,11 +1,10 @@
 //===- serve/Client.h - velodrome-serve protocol client ---------*- C++ -*-===//
 //
 // Blocking-socket client for the serve wire protocol, used by the load
-// generator, the test suite, and `velodrome-serve --client`. Also the home
-// of the *client-side* fault injection (torn frames, abrupt disconnects,
-// slow-loris dribbling) — faults a hostile or unlucky client inflicts on
-// the daemon, as opposed to the server-side FaultPlan the daemon inflicts
-// on itself.
+// generator and the test suite. Also the home of the *client-side* fault
+// injection (torn frames, abrupt disconnects, slow-loris dribbling) —
+// faults a hostile or unlucky client inflicts on the daemon, as opposed to
+// the server-side FaultPlan the daemon inflicts on itself.
 //
 //===----------------------------------------------------------------------===//
 

@@ -89,5 +89,37 @@ TEST(AllocationTest, WarmPerEventPathAllocatesAlmostNothing) {
                             << T.size() - Warm << " warm events";
 }
 
+/// The Deterministic scheduler's side of the same bound: four monitored
+/// threads yield 100k times between them with no back-end attached, so
+/// every allocation counted is the scheduler's own. Each yield is one
+/// scheduling decision; the first 10% warm it up.
+TEST(AllocationTest, SchedulingDecisionsAllocateAlmostNothing) {
+  constexpr uint64_t Yields = 100000, Warm = Yields / 10;
+  RuntimeOptions Opts;
+  Opts.ExecMode = RuntimeOptions::Mode::Deterministic;
+  Runtime RT(Opts, {});
+  uint64_t Done = 0, AtWarm = 0, AtEnd = 0;
+  RT.run([&](MonitoredThread &T0) {
+    auto Body = [&](MonitoredThread &T) {
+      for (uint64_t I = 0; I < Yields / 4; ++I) {
+        T.yield();
+        if (++Done == Warm)
+          AtWarm = Allocations.load(std::memory_order_relaxed);
+        else if (Done == Yields)
+          AtEnd = Allocations.load(std::memory_order_relaxed);
+      }
+    };
+    Tid Kids[] = {T0.fork(Body), T0.fork(Body), T0.fork(Body)};
+    Body(T0);
+    for (Tid K : Kids)
+      T0.join(K);
+  });
+  ASSERT_EQ(Done, Yields);
+  double PerDecision = double(AtEnd - AtWarm) / double(Yields - Warm);
+  RecordProperty("allocations_per_decision", std::to_string(PerDecision));
+  EXPECT_LT(PerDecision, 0.01) << AtEnd - AtWarm << " allocations over "
+                               << Yields - Warm << " warm decisions";
+}
+
 } // namespace
 } // namespace velo

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 namespace velo {
 namespace {
 
@@ -268,6 +271,99 @@ TEST(RuntimeTest, AdversarialSchedulingRaisesDetectionRate) {
   EXPECT_GT(Guided, Plain)
       << "stalling at the commit point must help (plain=" << Plain
       << ", guided=" << Guided << ")";
+}
+
+/// Entries in /proc/self/task: the process's OS threads.
+size_t osThreadCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+// Deterministic threads are fibers on the thread that calls run(): with
+// six of them live, the process has exactly the OS threads it had before.
+TEST(RuntimeTest, DeterministicRunStartsNoOsThread) {
+  size_t Before = osThreadCount();
+  size_t During = 0;
+  Runtime RT(detOpts(5), {});
+  SharedVar &X = RT.var("x");
+  RT.run([&](MonitoredThread &T0) {
+    std::vector<Tid> Kids;
+    for (int K = 0; K < 5; ++K)
+      Kids.push_back(T0.fork([&](MonitoredThread &T) {
+        for (int I = 0; I < 10; ++I)
+          T.write(X, I);
+      }));
+    During = osThreadCount(); // all six threads are live here
+    for (Tid K : Kids)
+      T0.join(K);
+  });
+  EXPECT_EQ(During, Before);
+}
+
+/// Recurses through Depth frames of over 1 KiB each, with a scheduling
+/// point in every frame, so other threads run while this one is deep.
+/// Returns Depth; the frame is read after the call, so it stays live.
+int deepCount(MonitoredThread &T, SharedVar &X, int Depth) {
+  volatile char Frame[1024];
+  Frame[0] = 1;
+  Frame[sizeof(Frame) - 1] = 1;
+  T.write(X, Depth);
+  if (Depth == 0)
+    return 0;
+  int Below = deepCount(T, X, Depth - 1);
+  return Below + Frame[0] * Frame[sizeof(Frame) - 1];
+}
+
+TEST(RuntimeTest, DeepRecursionInAMonitoredThreadCompletes) {
+  Runtime RT(detOpts(9), {});
+  SharedVar &X = RT.var("x");
+  SharedVar &Y = RT.var("y");
+  int Depth = -1;
+  RT.run([&](MonitoredThread &T0) {
+    Tid Other = T0.fork([&](MonitoredThread &T) {
+      for (int I = 0; I < 300; ++I)
+        T.write(Y, I);
+    });
+    Depth = deepCount(T0, X, 256); // about 256 KiB of stack
+    T0.join(Other);
+  });
+  EXPECT_EQ(Depth, 256);
+}
+
+// The Deterministic scheduler's two aborts keep their messages.
+TEST(RuntimeDeathTest, LockOrderInversionDeadlockAborts) {
+  auto AbBa = [] {
+    Runtime RT(detOpts(1), {});
+    LockVar &A = RT.lock("A");
+    LockVar &B = RT.lock("B");
+    RT.run([&](MonitoredThread &T0) {
+      bool ChildHoldsB = false;
+      T0.lockAcquire(A);
+      Tid Child = T0.fork([&](MonitoredThread &T) {
+        T.lockAcquire(B);
+        ChildHoldsB = true;
+        T.lockAcquire(A);
+      });
+      while (!ChildHoldsB)
+        T0.yield();
+      T0.lockAcquire(B);
+      T0.join(Child);
+    });
+  };
+  EXPECT_DEATH(AbBa(), "velodrome rt: deadlock .* 2 live threads, none "
+                       "runnable");
+}
+
+TEST(RuntimeDeathTest, ExitInsideAnAtomicBlockAborts) {
+  auto Unclosed = [] {
+    Runtime RT(detOpts(1), {});
+    RT.run([&](MonitoredThread &T0) {
+      Tid Child = T0.fork([](MonitoredThread &T) { T.beginAtomic("open"); });
+      T0.join(Child);
+    });
+  };
+  EXPECT_DEATH(Unclosed(), "velodrome rt: T1 exits inside an atomic block");
 }
 
 } // namespace

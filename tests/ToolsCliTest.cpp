@@ -285,6 +285,39 @@ TEST(CheckCliTest, SalvageRefusesTextInput) {
       << Out;
 }
 
+/// A container cut inside its first frame has nothing to salvage: the
+/// refusal is exit 2 with an error, and no "salvage:" note claims a
+/// recovery, in every mode that opens the trace.
+TEST(CheckCliTest, RefusedSalvagePrintsNoRecoveryNote) {
+  std::string Bin = ::testing::TempDir() + "/velo_salv_none.vtrc";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " +
+                   dataFile("rmw_violation.trace") + " " + Bin),
+            0);
+  std::string Bytes;
+  {
+    std::ifstream In(Bin, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(Bytes.size(), 20u);
+  {
+    std::ofstream Out(Bin, std::ios::binary | std::ios::trunc);
+    Out.write(Bytes.data(), 20); // the 16-byte header and 4 frame bytes
+  }
+  for (const char *Mode : {"", " --reduce=all", " --witness"}) {
+    std::string Err;
+    EXPECT_EQ(runCmdCapture(std::string(VELO_CHECK_BIN) + " --salvage" +
+                                Mode + " " + Bin + " 2>&1 >/dev/null",
+                            Err),
+              2)
+        << Mode;
+    EXPECT_NE(Err.find("no intact frames to salvage"), std::string::npos)
+        << Mode << ": " << Err;
+    EXPECT_EQ(Err.find("salvage:"), std::string::npos) << Mode << ": " << Err;
+  }
+  std::remove(Bin.c_str());
+}
+
 TEST(CheckCliTest, GovernorDegradationKeepsTheVerdict) {
   // A 1-node cap forces immediate degradation from the graph checker to
   // the vector-clock fallback; the verdict must be unchanged.

@@ -273,9 +273,10 @@ bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
 //===----------------------------------------------------------------------===//
 
 /// One stderr note per run describing what --salvage recovered, mirroring
-/// the "lenient: repaired ..." note.
+/// the "lenient: repaired ..." note. A salvage that recovered nothing is
+/// refused with an error instead, and gets no note.
 void printSalvageNote(const SalvageSummary &S) {
-  if (!S.Used)
+  if (!S.Used || S.FramesKept == 0)
     return;
   std::fprintf(stderr,
                "salvage: recovered %llu frame(s) (%llu event(s)); dropped "

@@ -80,7 +80,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 2;
   }
-  if (Salv.Used)
+  if (Salv.Used && Salv.FramesKept != 0) // a refused salvage is an error
     std::fprintf(stderr,
                  "salvage: recovered %llu frame(s) (%llu event(s)); dropped "
                  "%llu trailing byte(s)\n",
