@@ -17,6 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "core/BasicVelodrome.h"
 #include "core/Velodrome.h"
 #include "events/TraceGen.h"
@@ -24,7 +26,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace velo;
 
@@ -46,7 +47,8 @@ Trace makeStream(size_t Steps, unsigned GuardedPct, unsigned BeginWeight,
 } // namespace
 
 int main(int argc, char **argv) {
-  size_t Events = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 400000;
+  size_t Events = 400000;
+  bench::parseArgsOrExit(argc, argv, "ablation_gc_merge", {{"events", Events}});
 
   std::printf("Ablation: GC, merge, and ancestor-set mechanisms "
               "(~%zu-event synthetic streams)\n\n",

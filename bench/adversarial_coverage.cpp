@@ -20,7 +20,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -58,8 +57,9 @@ std::set<std::string> methodsFound(const Workload &W, int Seeds,
 } // namespace
 
 int main(int argc, char **argv) {
-  int Seeds = argc > 1 ? std::atoi(argv[1]) : 10;
-  int Scale = argc > 2 ? std::atoi(argv[2]) : 2;
+  int Seeds = 10, Scale = 2;
+  parseArgsOrExit(argc, argv, "adversarial_coverage",
+                  {{"seeds", Seeds}, {"scale", Scale}});
 
   std::printf("Adversarial-scheduling coverage (Section 6): distinct "
               "ground-truth methods\nwitnessed by Velodrome over %d seeds\n\n",

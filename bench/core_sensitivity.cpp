@@ -19,7 +19,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -54,8 +53,9 @@ std::set<std::string> found(const Workload &W, int Runs,
 } // namespace
 
 int main(int argc, char **argv) {
-  int Runs = argc > 1 ? std::atoi(argv[1]) : 5;
-  int Scale = argc > 2 ? std::atoi(argv[2]) : 4;
+  int Runs = 5, Scale = 4;
+  parseArgsOrExit(argc, argv, "core_sensitivity",
+                  {{"runs", Runs}, {"scale", Scale}});
 
   std::printf("Warning stability, single-core-style vs. multicore-style "
               "execution\n(%d runs each; distinct ground-truth methods "

@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "rt/ScheduleExplorer.h"
 #include "support/TablePrinter.h"
 
@@ -119,7 +121,8 @@ void forkPublish(Runtime &RT) {
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  bench::parseArgsOrExit(argc, argv, "exhaustive_micro");
   struct Row {
     const char *Name;
     std::function<void(Runtime &)> Program;

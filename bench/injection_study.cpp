@@ -16,18 +16,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "injection/Injection.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace velo;
 
 int main(int argc, char **argv) {
   InjectionConfig Cfg;
-  Cfg.TrialsPerSite = argc > 1 ? std::atoi(argv[1]) : 20;
-  Cfg.Scale = argc > 2 ? std::atoi(argv[2]) : 2;
+  Cfg.TrialsPerSite = 20;
+  Cfg.Scale = 2;
+  bench::parseArgsOrExit(argc, argv, "injection_study",
+                         {{"trials", Cfg.TrialsPerSite}, {"scale", Cfg.Scale}});
 
   std::printf("Defect-injection study (Section 6): per-run detection rate "
               "of an injected\nsynchronization defect, plain vs. "

@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "core/Velodrome.h"
 #include "events/TraceBuilder.h"
 #include "oracle/SerializabilityOracle.h"
@@ -60,7 +62,8 @@ Outcome check(const Trace &T, bool ExpectSerializable,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  bench::parseArgsOrExit(argc, argv, "paper_examples");
   TablePrinter Table({"Example", "Expected", "Result", "Detail"});
   bool AllPass = true;
 

@@ -10,14 +10,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "atomizer/Atomizer.h"
-#include "core/Velodrome.h"
+#include "BenchUtil.h"
+
+#include "injection/Injection.h"
 #include "support/TablePrinter.h"
-#include "workloads/Workload.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 
 using namespace velo;
 
@@ -29,44 +27,12 @@ struct PolicyRow {
   StallPolicy Policy;
 };
 
-bool trialDetects(const std::string &Name, const std::string &Site,
-                  uint64_t Seed, int Scale, const PolicyRow &P) {
-  std::unique_ptr<Workload> W = makeWorkload(Name);
-  std::set<std::string> BaseTruth;
-  for (const std::string &M : W->nonAtomicMethods())
-    BaseTruth.insert(M);
-  W->Scale = Scale;
-  W->DisabledGuards.insert(Site);
-
-  RuntimeOptions Opts;
-  Opts.ExecMode = RuntimeOptions::Mode::Deterministic;
-  Opts.SchedulerSeed = Seed;
-  Opts.WorkloadSeed = Seed * 11 + 3;
-  Opts.Adversarial = P.Adversarial;
-  Opts.Policy = P.Policy;
-
-  Velodrome V;
-  Atomizer Guide;
-  std::vector<Backend *> Backends{&V};
-  if (P.Adversarial)
-    Backends.push_back(&Guide);
-  Runtime RT(Opts, Backends);
-  if (P.Adversarial)
-    RT.setGuide(&Guide);
-  W->run(RT);
-
-  for (const AtomicityViolation &Violation : V.violations())
-    if (Violation.Method != NoLabel &&
-        !BaseTruth.count(RT.symbols().labelName(Violation.Method)))
-      return true;
-  return false;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  int Trials = argc > 1 ? std::atoi(argv[1]) : 15;
-  int Scale = argc > 2 ? std::atoi(argv[2]) : 2;
+  int Trials = 15, Scale = 2;
+  bench::parseArgsOrExit(argc, argv, "scheduling_policies",
+                         {{"trials", Trials}, {"scale", Scale}});
 
   const PolicyRow Policies[] = {
       {"none (uniform)", false, StallPolicy::AllOps},
@@ -89,8 +55,9 @@ int main(int argc, char **argv) {
       for (const std::string &Site : W->guardSites()) {
         for (int Trial = 0; Trial < Trials; ++Trial) {
           ++Total;
-          Hits += trialDetects(Name, Site, static_cast<uint64_t>(Trial),
-                               Scale, P);
+          Hits += injectionTrialDetects(
+              Name, Site, static_cast<uint64_t>(Trial), Scale, P.Adversarial,
+              InjectionConfig().AdversarialStall, P.Policy);
         }
       }
     }

@@ -24,14 +24,15 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace velo;
 using namespace velo::bench;
 
 int main(int argc, char **argv) {
-  int Scale = argc > 1 ? std::atoi(argv[1]) : 40;
-  uint64_t Seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+  int Scale = 40;
+  uint64_t Seed = 1;
+  parseArgsOrExit(argc, argv, "table1_graph_stats",
+                  {{"scale", Scale}, {"seed", Seed, 0}});
 
   std::printf("Table 1 (right): happens-before graph node statistics\n");
   std::printf("(scale=%d, seed=%llu; identical recorded trace replayed "

@@ -29,7 +29,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace velo;
 using namespace velo::bench;
@@ -60,8 +59,9 @@ double timedRun(const Workload &W, RuntimeOptions::Mode Mode,
 } // namespace
 
 int main(int argc, char **argv) {
-  int Scale = argc > 1 ? std::atoi(argv[1]) : 40;
-  int Reps = argc > 2 ? std::atoi(argv[2]) : 3;
+  int Scale = 40, Reps = 3;
+  parseArgsOrExit(argc, argv, "table1_slowdowns",
+                  {{"scale", Scale}, {"reps", Reps}});
 
   std::printf("Table 1 (left): base time and per-back-end slowdowns\n");
   std::printf("(scale=%d, reps=%d; slowdown = instrumented / base)\n\n",

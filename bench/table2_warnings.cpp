@@ -29,7 +29,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -37,8 +36,9 @@ using namespace velo;
 using namespace velo::bench;
 
 int main(int argc, char **argv) {
-  int Runs = argc > 1 ? std::atoi(argv[1]) : 5;
-  int Scale = argc > 2 ? std::atoi(argv[2]) : 4;
+  int Runs = 5, Scale = 4;
+  parseArgsOrExit(argc, argv, "table2_warnings",
+                  {{"runs", Runs}, {"scale", Scale}});
 
   std::printf("Table 2: distinct warnings over %d runs per benchmark "
               "(all methods assumed atomic)\n\n",

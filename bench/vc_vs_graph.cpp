@@ -12,6 +12,12 @@
 // Both must report the same verdict on every trace (the differential suite
 // enforces this; the column here is a visible cross-check).
 //
+// A second table times every back-end on synthetic streams swept across
+// shapes (thread count, guarded fraction): the microscopic version of
+// Table 1's slowdown columns, where Empty < Eraser <= HB <= Atomizer <=
+// Velodrome in per-event cost should hold, with Velodrome within a small
+// factor of the incomplete tools.
+//
 // Usage: vc_vs_graph [scale] [reps]
 //
 //===----------------------------------------------------------------------===//
@@ -21,7 +27,11 @@
 #include "aero/AeroDrome.h"
 #include "analysis/EmptyBackend.h"
 #include "analysis/TraceRecorder.h"
+#include "atomizer/Atomizer.h"
 #include "core/Velodrome.h"
+#include "eraser/Eraser.h"
+#include "events/TraceGen.h"
+#include "hbrace/HbRaceDetector.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
@@ -62,8 +72,9 @@ double replayRate(const Trace &T, Backend &B, int Reps) {
 } // namespace
 
 int main(int argc, char **argv) {
-  int Scale = argc > 1 ? std::atoi(argv[1]) : 40;
-  int Reps = argc > 2 ? std::atoi(argv[2]) : 5;
+  int Scale = 40, Reps = 5;
+  parseArgsOrExit(argc, argv, "vc_vs_graph",
+                  {{"scale", Scale}, {"reps", Reps}});
 
   std::printf("Replay throughput: vector-clock vs graph checker\n");
   std::printf("(scale=%d, reps=%d; rates are events/sec, minimum-time rep; "
@@ -100,5 +111,39 @@ int main(int argc, char **argv) {
   }
 
   std::printf("%s\n", Table.str().c_str());
+
+  // Shapes {threads, guarded%}: 85% approximates well-synchronized
+  // programs; 0% maximizes conflict-edge traffic.
+  const size_t Steps = 5000 * static_cast<size_t>(Scale);
+  std::printf("Per-back-end replay rate on synthetic streams (%zu steps; "
+              "events/sec, minimum-time rep)\n\n",
+              Steps);
+  TablePrinter Sweep({"Threads/Guarded", "Empty/s", "Eraser/s", "HB/s",
+                      "Atomizer/s", "Velo/s", "NoMerge/s"});
+  const std::pair<uint32_t, unsigned> Shapes[] = {
+      {2, 85}, {4, 85}, {8, 85}, {4, 0}, {4, 40}};
+  for (auto [Threads, Guarded] : Shapes) {
+    TraceGenOptions Gen;
+    Gen.Threads = Threads;
+    Gen.Vars = 16;
+    Gen.Locks = 8;
+    Gen.Steps = Steps;
+    Gen.GuardedAccessPct = Guarded;
+    Trace T = generateRandomTrace(0x5eedULL + Threads * 131 + Guarded, Gen);
+    VelodromeOptions NoMergeOpts;
+    NoMergeOpts.UseMerge = false;
+    NoMergeOpts.EmitDot = false;
+    EmptyBackend Empty;
+    Eraser Race;
+    HbRaceDetector Hb;
+    Atomizer Atom;
+    Velodrome Velo, NoMerge(NoMergeOpts);
+    Sweep.startRow();
+    Sweep.cell(std::to_string(Threads) + "/" + std::to_string(Guarded) + "%");
+    for (Backend *B : std::initializer_list<Backend *>{
+             &Empty, &Race, &Hb, &Atom, &Velo, &NoMerge})
+      Sweep.cell(replayRate(T, *B, Reps), 0);
+  }
+  std::printf("%s\n", Sweep.str().c_str());
   return 0;
 }

@@ -2,8 +2,6 @@
 
 #include "analysis/Backend.h"
 
-#include <set>
-
 namespace velo {
 
 void replay(const Trace &T, Backend &B) {
@@ -79,15 +77,6 @@ bool Backend::deserializeBase(SnapshotReader &R) {
     Reports.push_back(std::move(W));
   }
   return !R.failed();
-}
-
-std::vector<Warning> dedupeByMethod(const std::vector<Warning> &Ws) {
-  std::set<std::pair<std::string, Label>> Seen;
-  std::vector<Warning> Out;
-  for (const Warning &W : Ws)
-    if (Seen.insert({W.Category, W.Method}).second)
-      Out.push_back(W);
-  return Out;
 }
 
 } // namespace velo

@@ -143,10 +143,6 @@ void replay(const Trace &T, Backend &B);
 /// Feed a recorded trace through several back-ends in lockstep.
 void replayAll(const Trace &T, const std::vector<Backend *> &Backends);
 
-/// Deduplicate warnings by (Category, Method), preserving first occurrence
-/// order — the unit the paper's Table 2 counts ("distinct warnings").
-std::vector<Warning> dedupeByMethod(const std::vector<Warning> &Ws);
-
 } // namespace velo
 
 #endif // VELO_ANALYSIS_BACKEND_H

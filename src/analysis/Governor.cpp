@@ -6,6 +6,31 @@
 
 namespace velo {
 
+namespace {
+
+/// An optional wrapped checker's snapshot: a presence flag, then its blob.
+void writeOptional(SnapshotWriter &W, const Backend *B) {
+  W.boolean(B != nullptr);
+  if (!B)
+    return;
+  SnapshotWriter Blob;
+  B->serialize(Blob);
+  W.blob(Blob);
+}
+
+/// Fails when the flag disagrees with this configuration (resumed with a
+/// different back-end set) or the blob does not decode.
+bool readOptional(SnapshotReader &R, Backend *B) {
+  if (R.boolean() != (B != nullptr))
+    return false;
+  if (!B)
+    return true;
+  SnapshotReader Blob = R.blob();
+  return B->deserialize(Blob);
+}
+
+} // namespace
+
 std::vector<Flag> governorFlags(GovernorLimits &L) {
   return {u64Flag("--max-events=N", L.MaxEvents,
                   "stop the analysis after N events (0 = unlimited)"),
@@ -34,6 +59,8 @@ void GovernedAnalysis::beginAnalysis(const SymbolTable &Syms) {
   Primary.beginAnalysis(Syms);
   if (Fallback)
     Fallback->beginAnalysis(Syms);
+  if (Reference)
+    Reference->beginAnalysis(Syms);
 }
 
 void GovernedAnalysis::degradeOrExhaust(std::string Why) {
@@ -54,6 +81,13 @@ void GovernedAnalysis::onEvent(const Event &E) {
   if (State == GovernorState::Exhausted)
     return;
   countEvent();
+
+  // The reference takes every event offered while Normal, the one that
+  // ends Normal included (even when the event budget refuses it below).
+  if (Reference && State == GovernorState::Normal) {
+    Reference->setEventOrdinal(eventOrdinal());
+    Reference->onEvent(E);
+  }
 
   if (Limits.MaxEvents && Delivered >= Limits.MaxEvents) {
     // The fallback pays per-event too, so an event budget cannot be saved
@@ -111,6 +145,9 @@ void GovernedAnalysis::endAnalysis() {
   Primary.endAnalysis();
   if (Fallback)
     Fallback->endAnalysis();
+  // A stopped reference is left as it was at the breach.
+  if (Reference && State == GovernorState::Normal)
+    Reference->endAnalysis();
 }
 
 void GovernedAnalysis::serialize(SnapshotWriter &W) const {
@@ -125,12 +162,8 @@ void GovernedAnalysis::serialize(SnapshotWriter &W) const {
   SnapshotWriter PrimaryBlob;
   Primary.serialize(PrimaryBlob);
   W.blob(PrimaryBlob);
-  W.boolean(Fallback != nullptr);
-  if (Fallback) {
-    SnapshotWriter FallbackBlob;
-    Fallback->serialize(FallbackBlob);
-    W.blob(FallbackBlob);
-  }
+  writeOptional(W, Fallback);
+  writeOptional(W, Reference);
 }
 
 bool GovernedAnalysis::deserialize(SnapshotReader &R) {
@@ -148,17 +181,8 @@ bool GovernedAnalysis::deserialize(SnapshotReader &R) {
   Start = std::chrono::steady_clock::now() -
           std::chrono::milliseconds(ElapsedMs);
   SnapshotReader PrimaryBlob = R.blob();
-  if (!Primary.deserialize(PrimaryBlob))
-    return false;
-  bool HadFallback = R.boolean();
-  if (HadFallback != (Fallback != nullptr))
-    return false; // resumed with a different backend configuration
-  if (Fallback) {
-    SnapshotReader FallbackBlob = R.blob();
-    if (!Fallback->deserialize(FallbackBlob))
-      return false;
-  }
-  return !R.failed();
+  return Primary.deserialize(PrimaryBlob) && readOptional(R, Fallback) &&
+         readOptional(R, Reference) && !R.failed();
 }
 
 GovernorVerdict GovernedAnalysis::verdict() const {

@@ -3,13 +3,17 @@
 // Production monitors budget their resources and shed precision under
 // pressure instead of aborting (cf. bounded-overhead atomicity monitoring in
 // PAPERS.md). The governor wraps the expensive full-fidelity checker (the
-// Velodrome happens-before graph) and an optional cheap fallback (the
+// Velodrome happens-before graph), an optional cheap fallback (the
 // AeroDrome vector-clock checker, O(#threads) per event) run in lockstep as
-// a hot spare:
+// a hot spare, and an optional reference checker (the Figure 2 analysis,
+// which keeps every transaction node):
 //
 //   Normal ──(live-node / memory cap)──▶ Degraded ──(event cap /
 //        └──(event cap / deadline)──────────────────▶ Exhausted   deadline)
 //
+//  * Normal: every checker sees every event. The reference sees the event
+//    that ends Normal too, and nothing after it: it has no GC, so past a
+//    cap it would defeat the bound. Its warnings up to there are kept.
 //  * Degraded: the graph checker stops receiving events (its memory stops
 //    growing at the cap); the fallback keeps the sound-and-complete verdict
 //    but blame assignment and dot error graphs are lost.
@@ -18,7 +22,9 @@
 //    so Violation verdicts survive truncation).
 //
 // The tools map Unknown to exit code 3 ("resource-limited: verdict
-// unknown") — never an abort.
+// unknown") — never an abort. The state travels in the governor's
+// snapshot blob with one nested blob per wrapped checker, so a resumed or
+// rehydrated run feeds the reference exactly as a straight run does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,8 +81,9 @@ enum class GovernorVerdict {
 };
 
 /// Backend adapter enforcing GovernorLimits over a primary checker with an
-/// optional lockstep fallback. The probe reports the primary's live-node
-/// count and estimated bytes (leave either at 0 when unknown); it is kept
+/// optional lockstep fallback and an optional reference checker that is
+/// fed only while Normal. The probe reports the primary's live-node count
+/// and estimated bytes (leave either at 0 when unknown); it is kept
 /// abstract so this layer does not depend on the graph implementation.
 class GovernedAnalysis : public Backend {
 public:
@@ -90,9 +97,10 @@ public:
 
   GovernedAnalysis(Backend &Primary, Backend *Fallback, GovernorLimits Limits,
                    Probe ResourceProbe = nullptr,
-                   FailProbe PrimaryFailed = nullptr)
-      : Primary(Primary), Fallback(Fallback), Limits(Limits),
-        ResourceProbe(std::move(ResourceProbe)),
+                   FailProbe PrimaryFailed = nullptr,
+                   Backend *Reference = nullptr)
+      : Primary(Primary), Fallback(Fallback), Reference(Reference),
+        Limits(Limits), ResourceProbe(std::move(ResourceProbe)),
         PrimaryFailed(std::move(PrimaryFailed)) {}
 
   const char *name() const override { return "Governed"; }
@@ -106,6 +114,8 @@ public:
     Primary.rebindSymbols(Syms);
     if (Fallback)
       Fallback->rebindSymbols(Syms);
+    if (Reference)
+      Reference->rebindSymbols(Syms);
   }
 
   bool sawViolation() const override {
@@ -119,16 +129,24 @@ public:
   /// "live graph nodes 65 exceed cap 64"; empty while Normal.
   const std::string &breachReason() const { return Reason; }
 
+  /// A reference checker rode along and the governor has left Normal, so
+  /// it stopped feeding it. The state says it, so a resumed run knows too.
+  bool referenceStopped() const {
+    return Reference && State != GovernorState::Normal;
+  }
+
   /// Events actually delivered to the analysis (drops after exhaustion).
   uint64_t eventsDelivered() const { return Delivered; }
 
   /// Snapshot support: the wrapper serializes its own budget state plus
   /// one nested blob per wrapped checker, so a resumed governed run
   /// continues from the same state (the deadline budget is cumulative
-  /// across the crash — elapsed time is carried in the snapshot).
+  /// across the crash — elapsed time is carried in the snapshot). The
+  /// reference's blob rides along even once stopped: its warnings count.
   bool supportsSnapshot() const override {
     return Primary.supportsSnapshot() &&
-           (!Fallback || Fallback->supportsSnapshot());
+           (!Fallback || Fallback->supportsSnapshot()) &&
+           (!Reference || Reference->supportsSnapshot());
   }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
@@ -140,6 +158,7 @@ private:
 
   Backend &Primary;
   Backend *Fallback;
+  Backend *Reference;
   GovernorLimits Limits;
   Probe ResourceProbe;
   FailProbe PrimaryFailed;

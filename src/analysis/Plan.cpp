@@ -86,8 +86,11 @@ std::unique_ptr<AnalysisPlan> AnalysisPlan::create(const PlanConfig &Config,
 
   // The governor wraps the verdict-producing pair: the selected graph
   // checker as primary, the vector-clock checker as its degradation
-  // target. Remaining back-ends are delivered alongside, ungoverned, and
-  // stop with the governor on exhaustion.
+  // target. Beside the optimized primary it also carries the Figure 2
+  // reference, which has no GC and quadratic cycle checks: once a cap
+  // trips the trace is past test scale, so the governor stops feeding it.
+  // Remaining back-ends are delivered alongside, ungoverned, and stop with
+  // the governor on exhaustion.
   bool RunAero = P->reports(P->Aero);
   P->Primary = P->reports(P->Velo)    ? static_cast<Backend *>(&P->Velo)
                : P->reports(P->Basic) ? static_cast<Backend *>(&P->Basic)
@@ -96,6 +99,8 @@ std::unique_ptr<AnalysisPlan> AnalysisPlan::create(const PlanConfig &Config,
   Backend *Fallback = nullptr;
   if (P->Primary && P->Primary != &P->Aero && (RunAero || Config.HotSpare))
     Fallback = &P->Aero;
+  Backend *Reference =
+      P->Primary == &P->Velo && P->reports(P->Basic) ? &P->Basic : nullptr;
   GovernedAnalysis::Probe Probe;
   GovernedAnalysis::FailProbe FailProbe;
   if (P->Primary == &P->Velo) {
@@ -115,22 +120,17 @@ std::unique_ptr<AnalysisPlan> AnalysisPlan::create(const PlanConfig &Config,
   if (P->Primary && Config.Limits.any()) {
     P->Gov = std::make_unique<GovernedAnalysis>(
         *P->Primary, Fallback, Config.Limits, std::move(Probe),
-        std::move(FailProbe));
+        std::move(FailProbe), Reference);
     P->Delivery.push_back(P->Gov.get());
   }
   for (Backend *B : P->Reporting)
-    if (!P->Gov || (B != P->Primary && B != Fallback))
+    if (!P->Gov || (B != P->Primary && B != Fallback && B != Reference))
       P->Delivery.push_back(B);
-  P->ReferenceLive = P->Gov && P->delivers(P->Basic);
   return P;
 }
 
 bool AnalysisPlan::reports(const Backend &B) const {
   return std::find(Reporting.begin(), Reporting.end(), &B) != Reporting.end();
-}
-
-bool AnalysisPlan::delivers(const Backend &B) const {
-  return std::find(Delivery.begin(), Delivery.end(), &B) != Delivery.end();
 }
 
 void AnalysisPlan::begin(const SymbolTable &S) {
@@ -146,27 +146,29 @@ void AnalysisPlan::note(const std::string &Line) {
     std::fputs(Line.c_str(), stderr);
 }
 
-void AnalysisPlan::dropReference() {
-  Delivery.erase(std::find(Delivery.begin(), Delivery.end(), &Basic));
-  ReferenceLive = false;
-  note("governor: stopped the reference checker (Velodrome(basic), no GC) "
-       "after the cap breach\n");
-}
-
 void AnalysisPlan::crash() const {
   // Test hook: simulate an analysis crash at a deterministic point.
   std::fflush(nullptr);
   ::raise(CrashSignal);
 }
 
+void AnalysisPlan::deliverSanitized(uint64_t Line) {
+  for (const Event &Out : Sanitized) {
+    if (Filter && !Filter->keep(Out)) {
+      ++Ordinal;
+      continue;
+    }
+    deliver(Out, Line);
+    if (stopped())
+      break;
+  }
+}
+
 void AnalysisPlan::finish() {
   Sanitized.clear();
-  San.finish(Sanitized);
-  for (const Event &Out : Sanitized) {
-    if (!stopped() && (!Filter || Filter->keep(Out)))
-      deliver(Out);
-    else
-      ++Ordinal;
+  if (!stopped()) {
+    San.finish(Sanitized);
+    deliverSanitized(0);
   }
   end();
 }
@@ -174,11 +176,14 @@ void AnalysisPlan::finish() {
 void AnalysisPlan::end() {
   for (Backend *B : Delivery)
     B->endAnalysis();
-  closingNotes();
+  closingNotes(San.repairs());
 }
 
-void AnalysisPlan::closingNotes() {
-  note(San.repairs().note());
+void AnalysisPlan::closingNotes(const RepairCounts &Repairs) {
+  if (Gov && Gov->referenceStopped())
+    note("governor: stopped the reference checker (Velodrome(basic), no GC) "
+         "after the cap breach\n");
+  note(Repairs.note());
   if (governorState() != GovernorState::Normal)
     note("governor: " + Gov->breachReason() +
          (Gov->state() == GovernorState::Degraded
@@ -189,36 +194,24 @@ void AnalysisPlan::closingNotes() {
 }
 
 void AnalysisPlan::wire(ParallelOptions &Opts) {
-  Opts.StartEvents = EventsSeen;
-  Opts.StartThreads = ThreadsSeen;
+  Opts.StartEvents = Seen.Events;
+  Opts.StartThreads = Seen.Threads;
   Opts.StartOrdinal = Ordinal;
   Opts.NoteCrashEvents = NoteCrashEvents;
   Opts.CrashAt = CrashAt;
   Opts.CrashSignal = CrashSignal;
   if (!Gov)
     return;
-  // The probe runs on the governor's worker; exhaustion stops the reader
-  // at the next batch boundary.
+  // The probe runs on the governor's worker after every event: exhaustion
+  // makes that event the stop event, as in the sequential loop.
   Opts.StopProbe = [this] { return stopped(); };
   Opts.StopOwner = Gov.get();
-  if (ReferenceLive) {
-    // Pin the reference checker beside the governor so its post-breach
-    // drop lands on the exact event the sequential loop drops it at.
-    Opts.Colocate.push_back({Gov.get(), &Basic});
-    Opts.KeepDelivering = [this](Backend *B) {
-      if (B != &Basic || Gov->state() == GovernorState::Normal)
-        return true;
-      dropReference();
-      return false;
-    };
-  }
 }
 
 void AnalysisPlan::absorb(const PipelineResult &R) {
-  EventsSeen = R.EventsSeen;
-  ThreadsSeen = R.ThreadsSeen;
+  Seen = {R.EventsSeen, R.ThreadsSeen};
   Ordinal = R.SanitizedEvents;
-  closingNotes();
+  closingNotes(R.Repairs);
 }
 
 int AnalysisPlan::exitCode() const {
@@ -236,9 +229,9 @@ int AnalysisPlan::exitCode() const {
 }
 
 void AnalysisPlan::report(ReportManager &RM, const SymbolTable &S) const {
-  RM.Run.Events = EventsSeen;
+  RM.Run.Events = Seen.Events;
   RM.Run.SanitizedEvents = Ordinal;
-  RM.Run.Threads = ThreadsSeen;
+  RM.Run.Threads = Seen.Threads;
   for (const Backend *B : Reporting)
     RM.addSection(B->name(), B->warnings(), &S);
   RM.Run.ExitCode = exitCode();
@@ -247,8 +240,8 @@ void AnalysisPlan::report(ReportManager &RM, const SymbolTable &S) const {
 
 CheckpointCut AnalysisPlan::cut() const {
   CheckpointCut C;
-  C.EventsSeen = EventsSeen;
-  C.ThreadsSeen = ThreadsSeen;
+  C.EventsSeen = Seen.Events;
+  C.ThreadsSeen = Seen.Threads;
   SnapshotWriter SymsW;
   serializeSymbols(SymsW, *Syms);
   C.SymsBlob = SymsW.payload();
@@ -270,13 +263,8 @@ void AnalysisPlan::write(SnapshotWriter &W, const CheckpointCut &Cut) const {
   // str(blob) and blob(writer) share one encoding.
   W.str(Cut.SymsBlob);
   W.str(Cut.SanBlob);
-  uint64_t Live = 0;
-  for (const auto &Entry : Cut.Backends)
-    Live += !Entry.second.empty();
-  W.u64(Live);
+  W.u64(Cut.Backends.size());
   for (const auto &Entry : Cut.Backends) {
-    if (Entry.second.empty())
-      continue;
     W.str(Entry.first);
     W.str(Entry.second);
   }
@@ -305,34 +293,28 @@ bool AnalysisPlan::restore(const PlanHead &H, SnapshotReader &R,
     Err = "sanitizer state does not match this configuration";
     return false;
   }
-  // The snapshot lists the back-ends still live when it was written (the
-  // reference checker is dropped after a cap breach), so delivery
-  // membership is restored by name.
-  uint64_t NumSaved = R.u64();
-  std::vector<Backend *> Restored;
-  for (uint64_t I = 0; I < NumSaved && !R.failed(); ++I) {
+  if (R.u64() != Delivery.size()) {
+    Err = "the saved back-ends do not match this configuration";
+    return false;
+  }
+  for (Backend *B : Delivery) {
     std::string Name = R.str();
     SnapshotReader Blob = R.blob();
-    auto It = std::find_if(Delivery.begin(), Delivery.end(),
-                           [&](Backend *B) { return Name == B->name(); });
-    if (It == Delivery.end() || !(*It)->deserialize(Blob)) {
+    if (Name != B->name() || !B->deserialize(Blob)) {
       Err = "backend '" + Name + "' state cannot be restored";
       return false;
     }
-    Restored.push_back(*It);
   }
   if (R.failed() || !R.atEnd()) {
     Err = "truncated snapshot";
     return false;
   }
-  Delivery = std::move(Restored);
-  ReferenceLive = ReferenceLive && delivers(Basic);
-  EventsSeen = EventsAtStart = H.EventsSeen;
-  ThreadsSeen = H.ThreadsSeen;
+  Seen = {H.EventsSeen, H.ThreadsSeen};
+  EventsAtStart = H.EventsSeen;
   // The sanitized-stream position needs no field of its own: a restored
   // filter counted every sanitized event it was offered; without one,
   // every sanitized event was delivered.
-  Ordinal = Filter ? Filter->stats().Input : EventsSeen;
+  Ordinal = Filter ? Filter->stats().Input : Seen.Events;
   return true;
 }
 

@@ -5,10 +5,11 @@
 // the same way. The plan is that wiring, written once:
 //
 //   * the back-end vocabulary and which back-ends a selector runs;
-//   * the governed primary, its vector-clock fallback, and the probes;
-//   * the delivery list and the per-event bookkeeping (events and threads
-//     seen, sanitized-stream ordinals, the reference checker's drop after
-//     a cap breach), sequentially and through the parallel pipeline hooks;
+//   * the governed primary, its vector-clock fallback, the reference
+//     checker the governor stops at a cap breach, and the probes;
+//   * the delivery list, fixed for the whole run, and the per-event
+//     bookkeeping (events and threads seen, sanitized-stream ordinals),
+//     sequentially and through the parallel pipeline hooks;
 //   * the verdict, the exit code, the governor notes, the report sections;
 //   * the snapshot body: config, counters, and one named blob per back-end.
 //
@@ -93,7 +94,7 @@ public:
   const std::vector<Backend *> &reporting() const { return Reporting; }
 
   /// The back-ends events reach, in order: the governor stands in for its
-  /// primary and fallback.
+  /// primary, fallback and reference.
   const std::vector<Backend *> &delivery() const { return Delivery; }
 
   /// Also deliver to B, after the plan's own back-ends, ungoverned and
@@ -107,8 +108,8 @@ public:
   TraceSanitizer &sanitizer() { return San; }
 
   /// Where notes go: appended to *NotesOut when set, else straight to
-  /// stderr. Notes are whole lines: the reference checker's drop, then at
-  /// the end the lenient repair count and the governor's breach.
+  /// stderr. Notes are whole lines, all written at the end: the reference
+  /// checker's stop, the lenient repair count, the governor's breach.
   std::string *NotesOut = nullptr;
 
   /// velodrome-check's crash hooks: record each delivered event in the
@@ -130,38 +131,21 @@ public:
     Sanitized.clear();
     if (!San.push(E, Sanitized, Line))
       return false;
-    for (const Event &Out : Sanitized) {
-      if (Filter && !Filter->keep(Out)) {
-        ++Ordinal;
-        continue;
-      }
-      deliver(Out, Line);
-      if (stopped())
-        break;
-    }
+    deliverSanitized(Line);
     return true;
   }
 
   /// Deliver one already-sanitized event under the next ordinal.
   void deliver(const Event &E, uint64_t Line = 0) {
     ++Ordinal;
-    ++EventsSeen;
+    Seen.add(E);
     if (NoteCrashEvents)
-      crashdump::noteEvent(E, EventsSeen, Line);
-    if (E.Thread >= ThreadsSeen)
-      ThreadsSeen = E.Thread + 1;
-    if ((E.Kind == Op::Fork || E.Kind == Op::Join) && E.child() >= ThreadsSeen)
-      ThreadsSeen = E.child() + 1;
+      crashdump::noteEvent(E, Seen.Events, Line);
     for (Backend *B : Delivery) {
       B->setEventOrdinal(Ordinal);
       B->onEvent(E);
     }
-    // The reference checker has no GC and quadratic cycle checks; once the
-    // governor trips a cap the trace is past test scale, and keeping it fed
-    // would defeat the bound. Its warnings up to here are kept.
-    if (ReferenceLive && Gov->state() != GovernorState::Normal)
-      dropReference();
-    if (CrashAt != 0 && EventsSeen - EventsAtStart >= CrashAt)
+    if (CrashAt != 0 && Seen.Events - EventsAtStart >= CrashAt)
       crash();
   }
 
@@ -170,20 +154,21 @@ public:
     return Gov && Gov->state() == GovernorState::Exhausted;
   }
 
-  /// End of stream: flush the sanitizer (ordinals continue; nothing is
-  /// delivered once stopped), then end().
+  /// End of stream: flush the sanitizer unless stopped (a stopped run
+  /// counts only what it delivered, as the parallel pipeline does), then
+  /// end().
   void finish();
 
   /// endAnalysis on every delivered back-end, then the closing notes.
   void end();
 
-  /// Parallel pipeline wiring: resume counters, crash hooks, the stop
-  /// probe, and the reference checker's exact-event drop.
+  /// Parallel pipeline wiring: resume counters, crash hooks and the stop
+  /// probe.
   void wire(ParallelOptions &Opts);
   /// Take the counters of a finished pipeline run, then the closing notes.
   void absorb(const PipelineResult &R);
 
-  uint64_t eventsSeen() const { return EventsSeen; }
+  uint64_t eventsSeen() const { return Seen.Events; }
   GovernorState governorState() const {
     return Gov ? Gov->state() : GovernorState::Normal;
   }
@@ -204,27 +189,26 @@ public:
 
   /// The snapshot body for Cut:
   ///   config | u64 events | u32 threads | blob symbols | blob sanitizer |
-  ///   u64 N | N x (str back-end name, blob state)
-  /// Back-ends with an empty state blob were dropped before the cut.
+  ///   u64 N | N x (str back-end name, blob state), in delivery order
   void write(SnapshotWriter &W, const CheckpointCut &Cut) const;
 
   /// Read a body up to its counters.
   static bool readHead(SnapshotReader &R, PlanHead &Out);
   /// Restore the rest of a body into a plan created from H.Config: the
   /// symbols into the empty Syms, then begin(), the sanitizer, and each
-  /// saved back-end by name (delivery becomes exactly the saved list).
-  /// The body must end the snapshot. Set the filter first: resumed
-  /// ordinals continue from its input count.
+  /// back-end in delivery order (the saved names must match). The body
+  /// must end the snapshot. Set the filter first: resumed ordinals
+  /// continue from its input count.
   bool restore(const PlanHead &H, SnapshotReader &R, SymbolTable &Syms,
                std::string &Err);
 
 private:
   explicit AnalysisPlan(const PlanConfig &Config);
 
-  bool delivers(const Backend &B) const;
+  /// Deliver the sanitizer's output through the filter until stopped.
+  void deliverSanitized(uint64_t Line);
   void note(const std::string &Line);
-  void closingNotes();
-  void dropReference();
+  void closingNotes(const RepairCounts &Repairs);
   void crash() const;
 
   PlanConfig Config;
@@ -242,9 +226,6 @@ private:
   std::vector<Backend *> Delivery;
   Backend *Primary = nullptr;
   std::unique_ptr<GovernedAnalysis> Gov; ///< set when the run is governed
-  /// The reference checker is delivered beside the governor (not as its
-  /// primary), so a cap breach drops it.
-  bool ReferenceLive = false;
 
   TraceSanitizer San;
   ReductionFilter *Filter = nullptr;
@@ -252,8 +233,7 @@ private:
   const SymbolTable *Syms = nullptr;
 
   uint64_t Ordinal = 0; ///< sanitized-stream position (docs/REPORTING.md)
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
+  DeliveryCount Seen;
   uint64_t EventsAtStart = 0; ///< resumed offset, for CrashAt
 };
 

@@ -118,6 +118,7 @@ public:
   /// matching Trace::validate).
   bool finish(std::vector<Event> &Out);
 
+  SanitizeMode mode() const { return Mode; }
   bool failed() const { return Failed; }
   const std::string &error() const { return Error; }
   const RepairCounts &repairs() const { return Repairs; }

@@ -11,7 +11,7 @@ namespace velo {
 
 bool injectionTrialDetects(const std::string &Name, const std::string &Site,
                            uint64_t Seed, int Scale, bool Adversarial,
-                           int AdversarialStall) {
+                           int AdversarialStall, StallPolicy Policy) {
   std::unique_ptr<Workload> W = makeWorkload(Name);
   if (!W)
     return false;
@@ -27,6 +27,7 @@ bool injectionTrialDetects(const std::string &Name, const std::string &Site,
   Opts.WorkloadSeed = Seed * 11 + 3;
   Opts.Adversarial = Adversarial;
   Opts.AdversarialStall = AdversarialStall;
+  Opts.Policy = Policy;
 
   Velodrome V;
   Atomizer Guide;

@@ -53,10 +53,12 @@ std::vector<InjectionOutcome> runInjectionStudy(const std::string &Name,
                                                 const InjectionConfig &Cfg);
 
 /// One trial: corrupt Site, run under Seed, return true if Velodrome
-/// flagged a method outside the base ground truth.
+/// flagged a method outside the base ground truth. Policy says which
+/// operations an adversarial run may stall after.
 bool injectionTrialDetects(const std::string &Name, const std::string &Site,
                            uint64_t Seed, int Scale, bool Adversarial,
-                           int AdversarialStall);
+                           int AdversarialStall,
+                           StallPolicy Policy = StallPolicy::AllOps);
 
 } // namespace velo
 

@@ -27,6 +27,7 @@
 
 #include "events/Event.h"
 #include "events/Trace.h"
+#include "events/TraceSanitizer.h"
 
 #include <cstdint>
 #include <memory>
@@ -57,6 +58,21 @@ struct SymbolDelta {
   }
 };
 
+/// What a report's header counts of the delivered stream: events, and one
+/// past the largest thread id they name (a fork or join names its child).
+struct DeliveryCount {
+  uint64_t Events = 0;
+  uint32_t Threads = 0;
+
+  void add(const Event &E) {
+    ++Events;
+    if (E.Thread >= Threads)
+      Threads = E.Thread + 1;
+    if ((E.Kind == Op::Fork || E.Kind == Op::Join) && E.child() >= Threads)
+      Threads = E.child() + 1;
+  }
+};
+
 /// One consistent analysis cut, assembled from the deposits of every
 /// pipeline participant at a batch boundary. Handed to the checkpoint
 /// sink once complete.
@@ -68,10 +84,7 @@ struct CheckpointCut {
   std::string SymsBlob;    ///< serialized symbol table at the boundary
   std::string SanBlob;     ///< serialized sanitizer state
   std::string FilterBlob;  ///< serialized reduction filter ("" when off)
-  /// (backend name, serialized state), in delivery order. An empty state
-  /// blob marks a back-end dropped from delivery before this boundary
-  /// (the governor's post-breach drop); sinks must skip such entries.
-  /// Live back-ends never serialize to zero bytes.
+  /// (backend name, serialized state), in delivery order.
   std::vector<std::pair<std::string, std::string>> Backends;
 };
 
@@ -83,6 +96,9 @@ struct CheckpointTicket {
   std::mutex Mu;
   size_t Remaining = 0; ///< deposits outstanding (set by the reader)
   uint64_t Seq = 0;     ///< batch sequence number (sink ordering)
+  /// The boundary lies at or past the governor's stop event, where the
+  /// sequential loop never checkpoints: the cut completes unwritten.
+  bool Void = false;
 };
 
 /// A batch of events between two pipeline stages.
@@ -100,6 +116,17 @@ struct EventBatch {
   SymbolDelta Symbols;
   /// Checkpoint boundary marker; null for ordinary batches.
   std::shared_ptr<CheckpointTicket> Ticket;
+
+  // What a stop inside this batch reports: the counters as of the stop
+  // event are recomputed from these, not from the stages that ran ahead.
+
+  /// Delivered-stream counts before the first event (stamped on fan-out).
+  DeliveryCount Before;
+  /// The sanitizer's repair counts before this batch, then after each
+  /// input event that repaired something, keyed by the number of
+  /// sanitized events before that input's output (lenient mode only).
+  RepairCounts RepairsBefore;
+  std::vector<std::pair<uint64_t, RepairCounts>> RepairsAfter;
 
   void add(const Event &E, uint32_t Line) {
     Events.push_back(E);

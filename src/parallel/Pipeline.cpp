@@ -96,11 +96,13 @@ void ParallelPipeline::abortPipeline() {
 
 void ParallelPipeline::deposit(
     const std::shared_ptr<CheckpointTicket> &T,
-    const std::function<void(CheckpointCut &)> &Fill) {
+    const std::function<void(CheckpointCut &)> &Fill, bool Void) {
   bool Complete = false;
   {
     std::lock_guard<std::mutex> Lock(T->Mu);
-    Fill(T->Cut);
+    T->Void = T->Void || Void;
+    if (!Void)
+      Fill(T->Cut);
     Complete = --T->Remaining == 0;
   }
   if (!Complete)
@@ -111,7 +113,8 @@ void ParallelPipeline::deposit(
   // bearing.
   {
     std::lock_guard<std::mutex> Lock(CkptMu);
-    if (!Aborted.load() && !(WroteAnyCut && T->Seq <= LastCutSeq)) {
+    if (!Aborted.load() && !T->Void &&
+        !(WroteAnyCut && T->Seq <= LastCutSeq)) {
       std::string Error;
       if (Opts.CheckpointSink(T->Cut, Error)) {
         LastCutSeq = T->Seq;
@@ -247,14 +250,24 @@ void ParallelPipeline::sanitizerMain() {
   std::vector<Event> Scratch;
   BatchPtr B;
   bool Failed = false;
+  const bool Lenient = San.mode() == SanitizeMode::Lenient;
+  // Log the repairs one input event made (lenient mode only: strict mode
+  // repairs nothing), keyed by the sanitized events before its output.
+  auto LogRepairs = [&](EventBatch &Out, uint64_t Was, uint64_t Key) {
+    if (Lenient && San.repairs().total() != Was)
+      Out.RepairsAfter.emplace_back(Key, San.repairs());
+  };
   while (!Failed && Q1.pop(B)) {
     maybeStall(PipelineStall::Sanitizer);
     auto Out = std::make_unique<EventBatch>();
     Out->Seq = B->Seq;
     Out->Symbols = std::move(B->Symbols);
     Out->Ticket = std::move(B->Ticket);
+    Out->RepairsBefore = San.repairs();
     for (size_t I = 0; I < B->Events.size(); ++I) {
       Scratch.clear();
+      const uint64_t Was = Lenient ? San.repairs().total() : 0;
+      const uint64_t Key = SanOrdinal;
       if (!San.push(B->Events[I], Scratch, B->Lines[I])) {
         {
           std::lock_guard<std::mutex> Lock(ErrMu);
@@ -265,6 +278,7 @@ void ParallelPipeline::sanitizerMain() {
         Failed = true;
         break;
       }
+      LogRepairs(*Out, Was, Key);
       for (const Event &E : Scratch) {
         Out->add(E, B->Lines[I]);
         Out->Ordinals.push_back(++SanOrdinal);
@@ -302,13 +316,15 @@ void ParallelPipeline::sanitizerMain() {
   }
   if (!Aborted.load() && !SanFailed.load() && !ParseFailed.load()) {
     // End of input: flush the sanitizer (synthesized `end` events for
-    // blocks still open). On a governor stop the sequential loop also
-    // runs finish() but discards its output; match that.
+    // blocks still open). A stop may still come in an earlier batch; the
+    // stop owner then ignores this one, repairs included.
+    auto Out = std::make_unique<EventBatch>();
+    Out->Seq = ~0ull; // after every reader batch
+    Out->RepairsBefore = San.repairs();
     Scratch.clear();
     San.finish(Scratch);
+    LogRepairs(*Out, Out->RepairsBefore.total(), SanOrdinal);
     if (!Stop.load() && !Scratch.empty()) {
-      auto Out = std::make_unique<EventBatch>();
-      Out->Seq = ~0ull; // after every reader batch
       for (const Event &E : Scratch) {
         Out->add(E, 0);
         Out->Ordinals.push_back(++SanOrdinal);
@@ -339,6 +355,8 @@ void ParallelPipeline::filterMain() {
     Out->Seq = B->Seq;
     Out->Symbols = std::move(B->Symbols);
     Out->Ticket = std::move(B->Ticket);
+    Out->RepairsBefore = B->RepairsBefore;
+    Out->RepairsAfter = std::move(B->RepairsAfter);
     for (size_t I = 0; I < B->Events.size(); ++I)
       if (Filter->keep(B->Events[I])) {
         Out->add(B->Events[I], B->Lines[I]);
@@ -364,23 +382,18 @@ void ParallelPipeline::filterMain() {
 
 bool ParallelPipeline::deliver(BatchPtr B) {
   bool Crash = false;
+  B->Before = Seen;
   for (size_t I = 0; I < B->Events.size(); ++I) {
-    const Event &E = B->Events[I];
-    ++EventsSeen;
+    Seen.add(B->Events[I]);
     if (Opts.NoteCrashEvents)
-      crashdump::noteEvent(E, EventsSeen, B->Lines[I]);
-    if (E.Thread >= ThreadsSeen)
-      ThreadsSeen = E.Thread + 1;
-    if ((E.Kind == Op::Fork || E.Kind == Op::Join) &&
-        E.child() >= ThreadsSeen)
-      ThreadsSeen = E.child() + 1;
-    if (Opts.CrashAt != 0 && EventsSeen - Opts.StartEvents >= Opts.CrashAt)
+      crashdump::noteEvent(B->Events[I], Seen.Events, B->Lines[I]);
+    if (Opts.CrashAt != 0 && Seen.Events - Opts.StartEvents >= Opts.CrashAt)
       Crash = true;
   }
   if (B->Ticket) {
     deposit(B->Ticket, [this](CheckpointCut &Cut) {
-      Cut.EventsSeen = EventsSeen;
-      Cut.ThreadsSeen = ThreadsSeen;
+      Cut.EventsSeen = Seen.Events;
+      Cut.ThreadsSeen = Seen.Threads;
     });
     // Count the cut as in flight before any worker can complete it.
     PendingCuts.fetch_add(1);
@@ -409,54 +422,63 @@ bool ParallelPipeline::deliver(BatchPtr B) {
 // owned back-ends, deposit checkpoint state, poll the stop probe.
 //===----------------------------------------------------------------------===//
 
+void ParallelPipeline::takeStop(const EventBatch &B, size_t EI) {
+  StopTaken = true;
+  StopSeen = B.Before;
+  for (size_t I = 0; I <= EI; ++I)
+    StopSeen.add(B.Events[I]);
+  StopOrdinal = B.Ordinals[EI];
+  StopRepairs = B.RepairsBefore;
+  for (const auto &[Key, Counts] : B.RepairsAfter)
+    if (Key < StopOrdinal)
+      StopRepairs = Counts;
+  Stop.store(true);
+}
+
 void ParallelPipeline::workerMain(size_t Index) {
   Worker &W = Workers[Index];
   for (size_t Idx : W.Owned)
     Delivery[Idx]->rebindSymbols(W.Replica);
-  std::vector<size_t> Live = W.Owned;
   const bool OwnsProbe =
-      Opts.StopProbe && Opts.StopOwner &&
+      Opts.StopProbe &&
       std::find_if(W.Owned.begin(), W.Owned.end(), [&](size_t Idx) {
         return Delivery[Idx] == Opts.StopOwner;
       }) != W.Owned.end();
 
   SharedBatch B;
+  bool Stopped = false;
   while (W.Ring->pop(B)) {
     maybeStall(PipelineStall::Worker, static_cast<int>(Index));
     B->Symbols.applyTo(W.Replica);
-    for (size_t EI = 0; EI < B->Events.size(); ++EI) {
+    for (size_t EI = 0; !Stopped && EI < B->Events.size(); ++EI) {
       const Event &E = B->Events[EI];
       const uint64_t Ord = EI < B->Ordinals.size() ? B->Ordinals[EI] : 0;
-      for (size_t Idx : Live) {
+      for (size_t Idx : W.Owned) {
         Delivery[Idx]->setEventOrdinal(Ord);
         Delivery[Idx]->onEvent(E);
       }
-      if (Opts.KeepDelivering)
-        Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                  [&](size_t Idx) {
-                                    return !Opts.KeepDelivering(
-                                        Delivery[Idx]);
-                                  }),
-                   Live.end());
+      if (OwnsProbe && Opts.StopProbe()) {
+        takeStop(*B, EI);
+        Stopped = true;
+      }
     }
     if (B->Ticket) {
       auto Ticket = B->Ticket;
-      deposit(Ticket, [&](CheckpointCut &Cut) {
-        for (size_t Idx : W.Owned) {
-          if (std::find(Live.begin(), Live.end(), Idx) == Live.end())
-            continue; // dropped back-end: blob stays empty
-          SnapshotWriter BW;
-          Delivery[Idx]->serialize(BW);
-          Cut.Backends[Idx].second = BW.payload();
-        }
-      });
+      deposit(
+          Ticket,
+          [&](CheckpointCut &Cut) {
+            for (size_t Idx : W.Owned) {
+              SnapshotWriter BW;
+              Delivery[Idx]->serialize(BW);
+              Cut.Backends[Idx].second = BW.payload();
+            }
+          },
+          Stopped);
     }
-    if (OwnsProbe && !Stop.load() && Opts.StopProbe())
-      Stop.store(true);
     B.reset();
   }
   if (!Aborted.load() && !ParseFailed.load() && !SanFailed.load())
-    for (size_t Idx : Live)
+    for (size_t Idx : W.Owned)
       Delivery[Idx]->endAnalysis();
 }
 
@@ -465,52 +487,18 @@ void ParallelPipeline::workerMain(size_t Index) {
 //===----------------------------------------------------------------------===//
 
 PipelineResult ParallelPipeline::run() {
-  EventsSeen = Opts.StartEvents;
-  ThreadsSeen = Opts.StartThreads;
+  Seen = {Opts.StartEvents, Opts.StartThreads};
   SanOrdinal = Opts.StartOrdinal;
 
-  // Group co-located back-ends, then deal groups to workers round-robin
-  // in delivery order.
-  std::vector<size_t> Group(Delivery.size());
-  for (size_t I = 0; I < Group.size(); ++I)
-    Group[I] = I;
-  for (const auto &Pair : Opts.Colocate) {
-    size_t A = Delivery.size(), B = Delivery.size();
-    for (size_t I = 0; I < Delivery.size(); ++I) {
-      if (Delivery[I] == Pair.first)
-        A = I;
-      if (Delivery[I] == Pair.second)
-        B = I;
-    }
-    if (A == Delivery.size() || B == Delivery.size())
-      continue;
-    size_t From = Group[B], To = Group[A];
-    for (size_t &G : Group)
-      if (G == From)
-        G = To;
-  }
-  std::vector<size_t> GroupOrder; // distinct group ids, first-seen order
-  for (size_t G : Group)
-    if (std::find(GroupOrder.begin(), GroupOrder.end(), G) ==
-        GroupOrder.end())
-      GroupOrder.push_back(G);
-
-  NumWorkers = Opts.Workers != 0
-                   ? Opts.Workers
-                   : static_cast<unsigned>(GroupOrder.size());
-  if (NumWorkers > GroupOrder.size())
-    NumWorkers = static_cast<unsigned>(GroupOrder.size());
-  if (NumWorkers == 0)
-    NumWorkers = 1;
-
+  // Deal the back-ends to the workers round-robin in delivery order.
+  NumWorkers = static_cast<unsigned>(std::clamp<size_t>(
+      Opts.Workers != 0 ? Opts.Workers : Delivery.size(), 1,
+      std::max<size_t>(Delivery.size(), 1)));
   Workers.clear();
   Workers.resize(NumWorkers);
-  for (size_t GI = 0; GI < GroupOrder.size(); ++GI)
-    for (size_t I = 0; I < Delivery.size(); ++I)
-      if (Group[I] == GroupOrder[GI])
-        Workers[GI % NumWorkers].Owned.push_back(I);
+  for (size_t I = 0; I < Delivery.size(); ++I)
+    Workers[I % NumWorkers].Owned.push_back(I);
   for (Worker &W : Workers) {
-    std::sort(W.Owned.begin(), W.Owned.end()); // keep delivery order
     // Replicas are copied before any thread starts, so the reader's
     // interning never races a back-end's name lookup.
     W.Replica = Syms;
@@ -527,11 +515,15 @@ PipelineResult ParallelPipeline::run() {
   for (std::thread &T : Threads)
     T.join();
 
+  // After a stop the stages upstream of the stop owner ran ahead; count
+  // as of the stop event, as the sequential loop does.
   PipelineResult R;
-  R.EventsSeen = EventsSeen;
-  R.ThreadsSeen = ThreadsSeen;
-  R.SanitizedEvents = SanOrdinal;
-  R.Stopped = Stop.load();
+  const DeliveryCount &Count = StopTaken ? StopSeen : Seen;
+  R.EventsSeen = Count.Events;
+  R.ThreadsSeen = Count.Threads;
+  R.SanitizedEvents = StopTaken ? StopOrdinal : SanOrdinal;
+  R.Repairs = StopTaken ? StopRepairs : San.repairs();
+  R.Stopped = StopTaken;
   R.Batches = Batches;
   R.ReaderRingHigh = Q1.highWater();
   for (Worker &W : Workers)

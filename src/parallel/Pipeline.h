@@ -87,6 +87,10 @@ struct PipelineResult {
   /// Sanitized-stream events produced (pre-reduction): the upper bound of
   /// the ordinal coordinate space warnings report into.
   uint64_t SanitizedEvents = 0;
+  /// The sanitizer's repair counts over the input that reached the
+  /// back-ends (after a stop, through the input event that made the stop
+  /// event).
+  RepairCounts Repairs;
   bool Stopped = false;    ///< the stop probe fired (governor exhaustion)
   uint64_t Batches = 0;    ///< batches produced by the reader
   size_t ReaderRingHigh = 0; ///< peak Q1 occupancy (backpressure evidence)
@@ -131,23 +135,14 @@ struct ParallelOptions {
   uint64_t CrashAt = 0;
   int CrashSignal = SIGKILL;
 
-  /// Polled by the worker that owns StopOwner after each batch; returning
-  /// true stops the reader at the next batch boundary (governor
-  /// exhaustion). In-flight batches are still delivered everywhere.
+  /// Polled by the worker that owns StopOwner after each event it
+  /// delivers; returning true (governor exhaustion) makes that event the
+  /// stop event. The worker delivers nothing after it, the reader stops at
+  /// its next event, no cut at or past it completes, and the result counts
+  /// as of it. Back-ends on other workers may still see batches already
+  /// fanned out.
   std::function<bool()> StopProbe;
   Backend *StopOwner = nullptr;
-
-  /// Called on B's owning worker after each event delivered to B;
-  /// returning false permanently removes B from delivery (no further
-  /// events, no endAnalysis, no checkpoint deposit), mirroring the
-  /// sequential loop's post-breach drop of the reference checker. The
-  /// decision is per-event exact only when the state it reads lives on
-  /// the same worker — pin the observer next to the observed with
-  /// Colocate.
-  std::function<bool(Backend *B)> KeepDelivering;
-  /// Back-end pairs that must share a worker (e.g. the governor and the
-  /// reference checker whose drop it triggers).
-  std::vector<std::pair<Backend *, Backend *>> Colocate;
 
   PipelineStall Stall; ///< test-only stall injection
 };
@@ -195,10 +190,14 @@ private:
   /// Q1 is blocked in pop() on an empty ring (or the run is ending).
   void awaitDrainedDownstream() const;
 
-  /// Deposit into a ticket under its mutex; the final depositor hands the
-  /// completed cut to the sink (ordered, at most once per boundary).
+  /// Deposit into a ticket under its mutex (or void it); the final
+  /// depositor hands a completed cut that nobody voided to the sink
+  /// (ordered, at most once per boundary).
   void deposit(const std::shared_ptr<CheckpointTicket> &T,
-               const std::function<void(CheckpointCut &)> &Fill);
+               const std::function<void(CheckpointCut &)> &Fill,
+               bool Void = false);
+  /// Record event EI of B as the stop event and stop the reader.
+  void takeStop(const EventBatch &B, size_t EI);
   void abortPipeline();
 
   TraceSource &Src;
@@ -229,9 +228,14 @@ private:
   std::atomic<uint64_t> PendingCuts{0};
 
   // Delivery bookkeeping (single-threaded: last stage only).
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
+  DeliveryCount Seen;
   uint64_t Batches = 0;
+
+  // The stop event's counters (written by the stop owner's worker only).
+  bool StopTaken = false;
+  DeliveryCount StopSeen;
+  uint64_t StopOrdinal = 0;
+  RepairCounts StopRepairs;
 
   // Sanitized-stream ordinal assignment (single-threaded: sanitizer
   // stage only).

@@ -8,7 +8,7 @@
 // service contract the fault-injection matrix checks.
 //
 // Sessions are also the unit of fault isolation and eviction: evict()
-// serializes the full pipeline (symbols, sanitizer, every live back-end,
+// serializes the full pipeline (symbols, sanitizer, every back-end,
 // governor budget — cumulative deadline included) into a snapshot blob and
 // drops the in-memory state; rehydrate() rebuilds it. A rehydrated session
 // must produce a byte-identical report to one that was never evicted.
@@ -84,7 +84,7 @@ public:
   SymbolTable &symbols();
 
   /// Serialize the whole pipeline (config, counters, symbols, sanitizer,
-  /// every live back-end, governor budget) into Blob without disturbing
+  /// every back-end, governor budget) into Blob without disturbing
   /// it. Fails when any configured back-end lacks snapshot support.
   bool snapshot(std::string &Blob, std::string &Err);
 

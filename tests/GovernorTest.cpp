@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "aero/AeroDrome.h"
+#include "analysis/EmptyBackend.h"
 #include "analysis/Governor.h"
 #include "core/Velodrome.h"
 #include "events/TraceGen.h"
@@ -114,6 +115,47 @@ TEST(GovernorTest, NodeCapDegradesToFallbackKeepingVerdict) {
         << Gov.breachReason();
     EXPECT_EQ(Gov.sawViolation(), Reference.sawViolation())
         << "degraded verdict must match the ungoverned fallback: " << Text;
+  }
+}
+
+TEST(GovernorTest, ReferenceSeesEveryEventUntilNormalEnds) {
+  const Trace T = parse(WideOpen); // 12 events
+  // A scripted probe: the primary's event count stands in for live nodes,
+  // so a 4-node cap trips on event 5.
+  {
+    EmptyBackend Primary, Fallback, Reference;
+    GovernorLimits Limits;
+    Limits.MaxLiveNodes = 4;
+    GovernedAnalysis Gov(
+        Primary, &Fallback, Limits,
+        [&](uint64_t &Nodes, uint64_t &) { Nodes = Primary.eventCount(); },
+        nullptr, &Reference);
+    replay(T, Gov);
+    EXPECT_EQ(Gov.state(), GovernorState::Degraded);
+    EXPECT_TRUE(Gov.referenceStopped());
+    EXPECT_EQ(Reference.eventCount(), 5u) << "the breaching event included";
+    EXPECT_EQ(Fallback.eventCount(), 12u);
+  }
+  // The event budget refuses event 4; the reference still takes it.
+  {
+    EmptyBackend Primary, Reference;
+    GovernorLimits Limits;
+    Limits.MaxEvents = 3;
+    GovernedAnalysis Gov(Primary, nullptr, Limits, nullptr, nullptr,
+                         &Reference);
+    replay(T, Gov);
+    EXPECT_EQ(Gov.state(), GovernorState::Exhausted);
+    EXPECT_EQ(Primary.eventCount(), 3u);
+    EXPECT_EQ(Reference.eventCount(), 4u);
+  }
+  // Without a breach the reference sees the whole trace.
+  {
+    EmptyBackend Primary, Reference;
+    GovernedAnalysis Gov(Primary, nullptr, GovernorLimits{}, nullptr, nullptr,
+                         &Reference);
+    replay(T, Gov);
+    EXPECT_FALSE(Gov.referenceStopped());
+    EXPECT_EQ(Reference.eventCount(), 12u);
   }
 }
 

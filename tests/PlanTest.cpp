@@ -1,0 +1,254 @@
+//===- tests/PlanTest.cpp - One analysis plan, every engine ---------------===//
+//
+// The analysis plan (analysis/Plan.h) runs sequentially, through the
+// parallel pipeline (wire/absorb), and resumed from its own snapshot body.
+// Under a governor cap all three must print the same report and the same
+// notes: the reference checker (Velodrome(basic)) is fed by the governor
+// until the cap breach, and a stopped run counts as of its stop event.
+//
+//===----------------------------------------------------------------------===//
+
+#include "analysis/Plan.h"
+#include "events/TraceGen.h"
+#include "events/TraceStream.h"
+#include "events/TraceText.h"
+
+#include "OpenTextSource.h"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+using namespace velo;
+
+namespace {
+
+const std::string StopNote = "governor: stopped the reference checker "
+                             "(Velodrome(basic), no GC) after the cap breach\n";
+
+struct Outcome {
+  std::string Text, Json, Notes;
+  int Exit = 0;
+  uint64_t Events = 0;
+  std::vector<std::string> Reference; ///< Velodrome(basic)'s warnings
+};
+
+PlanConfig config(const std::string &Sel, uint64_t MaxLiveNodes,
+                  SanitizeMode Mode = SanitizeMode::Strict) {
+  PlanConfig C;
+  C.BackendSel = Sel;
+  C.Mode = Mode;
+  C.Limits.MaxLiveNodes = MaxLiveNodes;
+  return C;
+}
+
+std::unique_ptr<AnalysisPlan> makePlan(const PlanConfig &C,
+                                       std::string &Notes) {
+  std::string Err;
+  std::unique_ptr<AnalysisPlan> P = AnalysisPlan::create(C, Err);
+  EXPECT_TRUE(P) << Err;
+  P->NotesOut = &Notes;
+  return P;
+}
+
+Outcome outcome(const AnalysisPlan &P, const SymbolTable &Syms,
+                const std::string &Notes) {
+  Outcome Out;
+  ReportManager RM;
+  RM.Run.Tool = "plan-test";
+  RM.Run.Trace = "trace";
+  P.report(RM, Syms);
+  Out.Text = RM.render(ReportFormat::Text);
+  Out.Json = RM.render(ReportFormat::Json);
+  Out.Notes = Notes;
+  Out.Exit = RM.Run.ExitCode;
+  Out.Events = P.eventsSeen();
+  for (const Backend *B : P.reporting())
+    if (std::string(B->name()) == "Velodrome(basic)")
+      for (const Warning &W : B->warnings())
+        Out.Reference.push_back(W.Message);
+  return Out;
+}
+
+/// velodrome-check's sequential loop: feed each record until stopped.
+Outcome runSequential(const std::string &Text, const PlanConfig &C) {
+  std::string Notes;
+  std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
+  SymbolTable Syms;
+  TraceStream TS(Text, Syms);
+  P->begin(Syms);
+  Event E;
+  while (!P->stopped() && TS.next(E))
+    EXPECT_TRUE(P->feed(E, TS.lineNo())) << P->sanitizer().error();
+  P->finish();
+  return outcome(*P, Syms, Notes);
+}
+
+/// velodrome-check's parallel branch. Cuts receives the event count of
+/// every checkpoint cut the pipeline completes (every CutEvery events).
+Outcome runPipeline(const std::string &Text, const PlanConfig &C,
+                    size_t Batch, unsigned Workers,
+                    std::vector<uint64_t> *Cuts = nullptr,
+                    uint64_t CutEvery = 0) {
+  std::string Notes;
+  std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
+  SymbolTable Syms;
+  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
+  P->begin(Syms);
+  ParallelOptions Opts;
+  Opts.BatchEvents = Batch;
+  Opts.Workers = Workers;
+  P->wire(Opts);
+  if (Cuts) {
+    Opts.CheckpointEvery = CutEvery;
+    Opts.CheckpointSink = [Cuts](const CheckpointCut &Cut, std::string &) {
+      Cuts->push_back(Cut.EventsSeen);
+      return true;
+    };
+  }
+  ParallelPipeline Pipe(*Src, Syms, P->sanitizer(), nullptr, P->delivery(),
+                        std::move(Opts));
+  PipelineResult R = Pipe.run();
+  EXPECT_EQ(R.Err, PipelineError::None) << R.Detail;
+  P->absorb(R);
+  return outcome(*P, Syms, Notes);
+}
+
+void expectSame(const Outcome &Want, const Outcome &Got,
+                const std::string &What) {
+  EXPECT_EQ(Got.Text, Want.Text) << What;
+  EXPECT_EQ(Got.Json, Want.Json) << What;
+  EXPECT_EQ(Got.Notes, Want.Notes) << What;
+  EXPECT_EQ(Got.Exit, Want.Exit) << What;
+  EXPECT_EQ(Got.Reference, Want.Reference) << What;
+}
+
+std::string randomTrace(uint64_t Seed) {
+  TraceGenOptions Opts;
+  Opts.Threads = 4;
+  Opts.Vars = 6;
+  Opts.Locks = 3;
+  Opts.Steps = 600;
+  Opts.GuardedAccessPct = 30;
+  return printTrace(generateRandomTrace(Seed, Opts));
+}
+
+/// N threads each open a transaction and read x, then all of them close:
+/// N graph nodes live at once, none chained behind another.
+std::string wideTrace(int N, bool Repairs = false) {
+  std::string T;
+  for (int I = 1; I <= N; ++I) {
+    std::string Th = "T" + std::to_string(I);
+    if (Repairs) // an unmatched end and a lock never released
+      T += Th + " end\n" + Th + " acq l" + std::to_string(I) + "\n";
+    T += Th + " begin m\n" + Th + " rd x\n";
+  }
+  for (int I = 1; I <= N; ++I)
+    T += "T" + std::to_string(I) + " end\n";
+  return T;
+}
+
+TEST(PlanTest, SmallCapOnAllMatchesAcrossEngines) {
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    const std::string Text = randomTrace(Seed);
+    const PlanConfig C = config("all", 3);
+    Outcome Want = runSequential(Text, C);
+    ASSERT_EQ(Want.Notes.rfind(StopNote, 0), 0u)
+        << "the stop note leads the closing notes: " << Want.Notes;
+    EXPECT_NE(Want.Notes.find("fell back to the vector-clock checker"),
+              std::string::npos);
+    for (size_t Batch : {1u, 5u, 64u, 4096u})
+      for (unsigned Workers : {0u, 1u, 2u})
+        expectSame(Want, runPipeline(Text, C, Batch, Workers),
+                   "seed " + std::to_string(Seed) + ", batch " +
+                       std::to_string(Batch) + ", workers " +
+                       std::to_string(Workers));
+  }
+}
+
+TEST(PlanTest, StoppedPipelineCountsAsOfTheStopEvent) {
+  for (bool Lenient : {false, true}) {
+    const std::string Text = wideTrace(60, Lenient);
+    const PlanConfig C =
+        config("velodrome", 40,
+               Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict);
+    Outcome Want = runSequential(Text, C);
+    ASSERT_EQ(Want.Exit, 3) << Want.Text;
+    ASSERT_LT(Want.Events, Lenient ? 180u : 120u)
+        << "the cap must stop the run mid-trace";
+    EXPECT_EQ(Want.Notes.find("lenient:") != std::string::npos, Lenient)
+        << Want.Notes;
+    for (size_t Batch : {1u, 2u, 3u, 7u, 64u, 4096u}) {
+      std::vector<uint64_t> Cuts;
+      const std::string What = std::string(Lenient ? "lenient" : "strict") +
+                               ", batch " + std::to_string(Batch);
+      expectSame(Want, runPipeline(Text, C, Batch, 0, &Cuts, 5), What);
+      for (uint64_t Cut : Cuts)
+        EXPECT_LT(Cut, Want.Events) << What << ": a cut at or past the stop";
+    }
+  }
+}
+
+TEST(PlanTest, ResumedRunPrintsTheStopNoteOnce) {
+  TraceGenOptions Opts;
+  Opts.Threads = 4;
+  Opts.Steps = 600;
+  const Trace T = generateRandomTrace(7, Opts);
+  const PlanConfig C = config("all", 3);
+
+  std::string Notes;
+  std::unique_ptr<AnalysisPlan> Straight = makePlan(C, Notes);
+  Straight->begin(T.symbols());
+  for (const Event &E : T)
+    ASSERT_TRUE(Straight->feed(E));
+  Straight->finish();
+  const Outcome Want = outcome(*Straight, T.symbols(), Notes);
+  ASSERT_EQ(Want.Notes.rfind(StopNote, 0), 0u) << Want.Notes;
+
+  for (size_t CutAt : {T.size() / 3, T.size() / 2, T.size() - 1}) {
+    std::string Before;
+    std::unique_ptr<AnalysisPlan> First = makePlan(C, Before);
+    First->begin(T.symbols());
+    for (size_t I = 0; I < CutAt; ++I)
+      ASSERT_TRUE(First->feed(T[I]));
+    ASSERT_NE(First->governorState(), GovernorState::Normal)
+        << "cut after the reference stopped";
+    SnapshotWriter W;
+    First->write(W, First->cut());
+
+    SnapshotReader R(W.payload());
+    PlanHead H;
+    ASSERT_TRUE(AnalysisPlan::readHead(R, H));
+    std::string After, Err;
+    std::unique_ptr<AnalysisPlan> Resumed = makePlan(H.Config, After);
+    SymbolTable Syms;
+    ASSERT_TRUE(Resumed->restore(H, R, Syms, Err)) << Err;
+    for (size_t I = CutAt; I < T.size(); ++I)
+      ASSERT_TRUE(Resumed->feed(T[I]));
+    Resumed->finish();
+    EXPECT_TRUE(Before.empty()) << "notes are written at the end only";
+    expectSame(Want, outcome(*Resumed, Syms, After),
+               "cut at " + std::to_string(CutAt));
+  }
+}
+
+TEST(PlanTest, RestoreChecksTheSavedBackendNames) {
+  SymbolTable Syms;
+  std::string Notes, Err;
+  std::unique_ptr<AnalysisPlan> All = makePlan(config("all", 3), Notes);
+  All->begin(Syms);
+  SnapshotWriter W;
+  All->write(W, All->cut());
+
+  // A body whose back-end list names another configuration's checkers.
+  SnapshotReader R(W.payload());
+  PlanHead H;
+  ASSERT_TRUE(AnalysisPlan::readHead(R, H));
+  std::unique_ptr<AnalysisPlan> Other = makePlan(config("hb", 3), Notes);
+  SymbolTable Fresh;
+  EXPECT_FALSE(Other->restore(H, R, Fresh, Err));
+  EXPECT_FALSE(Err.empty());
+}
+
+} // namespace

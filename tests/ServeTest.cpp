@@ -351,6 +351,46 @@ TEST(ServeSessionTest, EvictRehydrateByteIdentical) {
   }
 }
 
+TEST(ServeSessionTest, EvictAfterReferenceStopKeepsReportAndNotes) {
+  // A 3-node cap on --backend=all stops the reference checker early; a
+  // session evicted and rehydrated after that must still report the
+  // reference's warnings up to the stop and note the stop exactly once.
+  for (uint64_t Seed : {3u, 5u, 11u}) {
+    Trace T = genTrace(Seed, 500);
+    auto run = [&](bool Evict, std::string &Report, std::string &Notes) {
+      Session S;
+      SessionConfig C;
+      C.Name = "sess";
+      C.Limits.MaxLiveNodes = 3;
+      std::string Err;
+      ASSERT_TRUE(S.configure(C, Err)) << Err;
+      S.symbols().Vars.syncFrom(T.symbols().Vars);
+      S.symbols().Locks.syncFrom(T.symbols().Locks);
+      S.symbols().Labels.syncFrom(T.symbols().Labels);
+      size_t N = 0;
+      for (const Event &E : T) {
+        ASSERT_TRUE(S.feed(E, Err)) << Err;
+        if (Evict && ++N % 97 == 0) {
+          std::string Blob;
+          ASSERT_TRUE(S.evict(Blob, Err)) << Err;
+          ASSERT_TRUE(S.rehydrate(Blob, Err)) << Err;
+        }
+      }
+      ASSERT_TRUE(S.finish(Err)) << Err;
+      Report = S.report();
+      Notes = S.notes();
+    };
+    std::string Straight, StraightNotes, Evicted, EvictedNotes;
+    run(false, Straight, StraightNotes);
+    run(true, Evicted, EvictedNotes);
+    const std::string Stop = "stopped the reference checker";
+    ASSERT_NE(StraightNotes.find(Stop), std::string::npos) << StraightNotes;
+    EXPECT_EQ(StraightNotes.find(Stop), StraightNotes.rfind(Stop));
+    EXPECT_EQ(Evicted, Straight) << "seed " << Seed;
+    EXPECT_EQ(EvictedNotes, StraightNotes) << "seed " << Seed;
+  }
+}
+
 TEST(ServeSessionTest, SparseTidsCostWhatDenseTidsCost) {
   // A tenant may send any tid below the 2^20 cap. Velodrome and the
   // sanitizer hold per-thread state by first use and R(x,*) holds only the

@@ -92,6 +92,11 @@ std::string dataFile(const char *Name) {
   return std::string(VELO_TEST_DATA_DIR) + "/" + Name;
 }
 
+std::string readFileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
 TEST(CheckCliTest, ViolatingTraceExitsOne) {
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet " +
                    dataFile("rmw_violation.trace")),
@@ -494,6 +499,39 @@ TEST(CrashCliTest, KillResumeMatchesStraightRunOnEveryGoldenTrace) {
         << F << ": resumed report must be byte-identical";
     std::remove(Ckpt.c_str());
   }
+}
+
+TEST(CrashCliTest, ResumeAfterReferenceStopMatchesStraightRun) {
+  // A 3-node cap makes the governor stop the reference checker early; a
+  // run killed after that and resumed prints the straight run's report and
+  // notes, the reference checker's stop note included.
+  const std::string T = ::testing::TempDir() + "/velo_cli_refstop.trace";
+  const std::string Ckpt = T + ".snap";
+  ASSERT_EQ(runCmd(std::string(VELO_RUN_BIN) + " multiset --seed=3 --record=" +
+                   T),
+            1);
+  const std::string Check =
+      std::string(VELO_CHECK_BIN) + " --backend=all --max-live-nodes=3 ";
+  std::string Straight, StraightErr, Resumed, ResumedErr, Ignored;
+  const int Want = runCmdCapture(Check + T + " 2>" + T + ".err", Straight);
+  StraightErr = readFileBytes(T + ".err");
+  ASSERT_NE(StraightErr.find("stopped the reference checker"),
+            std::string::npos)
+      << StraightErr;
+  std::remove(Ckpt.c_str());
+  ASSERT_EQ(runCmdStdout(Check + "--checkpoint=" + Ckpt +
+                             " --checkpoint-every=100 --crash-at=700 " + T,
+                         Ignored),
+            128 + SIGKILL);
+  EXPECT_EQ(runCmdCapture(Check + "--resume=" + Ckpt + " " + T + " 2>" + T +
+                              ".err",
+                          Resumed),
+            Want);
+  ResumedErr = readFileBytes(T + ".err");
+  EXPECT_EQ(Resumed, Straight);
+  EXPECT_EQ(ResumedErr, StraightErr);
+  for (const std::string &F : {T, Ckpt, T + ".err"})
+    std::remove(F.c_str());
 }
 
 /// --max-warnings is analysis configuration, so it rides in the snapshot
@@ -913,8 +951,8 @@ TEST(ParallelCliTest, CompositionRefusalsExitTwo) {
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
                    " --parallel --max-events=10 " + T),
             2)
-      << "explicit caps stop mid-stream; the pipeline stops at batch "
-         "boundaries";
+      << "explicit caps stop mid-stream; back-ends on other workers would "
+         "see events past the stop";
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
                    " --parallel --max-live-nodes=64 " + T),
             2);
@@ -1012,6 +1050,48 @@ TEST(ParallelCliTest, KillResumeRoundTripsAcrossModes) {
   std::remove(Ckpt.c_str());
 }
 
+TEST(ParallelCliTest, StoppedRunCountsWhatTheSequentialRunCounts) {
+  // 60,010 transactions open at once trip the default 60,000-node cap on
+  // --backend=velodrome, which has no fallback, so the run stops mid-trace
+  // (exit 3). Every engine must report the counters as of the stop event,
+  // and a parallel checkpoint must not land past it.
+  const std::string T = ::testing::TempDir() + "/velo_cli_wide.trace";
+  {
+    std::ofstream Out(T);
+    for (int I = 1; I <= 60010; ++I)
+      Out << "T" << I << " begin m\nT" << I << " rd x\n";
+    for (int I = 1; I <= 60010; ++I)
+      Out << "T" << I << " end\n";
+  }
+  const std::string Check = std::string(VELO_CHECK_BIN) +
+                            " --backend=velodrome ";
+  const std::string Ckpt = T + ".snap";
+  std::remove(Ckpt.c_str());
+  std::string Ignored;
+  ASSERT_EQ(runCmdStdout(Check + "--parallel --checkpoint=" + Ckpt +
+                             " --checkpoint-every=1000 " + T,
+                         Ignored),
+            3);
+  const std::pair<const char *, const char *> Formats[] = {
+      {"--format=text ", "120001 events, 60002 threads"},
+      {"--format=json ", "\"events\": 120001,\n  \"threads\": 60002"}};
+  for (const auto &[Format, Counts] : Formats) {
+    std::string Want;
+    ASSERT_EQ(runCmdStdout(Check + Format + T, Want), 3) << Format;
+    EXPECT_NE(Want.find(Counts), std::string::npos) << Want;
+    for (const std::string &Mode :
+         {std::string("--parallel "), std::string("--parallel --reduce=all "),
+          "--parallel --resume=" + Ckpt + " "}) {
+      std::string Got;
+      EXPECT_EQ(runCmdStdout(Check + Format + Mode + T, Got), 3)
+          << Format << Mode;
+      EXPECT_EQ(Got, Want) << Format << Mode;
+    }
+  }
+  std::remove(Ckpt.c_str());
+  std::remove(T.c_str());
+}
+
 TEST(ParallelCliTest, SupervisedParallelRecovers) {
   std::string T = ::testing::TempDir() + "/velo_cli_parsup.trace";
   int RunCode = runCmd(std::string(VELO_RUN_BIN) +
@@ -1080,11 +1160,6 @@ TEST(FuzzCliTest, ParallelPoolMatchesSequentialReplays) {
 //===----------------------------------------------------------------------===//
 // velodrome-convert: the VELOTRC binary wire format (docs/INGESTION.md)
 //===----------------------------------------------------------------------===//
-
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(In), {});
-}
 
 void replaceAll(std::string &S, const std::string &From,
                 const std::string &To) {

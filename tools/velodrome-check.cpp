@@ -63,8 +63,8 @@ struct Options {
   ReportFormat Format = ReportFormat::Text;
 };
 
-/// Caps other than the defaults stop the analysis mid-stream, and the
-/// parallel pipeline stops only at batch boundaries.
+/// Caps other than the defaults stop the analysis mid-stream, and only the
+/// parallel pipeline's governor worker stops at the exact event.
 bool explicitCaps(const GovernorLimits &L) {
   const GovernorLimits D = GovernorLimits::defaults();
   return L.MaxEvents != D.MaxEvents || L.MaxLiveNodes != D.MaxLiveNodes ||
@@ -194,8 +194,9 @@ int parseArgs(int Argc, char **Argv, Options &O) {
                    "error: explicit resource caps (--max-events, "
                    "--max-live-nodes, --max-memory-mb, --deadline-ms) stop "
                    "the analysis mid-stream and are incompatible with "
-                   "--parallel (the pipeline only stops at batch "
-                   "boundaries); run sequentially to use them\n");
+                   "--parallel (back-ends on other pipeline workers still "
+                   "see the batches already handed out); run sequentially "
+                   "to use them\n");
       return 2;
     }
   } else if (O.BatchEventsSet) {
@@ -220,7 +221,7 @@ int parseArgs(int Argc, char **Argv, Options &O) {
 //   str  trace path (diagnostic)        str  reduce spec ("" = off)
 //   u64  byte offset | u64 line         blob reduction filter (empty = off)
 //   the plan body (analysis/Plan.h): config, counters, symbols, sanitizer,
-//   one named blob per live back-end
+//   one named blob per back-end, in delivery order
 //
 // The plan config makes the snapshot authoritative on resume: a resumed
 // run always re-creates the exact pipeline that wrote it, which is what
