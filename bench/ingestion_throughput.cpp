@@ -8,12 +8,16 @@
 // path (the whole-file Trace object is only built for --witness).
 //
 // The run also converts the trace to the VELOTRC binary container
-// (docs/INGESTION.md) and compares parse-only throughput — the text block
-// scanner vs the mmap'd binary reader over the same event stream. --check
-// turns that comparison into a gate on the band 1.5x <= binary/text <= 6x.
-// The lower bound guards the binary reader: it must stay clearly ahead of
-// text. The upper bound guards the text scanner: a text reader more than
-// 6x behind binary has lost its block-scanning fast path.
+// (docs/INGESTION.md) and compares parse-only throughput over the same
+// event stream: the mmap'd binary reader, the text block scanner, and a
+// std::getline tokenizer that copies every token into a std::string (the
+// text reader the block scanner replaced, kept here as a fixed baseline).
+// --check turns two ratios into a gate. Binary must be at least 1.5x text:
+// that guards the binary reader. The block scanner must be at least 1.5x
+// the getline tokenizer, on the same file in the same process: that guards
+// the scanner's fast path against a baseline whose code never changes and
+// which slows down with the host as the scanner does (binary/text swung
+// from 4x to 8x on one unchanged build).
 //
 //   ingestion_throughput [options]   (`--help` lists them)
 //
@@ -31,6 +35,8 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,9 +53,10 @@ long maxRssKb() {
   return Usage.ru_maxrss;
 }
 
-/// The band --check holds binary/text parse-only throughput to.
+/// The bars --check holds parse-only throughput to: binary over the text
+/// block scanner, and the block scanner over the getline tokenizer.
 constexpr double MinBinaryOverText = 1.5;
-constexpr double MaxBinaryOverText = 6.0;
+constexpr double MinScanOverGetline = 1.5;
 
 /// Write an approximately NumEvents-long well-formed trace to Path in
 /// bounded memory (generated and flushed in closed chunks).
@@ -123,6 +130,72 @@ double drainMevs(const std::string &Path, uint64_t &EventsOut) {
   return N / Secs;
 }
 
+/// Parse-only drain of a text trace the way the tools read one before the
+/// block scanner: std::getline, then the line's whitespace-separated tokens
+/// (at most three) copied into std::strings, a thread id, and the name
+/// interned. Returns events/sec (0 on a line the generator never writes).
+double getlineMevs(const std::string &Path, uint64_t &EventsOut) {
+  std::ifstream In(Path);
+  if (!In)
+    return 0;
+  SymbolTable Syms;
+  std::string Line, Toks[4];
+  auto Space = [](char C) {
+    return std::isspace(static_cast<unsigned char>(C));
+  };
+  auto ParseTid = [](const std::string &Tok, Tid &T) {
+    if (Tok.size() < 2 || Tok[0] != 'T')
+      return false;
+    T = static_cast<Tid>(std::strtoul(Tok.c_str() + 1, nullptr, 10));
+    return true;
+  };
+  uint64_t N = 0;
+  auto Start = std::chrono::steady_clock::now();
+  while (std::getline(In, Line)) {
+    if (!Line.empty() && Line.back() == '\r')
+      Line.pop_back();
+    if (size_t Hash = Line.find('#'); Hash != std::string::npos)
+      Line.resize(Hash);
+    size_t K = 0;
+    for (size_t I = 0; K < 4;) {
+      while (I < Line.size() && Space(Line[I]))
+        ++I;
+      if (I == Line.size())
+        break;
+      size_t B = I;
+      while (I < Line.size() && !Space(Line[I]))
+        ++I;
+      Toks[K++] = Line.substr(B, I - B);
+    }
+    if (K == 0)
+      continue;
+    Tid T = 0, U = 0;
+    const std::string &Op = Toks[1];
+    if (K == 4 || K < 2 || !ParseTid(Toks[0], T))
+      return 0;
+    if (Op == "end" && K == 2) {
+      ++N;
+      continue;
+    }
+    if (K != 3)
+      return 0;
+    if (Op == "rd" || Op == "wr")
+      Syms.Vars.intern(Toks[2]);
+    else if (Op == "acq" || Op == "rel")
+      Syms.Locks.intern(Toks[2]);
+    else if (Op == "begin")
+      Syms.Labels.intern(Toks[2]);
+    else if ((Op != "fork" && Op != "join") || !ParseTid(Toks[2], U))
+      return 0;
+    ++N;
+  }
+  double Secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
+  EventsOut = N;
+  return N / Secs;
+}
+
 long fileSizeKb(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary | std::ios::ate);
   return In ? static_cast<long>(In.tellg()) / 1024 : 0;
@@ -140,7 +213,8 @@ int main(int argc, char **argv) {
        u64Flag("--seed=N", Seed, "generator seed (default 1)"),
        boolFlag("--keep", Keep, "keep the generated trace files"),
        boolFlag("--check", Check,
-                "gate: 1.5x <= binary/text parse throughput <= 6x")},
+                "gate: binary >= 1.5x text parse throughput, and the text "
+                "block scanner >= 1.5x the getline tokenizer")},
       "exit: 0 ok, 1 measurement failed or the --check gate missed, "
       "2 usage error\n"};
   std::vector<std::string> Operands;
@@ -160,18 +234,29 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // Parse-only comparison over identical event streams. Text runs first;
-  // both files are already warm in the page cache from generation and
-  // conversion, so the order does not favor either side.
-  uint64_t TextParsed = 0, BinParsed = 0;
-  double TextEvs = drainMevs(Path, TextParsed);
+  // Parse-only comparison over identical event streams. Both files are
+  // already warm in the page cache from generation and conversion, so the
+  // order does not favor any reader. The two text readers take the best of
+  // three interleaved passes: the bar compares them, and one pass slowed
+  // by a shared host would otherwise decide it.
+  uint64_t TextParsed = 0, BinParsed = 0, GetlineParsed = 0;
   double BinEvs = drainMevs(BinPath, BinParsed);
-  if (TextEvs == 0 || BinEvs == 0 || TextParsed != Written ||
-      BinParsed != Written) {
+  double TextEvs = 0, GetlineEvs = 0;
+  bool Drained = BinEvs != 0 && BinParsed == Written;
+  for (int Pass = 0; Drained && Pass < 3; ++Pass) {
+    double T = drainMevs(Path, TextParsed);
+    double G = getlineMevs(Path, GetlineParsed);
+    Drained = T != 0 && G != 0 && TextParsed == Written &&
+              GetlineParsed == Written;
+    TextEvs = std::max(TextEvs, T);
+    GetlineEvs = std::max(GetlineEvs, G);
+  }
+  if (!Drained) {
     std::fprintf(stderr, "parse-only drain failed or event counts differ\n");
     return 1;
   }
   double Mult = BinEvs / TextEvs;
+  double ScanMult = TextEvs / GetlineEvs;
 
   SymbolTable Syms;
   auto Stream = openSource(Path, Syms);
@@ -217,6 +302,8 @@ int main(int argc, char **argv) {
   std::printf("parse-only text  %.2f Mev/s\n", TextEvs / 1e6);
   std::printf("parse-only vtrc  %.2f Mev/s (%.2fx text)\n", BinEvs / 1e6,
               Mult);
+  std::printf("parse-only getline %.2f Mev/s (text %.2fx getline)\n",
+              GetlineEvs / 1e6, ScanMult);
   std::printf("ingest time      %.2f s (%.2f Mev/s end-to-end)\n", Secs,
               Delivered / Secs / 1e6);
   std::printf("violation        %s\n", Aero.sawViolation() ? "yes" : "no");
@@ -227,15 +314,16 @@ int main(int argc, char **argv) {
     std::remove(BinPath.c_str());
   }
   if (Check) {
-    if (Mult < MinBinaryOverText || Mult > MaxBinaryOverText) {
+    if (Mult < MinBinaryOverText || ScanMult < MinScanOverGetline) {
       std::fprintf(stderr,
-                   "CHECK FAILED: binary ingest is %.2fx text "
-                   "(required %.1fx..%.1fx)\n",
-                   Mult, MinBinaryOverText, MaxBinaryOverText);
+                   "CHECK FAILED: binary ingest is %.2fx text (required "
+                   "%.1fx), text %.2fx getline (required %.1fx)\n",
+                   Mult, MinBinaryOverText, ScanMult, MinScanOverGetline);
       return 1;
     }
-    std::printf("CHECK OK: binary ingest %.2fx text (%.1fx..%.1fx)\n", Mult,
-                MinBinaryOverText, MaxBinaryOverText);
+    std::printf("CHECK OK: binary ingest %.2fx text (>= %.1fx), text %.2fx "
+                "getline (>= %.1fx)\n",
+                Mult, MinBinaryOverText, ScanMult, MinScanOverGetline);
   }
   return 0;
 }

@@ -2,6 +2,8 @@
 
 #include "analysis/Plan.h"
 
+#include "staticpass/PassManager.h"
+
 #include <algorithm>
 #include <cstdio>
 
@@ -38,6 +40,8 @@ void PlanConfig::write(SnapshotWriter &W) const {
   W.boolean(MaxWarnings.has_value());
   W.u64(MaxWarnings.value_or(0));
   W.boolean(HotSpare);
+  W.boolean(Reduce.has_value());
+  W.u8(Reduce.value_or(PassMask::none()).Bits);
   W.u64(Limits.MaxEvents);
   W.u64(Limits.MaxLiveNodes);
   W.u64(Limits.MaxMemoryBytes);
@@ -53,6 +57,9 @@ bool PlanConfig::read(SnapshotReader &R) {
   uint64_t Cap = R.u64();
   MaxWarnings = Capped ? std::optional<uint64_t>(Cap) : std::nullopt;
   HotSpare = R.boolean();
+  bool Reducing = R.boolean();
+  PassMask Mask{R.u8()};
+  Reduce = Reducing ? std::optional<PassMask>(Mask) : std::nullopt;
   Limits.MaxEvents = R.u64();
   Limits.MaxLiveNodes = R.u64();
   Limits.MaxMemoryBytes = R.u64();
@@ -64,7 +71,10 @@ bool PlanConfig::read(SnapshotReader &R) {
 AnalysisPlan::AnalysisPlan(const PlanConfig &Config)
     : Config(Config), Velo(veloOptions(Config)),
       Aero(capped(AeroDromeOptions(), Config)),
-      Deadlock(capped(DeadlockOptions(), Config)), San(Config.Mode) {}
+      Deadlock(capped(DeadlockOptions(), Config)), San(Config.Mode) {
+  if (Config.Reduce)
+    Filter = std::make_unique<ReductionFilter>();
+}
 
 std::unique_ptr<AnalysisPlan> AnalysisPlan::create(const PlanConfig &Config,
                                                    std::string &Err) {
@@ -154,14 +164,64 @@ void AnalysisPlan::crash() const {
 
 void AnalysisPlan::deliverSanitized(uint64_t Line) {
   for (const Event &Out : Sanitized) {
-    if (Filter && !Filter->keep(Out)) {
-      ++Ordinal;
+    ++Ordinal;
+    if (Filter && !Filter->keep(Out))
       continue;
+    Seen.add(Out);
+    if (NoteCrashEvents)
+      crashdump::noteEvent(Out, Seen.Events, Line);
+    for (Backend *B : Delivery) {
+      B->setEventOrdinal(Ordinal);
+      B->onEvent(Out);
     }
-    deliver(Out, Line);
+    if (CrashAt != 0 && Seen.Events - EventsAtStart >= CrashAt)
+      crash();
     if (stopped())
       break;
   }
+}
+
+template <typename NextFn>
+bool AnalysisPlan::sweep(NextFn Next, std::string &Err) {
+  if (!Filter)
+    return true;
+  // The replay's sanitizer mode: the classifier sees the stream the
+  // filter will be offered.
+  TraceSanitizer Cls(Config.Mode);
+  TraceClassifier Classifier;
+  std::vector<Event> Out;
+  Event E;
+  uint64_t Line = 0;
+  for (bool More = true; More;) {
+    Out.clear();
+    More = Next(E, Line);
+    if (!More) {
+      Cls.finish(Out);
+    } else if (!Cls.push(E, Out, Line)) {
+      Err = Cls.error();
+      return false;
+    }
+    for (const Event &C : Out)
+      Classifier.onEvent(C);
+  }
+  *Filter =
+      ReductionFilter(PassManager(*Config.Reduce).plan(Classifier.facts()));
+  return true;
+}
+
+bool AnalysisPlan::classify(TraceSource &Src, std::string &Err) {
+  auto Next = [&Src](Event &E, uint64_t &Line) {
+    return Src.next(E) && (Line = Src.lineNo(), true);
+  };
+  return sweep(Next, Err) && !Src.failed();
+}
+
+bool AnalysisPlan::classify(const Trace &T, std::string &Err) {
+  auto It = T.begin();
+  auto Next = [&](Event &E, uint64_t &) {
+    return It != T.end() && (E = *It++, true);
+  };
+  return sweep(Next, Err);
 }
 
 void AnalysisPlan::finish() {
@@ -170,10 +230,6 @@ void AnalysisPlan::finish() {
     San.finish(Sanitized);
     deliverSanitized(0);
   }
-  end();
-}
-
-void AnalysisPlan::end() {
   for (Backend *B : Delivery)
     B->endAnalysis();
   closingNotes(San.repairs());
@@ -193,25 +249,32 @@ void AnalysisPlan::closingNotes(const RepairCounts &Repairs) {
          "\n");
 }
 
-void AnalysisPlan::wire(ParallelOptions &Opts) {
+PipelineResult AnalysisPlan::runPipeline(TraceSource &Src, SymbolTable &S,
+                                         ParallelOptions Opts) {
   Opts.StartEvents = Seen.Events;
   Opts.StartThreads = Seen.Threads;
   Opts.StartOrdinal = Ordinal;
   Opts.NoteCrashEvents = NoteCrashEvents;
   Opts.CrashAt = CrashAt;
   Opts.CrashSignal = CrashSignal;
-  if (!Gov)
-    return;
-  // The probe runs on the governor's worker after every event: exhaustion
-  // makes that event the stop event, as in the sequential loop.
-  Opts.StopProbe = [this] { return stopped(); };
-  Opts.StopOwner = Gov.get();
-}
-
-void AnalysisPlan::absorb(const PipelineResult &R) {
+  if (Gov) {
+    // The probe runs on the governor's worker after every event:
+    // exhaustion makes that event the stop event, as in the sequential
+    // loop.
+    Opts.StopProbe = [this] { return stopped(); };
+    Opts.StopOwner = Gov.get();
+  }
+  PipelineResult R =
+      ParallelPipeline(Src, S, San, Filter.get(), Delivery, std::move(Opts))
+          .run();
+  if (R.Err != PipelineError::None)
+    return R;
   Seen = {R.EventsSeen, R.ThreadsSeen};
   Ordinal = R.SanitizedEvents;
+  if (Filter)
+    PipelineReduced = R.Reduced;
   closingNotes(R.Repairs);
+  return R;
 }
 
 int AnalysisPlan::exitCode() const {
@@ -238,8 +301,10 @@ void AnalysisPlan::report(ReportManager &RM, const SymbolTable &S) const {
   RM.Run.Verdict = verdictText(RM.Run.ExitCode);
 }
 
-CheckpointCut AnalysisPlan::cut() const {
+CheckpointCut AnalysisPlan::cut(uint64_t ByteOffset, uint64_t LineNo) const {
   CheckpointCut C;
+  C.ByteOffset = ByteOffset;
+  C.LineNo = LineNo;
   C.EventsSeen = Seen.Events;
   C.ThreadsSeen = Seen.Threads;
   SnapshotWriter SymsW;
@@ -248,6 +313,11 @@ CheckpointCut AnalysisPlan::cut() const {
   SnapshotWriter SanW;
   San.serialize(SanW);
   C.SanBlob = SanW.payload();
+  if (Filter) {
+    SnapshotWriter FilterW;
+    Filter->serialize(FilterW);
+    C.FilterBlob = FilterW.payload();
+  }
   for (const Backend *B : Delivery) {
     SnapshotWriter BW;
     B->serialize(BW);
@@ -260,9 +330,12 @@ void AnalysisPlan::write(SnapshotWriter &W, const CheckpointCut &Cut) const {
   Config.write(W);
   W.u64(Cut.EventsSeen);
   W.u32(Cut.ThreadsSeen);
+  W.u64(Cut.ByteOffset);
+  W.u64(Cut.LineNo);
   // str(blob) and blob(writer) share one encoding.
   W.str(Cut.SymsBlob);
   W.str(Cut.SanBlob);
+  W.str(Cut.FilterBlob);
   W.u64(Cut.Backends.size());
   for (const auto &Entry : Cut.Backends) {
     W.str(Entry.first);
@@ -275,6 +348,8 @@ bool AnalysisPlan::readHead(SnapshotReader &R, PlanHead &Out) {
     return false;
   Out.EventsSeen = R.u64();
   Out.ThreadsSeen = R.u32();
+  Out.ByteOffset = R.u64();
+  Out.LineNo = R.u64();
   return !R.failed();
 }
 
@@ -291,6 +366,11 @@ bool AnalysisPlan::restore(const PlanHead &H, SnapshotReader &R,
   SnapshotReader SanBlob = R.blob();
   if (!San.deserialize(SanBlob)) {
     Err = "sanitizer state does not match this configuration";
+    return false;
+  }
+  SnapshotReader FilterBlob = R.blob();
+  if (Filter && !Filter->deserialize(FilterBlob)) {
+    Err = "reduction filter state cannot be restored";
     return false;
   }
   if (R.u64() != Delivery.size()) {
@@ -311,9 +391,9 @@ bool AnalysisPlan::restore(const PlanHead &H, SnapshotReader &R,
   }
   Seen = {H.EventsSeen, H.ThreadsSeen};
   EventsAtStart = H.EventsSeen;
-  // The sanitized-stream position needs no field of its own: a restored
-  // filter counted every sanitized event it was offered; without one,
-  // every sanitized event was delivered.
+  // The sanitized-stream position needs no field of its own: the
+  // restored filter counted every sanitized event it was offered; without
+  // one, every sanitized event was delivered.
   Ordinal = Filter ? Filter->stats().Input : Seen.Events;
   return true;
 }

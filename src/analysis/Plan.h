@@ -7,16 +7,19 @@
 //   * the back-end vocabulary and which back-ends a selector runs;
 //   * the governed primary, its vector-clock fallback, the reference
 //     checker the governor stops at a cap breach, and the probes;
-//   * the delivery list, fixed for the whole run, and the per-event
-//     bookkeeping (events and threads seen, sanitized-stream ordinals),
-//     sequentially and through the parallel pipeline hooks;
+//   * static reduction (--reduce): the classify sweep and the filter
+//     between the sanitizer and delivery;
+//   * the delivery list, fixed for the whole run, the per-event
+//     bookkeeping (events and threads seen, sanitized-stream ordinals) and
+//     the stop, sequentially and through the parallel pipeline;
 //   * the verdict, the exit code, the governor notes, the report sections;
-//   * the snapshot body: config, counters, and one named blob per back-end.
+//   * the snapshot body: config, counters, stream position, filter, and
+//     one named blob per back-end.
 //
 // velodrome-check, serve::Session, velodrome-run and velodrome-fuzz are
 // front-ends over it. Each keeps what is really its own: the event source,
-// the static reduction filter, the checkpoint cadence, supervision, and
-// presentation (docs/ALGORITHM.md "Analysis plan").
+// the checkpoint cadence, supervision, and presentation
+// (docs/ALGORITHM.md "Analysis plan").
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +38,7 @@
 #include "hbrace/HbRaceDetector.h"
 #include "parallel/Pipeline.h"
 #include "report/Report.h"
+#include "staticpass/PassSpec.h"
 
 #include <csignal>
 #include <memory>
@@ -61,17 +65,22 @@ struct PlanConfig {
   /// primary even when it is not selected. Only velodrome-run sets it
   /// (docs/INGESTION.md section 5).
   bool HotSpare = false;
+  /// Static reduction passes (--reduce); unset = off. A set mask, even
+  /// none, runs the classify sweep and the filter.
+  std::optional<PassMask> Reduce;
 
   void write(SnapshotWriter &W) const;
   bool read(SnapshotReader &R);
 };
 
 /// What a snapshot body states before any analysis state is decoded: the
-/// supervisor's progress marker and the config to rebuild the plan from.
+/// config to rebuild the plan from, the supervisor's progress marker, and
+/// where in the trace to resume.
 struct PlanHead {
   PlanConfig Config;
   uint64_t EventsSeen = 0;
   uint32_t ThreadsSeen = 0;
+  uint64_t ByteOffset = 0, LineNo = 0;
 };
 
 class AnalysisPlan {
@@ -93,19 +102,29 @@ public:
   bool reports(const Backend &B) const;
   const std::vector<Backend *> &reporting() const { return Reporting; }
 
-  /// The back-ends events reach, in order: the governor stands in for its
-  /// primary, fallback and reference.
-  const std::vector<Backend *> &delivery() const { return Delivery; }
-
   /// Also deliver to B, after the plan's own back-ends, ungoverned and
   /// unreported (velodrome-run's scheduling guide).
   void attach(Backend &B) { Delivery.push_back(&B); }
 
-  /// Filter between the sanitizer and delivery (--reduce); the caller
-  /// owns it. Events it drops still take a sanitized-stream ordinal.
-  void setFilter(ReductionFilter *F) { Filter = F; }
-
   TraceSanitizer &sanitizer() { return San; }
+
+  /// Pass A of --reduce (docs/STATIC.md): sanitize Src, a second open of
+  /// the trace with a symbol table of its own, in this plan's mode,
+  /// classify every variable, and plan the filter that then runs between
+  /// the sanitizer and delivery. Events it drops still take a
+  /// sanitized-stream ordinal. Does nothing without --reduce. False on a
+  /// strict-mode rejection (Err is the diagnostic) or when Src fails.
+  bool classify(TraceSource &Src, std::string &Err);
+  /// The same over a whole recorded trace.
+  bool classify(const Trace &T, std::string &Err);
+
+  /// The filter's counters for --stats: null without --reduce, and after
+  /// a parallel run as of its stop event.
+  const PassStats *reduceStats() const {
+    if (!Filter)
+      return nullptr;
+    return PipelineReduced ? &*PipelineReduced : &Filter->stats();
+  }
 
   /// Where notes go: appended to *NotesOut when set, else straight to
   /// stderr. Notes are whole lines, all written at the end: the reference
@@ -124,10 +143,13 @@ public:
   void begin(const SymbolTable &Syms);
 
   /// Sanitize one event and deliver what comes out (through the filter).
-  /// Stops mid-batch once the governor is exhausted. Returns false on a
-  /// strict-mode rejection (sanitizer().error() has the diagnostic). Line
-  /// is the source line for diagnostics and the crash ring (0 = none).
+  /// Once the governor is exhausted, mid-event included, nothing more is
+  /// sanitized or delivered. Returns false on a strict-mode rejection
+  /// (sanitizer().error() has the diagnostic). Line is the source line for
+  /// diagnostics and the crash ring (0 = none).
   bool feed(const Event &E, uint64_t Line = 0) {
+    if (stopped())
+      return true;
     Sanitized.clear();
     if (!San.push(E, Sanitized, Line))
       return false;
@@ -135,38 +157,24 @@ public:
     return true;
   }
 
-  /// Deliver one already-sanitized event under the next ordinal.
-  void deliver(const Event &E, uint64_t Line = 0) {
-    ++Ordinal;
-    Seen.add(E);
-    if (NoteCrashEvents)
-      crashdump::noteEvent(E, Seen.Events, Line);
-    for (Backend *B : Delivery) {
-      B->setEventOrdinal(Ordinal);
-      B->onEvent(E);
-    }
-    if (CrashAt != 0 && Seen.Events - EventsAtStart >= CrashAt)
-      crash();
-  }
-
-  /// The governor is exhausted: front-ends stop reading.
+  /// The governor is exhausted: feed() delivers nothing more, and
+  /// front-ends stop reading.
   bool stopped() const {
     return Gov && Gov->state() == GovernorState::Exhausted;
   }
 
   /// End of stream: flush the sanitizer unless stopped (a stopped run
   /// counts only what it delivered, as the parallel pipeline does), then
-  /// end().
+  /// endAnalysis on every delivered back-end and the closing notes.
   void finish();
 
-  /// endAnalysis on every delivered back-end, then the closing notes.
-  void end();
-
-  /// Parallel pipeline wiring: resume counters, crash hooks and the stop
-  /// probe.
-  void wire(ParallelOptions &Opts);
-  /// Take the counters of a finished pipeline run, then the closing notes.
-  void absorb(const PipelineResult &R);
+  /// The parallel counterpart of feeding Src to the end and finish():
+  /// run the pipeline over it with this plan's sanitizer, filter and
+  /// delivery list, the resume counters, crash hooks and stop probe. Src
+  /// interns into Syms (and is seeked on resume). Unless the run failed,
+  /// take its counters, as of its stop event, and write the closing notes.
+  PipelineResult runPipeline(TraceSource &Src, SymbolTable &Syms,
+                             ParallelOptions Opts);
 
   uint64_t eventsSeen() const { return Seen.Events; }
   GovernorState governorState() const {
@@ -183,30 +191,34 @@ public:
   void report(ReportManager &RM, const SymbolTable &Syms) const;
 
   /// This run's state as a checkpoint cut (the form the parallel pipeline
-  /// assembles at batch boundaries), without the caller's stream position
-  /// and filter.
-  CheckpointCut cut() const;
+  /// assembles at batch boundaries) at the caller's stream position: the
+  /// byte offset after the last record read, and that record's line.
+  CheckpointCut cut(uint64_t ByteOffset = 0, uint64_t LineNo = 0) const;
 
   /// The snapshot body for Cut:
-  ///   config | u64 events | u32 threads | blob symbols | blob sanitizer |
+  ///   config | u64 events | u32 threads | u64 byte offset | u64 line |
+  ///   blob symbols | blob sanitizer | blob filter ("" without --reduce) |
   ///   u64 N | N x (str back-end name, blob state), in delivery order
   void write(SnapshotWriter &W, const CheckpointCut &Cut) const;
 
-  /// Read a body up to its counters.
+  /// Read a body up to its stream position.
   static bool readHead(SnapshotReader &R, PlanHead &Out);
   /// Restore the rest of a body into a plan created from H.Config: the
-  /// symbols into the empty Syms, then begin(), the sanitizer, and each
-  /// back-end in delivery order (the saved names must match). The body
-  /// must end the snapshot. Set the filter first: resumed ordinals
-  /// continue from its input count.
+  /// symbols into the empty Syms, then begin(), the sanitizer, the filter,
+  /// and each back-end in delivery order (the saved names must match).
+  /// The body must end the snapshot.
   bool restore(const PlanHead &H, SnapshotReader &R, SymbolTable &Syms,
                std::string &Err);
 
 private:
   explicit AnalysisPlan(const PlanConfig &Config);
 
-  /// Deliver the sanitizer's output through the filter until stopped.
+  /// Deliver the sanitizer's output through the filter until stopped,
+  /// each event under the next sanitized-stream ordinal.
   void deliverSanitized(uint64_t Line);
+  /// Pass A over events Next yields (with their lines) until it returns
+  /// false.
+  template <typename NextFn> bool sweep(NextFn Next, std::string &Err);
   void note(const std::string &Line);
   void closingNotes(const RepairCounts &Repairs);
   void crash() const;
@@ -223,18 +235,26 @@ private:
   DeadlockDetector Deadlock;
 
   std::vector<Backend *> Reporting; ///< report table order
+  /// The back-ends events reach, in order: the governor stands in for its
+  /// primary, fallback and reference.
   std::vector<Backend *> Delivery;
   Backend *Primary = nullptr;
   std::unique_ptr<GovernedAnalysis> Gov; ///< set when the run is governed
 
   TraceSanitizer San;
-  ReductionFilter *Filter = nullptr;
+  /// Set under --reduce. On the heap: the pipeline's filter stage writes
+  /// it per event, and next to the sanitizer stage's San it would share
+  /// cache lines across threads.
+  std::unique_ptr<ReductionFilter> Filter;
   std::vector<Event> Sanitized;
   const SymbolTable *Syms = nullptr;
 
   uint64_t Ordinal = 0; ///< sanitized-stream position (docs/REPORTING.md)
   DeliveryCount Seen;
   uint64_t EventsAtStart = 0; ///< resumed offset, for CrashAt
+  /// The filter's counters a parallel run returned: they stop at its stop
+  /// event, where the filter stage itself ran on.
+  std::optional<PassStats> PipelineReduced;
 };
 
 } // namespace velo

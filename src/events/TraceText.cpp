@@ -75,6 +75,14 @@ bool unescapeSymbol(std::string_view Token, std::string &NameOut,
   return true;
 }
 
+std::string SalvageSummary::note() const {
+  if (!Used || FramesKept == 0)
+    return std::string();
+  return "salvage: recovered " + std::to_string(FramesKept) + " frame(s) (" +
+         std::to_string(EventsKept) + " event(s)); dropped " +
+         std::to_string(BytesDropped) + " trailing byte(s)\n";
+}
+
 std::string renderEvent(const Event &E, const SymbolTable &Syms) {
   std::string Out = "T" + std::to_string(E.Thread) + " " + opName(E.Kind);
   switch (E.Kind) {

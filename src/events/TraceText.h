@@ -78,6 +78,11 @@ struct SalvageSummary {
   uint64_t FramesKept = 0;   ///< intact events frames accepted
   uint64_t EventsKept = 0;   ///< events in the accepted prefix
   uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
+
+  /// The tools' one stderr note on what was recovered, mirroring the
+  /// "lenient: repaired ..." note; empty when nothing was (a salvage that
+  /// recovered nothing is refused with an error instead).
+  std::string note() const;
 };
 
 /// Options for openTraceSource.

@@ -28,6 +28,7 @@
 #include "events/Event.h"
 #include "events/Trace.h"
 #include "events/TraceSanitizer.h"
+#include "staticpass/ReductionFilter.h"
 
 #include <cstdint>
 #include <memory>
@@ -127,6 +128,9 @@ struct EventBatch {
   /// sanitized events before that input's output (lenient mode only).
   RepairCounts RepairsBefore;
   std::vector<std::pair<uint64_t, RepairCounts>> RepairsAfter;
+  /// The reduction filter's counters after each event it kept, parallel
+  /// to Events (filter stage only).
+  std::vector<PassStats> FilteredAfter;
 
   void add(const Event &E, uint32_t Line) {
     Events.push_back(E);

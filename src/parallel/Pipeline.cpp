@@ -361,6 +361,7 @@ void ParallelPipeline::filterMain() {
       if (Filter->keep(B->Events[I])) {
         Out->add(B->Events[I], B->Lines[I]);
         Out->Ordinals.push_back(I < B->Ordinals.size() ? B->Ordinals[I] : 0);
+        Out->FilteredAfter.push_back(Filter->stats());
       }
     if (Out->Ticket)
       deposit(Out->Ticket, [this](CheckpointCut &Cut) {
@@ -432,6 +433,8 @@ void ParallelPipeline::takeStop(const EventBatch &B, size_t EI) {
   for (const auto &[Key, Counts] : B.RepairsAfter)
     if (Key < StopOrdinal)
       StopRepairs = Counts;
+  if (Filter)
+    StopReduced = B.FilteredAfter[EI];
   Stop.store(true);
 }
 
@@ -523,7 +526,8 @@ PipelineResult ParallelPipeline::run() {
   R.ThreadsSeen = Count.Threads;
   R.SanitizedEvents = StopTaken ? StopOrdinal : SanOrdinal;
   R.Repairs = StopTaken ? StopRepairs : San.repairs();
-  R.Stopped = StopTaken;
+  if (Filter)
+    R.Reduced = StopTaken ? StopReduced : Filter->stats();
   R.Batches = Batches;
   R.ReaderRingHigh = Q1.highWater();
   for (Worker &W : Workers)

@@ -91,7 +91,9 @@ struct PipelineResult {
   /// back-ends (after a stop, through the input event that made the stop
   /// event).
   RepairCounts Repairs;
-  bool Stopped = false;    ///< the stop probe fired (governor exhaustion)
+  /// The reduction filter's counters over the same input (zero without a
+  /// filter).
+  PassStats Reduced;
   uint64_t Batches = 0;    ///< batches produced by the reader
   size_t ReaderRingHigh = 0; ///< peak Q1 occupancy (backpressure evidence)
   size_t WorkerRingHigh = 0; ///< peak occupancy across worker rings
@@ -167,8 +169,6 @@ public:
   /// stage and worker threads).
   PipelineResult run();
 
-  unsigned workerCount() const { return NumWorkers; }
-
 private:
   struct Worker {
     std::vector<size_t> Owned; ///< indices into Delivery
@@ -236,6 +236,7 @@ private:
   DeliveryCount StopSeen;
   uint64_t StopOrdinal = 0;
   RepairCounts StopRepairs;
+  PassStats StopReduced;
 
   // Sanitized-stream ordinal assignment (single-threaded: sanitizer
   // stage only).

@@ -36,8 +36,6 @@ bool Session::feed(const Event &E, std::string &Err) {
     Err = "session is not accepting events";
     return false;
   }
-  if (Plan->stopped())
-    return true; // governor exhausted: the CLI loop stops reading here
   if (!Plan->feed(E)) {
     Err = "trace is not well formed: " + Plan->sanitizer().error();
     return false;

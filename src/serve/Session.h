@@ -58,8 +58,8 @@ public:
 
   /// Deliver one already-decoded event through sanitizer and back-ends.
   /// Returns false on a strict-mode sanitizer rejection (the session is
-  /// dead; Err is the diagnostic). Events after governor exhaustion are
-  /// silently dropped, matching the CLI's early loop exit.
+  /// dead; Err is the diagnostic). The plan drops events after governor
+  /// exhaustion, where the CLI's loop stops reading.
   bool feed(const Event &E, std::string &Err);
 
   /// End of stream: flush the sanitizer, run endAnalysis, render the

@@ -1,9 +1,10 @@
 //===- staticpass/StaticPipeline.h - Whole-trace convenience API -*- C++ -*-===//
 //
 // One-call wrappers over the two-pass pipeline for callers that hold the
-// whole trace in memory (tests, fuzzing, velodrome-run's deferred mode,
-// the bench harness). The streaming tools drive TraceClassifier and
-// ReductionFilter directly instead.
+// whole trace in memory (tests, fuzzing, velodrome-analyze, the bench
+// harness). The analysis plan (analysis/Plan.h), behind velodrome-check
+// and velodrome-run, drives TraceClassifier and ReductionFilter directly
+// instead.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,10 +1,11 @@
 //===- tests/PlanTest.cpp - One analysis plan, every engine ---------------===//
 //
 // The analysis plan (analysis/Plan.h) runs sequentially, through the
-// parallel pipeline (wire/absorb), and resumed from its own snapshot body.
+// parallel pipeline (runPipeline), and resumed from its own snapshot body.
 // Under a governor cap all three must print the same report and the same
 // notes: the reference checker (Velodrome(basic)) is fed by the governor
-// until the cap breach, and a stopped run counts as of its stop event.
+// until the cap breach, and a stopped run counts as of its stop event, the
+// reduction filter's counters included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@ const std::string StopNote = "governor: stopped the reference checker "
 
 struct Outcome {
   std::string Text, Json, Notes;
+  std::string Reduced; ///< the filter's counters under --reduce
   int Exit = 0;
   uint64_t Events = 0;
   std::vector<std::string> Reference; ///< Velodrome(basic)'s warnings
@@ -64,6 +66,8 @@ Outcome outcome(const AnalysisPlan &P, const SymbolTable &Syms,
   Out.Notes = Notes;
   Out.Exit = RM.Run.ExitCode;
   Out.Events = P.eventsSeen();
+  if (const PassStats *S = P.reduceStats())
+    Out.Reduced = S->summary();
   for (const Backend *B : P.reporting())
     if (std::string(B->name()) == "Velodrome(basic)")
       for (const Warning &W : B->warnings())
@@ -71,10 +75,20 @@ Outcome outcome(const AnalysisPlan &P, const SymbolTable &Syms,
   return Out;
 }
 
+/// Pass A of --reduce over a second open of Text, as velodrome-check runs
+/// it (nothing without --reduce).
+void classify(AnalysisPlan &P, const std::string &Text) {
+  SymbolTable Syms;
+  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
+  std::string Err;
+  EXPECT_TRUE(P.classify(*Src, Err)) << Err;
+}
+
 /// velodrome-check's sequential loop: feed each record until stopped.
 Outcome runSequential(const std::string &Text, const PlanConfig &C) {
   std::string Notes;
   std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
+  classify(*P, Text);
   SymbolTable Syms;
   TraceStream TS(Text, Syms);
   P->begin(Syms);
@@ -93,13 +107,13 @@ Outcome runPipeline(const std::string &Text, const PlanConfig &C,
                     uint64_t CutEvery = 0) {
   std::string Notes;
   std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
+  classify(*P, Text);
   SymbolTable Syms;
   std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
   P->begin(Syms);
   ParallelOptions Opts;
   Opts.BatchEvents = Batch;
   Opts.Workers = Workers;
-  P->wire(Opts);
   if (Cuts) {
     Opts.CheckpointEvery = CutEvery;
     Opts.CheckpointSink = [Cuts](const CheckpointCut &Cut, std::string &) {
@@ -107,11 +121,8 @@ Outcome runPipeline(const std::string &Text, const PlanConfig &C,
       return true;
     };
   }
-  ParallelPipeline Pipe(*Src, Syms, P->sanitizer(), nullptr, P->delivery(),
-                        std::move(Opts));
-  PipelineResult R = Pipe.run();
+  PipelineResult R = P->runPipeline(*Src, Syms, std::move(Opts));
   EXPECT_EQ(R.Err, PipelineError::None) << R.Detail;
-  P->absorb(R);
   return outcome(*P, Syms, Notes);
 }
 
@@ -120,6 +131,7 @@ void expectSame(const Outcome &Want, const Outcome &Got,
   EXPECT_EQ(Got.Text, Want.Text) << What;
   EXPECT_EQ(Got.Json, Want.Json) << What;
   EXPECT_EQ(Got.Notes, Want.Notes) << What;
+  EXPECT_EQ(Got.Reduced, Want.Reduced) << What;
   EXPECT_EQ(Got.Exit, Want.Exit) << What;
   EXPECT_EQ(Got.Reference, Want.Reference) << What;
 }
@@ -188,6 +200,30 @@ TEST(PlanTest, StoppedPipelineCountsAsOfTheStopEvent) {
         EXPECT_LT(Cut, Want.Events) << What << ": a cut at or past the stop";
     }
   }
+}
+
+/// Under --reduce the filter stage runs ahead of the stop as the sanitizer
+/// does: each thread writes a variable of its own twice outside any
+/// transaction (the second write is dropped) before it opens one.
+TEST(PlanTest, StoppedReducedPipelineCountsAsOfTheStopEvent) {
+  std::string Text;
+  for (int I = 1; I <= 60; ++I) {
+    const std::string Th = "T" + std::to_string(I);
+    const std::string Own = " wr v" + std::to_string(I) + "\n";
+    Text += Th + Own + Th + Own + Th + " begin m\n" + Th + " rd x\n";
+  }
+  for (int I = 1; I <= 60; ++I)
+    Text += "T" + std::to_string(I) + " end\n";
+  PlanConfig C = config("velodrome", 40);
+  C.Reduce = PassMask::all();
+  Outcome Want = runSequential(Text, C);
+  ASSERT_EQ(Want.Exit, 3) << Want.Text;
+  ASSERT_NE(Want.Reduced.find("dropped="), std::string::npos);
+  EXPECT_EQ(Want.Reduced.find("dropped=0/"), std::string::npos)
+      << "the trace must drop events before the stop: " << Want.Reduced;
+  for (size_t Batch : {1u, 2u, 3u, 7u, 64u, 4096u})
+    expectSame(Want, runPipeline(Text, C, Batch, 0),
+               "batch " + std::to_string(Batch));
 }
 
 TEST(PlanTest, ResumedRunPrintsTheStopNoteOnce) {

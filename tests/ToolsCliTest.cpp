@@ -97,6 +97,60 @@ std::string readFileBytes(const std::string &Path) {
   return std::string(std::istreambuf_iterator<char>(In), {});
 }
 
+/// Capture stdout and stderr apart; returns the exit status.
+int runCmdSplit(const std::string &Cmd, std::string &Out, std::string &Err) {
+  const std::string ErrFile = ::testing::TempDir() + "/velo_cli_stderr_" +
+                              std::to_string(::getpid()) + ".txt";
+  int Code = runCmdCapture(Cmd + " 2>" + ErrFile, Out);
+  Err = readFileBytes(ErrFile);
+  std::remove(ErrFile.c_str());
+  return Code;
+}
+
+/// Every golden and fuzz-corpus trace, in a stable order.
+std::vector<std::string> corpusTraces() {
+  std::vector<std::string> Files;
+  for (const std::string &Dir : {dataFile(""), dataFile("fuzz")})
+    for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+      if (Entry.path().extension() == ".trace")
+        Files.push_back(Entry.path().string());
+  std::sort(Files.begin(), Files.end());
+  return Files;
+}
+
+/// The 15 workloads, as velodrome-run --list names them.
+std::vector<std::string> workloadNames() {
+  std::string List;
+  runCmdStdout(std::string(VELO_RUN_BIN) + " --list", List);
+  std::vector<std::string> Names;
+  size_t Pos = List.find('\n'); // past the header row
+  while (Pos != std::string::npos && Pos + 1 < List.size()) {
+    size_t End = List.find(' ', Pos + 1);
+    Names.push_back(List.substr(Pos + 1, End - Pos - 1));
+    Pos = List.find('\n', Pos + 1);
+  }
+  return Names;
+}
+
+/// The top-level line of a JSON report that holds Key, unindented ("" when
+/// absent).
+std::string jsonLine(const std::string &Doc, const std::string &Key) {
+  size_t At = Doc.find("\n  \"" + Key + "\": ");
+  if (At == std::string::npos)
+    return "";
+  return Doc.substr(At + 3, Doc.find('\n', At + 1) - At - 3);
+}
+
+/// A JSON report without the lines that name the tool and the trace.
+std::string withoutToolAndTrace(std::string Doc) {
+  for (const char *Key : {"tool", "trace"}) {
+    size_t At = Doc.find(std::string("\n  \"") + Key + "\": ");
+    if (At != std::string::npos)
+      Doc.erase(At, Doc.find('\n', At + 1) - At);
+  }
+  return Doc;
+}
+
 TEST(CheckCliTest, ViolatingTraceExitsOne) {
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet " +
                    dataFile("rmw_violation.trace")),
@@ -277,6 +331,50 @@ TEST(CheckCliTest, WitnessSalvageMatchesTheIntactContainer) {
   EXPECT_EQ(Err.find("salvage: recovered", First + 1), std::string::npos)
       << "one note per run: " << Err;
   std::remove(Bin.c_str());
+}
+
+/// --witness runs the default streaming loop (line numbers, the stop, the
+/// notes) and only adds the oracle's note, computed on a sanitized copy of
+/// the whole trace.
+TEST(CheckCliTest, WitnessRunsTheDefaultLoop) {
+  auto WithoutWitness = [](std::string Out) {
+    size_t At = Out.find("# serial witness\n");
+    if (At != std::string::npos)
+      Out.erase(At, Out.find("verdict: ", At) - At);
+    At = Out.find("no witness: ");
+    if (At != std::string::npos)
+      Out.erase(At, Out.find('\n', At) - At + 1);
+    return Out;
+  };
+  for (const std::string &F : corpusTraces())
+    for (const char *Mode : {"", " --lenient", " --lenient --max-events=3",
+                             " --backend=all --max-live-nodes=1"}) {
+      const std::string Cmd = std::string(VELO_CHECK_BIN) + Mode + " ";
+      std::string WantOut, WantErr, GotOut, GotErr;
+      int Want = runCmdSplit(Cmd + F, WantOut, WantErr);
+      int Got = runCmdSplit(Cmd + "--witness " + F, GotOut, GotErr);
+      const std::string What = F + Mode;
+      EXPECT_EQ(Got, Want) << What;
+      EXPECT_EQ(GotErr, WantErr) << What;
+      EXPECT_EQ(WithoutWitness(GotOut), WantOut) << What;
+    }
+  // The oracle still sees the whole trace past a stop, from a pipe too.
+  std::string Out;
+  EXPECT_EQ(runCmdStdout("cat " + dataFile("forkjoin_clean.trace") + " | " +
+                             VELO_CHECK_BIN +
+                             " --witness --max-events=2 /dev/stdin",
+                         Out),
+            3);
+  EXPECT_NE(Out.find("# serial witness\n"), std::string::npos) << Out;
+  std::string Whole;
+  runCmdStdout(std::string(VELO_CHECK_BIN) + " --witness " +
+                   dataFile("forkjoin_clean.trace"),
+               Whole);
+  const size_t W = Whole.find("# serial witness\n");
+  ASSERT_NE(W, std::string::npos) << Whole;
+  EXPECT_NE(Out.find(Whole.substr(W, Whole.find("verdict: ", W) - W)),
+            std::string::npos)
+      << "capped witness must be the whole trace's: " << Out;
 }
 
 TEST(CheckCliTest, SalvageRefusesTextInput) {
@@ -722,6 +820,44 @@ TEST(RunCliTest, RecordedRunRoundTripsThroughCheck) {
       << "offline verdict must match the online one on the same trace";
 }
 
+/// velodrome-run's report counts what velodrome-check counts on the trace
+/// the same run records, whether or not the run records it.
+TEST(RunCliTest, ReportCountsWhatCheckCountsOnTheRecording) {
+  const std::string Rec = ::testing::TempDir() + "/velo_cli_counts.trace";
+  for (const std::string &W : workloadNames()) {
+    const std::string Base =
+        std::string(VELO_RUN_BIN) + " " + W + " --seed=3";
+    std::string Run, Check;
+    runCmdStdout(Base + " --record=" + Rec, Check);
+    runCmdStdout(Base + " --format=json", Run);
+    runCmdStdout(std::string(VELO_CHECK_BIN) +
+                     " --backend=velodrome --format=json " + Rec,
+                 Check);
+    EXPECT_NE(jsonLine(Run, "threads"), "\"threads\": 0,") << W;
+    EXPECT_EQ(jsonLine(Run, "threads"), jsonLine(Check, "threads")) << W;
+    EXPECT_EQ(jsonLine(Run, "events"), jsonLine(Check, "events")) << W;
+  }
+  std::remove(Rec.c_str());
+}
+
+/// After a governor stop the plan delivers nothing more, so the live run
+/// reports the counts and findings velodrome-check reports on its
+/// recording (which stops at the same event).
+TEST(RunCliTest, StoppedRunReportsWhatCheckReports) {
+  const std::string Rec = ::testing::TempDir() + "/velo_cli_stopped.trace";
+  const std::string Caps = " --backend=all --max-events=500 --format=json ";
+  std::string Run, Check;
+  int RunCode = runCmdStdout(std::string(VELO_RUN_BIN) +
+                                 " multiset --seed=3" + Caps + "--record=" +
+                                 Rec,
+                             Run);
+  EXPECT_EQ(runCmdStdout(std::string(VELO_CHECK_BIN) + Caps + Rec, Check),
+            RunCode);
+  EXPECT_EQ(jsonLine(Run, "events"), "\"events\": 501,") << Run;
+  EXPECT_EQ(withoutToolAndTrace(Run), withoutToolAndTrace(Check));
+  std::remove(Rec.c_str());
+}
+
 TEST(RunCliTest, CleanWorkloadExitsZero) {
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) + " raja --seed=5"), 0);
 }
@@ -851,6 +987,19 @@ TEST(ReduceCliTest, RunDeferredModeKeepsTheVerdict) {
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
                    " multiset --seed=3 --reduce=all"),
             Plain);
+  // The deferred replay runs through the plan: the report counts the
+  // sanitized stream and locates findings by sanitized ordinal, as the
+  // live run does.
+  const std::vector<std::string> Workloads = workloadNames();
+  ASSERT_EQ(Workloads.size(), 15u);
+  for (const std::string &W : Workloads) {
+    const std::string Run =
+        std::string(VELO_RUN_BIN) + " " + W + " --seed=3 --format=json";
+    std::string Live, Deferred;
+    int LiveCode = runCmdStdout(Run, Live);
+    EXPECT_EQ(runCmdStdout(Run + " --reduce=all", Deferred), LiveCode) << W;
+    EXPECT_EQ(Deferred, Live) << W;
+  }
   EXPECT_EQ(runCmd(std::string(VELO_RUN_BIN) +
                    " multiset --seed=3 --reduce=all --adversarial"),
             2)
@@ -1088,6 +1237,27 @@ TEST(ParallelCliTest, StoppedRunCountsWhatTheSequentialRunCounts) {
       EXPECT_EQ(Got, Want) << Format << Mode;
     }
   }
+  // The filter's per-pass counters count as of the stop event too.
+  const std::string ReduceCkpt = T + ".reduce.snap";
+  std::remove(ReduceCkpt.c_str());
+  ASSERT_EQ(runCmdStdout(Check + "--parallel --reduce=all --checkpoint=" +
+                             ReduceCkpt + " --checkpoint-every=1000 " + T,
+                         Ignored),
+            3);
+  const std::string Stats = Check + "--stats --reduce=all ";
+  std::string Want;
+  ASSERT_EQ(runCmdStdout(Stats + T, Want), 3);
+  EXPECT_NE(Want.find("[reduce] escape=0 readonly=0 redundant=0 "
+                      "dropped=0/120001\n"),
+            std::string::npos)
+      << Want;
+  const std::string Resume = "--parallel --resume=" + ReduceCkpt + " ";
+  for (const std::string &Mode : {std::string("--parallel "), Resume}) {
+    std::string Got;
+    EXPECT_EQ(runCmdStdout(Stats + Mode + T, Got), 3) << Mode;
+    EXPECT_EQ(Got, Want) << Mode;
+  }
+  std::remove(ReduceCkpt.c_str());
   std::remove(Ckpt.c_str());
   std::remove(T.c_str());
 }

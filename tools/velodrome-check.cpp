@@ -28,8 +28,6 @@
 #include "oracle/SerializabilityOracle.h"
 #include "parallel/Pipeline.h"
 #include "report/Report.h"
-#include "staticpass/PassManager.h"
-#include "staticpass/ReductionFilter.h"
 #include "support/ParseInt.h"
 #include "support/Supervisor.h"
 #include "support/Syscalls.h"
@@ -46,9 +44,9 @@ using namespace velo;
 namespace {
 
 struct Options {
-  PlanConfig Plan; ///< --backend, --lenient, --no-merge, --max-warnings, caps
+  /// --backend, --lenient, --no-merge, --max-warnings, --reduce, caps
+  PlanConfig Plan;
   std::string TraceFile, DotFile;
-  std::string ReduceSpec; ///< empty = reduction off
   std::string CheckpointFile, ResumeFile;
   uint64_t CheckpointEvery = 4096;
   SupervisorOptions Sup;
@@ -74,6 +72,7 @@ bool explicitCaps(const GovernorLimits &L) {
 
 /// Returns -1 to go on, else the status to exit with.
 int parseArgs(int Argc, char **Argv, Options &O) {
+  std::string ReduceSpec; ///< empty = reduction off
   auto Mode = [&O](SanitizeMode M) {
     return [&O, M](const std::string &) {
       O.Plan.Mode = M;
@@ -96,7 +95,7 @@ int parseArgs(int Argc, char **Argv, Options &O) {
                "print a serial witness when the trace is serializable"),
       boolFlag("--no-merge", O.Plan.NoMerge,
                "run Velodrome with the naive [INS OUTSIDE] rule"),
-      stringFlag("--reduce=<spec>", O.ReduceSpec,
+      stringFlag("--reduce=<spec>", ReduceSpec,
                  "reduce statically first: all, none, or a comma list of "
                  "escape, readonly, redundant, lockset (docs/STATIC.md)"),
       boolFlag("--stats", O.Stats,
@@ -157,10 +156,9 @@ int parseArgs(int Argc, char **Argv, Options &O) {
                          "incompatible with --checkpoint/--resume\n");
     return 2;
   }
-  if (!O.ReduceSpec.empty()) {
-    PassMask M;
+  if (!ReduceSpec.empty()) {
     std::string Error;
-    if (!parsePassSpec(O.ReduceSpec, M, Error)) {
+    if (!parsePassSpec(ReduceSpec, O.Plan.Reduce.emplace(), Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
     }
@@ -218,35 +216,24 @@ int parseArgs(int Argc, char **Argv, Options &O) {
 // Checkpoint layout (inside the versioned Snapshot container)
 //===----------------------------------------------------------------------===//
 //
-//   str  trace path (diagnostic)        str  reduce spec ("" = off)
-//   u64  byte offset | u64 line         blob reduction filter (empty = off)
-//   the plan body (analysis/Plan.h): config, counters, symbols, sanitizer,
-//   one named blob per back-end, in delivery order
+//   str  trace path (diagnostic)
+//   the plan body (analysis/Plan.h): config (--reduce included), counters,
+//   stream position, symbols, sanitizer, filter, one named blob per
+//   back-end, in delivery order
 //
 // The plan config makes the snapshot authoritative on resume: a resumed
 // run always re-creates the exact pipeline that wrote it, which is what
 // makes verdict/warning identity with a straight-through run hold. The
-// stream position and the plan's counters precede the state blobs, so the
+// counters and the stream position precede the state blobs, so the
 // supervisor can peek progress without decoding back-end state.
 
-struct Checkpoint {
-  SnapshotReader R; ///< positioned at the plan's state after loading
-  std::string ReduceSpec;
-  uint64_t ByteOffset = 0, LineNo = 0;
-  SnapshotReader Filter;
-  PlanHead Plan;
-};
-
-bool loadCheckpoint(const std::string &Path, Checkpoint &C,
+/// Read Path up to the plan's state, where R is left.
+bool loadCheckpoint(const std::string &Path, SnapshotReader &R, PlanHead &H,
                     std::string &ErrorOut) {
-  if (!SnapshotReader::readFile(Path, C.R, ErrorOut))
+  if (!SnapshotReader::readFile(Path, R, ErrorOut))
     return false;
-  C.R.str(); // trace path: diagnostic only
-  C.ReduceSpec = C.R.str();
-  C.ByteOffset = C.R.u64();
-  C.LineNo = C.R.u64();
-  C.Filter = C.R.blob();
-  if (!AnalysisPlan::readHead(C.R, C.Plan)) {
+  R.str(); // trace path: diagnostic only
+  if (!AnalysisPlan::readHead(R, H)) {
     ErrorOut = "truncated snapshot header";
     return false;
   }
@@ -260,10 +247,6 @@ bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
                      const CheckpointCut &Cut, std::string &ErrorOut) {
   SnapshotWriter W;
   W.str(O.TraceFile);
-  W.str(O.ReduceSpec);
-  W.u64(Cut.ByteOffset);
-  W.u64(Cut.LineNo);
-  W.str(Cut.FilterBlob);
   Plan.write(W, Cut);
   return W.writeFile(O.CheckpointFile, ErrorOut);
 }
@@ -273,34 +256,75 @@ bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
 // worker; otherwise it is the whole program.
 //===----------------------------------------------------------------------===//
 
-/// One stderr note per run describing what --salvage recovered, mirroring
-/// the "lenient: repaired ..." note. A salvage that recovered nothing is
-/// refused with an error instead, and gets no note.
-void printSalvageNote(const SalvageSummary &S) {
-  if (!S.Used || S.FramesKept == 0)
-    return;
-  std::fprintf(stderr,
-               "salvage: recovered %llu frame(s) (%llu event(s)); dropped "
-               "%llu trailing byte(s)\n",
-               static_cast<unsigned long long>(S.FramesKept),
-               static_cast<unsigned long long>(S.EventsKept),
-               static_cast<unsigned long long>(S.BytesDropped));
+/// --witness: the serializability oracle needs random access to the whole
+/// trace, so the loop's source also keeps every event it returns.
+class CopyingSource : public TraceSource {
+public:
+  CopyingSource(TraceSource &In, Trace &Copy) : In(In), Copy(Copy) {}
+  bool next(Event &Out) override {
+    if (!In.next(Out))
+      return false;
+    Copy.push(Out);
+    return true;
+  }
+  bool failed() const override { return In.failed(); }
+  bool readFailed() const override { return In.readFailed(); }
+  const std::string &error() const override { return In.error(); }
+  uint64_t lineNo() const override { return In.lineNo(); }
+  uint64_t eventCount() const override { return In.eventCount(); }
+  bool tell(uint64_t &PosOut) override { return In.tell(PosOut); }
+  bool endOfFrame() const override { return In.endOfFrame(); }
+  bool seekTo(uint64_t Pos, uint64_t Line, uint64_t Events,
+              std::string &ErrorOut) override {
+    return In.seekTo(Pos, Line, Events, ErrorOut);
+  }
+
+private:
+  TraceSource &In;
+  Trace &Copy;
+};
+
+/// The --witness note: a serial witness of the whole sanitized trace, read
+/// to its end even past a governor stop.
+std::string witnessNote(const Options &O, TraceSource &Src, Trace &Raw,
+                        const SymbolTable &Syms) {
+  Event E;
+  while (Src.next(E)) {
+  }
+  std::string Why;
+  Trace Buffered;
+  Raw.symbols() = Syms;
+  if (Src.failed()) {
+    Why = describeFailure(Src, O.TraceFile);
+  } else if (!sanitizeTrace(Raw, O.Plan.Mode, Buffered, nullptr, Why)) {
+    Why = "trace is not well formed: " + Why;
+  } else {
+    OracleResult Oracle = checkSerializable(Buffered);
+    if (Oracle.Serializable) {
+      TxnIndex Index = buildTxnIndex(Buffered);
+      return "# serial witness\n" +
+             printTrace(buildSerialWitness(Buffered, Index, Oracle));
+    }
+    Why = "trace is not serializable";
+  }
+  return O.Quiet ? "" : "no witness: " + Why + "\n";
 }
 
 int runAnalysis(Options O) {
-  Checkpoint Ckpt;
+  SnapshotReader Ckpt;
+  PlanHead Head;
   bool Resuming = !O.ResumeFile.empty();
   if (Resuming) {
     std::string Error;
-    if (!loadCheckpoint(O.ResumeFile, Ckpt, Error)) {
+    if (!loadCheckpoint(O.ResumeFile, Ckpt, Head, Error)) {
       std::fprintf(stderr, "error: cannot resume from %s: %s\n",
                    O.ResumeFile.c_str(), Error.c_str());
       return 2;
     }
-    // The snapshot is authoritative for the analysis configuration; the
-    // presentation flags (--quiet, --stats, --dot) stay as given.
-    O.Plan = Ckpt.Plan.Config;
-    O.ReduceSpec = Ckpt.ReduceSpec;
+    // The snapshot is authoritative for the analysis configuration,
+    // --reduce included; the presentation flags (--quiet, --stats, --dot)
+    // stay as given.
+    O.Plan = Head.Config;
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
     // parseArgs does for caps given on the command line.
@@ -313,16 +337,17 @@ int runAnalysis(Options O) {
       return 2;
     }
   }
-
-  bool Reducing = !O.ReduceSpec.empty();
-  PassMask ReduceMask;
-  if (Reducing) {
-    std::string Error;
-    if (!parsePassSpec(O.ReduceSpec, ReduceMask, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 2;
-    }
-  }
+  bool Reducing = O.Plan.Reduce.has_value();
+  // Exit 2 on a malformed record of Failed, else on a strict rejection.
+  auto Reject = [&O](const TraceSource *Failed, const std::string &Why) {
+    if (Failed)
+      std::fprintf(stderr, "error: %s\n",
+                   describeFailure(*Failed, O.TraceFile).c_str());
+    else
+      std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
+                   O.TraceFile.c_str(), Why.c_str());
+    return 2;
+  };
 
   // A pipe, FIFO or device can be read only once, front to back. Text
   // streams from one fine, but these modes need to come back to the
@@ -366,7 +391,7 @@ int runAnalysis(Options O) {
   // checkpoint boundary; elsewhere the default disposition (die, let the
   // rename-atomic checkpoint and the supervisor handle it) is the honest
   // behavior.
-  if (!O.CheckpointFile.empty() && !O.Parallel && !O.Witness)
+  if (!O.CheckpointFile.empty() && !O.Parallel)
     installStopHandlers();
 
   // Every open passes --salvage on, and openTraceSource refuses it for
@@ -375,177 +400,97 @@ int runAnalysis(Options O) {
   TraceOpenOptions OpenOpts;
   OpenOpts.Salvage = O.Salvage;
   OpenOpts.SalvageOut = &Salv;
+  auto Open = [&](SymbolTable &Syms) {
+    TraceReadStatus St = TraceReadStatus::Ok;
+    std::string Error;
+    auto Src = openTraceSource(O.TraceFile, Syms, St, Error, OpenOpts);
+    if (!Src)
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return Src;
+  };
 
-  // Pass A of the static pipeline: stream the (sanitized) trace once with
-  // no back-ends attached and classify every variable; pass B below then
-  // filters on replay. Both passes parse the same bytes with fresh symbol
-  // tables, so variable ids line up. A resumed run restores the filter
-  // from the snapshot instead and skips this sweep.
-  ReductionFilter Filter;
+  // Pass A of --reduce classifies a second open of the trace, with fresh
+  // symbols, so variable ids line up with the replay below. A resumed run
+  // restores the filter from the snapshot instead.
   if (Reducing && !Resuming) {
     SymbolTable ClsSyms;
-    TraceReadStatus ClsSt = TraceReadStatus::Ok;
+    auto ClsSrc = Open(ClsSyms);
+    if (!ClsSrc)
+      return 2;
     std::string ClsErr;
-    auto ClsSrc =
-        openTraceSource(O.TraceFile, ClsSyms, ClsSt, ClsErr, OpenOpts);
-    if (!ClsSrc) {
-      std::fprintf(stderr, "error: %s\n", ClsErr.c_str());
-      return 2;
-    }
-    TraceSanitizer ClsSan(O.Plan.Mode);
-    TraceClassifier Classifier;
-    std::vector<Event> ClsScratch;
-    Event ClsE;
-    while (ClsSrc->next(ClsE)) {
-      ClsScratch.clear();
-      if (!ClsSan.push(ClsE, ClsScratch, ClsSrc->lineNo())) {
-        std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), ClsSan.error().c_str());
-        return 2;
-      }
-      for (const Event &Out : ClsScratch)
-        Classifier.onEvent(Out);
-    }
-    if (ClsSrc->failed()) {
-      std::fprintf(stderr, "error: %s\n",
-                   describeFailure(*ClsSrc, O.TraceFile).c_str());
-      return 2;
-    }
-    ClsScratch.clear();
-    ClsSan.finish(ClsScratch);
-    for (const Event &Out : ClsScratch)
-      Classifier.onEvent(Out);
-    Filter =
-        ReductionFilter(PassManager(ReduceMask).plan(Classifier.facts()));
+    if (!Plan->classify(*ClsSrc, ClsErr))
+      return Reject(ClsSrc->failed() ? ClsSrc.get() : nullptr, ClsErr);
   }
-  if (Reducing)
-    Plan->setFilter(&Filter);
 
+  // Stream the file through sanitizer and back-ends in constant memory,
+  // snapshotting at resume boundaries when asked to. openTraceSource
+  // sniffs the VELOTRC magic, so text and binary traces flow through the
+  // same loop.
   SymbolTable StreamSyms;
-  Trace Buffered; // only filled on the --witness path
+  auto Opened = Open(StreamSyms);
+  if (!Opened)
+    return 2;
+  std::fputs(Salv.note().c_str(), stderr);
+  Trace Raw; // --witness only
+  CopyingSource Copying(*Opened, Raw);
+  TraceSource *Src = O.Witness ? &Copying : Opened.get();
 
-  if (O.Witness) {
-    // The serializability oracle needs random access: buffer, sanitize,
-    // then replay the repaired trace.
-    Trace Raw;
+  if (Resuming) {
     std::string Error;
-    if (readTraceFileStatus(O.TraceFile, Raw, Error, OpenOpts) !=
-        TraceReadStatus::Ok) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
+    if (!Plan->restore(Head, Ckpt, StreamSyms, Error) ||
+        !Src->seekTo(Head.ByteOffset, Head.LineNo, Head.EventsSeen, Error)) {
+      std::fprintf(stderr, "error: cannot resume from %s: %s\n",
+                   O.ResumeFile.c_str(), Error.c_str());
       return 2;
     }
-    printSalvageNote(Salv);
-    RepairCounts Repairs;
-    if (!sanitizeTrace(Raw, O.Plan.Mode, Buffered, &Repairs, Error)) {
-      std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                   O.TraceFile.c_str(), Error.c_str());
-      return 2;
-    }
-    std::fputs(Repairs.note().c_str(), stderr);
-    Plan->begin(Buffered.symbols());
-    for (const Event &E : Buffered) {
-      Plan->deliver(E);
-      if (Plan->stopped())
-        break;
-    }
-    Plan->end();
   } else {
-    // Default path: stream the file through sanitizer and back-ends in
-    // constant memory, snapshotting at resume boundaries when asked to.
-    // openTraceSource sniffs the VELOTRC magic, so text and binary traces
-    // flow through the same loop.
-    TraceReadStatus SrcSt = TraceReadStatus::Ok;
-    std::string SrcErr;
-    auto Src =
-        openTraceSource(O.TraceFile, StreamSyms, SrcSt, SrcErr, OpenOpts);
-    if (!Src) {
-      std::fprintf(stderr, "error: %s\n", SrcErr.c_str());
+    Plan->begin(StreamSyms);
+  }
+
+  if (O.Parallel) {
+    // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
+    // event sequence per back-end, so the report below is byte-identical
+    // to the sequential branch.
+    ParallelOptions POpts;
+    POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
+    POpts.BatchEvents = O.BatchEvents;
+    if (!O.CheckpointFile.empty()) {
+      POpts.CheckpointEvery = O.CheckpointEvery;
+      POpts.CheckpointSink = [&O, &Plan](const CheckpointCut &Cut,
+                                         std::string &Error) {
+        return writeCheckpoint(O, *Plan, Cut, Error);
+      };
+    }
+    if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
+      if (!parsePipelineStall(Spec, POpts.Stall))
+        std::fprintf(stderr,
+                     "warning: ignoring malformed VELO_PIPELINE_STALL "
+                     "'%s'\n",
+                     Spec);
+    PipelineResult PR =
+        Plan->runPipeline(*Src, StreamSyms, std::move(POpts));
+    if (PR.Err == PipelineError::Checkpoint) {
+      std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
+                   O.CheckpointFile.c_str(), PR.Detail.c_str());
       return 2;
     }
-    printSalvageNote(Salv);
-
-    if (Resuming) {
-      // The filter first: resumed ordinals continue from its input count.
-      // restore() and seekTo() overwrite Error when they fail.
-      std::string Error = "reduction filter state cannot be restored";
-      if ((Reducing && !Filter.deserialize(Ckpt.Filter)) ||
-          !Plan->restore(Ckpt.Plan, Ckpt.R, StreamSyms, Error) ||
-          !Src->seekTo(Ckpt.ByteOffset, Ckpt.LineNo, Ckpt.Plan.EventsSeen,
-                       Error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     O.ResumeFile.c_str(), Error.c_str());
-        return 2;
-      }
-    } else {
-      Plan->begin(StreamSyms);
-    }
-
-    if (O.Parallel) {
-      // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
-      // event sequence per back-end, so the report below is byte-identical
-      // to the sequential branch.
-      ParallelOptions POpts;
-      POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
-      POpts.BatchEvents = O.BatchEvents;
-      Plan->wire(POpts);
-      if (!O.CheckpointFile.empty()) {
-        POpts.CheckpointEvery = O.CheckpointEvery;
-        POpts.CheckpointSink = [&O, &Plan](const CheckpointCut &Cut,
-                                           std::string &Error) {
-          return writeCheckpoint(O, *Plan, Cut, Error);
-        };
-      }
-      if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
-        if (!parsePipelineStall(Spec, POpts.Stall))
-          std::fprintf(stderr,
-                       "warning: ignoring malformed VELO_PIPELINE_STALL "
-                       "'%s'\n",
-                       Spec);
-      ParallelPipeline Pipe(*Src, StreamSyms, Plan->sanitizer(),
-                            Reducing ? &Filter : nullptr, Plan->delivery(),
-                            std::move(POpts));
-      PipelineResult PR = Pipe.run();
-      switch (PR.Err) {
-      case PipelineError::Parse:
-        // The run is over, so the source is ours to ask again.
-        std::fprintf(stderr, "error: %s\n",
-                     describeFailure(*Src, O.TraceFile).c_str());
-        return 2;
-      case PipelineError::Sanitize:
-        std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), PR.Detail.c_str());
-        return 2;
-      case PipelineError::Checkpoint:
-        std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                     O.CheckpointFile.c_str(), PR.Detail.c_str());
-        return 2;
-      case PipelineError::None:
-        break;
-      }
-      Plan->absorb(PR);
-    } else {
+    // After a parse error the run is over, so the source is ours to ask
+    // again.
+    if (PR.Err != PipelineError::None)
+      return Reject(PR.Err == PipelineError::Parse ? Src : nullptr,
+                    PR.Detail);
+  } else {
     // A record just processed is fully delivered, so the source position
     // after it is a clean resume boundary.
     auto WriteCheckpointAt = [&](uint64_t Offset, std::string &Error) {
-      CheckpointCut Cut = Plan->cut();
-      Cut.ByteOffset = Offset;
-      Cut.LineNo = Src->lineNo();
-      if (Reducing) {
-        SnapshotWriter FilterBlob;
-        Filter.serialize(FilterBlob);
-        Cut.FilterBlob = FilterBlob.payload();
-      }
-      return writeCheckpoint(O, *Plan, Cut, Error);
+      return writeCheckpoint(O, *Plan, Plan->cut(Offset, Src->lineNo()),
+                             Error);
     };
     uint64_t NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
     Event E;
-    while (!Plan->stopped() && Src->next(E)) {
-      if (!Plan->feed(E, Src->lineNo())) {
-        std::fprintf(stderr,
-                     "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), Plan->sanitizer().error().c_str());
-        return 2;
-      }
+    while (Src->next(E)) {
+      if (!Plan->feed(E, Src->lineNo()))
+        return Reject(nullptr, Plan->sanitizer().error());
       if (Plan->stopped())
         break;
       if (!O.CheckpointFile.empty() && Plan->eventsSeen() >= NextCkpt) {
@@ -582,13 +527,9 @@ int runAnalysis(Options O) {
         return 128 + Sig;
       }
     }
-    if (Src->failed()) {
-      std::fprintf(stderr, "error: %s\n",
-                   describeFailure(*Src, O.TraceFile).c_str());
-      return 2;
-    }
+    if (Src->failed())
+      return Reject(Src, "");
     Plan->finish();
-    } // sequential loop
   }
 
   // Everything below flows through the report manager; the text renderer
@@ -597,7 +538,7 @@ int runAnalysis(Options O) {
   ReportManager RM;
   RM.Run.Tool = "velodrome-check";
   RM.Run.Trace = O.TraceFile;
-  Plan->report(RM, O.Witness ? Buffered.symbols() : StreamSyms);
+  Plan->report(RM, StreamSyms);
   const Velodrome &Velo = Plan->velodrome();
   bool RunVelo = Plan->reports(Velo);
   if (O.Stats && RunVelo) {
@@ -615,7 +556,7 @@ int runAnalysis(Options O) {
     RM.addStatLine(StatBuf);
   }
   if (O.Stats && Reducing)
-    RM.addStatLine("[reduce] " + Filter.stats().summary());
+    RM.addStatLine("[reduce] " + Plan->reduceStats()->summary());
 
   if (!O.DotFile.empty() && RunVelo && !Velo.warnings().empty() &&
       !Velo.warnings()[0].Dot.empty()) {
@@ -625,22 +566,13 @@ int runAnalysis(Options O) {
       RM.addNote("error graph written to " + O.DotFile + "\n");
   }
 
-  if (O.Witness) {
-    OracleResult Oracle = checkSerializable(Buffered);
-    if (Oracle.Serializable) {
-      TxnIndex Index = buildTxnIndex(Buffered);
-      RM.addNote("# serial witness\n" +
-                 printTrace(buildSerialWitness(Buffered, Index, Oracle)));
-    } else if (!O.Quiet) {
-      RM.addNote("no witness: trace is not serializable\n");
-    }
-  }
+  if (O.Witness)
+    RM.addNote(witnessNote(O, *Src, Raw, StreamSyms));
 
   const std::string Doc = RM.render(O.Format, O.Quiet);
   std::fwrite(Doc.data(), 1, Doc.size(), stdout);
   return RM.Run.ExitCode;
 }
-
 
 //===----------------------------------------------------------------------===//
 // Supervision (support/Supervisor.h): restart from the last checkpoint on
@@ -653,11 +585,12 @@ void peekCheckpoint(const std::string &Path, uint64_t &EventsOut,
                     uint64_t &LineOut) {
   EventsOut = 0;
   LineOut = 0;
-  Checkpoint C;
+  SnapshotReader R;
+  PlanHead H;
   std::string Error;
-  if (loadCheckpoint(Path, C, Error)) {
-    EventsOut = C.Plan.EventsSeen;
-    LineOut = C.LineNo;
+  if (loadCheckpoint(Path, R, H, Error)) {
+    EventsOut = H.EventsSeen;
+    LineOut = H.LineNo;
   }
 }
 

@@ -607,8 +607,8 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   Gov->NotesOut = &GovNotes;
   Gov->begin(Repaired.symbols());
   for (const Event &E : Repaired)
-    Gov->deliver(E);
-  Gov->end();
+    Gov->feed(E);
+  Gov->finish();
   if (Gov->exitCode() == 1 && !Velo.sawViolation()) {
     WhyOut = "governed analysis reported a violation the full run did not";
     return false;

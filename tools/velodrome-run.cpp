@@ -24,7 +24,6 @@
 #include "analysis/TraceRecorder.h"
 #include "events/TraceText.h"
 #include "report/Report.h"
-#include "staticpass/StaticPipeline.h"
 #include "support/Flags.h"
 #include "support/Syscalls.h"
 #include "workloads/Workload.h"
@@ -161,18 +160,10 @@ int main(int argc, char **argv) {
   if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
     return Rc;
   const std::string &Name = Operands[0];
-  std::string PlanError;
-  std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(Config, PlanError);
-  if (!Plan) {
-    std::fprintf(stderr, "%s\n", PlanError.c_str());
-    Table.printUsage();
-    return 2;
-  }
   bool Reducing = !ReduceSpec.empty();
-  PassMask ReduceMask;
   if (Reducing) {
     std::string Error;
-    if (!parsePassSpec(ReduceSpec, ReduceMask, Error)) {
+    if (!parsePassSpec(ReduceSpec, Config.Reduce.emplace(), Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
     }
@@ -183,6 +174,14 @@ int main(int argc, char **argv) {
                    "error: --reduce is incompatible with --adversarial\n");
       return 2;
     }
+  }
+
+  std::string PlanError;
+  std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(Config, PlanError);
+  if (!Plan) {
+    std::fprintf(stderr, "%s\n", PlanError.c_str());
+    Table.printUsage();
+    return 2;
   }
 
   std::unique_ptr<Workload> W = makeWorkload(Name);
@@ -211,8 +210,8 @@ int main(int argc, char **argv) {
   // fail-stops with a diagnostic instead of silently corrupting the
   // analyses. Strict mode passes a well-formed stream through unchanged, so
   // the recorder, beside it, records exactly what the back-ends analyzed.
-  // Under --reduce the analyses run offline on the reduced recording, so
-  // the live stream reaches only the recorder.
+  // Under --reduce the analyses run offline on the recording, through the
+  // plan's filter, so the live stream reaches only the recorder.
   PlanFeed Feed(*Plan);
   TraceRecorder Rec;
   bool Recording = !RecordFile.empty() || Reducing;
@@ -229,22 +228,15 @@ int main(int argc, char **argv) {
       RT.excludeMethod(M);
   W->run(RT);
 
-  // Deferred analysis: validate the recording, reduce it, and replay the
-  // kept events through the same plan the live path uses.
-  PassStats ReduceStats;
-  Trace Reduced; // back-ends hold a reference to its symbol table
+  // Deferred analysis: classify the recording, then feed it through the
+  // plan as velodrome-check feeds a trace file. The sweep sanitized the
+  // same stream in the same mode, so the replay cannot be rejected.
   std::string Rejected = Plan->sanitizer().error();
-  if (Reducing) {
-    Trace Checked;
-    if (sanitizeTrace(Rec.trace(), SanitizeMode::Strict, Checked, nullptr,
-                      Rejected)) {
-      Reduced = reduceTrace(Checked, planTrace(Checked, ReduceMask),
-                            &ReduceStats);
-      Plan->begin(Reduced.symbols());
-      for (const Event &E : Reduced)
-        Plan->deliver(E);
-      Plan->end();
-    }
+  if (Reducing && Plan->classify(Rec.trace(), Rejected)) {
+    Plan->begin(Rec.trace().symbols());
+    for (const Event &E : Rec.trace())
+      Plan->feed(E);
+    Plan->finish();
   }
   if (!Rejected.empty()) {
     std::fprintf(stderr,
@@ -256,8 +248,9 @@ int main(int argc, char **argv) {
 
   // The workload summary keeps its historical text layout; --format=json
   // or =sarif swaps in a machine rendering of the same findings
-  // (docs/REPORTING.md), with the human text suppressed. Its header counts
-  // the events the runtime emitted.
+  // (docs/REPORTING.md), with the human text suppressed. The text header
+  // counts the events the runtime emitted; the report counts what the plan
+  // delivered, as velodrome-check does on the recording.
   const bool Text = Format == ReportFormat::Text;
   ReportManager RM;
   RM.Run.Tool = "velodrome-run";
@@ -265,9 +258,6 @@ int main(int argc, char **argv) {
   Plan->report(RM, RT.symbols());
   if (!AtomReported)
     RM.addSection(Atom.name(), Atom.warnings(), &RT.symbols());
-  RM.Run.Events = RT.eventCount();
-  RM.Run.SanitizedEvents = Reducing ? Reduced.size() : RT.eventCount();
-  RM.Run.Threads = Recording ? Rec.trace().numThreads() : 0;
 
   if (Text) {
     std::printf("%s: seed=%llu scale=%llu events=%llu\n", W->name(),
@@ -279,7 +269,7 @@ int main(int argc, char **argv) {
     if (!AtomReported)
       printBlock(*Plan, Atom, RT.symbols());
     if (Reducing)
-      std::printf("[reduce]    %s\n", ReduceStats.summary().c_str());
+      std::printf("[reduce]    %s\n", Plan->reduceStats()->summary().c_str());
   }
   // A degraded run legitimately stops feeding the graph checker early, so
   // the cross-check only applies while both saw the whole stream.
