@@ -69,7 +69,6 @@ public:
   uint64_t txnsStarted() const { return NumTxns; }
   uint64_t clocksAllocated() const { return NumAllocs; }
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

@@ -85,14 +85,11 @@ public:
   /// override this; heuristic back-ends keep the default.
   virtual bool sawViolation() const { return false; }
 
-  /// Can this back-end round-trip its complete analysis state through a
-  /// snapshot? Back-ends that return true guarantee that
-  /// deserialize(serialize()) restores a state from which continuing the
-  /// event stream produces the identical verdict and warning list.
-  virtual bool supportsSnapshot() const { return false; }
-
   /// Append the complete analysis state (including the inherited warning
-  /// list and event counter — call serializeBase() first).
+  /// list and event counter — call serializeBase() first). A back-end
+  /// that overrides it guarantees that deserialize(serialize()) restores a
+  /// state from which continuing the event stream produces the identical
+  /// verdict and warning list.
   virtual void serialize(SnapshotWriter &W) const { serializeBase(W); }
 
   /// Restore state written by serialize(). The back-end must already have

@@ -61,6 +61,16 @@ struct GovernorLimits {
     L.MaxLiveNodes = 60000;
     return L;
   }
+
+  /// Caps other than the defaults stop the analysis mid-stream, and only
+  /// the parallel pipeline's governor worker stops at the exact event, so
+  /// --parallel refuses them (docs/PARALLEL.md).
+  bool explicitCaps() const {
+    const GovernorLimits D = defaults();
+    return MaxEvents != D.MaxEvents || MaxLiveNodes != D.MaxLiveNodes ||
+           MaxMemoryBytes != D.MaxMemoryBytes ||
+           DeadlineMillis != D.DeadlineMillis;
+  }
 };
 
 /// The rows for the cap flags check, run and serve take: --max-events=N,
@@ -138,16 +148,11 @@ public:
   /// Events actually delivered to the analysis (drops after exhaustion).
   uint64_t eventsDelivered() const { return Delivered; }
 
-  /// Snapshot support: the wrapper serializes its own budget state plus
-  /// one nested blob per wrapped checker, so a resumed governed run
-  /// continues from the same state (the deadline budget is cumulative
-  /// across the crash — elapsed time is carried in the snapshot). The
-  /// reference's blob rides along even once stopped: its warnings count.
-  bool supportsSnapshot() const override {
-    return Primary.supportsSnapshot() &&
-           (!Fallback || Fallback->supportsSnapshot()) &&
-           (!Reference || Reference->supportsSnapshot());
-  }
+  /// The wrapper serializes its own budget state plus one nested blob per
+  /// wrapped checker, so a resumed governed run continues from the same
+  /// state (the deadline budget is cumulative across the crash — elapsed
+  /// time is carried in the snapshot). The reference's blob rides along
+  /// even once stopped: its warnings count.
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

@@ -3,6 +3,7 @@
 #include "analysis/Plan.h"
 
 #include "staticpass/PassManager.h"
+#include "support/Supervisor.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -249,14 +250,73 @@ void AnalysisPlan::closingNotes(const RepairCounts &Repairs) {
          "\n");
 }
 
+PipelineResult AnalysisPlan::run(TraceSource &Src, SymbolTable &S,
+                                 bool Parallel, ParallelOptions Opts) {
+  if (Parallel)
+    return runPipeline(Src, S, std::move(Opts));
+  NoteCrashEvents = Opts.NoteCrashEvents;
+  CrashAt = Opts.CrashAt;
+  CrashSignal = Opts.CrashSignal;
+  PipelineResult R;
+  const bool Checkpointing = Opts.CheckpointSink && Opts.CheckpointEvery != 0;
+  // A record just processed is fully delivered, so the source position
+  // after it is a clean resume boundary.
+  auto Checkpoint = [&](uint64_t Offset) {
+    std::string Error;
+    if (Opts.CheckpointSink(cut(Offset, Src.lineNo()), Error))
+      return true;
+    R.Err = PipelineError::Checkpoint;
+    R.Detail = Error;
+    return false;
+  };
+  uint64_t NextCkpt = Seen.Events + Opts.CheckpointEvery;
+  Event E;
+  while (Src.next(E)) {
+    if (!feed(E, Src.lineNo())) {
+      R.Err = PipelineError::Sanitize;
+      R.Detail = San.error();
+      return R;
+    }
+    if (stopped())
+      break;
+    // Text: tell() fails only once the scanner has met the end of the
+    // input (the run is about to finish anyway). Binary: tell() fails
+    // mid-frame, deferring the snapshot to the frame's end, so the cadence
+    // moves on only when a cut was written.
+    uint64_t Off = 0;
+    if (Checkpointing && Seen.Events >= NextCkpt && Src.tell(Off)) {
+      if (!Checkpoint(Off))
+        return R;
+      NextCkpt = Seen.Events + Opts.CheckpointEvery;
+    }
+    if (int Sig = stopSignal()) {
+      // Graceful drain: persist this boundary and report the signal.
+      if (Checkpointing && Src.tell(Off))
+        Checkpoint(Off);
+      R.Signal = Sig;
+      return R;
+    }
+  }
+  if (Src.failed()) {
+    R.Err = PipelineError::Parse;
+    R.Detail = Src.error();
+    return R;
+  }
+  finish();
+  R.EventsSeen = Seen.Events;
+  R.ThreadsSeen = Seen.Threads;
+  R.SanitizedEvents = Ordinal;
+  R.Repairs = San.repairs();
+  if (Filter)
+    R.Reduced = Filter->stats();
+  return R;
+}
+
 PipelineResult AnalysisPlan::runPipeline(TraceSource &Src, SymbolTable &S,
                                          ParallelOptions Opts) {
   Opts.StartEvents = Seen.Events;
   Opts.StartThreads = Seen.Threads;
   Opts.StartOrdinal = Ordinal;
-  Opts.NoteCrashEvents = NoteCrashEvents;
-  Opts.CrashAt = CrashAt;
-  Opts.CrashSignal = CrashSignal;
   if (Gov) {
     // The probe runs on the governor's worker after every event:
     // exhaustion makes that event the stop event, as in the sequential

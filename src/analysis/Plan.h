@@ -11,15 +11,17 @@
 //     between the sanitizer and delivery;
 //   * the delivery list, fixed for the whole run, the per-event
 //     bookkeeping (events and threads seen, sanitized-stream ordinals) and
-//     the stop, sequentially and through the parallel pipeline;
+//     the stop;
+//   * the run loop over a trace source, sequentially and through the
+//     parallel pipeline, with the checkpoint cadence, the SIGTERM/SIGINT
+//     drain and the crash hooks;
 //   * the verdict, the exit code, the governor notes, the report sections;
 //   * the snapshot body: config, counters, stream position, filter, and
 //     one named blob per back-end.
 //
 // velodrome-check, serve::Session, velodrome-run and velodrome-fuzz are
 // front-ends over it. Each keeps what is really its own: the event source,
-// the checkpoint cadence, supervision, and presentation
-// (docs/ALGORITHM.md "Analysis plan").
+// supervision, and presentation (docs/ALGORITHM.md "Analysis plan").
 //
 //===----------------------------------------------------------------------===//
 
@@ -131,13 +133,6 @@ public:
   /// checker's stop, the lenient repair count, the governor's breach.
   std::string *NotesOut = nullptr;
 
-  /// velodrome-check's crash hooks: record each delivered event in the
-  /// crash ring, and raise CrashSignal after CrashAt events (0 = off)
-  /// delivered by this process.
-  bool NoteCrashEvents = false;
-  uint64_t CrashAt = 0;
-  int CrashSignal = SIGKILL;
-
   /// beginAnalysis on every delivered back-end. Syms must outlive the
   /// plan; its names resolve the warnings.
   void begin(const SymbolTable &Syms);
@@ -168,13 +163,20 @@ public:
   /// endAnalysis on every delivered back-end and the closing notes.
   void finish();
 
-  /// The parallel counterpart of feeding Src to the end and finish():
-  /// run the pipeline over it with this plan's sanitizer, filter and
-  /// delivery list, the resume counters, crash hooks and stop probe. Src
-  /// interns into Syms (and is seeked on resume). Unless the run failed,
-  /// take its counters, as of its stop event, and write the closing notes.
-  PipelineResult runPipeline(TraceSource &Src, SymbolTable &Syms,
-                             ParallelOptions Opts);
+  /// Stream Src to its end, or to the stop, and finish(): Src interns
+  /// into Syms, which begin() or restore() was given (and is seeked on
+  /// resume). Sequentially, each record is fed; every Opts.CheckpointEvery
+  /// delivered events the sink gets cut() at the next record boundary the
+  /// source can tell; a SIGTERM/SIGINT (support/Supervisor.h) ends the run
+  /// at a record boundary, after a last cut, with Signal set. With
+  /// Parallel set, the pipeline (docs/PARALLEL.md) runs the same stages
+  /// with this plan's sanitizer, filter, delivery list, resume counters
+  /// and stop probe. Either way Opts' crash hooks apply, and a run that
+  /// reaches the end writes the closing notes and counts as of the stop
+  /// event. A failed checkpoint write ends the run with Checkpoint; in the
+  /// drain it is reported beside Signal.
+  PipelineResult run(TraceSource &Src, SymbolTable &Syms, bool Parallel,
+                     ParallelOptions Opts);
 
   uint64_t eventsSeen() const { return Seen.Events; }
   GovernorState governorState() const {
@@ -216,6 +218,9 @@ private:
   /// Deliver the sanitizer's output through the filter until stopped,
   /// each event under the next sanitized-stream ordinal.
   void deliverSanitized(uint64_t Line);
+  /// run() with Parallel set.
+  PipelineResult runPipeline(TraceSource &Src, SymbolTable &Syms,
+                             ParallelOptions Opts);
   /// Pass A over events Next yields (with their lines) until it returns
   /// false.
   template <typename NextFn> bool sweep(NextFn Next, std::string &Err);
@@ -252,6 +257,12 @@ private:
   uint64_t Ordinal = 0; ///< sanitized-stream position (docs/REPORTING.md)
   DeliveryCount Seen;
   uint64_t EventsAtStart = 0; ///< resumed offset, for CrashAt
+  /// run()'s crash hooks, from ParallelOptions: record each delivered
+  /// event in the crash ring, and raise CrashSignal after CrashAt events
+  /// (0 = off) delivered by this process.
+  bool NoteCrashEvents = false;
+  uint64_t CrashAt = 0;
+  int CrashSignal = SIGKILL;
   /// The filter's counters a parallel run returned: they stop at its stop
   /// event, where the filter stage itself ran on.
   std::optional<PassStats> PipelineReduced;

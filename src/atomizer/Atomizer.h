@@ -49,7 +49,6 @@ public:
   /// Distinct methods (outermost atomic-block labels) flagged so far.
   const std::set<Label> &flaggedMethods() const { return Flagged; }
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

@@ -46,7 +46,6 @@ public:
   /// Total nodes allocated (one per transaction, unary included).
   uint64_t nodesAllocated() const { return Nodes.size(); }
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

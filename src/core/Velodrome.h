@@ -99,7 +99,6 @@ public:
   /// governor surfaces this as degradation / an Unknown verdict.
   bool graphExhausted() const { return Graph.graphFull(); }
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

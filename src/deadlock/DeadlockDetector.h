@@ -42,7 +42,6 @@ public:
   void onEvent(const Event &E) override;
   void endAnalysis() override;
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

@@ -66,8 +66,6 @@ public:
 
   const LockSetEngine &engine() const { return Engine; }
 
-  bool supportsSnapshot() const override { return true; }
-
   void serialize(SnapshotWriter &W) const override {
     serializeBase(W);
     Engine.serialize(W);

@@ -30,7 +30,6 @@ public:
   /// Variables with at least one detected race.
   const std::set<VarId> &racyVars() const { return RacyVars; }
 
-  bool supportsSnapshot() const override { return true; }
   void serialize(SnapshotWriter &W) const override;
   bool deserialize(SnapshotReader &R) override;
 

@@ -1,10 +1,10 @@
 //===- parallel/Pipeline.h - Multi-threaded analysis pipeline ---*- C++ -*-===//
 //
-// The parallel counterpart of velodrome-check's sequential streaming loop
-// (docs/PARALLEL.md). Stages are connected by bounded SPSC rings
-// (parallel/Ring.h) carrying event batches, and the ingested stream fans
-// out to N worker threads that each own a disjoint subset of the
-// back-ends:
+// The parallel counterpart of the analysis plan's sequential streaming
+// loop (AnalysisPlan::run, docs/PARALLEL.md). Stages are connected by
+// bounded SPSC rings (parallel/Ring.h) carrying event batches, and the
+// ingested stream fans out to N worker threads that each own a disjoint
+// subset of the back-ends:
 //
 //   reader ──Q1──▶ sanitizer ──QF──▶ filter ──┬─▶ worker 0 (backends …)
 //   (decode)       (repair/reject)  (--reduce)├─▶ worker 1 (backends …)
@@ -97,8 +97,13 @@ struct PipelineResult {
   uint64_t Batches = 0;    ///< batches produced by the reader
   size_t ReaderRingHigh = 0; ///< peak Q1 occupancy (backpressure evidence)
   size_t WorkerRingHigh = 0; ///< peak occupancy across worker rings
+  /// AnalysisPlan::run's sequential loop only: the SIGTERM/SIGINT that
+  /// ended the run at a record boundary (0 = none).
+  int Signal = 0;
 };
 
+/// The options of a pipeline run, and of AnalysisPlan::run in both modes:
+/// its sequential loop reads the checkpoint and crash fields.
 struct ParallelOptions {
   /// Worker threads for back-end fan-out; 0 = one per delivered back-end.
   /// Always clamped to [1, #backends].
@@ -111,7 +116,8 @@ struct ParallelOptions {
 
   /// Parsed events between checkpoint boundaries; 0 = checkpointing off.
   /// Cuts land on batch boundaries, so the realized cadence is the next
-  /// batch end at or after every multiple of this.
+  /// batch end at or after every multiple of this. (The sequential loop
+  /// counts delivered events instead.)
   uint64_t CheckpointEvery = 0;
   /// Receives each completed cut, in order. Returns false with ErrorOut
   /// set to abort the run (reported as PipelineError::Checkpoint).
@@ -132,8 +138,8 @@ struct ParallelOptions {
   /// (analysis/CrashDump.h). The ring is process-global and
   /// single-writer: enable in at most one pipeline per process.
   bool NoteCrashEvents = false;
-  /// Test hook parity with the sequential loop: raise CrashSignal after
-  /// CrashAt events have been delivered by this process (0 = off).
+  /// Test hook: raise CrashSignal after CrashAt events have been
+  /// delivered by this process (0 = off).
   uint64_t CrashAt = 0;
   int CrashSignal = SIGKILL;
 

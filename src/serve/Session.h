@@ -85,7 +85,7 @@ public:
 
   /// Serialize the whole pipeline (config, counters, symbols, sanitizer,
   /// every back-end, governor budget) into Blob without disturbing
-  /// it. Fails when any configured back-end lacks snapshot support.
+  /// it. Fails when the session is evicted or finished.
   bool snapshot(std::string &Blob, std::string &Err);
 
   /// snapshot() then drop the in-memory pipeline; the session keeps only

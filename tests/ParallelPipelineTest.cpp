@@ -11,178 +11,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
-#include "atomizer/Atomizer.h"
-#include "core/Velodrome.h"
-#include "eraser/Eraser.h"
 #include "events/TraceGen.h"
-#include "events/TraceSanitizer.h"
-#include "events/TraceStream.h"
-#include "events/TraceText.h"
-#include "hbrace/HbRaceDetector.h"
-#include "parallel/Fanout.h"
-#include "parallel/Pipeline.h"
-#include "staticpass/StaticPipeline.h"
 
-#include "OpenTextSource.h"
+#include "PipelineHarness.h"
 
 #include "gtest/gtest.h"
 
-#include <atomic>
-#include <functional>
 #include <thread>
 
 using namespace velo;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Reference harness: run a trace text through the sequential loop and
-// through the pipeline with arbitrary options, capture everything
-// observable, compare.
-//===----------------------------------------------------------------------===//
-
-struct RunResult {
-  PipelineError Err = PipelineError::None;
-  std::string Detail;
-  uint64_t Events = 0;
-  uint64_t Repairs = 0;
-  std::vector<std::string> States;   ///< serialized back-end payloads
-  std::vector<std::string> Warnings; ///< flattened warning messages
-  PipelineResult PR;                 ///< pipeline runs only
-};
-
-struct BackendSet {
-  Velodrome Velo;
-  AeroDrome Aero;
-  Eraser Race;
-  HbRaceDetector Hb;
-  Atomizer Atom;
-  std::vector<Backend *> all() {
-    return {&Velo, &Aero, &Race, &Hb, &Atom};
-  }
-};
-
-void capture(BackendSet &Set, RunResult &Out) {
-  for (Backend *B : Set.all()) {
-    SnapshotWriter W;
-    B->serialize(W);
-    Out.States.push_back(W.payload());
-    for (const Warning &Wn : B->warnings())
-      Out.Warnings.push_back(std::string(B->name()) + ": " + Wn.Message);
-  }
-}
-
-/// Build a reduction plan for Text the way velodrome-check does (the text
-/// must be strict-valid when UseFilter is set).
-ReductionPlan planFor(const std::string &Text) {
-  Trace T;
-  std::string Error;
-  EXPECT_TRUE(parseTrace(Text, T, Error)) << Error;
-  return planTrace(T, PassMask::all());
-}
-
-/// The sequential loop velodrome-check runs, minus the CLI.
-RunResult runSequential(const std::string &Text, SanitizeMode Mode,
-                        const ReductionPlan *Plan) {
-  RunResult Out;
-  SymbolTable Syms;
-  TraceStream TS(Text, Syms);
-  TraceSanitizer San(Mode);
-  ReductionFilter Filter;
-  if (Plan)
-    Filter = ReductionFilter(*Plan);
-  BackendSet Set;
-  for (Backend *B : Set.all())
-    B->beginAnalysis(Syms);
-
-  std::vector<Event> Clean;
-  Event E;
-  uint64_t Ord = 0; // 1-based post-sanitizer pre-reduction ordinal
-  bool Failed = false;
-  while (!Failed && TS.next(E)) {
-    Clean.clear();
-    if (!San.push(E, Clean, TS.lineNo())) {
-      Out.Err = PipelineError::Sanitize;
-      Out.Detail = San.error();
-      Failed = true;
-      break;
-    }
-    for (const Event &C : Clean) {
-      ++Ord;
-      if (Plan && !Filter.keep(C))
-        continue;
-      ++Out.Events;
-      for (Backend *B : Set.all()) {
-        B->setEventOrdinal(Ord);
-        B->onEvent(C);
-      }
-    }
-  }
-  if (!Failed && TS.failed()) {
-    Out.Err = PipelineError::Parse;
-    Out.Detail = TS.error();
-    Failed = true;
-  }
-  if (!Failed) {
-    Clean.clear();
-    San.finish(Clean);
-    for (const Event &C : Clean) {
-      ++Ord;
-      if (Plan && !Filter.keep(C))
-        continue;
-      ++Out.Events;
-      for (Backend *B : Set.all()) {
-        B->setEventOrdinal(Ord);
-        B->onEvent(C);
-      }
-    }
-    for (Backend *B : Set.all())
-      B->endAnalysis();
-  }
-  Out.Repairs = San.repairs().total();
-  capture(Set, Out);
-  return Out;
-}
-
-RunResult runPipeline(const std::string &Text, SanitizeMode Mode,
-                      const ReductionPlan *Plan, ParallelOptions Opts) {
-  RunResult Out;
-  SymbolTable Syms;
-  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
-  if (!Src)
-    return Out;
-  TraceSanitizer San(Mode);
-  ReductionFilter Filter;
-  if (Plan)
-    Filter = ReductionFilter(*Plan);
-  BackendSet Set;
-  for (Backend *B : Set.all())
-    B->beginAnalysis(Syms);
-  ParallelPipeline Pipe(*Src, Syms, San, Plan ? &Filter : nullptr,
-                        Set.all(), std::move(Opts));
-  Out.PR = Pipe.run();
-  Out.Err = Out.PR.Err;
-  Out.Detail = Out.PR.Detail;
-  Out.Events = Out.PR.EventsSeen;
-  Out.Repairs = San.repairs().total();
-  capture(Set, Out);
-  return Out;
-}
-
-/// The hard invariant: everything observable is identical.
-void expectSame(const RunResult &Seq, const RunResult &Par,
-                const std::string &What) {
-  EXPECT_EQ(static_cast<int>(Seq.Err), static_cast<int>(Par.Err)) << What;
-  EXPECT_EQ(Seq.Detail, Par.Detail) << What;
-  EXPECT_EQ(Seq.Events, Par.Events) << What;
-  EXPECT_EQ(Seq.Repairs, Par.Repairs) << What;
-  EXPECT_EQ(Seq.Warnings, Par.Warnings) << What;
-  ASSERT_EQ(Seq.States.size(), Par.States.size()) << What;
-  for (size_t I = 0; I < Seq.States.size(); ++I)
-    EXPECT_EQ(Seq.States[I], Par.States[I])
-        << What << ": back-end " << I << " state diverged";
-}
 
 std::string genTrace(uint64_t Seed, size_t Steps, bool ForkJoin = false) {
   TraceGenOptions Opts;
@@ -462,55 +301,6 @@ TEST(ParallelPipeline, StallSpecParser) {
                           "worker:x", "workerx:10", "reader:5x"})
     EXPECT_FALSE(parsePipelineStall(Bad, St)) << Bad;
   EXPECT_FALSE(parsePipelineStall(nullptr, St));
-}
-
-//===----------------------------------------------------------------------===//
-// The whole-trace fan-out pool used by velodrome-fuzz.
-//===----------------------------------------------------------------------===//
-
-TEST(BackendFanout, ReplayAllMatchesSequential) {
-  Trace T;
-  std::string Error;
-  ASSERT_TRUE(parseTrace(genTrace(21, 300), T, Error)) << Error;
-
-  BackendSet SeqSet;
-  for (Backend *B : SeqSet.all()) {
-    B->beginAnalysis(T.symbols());
-    for (size_t I = 0; I < T.size(); ++I) {
-      B->setEventOrdinal(I + 1);
-      B->onEvent(T[I]);
-    }
-    B->endAnalysis();
-  }
-
-  BackendFanout Pool(4);
-  EXPECT_EQ(Pool.threadCount(), 4u);
-  BackendSet ParSet;
-  for (Backend *B : ParSet.all())
-    B->beginAnalysis(T.symbols());
-  Pool.replayAll(T, ParSet.all());
-
-  std::vector<Backend *> S = SeqSet.all(), P = ParSet.all();
-  for (size_t I = 0; I < S.size(); ++I) {
-    SnapshotWriter WS, WP;
-    S[I]->serialize(WS);
-    P[I]->serialize(WP);
-    EXPECT_EQ(WS.payload(), WP.payload()) << S[I]->name();
-  }
-}
-
-TEST(BackendFanout, RunExecutesEveryTaskAcrossCalls) {
-  BackendFanout Pool(3);
-  std::atomic<int> Count{0};
-  std::vector<std::function<void()>> Tasks;
-  for (int I = 0; I < 20; ++I)
-    Tasks.push_back([&Count] { Count.fetch_add(1); });
-  Pool.run(Tasks);
-  EXPECT_EQ(Count.load(), 20);
-  Pool.run(Tasks); // the pool is reusable
-  EXPECT_EQ(Count.load(), 40);
-  Pool.run({});
-  EXPECT_EQ(Count.load(), 40);
 }
 
 } // namespace

@@ -12,128 +12,15 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
-#include "atomizer/Atomizer.h"
-#include "core/Velodrome.h"
-#include "eraser/Eraser.h"
 #include "events/TraceGen.h"
-#include "events/TraceSanitizer.h"
-#include "events/TraceStream.h"
-#include "events/TraceText.h"
-#include "hbrace/HbRaceDetector.h"
-#include "parallel/Pipeline.h"
-#include "staticpass/StaticPipeline.h"
 
-#include "OpenTextSource.h"
+#include "PipelineHarness.h"
 
 #include "gtest/gtest.h"
 
 using namespace velo;
 
 namespace {
-
-struct BackendSet {
-  Velodrome Velo;
-  AeroDrome Aero;
-  Eraser Race;
-  HbRaceDetector Hb;
-  Atomizer Atom;
-  std::vector<Backend *> all() {
-    return {&Velo, &Aero, &Race, &Hb, &Atom};
-  }
-};
-
-struct Observed {
-  uint64_t Events = 0;
-  std::vector<std::string> States;
-  std::vector<std::string> Warnings;
-
-  bool operator==(const Observed &O) const {
-    return Events == O.Events && States == O.States &&
-           Warnings == O.Warnings;
-  }
-};
-
-void capture(BackendSet &Set, Observed &Out) {
-  for (Backend *B : Set.all()) {
-    SnapshotWriter W;
-    B->serialize(W);
-    Out.States.push_back(W.payload());
-    for (const Warning &Wn : B->warnings())
-      Out.Warnings.push_back(std::string(B->name()) + ": " + Wn.Message);
-  }
-}
-
-// Out-parameter (not a return value): ASSERT_* macros return void.
-void runSequentialInto(const std::string &Text, const ReductionPlan *Plan,
-                       Observed &Out) {
-  SymbolTable Syms;
-  TraceStream TS(Text, Syms);
-  TraceSanitizer San(SanitizeMode::Strict);
-  ReductionFilter Filter;
-  if (Plan)
-    Filter = ReductionFilter(*Plan);
-  BackendSet Set;
-  for (Backend *B : Set.all())
-    B->beginAnalysis(Syms);
-  std::vector<Event> Clean;
-  Event E;
-  uint64_t Ord = 0; // 1-based post-sanitizer pre-reduction ordinal
-  while (TS.next(E)) {
-    Clean.clear();
-    ASSERT_TRUE(San.push(E, Clean, TS.lineNo())) << San.error();
-    for (const Event &C : Clean) {
-      ++Ord;
-      if (Plan && !Filter.keep(C))
-        continue;
-      ++Out.Events;
-      for (Backend *B : Set.all()) {
-        B->setEventOrdinal(Ord);
-        B->onEvent(C);
-      }
-    }
-  }
-  ASSERT_FALSE(TS.failed()) << TS.error();
-  Clean.clear();
-  San.finish(Clean);
-  for (const Event &C : Clean) {
-    ++Ord;
-    if (Plan && !Filter.keep(C))
-      continue;
-    ++Out.Events;
-    for (Backend *B : Set.all()) {
-      B->setEventOrdinal(Ord);
-      B->onEvent(C);
-    }
-  }
-  for (Backend *B : Set.all())
-    B->endAnalysis();
-  capture(Set, Out);
-}
-
-Observed runParallel(const std::string &Text, const ReductionPlan *Plan,
-                     const ParallelOptions &Opts) {
-  Observed Out;
-  SymbolTable Syms;
-  std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
-  if (!Src)
-    return Out;
-  TraceSanitizer San(SanitizeMode::Strict);
-  ReductionFilter Filter;
-  if (Plan)
-    Filter = ReductionFilter(*Plan);
-  BackendSet Set;
-  for (Backend *B : Set.all())
-    B->beginAnalysis(Syms);
-  ParallelPipeline Pipe(*Src, Syms, San, Plan ? &Filter : nullptr,
-                        Set.all(), Opts);
-  PipelineResult R = Pipe.run();
-  EXPECT_EQ(static_cast<int>(R.Err), static_cast<int>(PipelineError::None))
-      << R.Detail;
-  Out.Events = R.EventsSeen;
-  capture(Set, Out);
-  return Out;
-}
 
 TEST(ParallelSweep, TwoHundredSeededTraces) {
   // Cheap deterministic mixer for deriving per-seed knobs.
@@ -155,12 +42,7 @@ TEST(ParallelSweep, TwoHundredSeededTraces) {
     GOpts.GuardedAccessPct = static_cast<unsigned>(Mix(Seed, 5) % 90);
     GOpts.UseForkJoin = Mix(Seed, 6) % 3 == 0;
     const std::string Text = printTrace(generateRandomTrace(Seed, GOpts));
-    const ReductionPlan Plan = [&] {
-      Trace T;
-      std::string Error;
-      EXPECT_TRUE(parseTrace(Text, T, Error)) << Error;
-      return planTrace(T, PassMask::all());
-    }();
+    const ReductionPlan Plan = planFor(Text);
 
     ParallelOptions POpts;
     const size_t Batches[] = {1, 3, 7, 64};
@@ -176,14 +58,20 @@ TEST(ParallelSweep, TwoHundredSeededTraces) {
     }
 
     SCOPED_TRACE("seed " + std::to_string(Seed));
-    Observed Seq, SeqReduced;
-    runSequentialInto(Text, nullptr, Seq);
-    runSequentialInto(Text, &Plan, SeqReduced);
-    Observed Par = runParallel(Text, nullptr, POpts);
-    Observed ParReduced = runParallel(Text, &Plan, POpts);
-    EXPECT_TRUE(Seq == Par) << "parallel diverged from sequential";
-    EXPECT_TRUE(SeqReduced == ParReduced)
-        << "parallel --reduce diverged from sequential --reduce";
+    const RunResult Seq = runSequential(Text, SanitizeMode::Strict, nullptr);
+    const RunResult SeqReduced =
+        runSequential(Text, SanitizeMode::Strict, &Plan);
+    const RunResult Par =
+        runPipeline(Text, SanitizeMode::Strict, nullptr, POpts);
+    const RunResult ParReduced =
+        runPipeline(Text, SanitizeMode::Strict, &Plan, POpts);
+    for (const RunResult *R : {&Seq, &SeqReduced, &Par, &ParReduced})
+      EXPECT_EQ(static_cast<int>(R->Err),
+                static_cast<int>(PipelineError::None))
+          << R->Detail;
+    expectSame(Seq, Par, "parallel diverged from sequential");
+    expectSame(SeqReduced, ParReduced,
+               "parallel --reduce diverged from sequential --reduce");
   }
 }
 

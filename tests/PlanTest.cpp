@@ -1,7 +1,8 @@
 //===- tests/PlanTest.cpp - One analysis plan, every engine ---------------===//
 //
 // The analysis plan (analysis/Plan.h) runs sequentially, through the
-// parallel pipeline (runPipeline), and resumed from its own snapshot body.
+// parallel pipeline (both through run()), and resumed from its own
+// snapshot body.
 // Under a governor cap all three must print the same report and the same
 // notes: the reference checker (Velodrome(basic)) is fed by the governor
 // until the cap breach, and a stopped run counts as of its stop event, the
@@ -11,7 +12,6 @@
 
 #include "analysis/Plan.h"
 #include "events/TraceGen.h"
-#include "events/TraceStream.h"
 #include "events/TraceText.h"
 
 #include "OpenTextSource.h"
@@ -84,33 +84,31 @@ void classify(AnalysisPlan &P, const std::string &Text) {
   EXPECT_TRUE(P.classify(*Src, Err)) << Err;
 }
 
-/// velodrome-check's sequential loop: feed each record until stopped.
-Outcome runSequential(const std::string &Text, const PlanConfig &C) {
-  std::string Notes;
-  std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
-  classify(*P, Text);
-  SymbolTable Syms;
-  TraceStream TS(Text, Syms);
-  P->begin(Syms);
-  Event E;
-  while (!P->stopped() && TS.next(E))
-    EXPECT_TRUE(P->feed(E, TS.lineNo())) << P->sanitizer().error();
-  P->finish();
-  return outcome(*P, Syms, Notes);
-}
-
-/// velodrome-check's parallel branch. Cuts receives the event count of
-/// every checkpoint cut the pipeline completes (every CutEvery events).
-Outcome runPipeline(const std::string &Text, const PlanConfig &C,
-                    size_t Batch, unsigned Workers,
-                    std::vector<uint64_t> *Cuts = nullptr,
-                    uint64_t CutEvery = 0) {
+/// velodrome-check's run: the classify sweep, then the plan's entry point
+/// over the text, sequentially or through the parallel pipeline.
+Outcome runPlan(const std::string &Text, const PlanConfig &C, bool Parallel,
+                ParallelOptions Opts = ParallelOptions()) {
   std::string Notes;
   std::unique_ptr<AnalysisPlan> P = makePlan(C, Notes);
   classify(*P, Text);
   SymbolTable Syms;
   std::unique_ptr<TraceSource> Src = openTextSource(Text, Syms);
   P->begin(Syms);
+  PipelineResult R = P->run(*Src, Syms, Parallel, std::move(Opts));
+  EXPECT_EQ(R.Err, PipelineError::None) << R.Detail;
+  return outcome(*P, Syms, Notes);
+}
+
+Outcome runSequential(const std::string &Text, const PlanConfig &C) {
+  return runPlan(Text, C, false);
+}
+
+/// The parallel run. Cuts receives the event count of every checkpoint cut
+/// the pipeline completes (every CutEvery events).
+Outcome runPipeline(const std::string &Text, const PlanConfig &C,
+                    size_t Batch, unsigned Workers,
+                    std::vector<uint64_t> *Cuts = nullptr,
+                    uint64_t CutEvery = 0) {
   ParallelOptions Opts;
   Opts.BatchEvents = Batch;
   Opts.Workers = Workers;
@@ -121,9 +119,7 @@ Outcome runPipeline(const std::string &Text, const PlanConfig &C,
       return true;
     };
   }
-  PipelineResult R = P->runPipeline(*Src, Syms, std::move(Opts));
-  EXPECT_EQ(R.Err, PipelineError::None) << R.Detail;
-  return outcome(*P, Syms, Notes);
+  return runPlan(Text, C, true, std::move(Opts));
 }
 
 void expectSame(const Outcome &Want, const Outcome &Got,

@@ -335,28 +335,46 @@ TEST(CheckCliTest, WitnessSalvageMatchesTheIntactContainer) {
 
 /// --witness runs the default streaming loop (line numbers, the stop, the
 /// notes) and only adds the oracle's note, computed on a sanitized copy of
-/// the whole trace.
+/// the whole trace. That copy is the raw input, so under --reduce and
+/// --parallel the note is the plain run's.
 TEST(CheckCliTest, WitnessRunsTheDefaultLoop) {
-  auto WithoutWitness = [](std::string Out) {
-    size_t At = Out.find("# serial witness\n");
+  // Out without its witness note, and the note.
+  auto Split = [](std::string Out) {
+    size_t At = Out.find("# serial witness\n"), End = 0;
     if (At != std::string::npos)
-      Out.erase(At, Out.find("verdict: ", At) - At);
-    At = Out.find("no witness: ");
-    if (At != std::string::npos)
-      Out.erase(At, Out.find('\n', At) - At + 1);
-    return Out;
+      End = Out.find("verdict: ", At);
+    else if ((At = Out.find("no witness: ")) != std::string::npos)
+      End = Out.find('\n', At) + 1;
+    std::string Note;
+    if (At != std::string::npos) {
+      Note = Out.substr(At, End - At);
+      Out.erase(At, End - At);
+    }
+    return std::make_pair(Out, Note);
   };
   for (const std::string &F : corpusTraces())
     for (const char *Mode : {"", " --lenient", " --lenient --max-events=3",
                              " --backend=all --max-live-nodes=1"}) {
-      const std::string Cmd = std::string(VELO_CHECK_BIN) + Mode + " ";
-      std::string WantOut, WantErr, GotOut, GotErr;
-      int Want = runCmdSplit(Cmd + F, WantOut, WantErr);
-      int Got = runCmdSplit(Cmd + "--witness " + F, GotOut, GotErr);
-      const std::string What = F + Mode;
-      EXPECT_EQ(Got, Want) << What;
-      EXPECT_EQ(GotErr, WantErr) << What;
-      EXPECT_EQ(WithoutWitness(GotOut), WantOut) << What;
+      const bool Capped = std::string(Mode).find("--max-") != std::string::npos;
+      std::string PlainNote;
+      for (const std::string With : {"", "--reduce=all ", "--parallel ",
+                                     "--parallel=2 --batch-events=3 "}) {
+        // Explicit caps are refused under --parallel.
+        if (Capped && With.rfind("--parallel", 0) == 0)
+          continue;
+        const std::string Cmd = std::string(VELO_CHECK_BIN) + Mode + " " + With;
+        std::string WantOut, WantErr, GotOut, GotErr;
+        int Want = runCmdSplit(Cmd + F, WantOut, WantErr);
+        int Got = runCmdSplit(Cmd + "--witness " + F, GotOut, GotErr);
+        const std::string What = F + Mode + " " + With;
+        EXPECT_EQ(Got, Want) << What;
+        EXPECT_EQ(GotErr, WantErr) << What;
+        const auto [Rest, Note] = Split(GotOut);
+        EXPECT_EQ(Rest, WantOut) << What;
+        if (With.empty())
+          PlainNote = Note;
+        EXPECT_EQ(Note, PlainNote) << What << ": the oracle reads raw input";
+      }
     }
   // The oracle still sees the whole trace past a stop, from a pipe too.
   std::string Out;
@@ -929,10 +947,6 @@ TEST(ReduceCliTest, CheckReportMatchesPlainOnEveryGoldenTrace) {
 TEST(ReduceCliTest, CheckFlagValidationExitsTwo) {
   std::string T = dataFile("rmw_violation.trace");
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --reduce=bogus " + T), 2);
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --reduce=all --witness " +
-                   T),
-            2)
-      << "--witness replays the full trace";
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --reduce=all --no-merge " +
                    T),
             2)
@@ -1093,10 +1107,6 @@ TEST(ParallelCliTest, ByteIdenticalOnEveryGoldenTrace) {
 
 TEST(ParallelCliTest, CompositionRefusalsExitTwo) {
   std::string T = dataFile("set_add.trace");
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --parallel --witness " +
-                   T),
-            2)
-      << "--witness buffers the whole trace; nothing to pipeline";
   EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
                    " --parallel --max-events=10 " + T),
             2)
@@ -1310,21 +1320,6 @@ TEST(ParallelCliTest, StallEnvHookKeepsOutputIdentical) {
                        Out);
   EXPECT_EQ(Code, SeqCode);
   EXPECT_NE(Out.find("VELO_PIPELINE_STALL"), std::string::npos) << Out;
-}
-
-TEST(FuzzCliTest, ParallelPoolMatchesSequentialReplays) {
-  std::string Seq, Par;
-  int SeqCode = runCmdStdout(std::string(VELO_FUZZ_BIN) +
-                                 " --iters=40 --seed=5 --no-parallel "
-                                 "--save=" + ::testing::TempDir(),
-                             Seq);
-  int ParCode = runCmdStdout(std::string(VELO_FUZZ_BIN) +
-                                 " --iters=40 --seed=5 --parallel=2 "
-                                 "--save=" + ::testing::TempDir(),
-                             Par);
-  EXPECT_EQ(SeqCode, 0);
-  EXPECT_EQ(ParCode, 0);
-  EXPECT_EQ(Seq, Par) << "fan-out must not change any fuzz statistic";
 }
 
 //===----------------------------------------------------------------------===//

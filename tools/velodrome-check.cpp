@@ -26,7 +26,6 @@
 #include "events/TraceSource.h"
 #include "events/TraceText.h"
 #include "oracle/SerializabilityOracle.h"
-#include "parallel/Pipeline.h"
 #include "report/Report.h"
 #include "support/ParseInt.h"
 #include "support/Supervisor.h"
@@ -60,15 +59,6 @@ struct Options {
   bool BatchEventsSet = false;
   ReportFormat Format = ReportFormat::Text;
 };
-
-/// Caps other than the defaults stop the analysis mid-stream, and only the
-/// parallel pipeline's governor worker stops at the exact event.
-bool explicitCaps(const GovernorLimits &L) {
-  const GovernorLimits D = GovernorLimits::defaults();
-  return L.MaxEvents != D.MaxEvents || L.MaxLiveNodes != D.MaxLiveNodes ||
-         L.MaxMemoryBytes != D.MaxMemoryBytes ||
-         L.DeadlineMillis != D.DeadlineMillis;
-}
 
 /// Returns -1 to go on, else the status to exit with.
 int parseArgs(int Argc, char **Argv, Options &O) {
@@ -162,11 +152,6 @@ int parseArgs(int Argc, char **Argv, Options &O) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
     }
-    if (O.Witness) {
-      std::fprintf(stderr, "error: --witness replays the full trace and is "
-                           "incompatible with --reduce\n");
-      return 2;
-    }
     if (O.Plan.NoMerge) {
       // Without merging every outside-transaction operation gets its own
       // graph node, so collapsed repeats change the naive mode's cycle
@@ -178,16 +163,10 @@ int parseArgs(int Argc, char **Argv, Options &O) {
     }
   }
   if (O.Parallel) {
-    // Composition matrix (docs/PARALLEL.md): --reduce, --stats,
+    // Composition matrix (docs/PARALLEL.md): --reduce, --stats, --witness,
     // --checkpoint/--resume, and --supervise compose with --parallel;
-    // --witness and explicit resource caps do not.
-    if (O.Witness) {
-      std::fprintf(stderr,
-                   "error: --witness buffers and replays the whole trace "
-                   "serially and is incompatible with --parallel\n");
-      return 2;
-    }
-    if (explicitCaps(O.Plan.Limits)) {
+    // explicit resource caps do not.
+    if (O.Plan.Limits.explicitCaps()) {
       std::fprintf(stderr,
                    "error: explicit resource caps (--max-events, "
                    "--max-live-nodes, --max-memory-mb, --deadline-ms) stop "
@@ -238,17 +217,6 @@ bool loadCheckpoint(const std::string &Path, SnapshotReader &R, PlanHead &H,
     return false;
   }
   return true;
-}
-
-/// Both pipelines checkpoint through here: the parallel one hands over the
-/// cut it assembled at a batch boundary, the sequential loop the plan's
-/// cut() at a record boundary, so either resumes the other's snapshots.
-bool writeCheckpoint(const Options &O, const AnalysisPlan &Plan,
-                     const CheckpointCut &Cut, std::string &ErrorOut) {
-  SnapshotWriter W;
-  W.str(O.TraceFile);
-  Plan.write(W, Cut);
-  return W.writeFile(O.CheckpointFile, ErrorOut);
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,13 +282,15 @@ int runAnalysis(Options O) {
   SnapshotReader Ckpt;
   PlanHead Head;
   bool Resuming = !O.ResumeFile.empty();
+  auto CannotResume = [&O](const std::string &Error) {
+    std::fprintf(stderr, "error: cannot resume from %s: %s\n",
+                 O.ResumeFile.c_str(), Error.c_str());
+    return 2;
+  };
   if (Resuming) {
     std::string Error;
-    if (!loadCheckpoint(O.ResumeFile, Ckpt, Head, Error)) {
-      std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                   O.ResumeFile.c_str(), Error.c_str());
-      return 2;
-    }
+    if (!loadCheckpoint(O.ResumeFile, Ckpt, Head, Error))
+      return CannotResume(Error);
     // The snapshot is authoritative for the analysis configuration,
     // --reduce included; the presentation flags (--quiet, --stats, --dot)
     // stay as given.
@@ -328,7 +298,7 @@ int runAnalysis(Options O) {
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
     // parseArgs does for caps given on the command line.
-    if (O.Parallel && explicitCaps(O.Plan.Limits)) {
+    if (O.Parallel && O.Plan.Limits.explicitCaps()) {
       std::fprintf(stderr,
                    "error: %s was written by a run with explicit resource "
                    "caps, which are incompatible with --parallel; resume "
@@ -373,9 +343,6 @@ int runAnalysis(Options O) {
     std::fprintf(stderr, "%s\n", PlanError.c_str());
     return 2;
   }
-  Plan->NoteCrashEvents = true;
-  Plan->CrashAt = O.CrashAt;
-  Plan->CrashSignal = static_cast<int>(O.CrashSignal);
 
   // Fatal-signal diagnostics: every delivered event lands in the crash
   // ring; with a checkpoint configured the handler also writes the dump to
@@ -422,10 +389,8 @@ int runAnalysis(Options O) {
       return Reject(ClsSrc->failed() ? ClsSrc.get() : nullptr, ClsErr);
   }
 
-  // Stream the file through sanitizer and back-ends in constant memory,
-  // snapshotting at resume boundaries when asked to. openTraceSource
-  // sniffs the VELOTRC magic, so text and binary traces flow through the
-  // same loop.
+  // openTraceSource sniffs the VELOTRC magic, so text and binary traces
+  // flow through the same loop.
   SymbolTable StreamSyms;
   auto Opened = Open(StreamSyms);
   if (!Opened)
@@ -438,99 +403,60 @@ int runAnalysis(Options O) {
   if (Resuming) {
     std::string Error;
     if (!Plan->restore(Head, Ckpt, StreamSyms, Error) ||
-        !Src->seekTo(Head.ByteOffset, Head.LineNo, Head.EventsSeen, Error)) {
-      std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                   O.ResumeFile.c_str(), Error.c_str());
-      return 2;
-    }
+        !Src->seekTo(Head.ByteOffset, Head.LineNo, Head.EventsSeen, Error))
+      return CannotResume(Error);
   } else {
     Plan->begin(StreamSyms);
   }
 
-  if (O.Parallel) {
-    // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
-    // event sequence per back-end, so the report below is byte-identical
-    // to the sequential branch.
-    ParallelOptions POpts;
-    POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
-    POpts.BatchEvents = O.BatchEvents;
-    if (!O.CheckpointFile.empty()) {
-      POpts.CheckpointEvery = O.CheckpointEvery;
-      POpts.CheckpointSink = [&O, &Plan](const CheckpointCut &Cut,
-                                         std::string &Error) {
-        return writeCheckpoint(O, *Plan, Cut, Error);
-      };
-    }
-    if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
-      if (!parsePipelineStall(Spec, POpts.Stall))
-        std::fprintf(stderr,
-                     "warning: ignoring malformed VELO_PIPELINE_STALL "
-                     "'%s'\n",
-                     Spec);
-    PipelineResult PR =
-        Plan->runPipeline(*Src, StreamSyms, std::move(POpts));
-    if (PR.Err == PipelineError::Checkpoint) {
-      std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                   O.CheckpointFile.c_str(), PR.Detail.c_str());
-      return 2;
-    }
-    // After a parse error the run is over, so the source is ours to ask
-    // again.
-    if (PR.Err != PipelineError::None)
-      return Reject(PR.Err == PipelineError::Parse ? Src : nullptr,
-                    PR.Detail);
-  } else {
-    // A record just processed is fully delivered, so the source position
-    // after it is a clean resume boundary.
-    auto WriteCheckpointAt = [&](uint64_t Offset, std::string &Error) {
-      return writeCheckpoint(O, *Plan, Plan->cut(Offset, Src->lineNo()),
-                             Error);
+  // The plan streams the trace in constant memory, sequentially or through
+  // the multi-threaded pipeline (docs/PARALLEL.md): the same events reach
+  // the same back-ends, so the report below is the same either way. Both
+  // write the same checkpoint, the plan body at a record or batch
+  // boundary, so either resumes the other's snapshots.
+  ParallelOptions Run;
+  Run.Workers = static_cast<unsigned>(O.ParallelWorkers);
+  Run.BatchEvents = O.BatchEvents;
+  Run.NoteCrashEvents = true;
+  Run.CrashAt = O.CrashAt;
+  Run.CrashSignal = static_cast<int>(O.CrashSignal);
+  if (!O.CheckpointFile.empty()) {
+    Run.CheckpointEvery = O.CheckpointEvery;
+    Run.CheckpointSink = [&O, &Plan](const CheckpointCut &Cut,
+                                     std::string &Error) {
+      SnapshotWriter W;
+      W.str(O.TraceFile);
+      Plan->write(W, Cut);
+      return W.writeFile(O.CheckpointFile, Error);
     };
-    uint64_t NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
-    Event E;
-    while (Src->next(E)) {
-      if (!Plan->feed(E, Src->lineNo()))
-        return Reject(nullptr, Plan->sanitizer().error());
-      if (Plan->stopped())
-        break;
-      if (!O.CheckpointFile.empty() && Plan->eventsSeen() >= NextCkpt) {
-        // Text: tell() fails only once the scanner has met the end of
-        // the input (the run is about to finish anyway). Binary: tell()
-        // fails mid-frame, deferring the snapshot to the frame's end — so
-        // the cadence reset stays inside the success branch.
-        uint64_t Off = 0;
-        if (Src->tell(Off)) {
-          std::string Error;
-          if (!WriteCheckpointAt(Off, Error)) {
-            std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                         O.CheckpointFile.c_str(), Error.c_str());
-            return 2;
-          }
-          NextCkpt = Plan->eventsSeen() + O.CheckpointEvery;
-        }
-      }
-      if (int Sig = stopSignal()) {
-        // Graceful drain: persist this boundary and exit 128+signal.
-        uint64_t Off = 0;
-        if (!O.CheckpointFile.empty() && Src->tell(Off)) {
-          std::string Error;
-          if (!WriteCheckpointAt(Off, Error))
-            std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                         O.CheckpointFile.c_str(), Error.c_str());
-        }
-        std::fprintf(stderr,
-                     "shutdown: stopped by signal %d after %llu events; "
-                     "checkpoint %s is resumable\n",
-                     Sig, static_cast<unsigned long long>(Plan->eventsSeen()),
-                     O.CheckpointFile.c_str());
-        std::fflush(nullptr);
-        return 128 + Sig;
-      }
-    }
-    if (Src->failed())
-      return Reject(Src, "");
-    Plan->finish();
   }
+  if (const char *Spec =
+          O.Parallel ? std::getenv("VELO_PIPELINE_STALL") : nullptr)
+    if (!parsePipelineStall(Spec, Run.Stall))
+      std::fprintf(stderr,
+                   "warning: ignoring malformed VELO_PIPELINE_STALL '%s'\n",
+                   Spec);
+  const PipelineResult R =
+      Plan->run(*Src, StreamSyms, O.Parallel, std::move(Run));
+  if (R.Err == PipelineError::Checkpoint)
+    std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
+                 O.CheckpointFile.c_str(), R.Detail.c_str());
+  if (R.Signal) {
+    std::fprintf(stderr,
+                 "shutdown: stopped by signal %d after %llu events; "
+                 "checkpoint %s is resumable\n",
+                 R.Signal, static_cast<unsigned long long>(Plan->eventsSeen()),
+                 O.CheckpointFile.c_str());
+    std::fflush(nullptr);
+    return 128 + R.Signal;
+  }
+  // After a parse error the run is over, so the source is ours to ask
+  // again.
+  if (R.Err != PipelineError::None)
+    return R.Err == PipelineError::Checkpoint
+               ? 2
+               : Reject(R.Err == PipelineError::Parse ? Src : nullptr,
+                        R.Detail);
 
   // Everything below flows through the report manager; the text renderer
   // reproduces the historical stdout byte for byte, and --format=json or
@@ -542,18 +468,11 @@ int runAnalysis(Options O) {
   const Velodrome &Velo = Plan->velodrome();
   bool RunVelo = Plan->reports(Velo);
   if (O.Stats && RunVelo) {
-    char StatBuf[192];
-    std::snprintf(StatBuf, sizeof(StatBuf),
-                  "[graph] allocated=%llu maxAlive=%llu edges=%llu "
-                  "merged=%llu",
-                  static_cast<unsigned long long>(
-                      Velo.graph().nodesAllocated()),
-                  static_cast<unsigned long long>(
-                      Velo.graph().maxNodesAlive()),
-                  static_cast<unsigned long long>(Velo.graph().edgesAdded()),
-                  static_cast<unsigned long long>(
-                      Velo.graph().nodesMerged()));
-    RM.addStatLine(StatBuf);
+    const HbGraph &G = Velo.graph();
+    RM.addStatLine("[graph] allocated=" + std::to_string(G.nodesAllocated()) +
+                   " maxAlive=" + std::to_string(G.maxNodesAlive()) +
+                   " edges=" + std::to_string(G.edgesAdded()) +
+                   " merged=" + std::to_string(G.nodesMerged()));
   }
   if (O.Stats && Reducing)
     RM.addStatLine("[reduce] " + Plan->reduceStats()->summary());
@@ -578,21 +497,6 @@ int runAnalysis(Options O) {
 // Supervision (support/Supervisor.h): restart from the last checkpoint on
 // signal death, give up with a crash bundle when it stops making progress.
 //===----------------------------------------------------------------------===//
-
-/// Progress marker of the last checkpoint: events seen and trace line.
-/// Zeros when no checkpoint exists yet (crash before the first snapshot).
-void peekCheckpoint(const std::string &Path, uint64_t &EventsOut,
-                    uint64_t &LineOut) {
-  EventsOut = 0;
-  LineOut = 0;
-  SnapshotReader R;
-  PlanHead H;
-  std::string Error;
-  if (loadCheckpoint(Path, R, H, Error)) {
-    EventsOut = H.EventsSeen;
-    LineOut = H.LineNo;
-  }
-}
 
 /// Write "<checkpoint>.crash/" with the post-mortem: info.txt (what
 /// happened), last-events.txt (the in-process handler's ring dump, when
@@ -661,7 +565,15 @@ int runSupervised(const Options &O) {
         return runAnalysis(std::move(Worker));
       },
       [&](double) {
-        peekCheckpoint(O.CheckpointFile, CkptEvents, CkptLine);
+        // The last checkpoint's progress marker: zeros when there is none
+        // yet (a crash before the first snapshot).
+        SnapshotReader R;
+        PlanHead H;
+        std::string Error;
+        if (!loadCheckpoint(O.CheckpointFile, R, H, Error))
+          H = PlanHead();
+        CkptEvents = H.EventsSeen;
+        CkptLine = H.LineNo;
         bool Moved = CkptEvents != LastEvents;
         LastEvents = CkptEvents;
         return Moved;

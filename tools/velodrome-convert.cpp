@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 
 using namespace velo;
@@ -89,39 +90,24 @@ int main(int argc, char **argv) {
     return 2;
   }
 
+  std::unique_ptr<BinaryTraceWriter> Bin;
+  if (To == TraceFormat::Binary)
+    Bin = std::make_unique<BinaryTraceWriter>(Out, Syms, FrameEvents);
   uint64_t Converted = 0;
-  if (To == TraceFormat::Binary) {
-    BinaryTraceWriter W(Out, Syms, FrameEvents);
-    Event E;
-    while (Src->next(E))
-      W.add(E);
-    if (Src->failed()) {
-      std::fprintf(stderr, "error: %s\n",
-                   describeFailure(*Src, InFile).c_str());
-      return 2;
-    }
-    if (!W.finish()) {
-      std::fprintf(stderr, "error: cannot write %s: %s\n", OutFile.c_str(),
-                   W.error().c_str());
-      return 2;
-    }
-    Converted = W.eventCount();
-  } else {
-    Event E;
-    while (Src->next(E)) {
+  for (Event E; Src->next(E); ++Converted) {
+    if (Bin)
+      Bin->add(E);
+    else
       Out << renderEvent(E, Syms) << '\n';
-      ++Converted;
-    }
-    if (Src->failed()) {
-      std::fprintf(stderr, "error: %s\n",
-                   describeFailure(*Src, InFile).c_str());
-      return 2;
-    }
-    Out.flush();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", OutFile.c_str());
-      return 2;
-    }
+  }
+  if (Src->failed()) {
+    std::fprintf(stderr, "error: %s\n", describeFailure(*Src, InFile).c_str());
+    return 2;
+  }
+  if (Bin ? !Bin->finish() : !Out.flush()) {
+    std::fprintf(stderr, "error: cannot write %s%s\n", OutFile.c_str(),
+                 Bin ? (": " + Bin->error()).c_str() : "");
+    return 2;
   }
 
   std::fprintf(stderr, "converted %llu events: %s -> %s (%s)\n",

@@ -37,6 +37,13 @@
 //      under a snapshot/restore round-trip, and the --format=json and
 //      --format=sarif renderings of the full multi-checker report parse
 //      as well-formed JSON.
+//  12. the two engines, a resume and a serve session agree: the mutant,
+//      written to a scratch file, runs under --backend=all (strict or
+//      lenient, with or without --reduce=all) through the analysis plan's
+//      run loop sequentially, through the parallel pipeline, sequentially
+//      with checkpoints and again resumed from one of them, and (without
+//      --reduce) through a serve session. Every leg prints the same JSON
+//      report, exit code and notes, or rejects with the same diagnostic.
 //
 // Failing inputs are written to --save for triage and check-in under
 // tests/data/fuzz/ as regression seeds. Fully deterministic for a given
@@ -62,11 +69,13 @@
 #include "events/TraceSanitizer.h"
 #include "events/TraceText.h"
 #include "hbrace/HbRaceDetector.h"
-#include "parallel/Fanout.h"
 #include "report/Report.h"
+#include "serve/Session.h"
 #include "staticpass/StaticPipeline.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +88,8 @@
 
 #include "support/Flags.h"
 #include "support/Syscalls.h"
+
+#include <unistd.h>
 
 using namespace velo;
 
@@ -198,12 +209,15 @@ std::string mutate(const std::string &Base,
 }
 
 bool sameEvents(const Trace &A, const Trace &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I)
-    if (!(A[I] == B[I]))
-      return false;
-  return true;
+  return std::equal(A.begin(), A.end(), B.begin(), B.end());
+}
+
+/// Checks 9 and 10: Bytes with one random bit flipped, at byte P.
+std::string flipBit(std::string Bytes, Rng &R, size_t &P) {
+  P = R.below(Bytes.size());
+  Bytes[P] = static_cast<char>(static_cast<uint8_t>(Bytes[P]) ^
+                               (1u << R.below(8)));
+  return Bytes;
 }
 
 struct FuzzStats {
@@ -493,13 +507,132 @@ bool snapshotRoundTrips(const Trace &T, const char *Name, FuzzStats &Stats,
   return true;
 }
 
+/// Check 12: what a front-end prints for one run of the mutant: the JSON
+/// report, the notes or the rejection's diagnostic, and the exit code.
+std::string printed(const std::string &Json, const std::string &Err,
+                    int Exit) {
+  return Json + "--- stderr\n" + Err + "--- exit " + std::to_string(Exit) +
+         "\n";
+}
+
+/// Check 12 leg: velodrome-check's run of the scratch file at Path under C
+/// (the classify sweep, then the plan's run loop), or, given a snapshot
+/// Body, of the plan restored from it with the source seeked. Bodies, when
+/// set, receives the snapshot body of every checkpoint cut written.
+std::string runLeg(const std::string &Path, const PlanConfig &C,
+                   bool Parallel, ParallelOptions Opts,
+                   const std::string *Body = nullptr,
+                   std::vector<std::string> *Bodies = nullptr) {
+  SnapshotReader R(Body ? *Body : std::string());
+  PlanHead H;
+  std::string Err, Notes;
+  TraceReadStatus St = TraceReadStatus::Ok;
+  SymbolTable Syms, ClsSyms;
+  // Cls is the classify sweep's own open; classify() reads nothing
+  // without --reduce.
+  std::unique_ptr<TraceSource> Src = openTraceSource(Path, Syms, St, Err),
+                               Cls = openTraceSource(Path, ClsSyms, St, Err);
+  if (!Src || !Cls || (Body && !AnalysisPlan::readHead(R, H)))
+    return printed("", "cannot open or resume\n", 2);
+  std::unique_ptr<AnalysisPlan> Plan =
+      AnalysisPlan::create(Body ? H.Config : C, Err);
+  Plan->NotesOut = &Notes;
+  if (Body ? !Plan->restore(H, R, Syms, Err) ||
+                 !Src->seekTo(H.ByteOffset, H.LineNo, H.EventsSeen, Err)
+           : !Plan->classify(*Cls, Err))
+    return printed("", Err + "\n", 2);
+  if (!Body)
+    Plan->begin(Syms);
+  if (Bodies)
+    Opts.CheckpointSink = [&Plan, Bodies](const CheckpointCut &Cut,
+                                          std::string &) {
+      SnapshotWriter W;
+      Plan->write(W, Cut);
+      Bodies->push_back(W.payload());
+      return true;
+    };
+  const PipelineResult Run = Plan->run(*Src, Syms, Parallel, std::move(Opts));
+  if (Run.Err != PipelineError::None)
+    return printed("", Run.Detail + "\n", 2);
+  ReportManager RM; // named as the serve session names itself
+  RM.Run.Tool = "velodrome-serve";
+  RM.Run.Trace = "mutant";
+  Plan->report(RM, Syms);
+  return printed(RM.render(ReportFormat::Json), Notes, RM.Run.ExitCode);
+}
+
+/// Check 12 leg: a serve session fed Raw's events one at a time. It has no
+/// source lines, so its sanitizer names event N: line N of the scratch file.
+std::string runSession(const Trace &Raw, bool Lenient) {
+  serve::SessionConfig SC;
+  SC.Name = "mutant";
+  SC.Lenient = Lenient;
+  SC.Format = ReportFormat::Json;
+  serve::Session S;
+  std::string Err;
+  S.configure(SC, Err);
+  S.symbols() = Raw.symbols();
+  for (const Event &E : Raw)
+    if (!S.feed(E, Err))
+      return printed("", "line " + Err.substr(Err.find(": event ") + 8) + "\n",
+                     2);
+  S.finish(Err);
+  return printed(S.report(), S.notes(), S.exitCode());
+}
+
+/// Check 12: Raw, written to Scratch one event per line, runs under
+/// --backend=all through the plan's run loop in parallel, checkpointed,
+/// resumed from one of those cuts and (without --reduce) through a serve
+/// session; each leg must print what the sequential run prints. R12, the
+/// check's own generator, draws the mode and the legs' shapes, so the
+/// other checks see the mutants they always saw.
+bool enginesAgree(const Trace &Raw, const std::string &Scratch, Rng &R12,
+                  std::string &WhyOut) {
+  PlanConfig C;
+  const bool Lenient = R12.below(2) != 0;
+  C.Mode = Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict;
+  if (R12.below(2) != 0)
+    C.Reduce = PassMask::all();
+  ParallelOptions Par, Ckpt;
+  Par.Workers = 1 + static_cast<unsigned>(R12.below(2));
+  Par.BatchEvents = 1 + R12.below(5);
+  Ckpt.CheckpointEvery = 1 + R12.below(4);
+  const uint64_t Pick = R12.next();
+  if (!(std::ofstream(Scratch, std::ios::trunc) << printTrace(Raw)
+        << std::flush)) {
+    WhyOut = "check 12: cannot write " + Scratch;
+    return false;
+  }
+  const std::string Want = runLeg(Scratch, C, false, ParallelOptions());
+  std::vector<std::string> Bodies;
+  std::vector<std::pair<const char *, std::string>> Legs = {
+      {"parallel", runLeg(Scratch, C, true, Par)},
+      {"checkpointing", runLeg(Scratch, C, false, Ckpt, nullptr, &Bodies)}};
+  const size_t Cut = Bodies.empty() ? 0 : Pick % Bodies.size();
+  if (!Bodies.empty())
+    Legs.emplace_back("resumed", runLeg(Scratch, C, false, ParallelOptions(),
+                                        &Bodies[Cut]));
+  if (!C.Reduce)
+    Legs.emplace_back("serve session", runSession(Raw, Lenient));
+  for (const auto &[Leg, Got] : Legs)
+    if (Got != Want) {
+      WhyOut = std::string("check 12 (") + (Lenient ? "--lenient" : "strict") +
+               (C.Reduce ? " --reduce=all" : "") + "; " +
+               std::to_string(Par.Workers) + " worker(s), batches of " +
+               std::to_string(Par.BatchEvents) + "; a cut every " +
+               std::to_string(Ckpt.CheckpointEvery) + " events, resumed from " +
+               std::to_string(Cut + 1) + " of " +
+               std::to_string(Bodies.size()) + "): the " + Leg +
+               " leg printed\n" + Got + "and the sequential leg\n" + Want;
+      return false;
+    }
+  return true;
+}
+
 /// Run every ingestion check on one mutant. Returns false with WhyOut set on
-/// the first property violation. Pool (when non-null) runs the
-/// multi-back-end replays of checks 5 and 8 concurrently — one parse, six
-/// back-ends in flight — with results identical to the sequential
-/// replayAll (parallel/Fanout.h).
-bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
-                 FuzzStats &Stats, std::string &WhyOut) {
+/// the first property violation.
+bool checkMutant(const std::string &Text, const std::string &Scratch, Rng &R,
+                 Rng &R12, FuzzStats &Stats, std::string &WhyOut) {
   // 1. Parser must reject cleanly or accept.
   Trace Raw;
   std::string Error;
@@ -579,10 +712,7 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   std::string PlanError;
   std::unique_ptr<AnalysisPlan> Full = AnalysisPlan::create(Six, PlanError);
   const std::vector<Backend *> &Unreduced = Full->reporting();
-  if (Pool)
-    Pool->replayAll(Repaired, Unreduced);
-  else
-    replayAll(Repaired, Unreduced);
+  replayAll(Repaired, Unreduced);
   const Backend &Velo = *Unreduced[0], &Basic = *Unreduced[1],
                 &Aero = *Unreduced[2];
   if (Velo.sawViolation() != Aero.sawViolation() ||
@@ -652,10 +782,7 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     std::unique_ptr<AnalysisPlan> OnReducedPlan =
         AnalysisPlan::create(Six, PlanError);
     const std::vector<Backend *> &OnReduced = OnReducedPlan->reporting();
-    if (Pool)
-      Pool->replayAll(Reduced, OnReduced);
-    else
-      replayAll(Reduced, OnReduced);
+    replayAll(Reduced, OnReduced);
 
     for (size_t I = 0; I < Unreduced.size(); ++I) {
       const Backend &U = *Unreduced[I];
@@ -741,11 +868,8 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
         ++Stats.BinaryRejected;
       }
       for (int K = 0; K < 4; ++K) {
-        std::string Flip = Bytes;
-        size_t P = R.below(Flip.size());
-        Flip[P] = static_cast<char>(
-            static_cast<uint8_t>(Flip[P]) ^ (1u << R.below(8)));
-        if (!binaryRejectsCleanly(Flip, WhyOut)) {
+        size_t P = 0;
+        if (!binaryRejectsCleanly(flipBit(Bytes, R, P), WhyOut)) {
           WhyOut += " (bit flipped at byte " + std::to_string(P) + ")";
           return false;
         }
@@ -789,12 +913,10 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
             return false;
       }
       for (int K = 0; K < 4; ++K) {
-        std::string Flip = Bytes;
-        size_t P = R.below(Flip.size());
-        Flip[P] = static_cast<char>(static_cast<uint8_t>(Flip[P]) ^
-                                    (1u << R.below(8)));
+        size_t P = 0;
         bool Recovered = false;
-        if (!binarySalvagesToPrefix(Flip, Repaired, Recovered, WhyOut)) {
+        if (!binarySalvagesToPrefix(flipBit(Bytes, R, P), Repaired, Recovered,
+                                    WhyOut)) {
           WhyOut += " (salvage with bit flipped at byte " +
                     std::to_string(P) + ")";
           return false;
@@ -878,7 +1000,9 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     }
     ++Stats.ReportsChecked;
   }
-  return true;
+
+  // 12. The two engines, a resume and a serve session agree.
+  return enginesAgree(Raw, Scratch, R12, WhyOut);
 }
 
 } // namespace
@@ -886,8 +1010,8 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
 int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
   std::string CorpusDir = "tests/data/fuzz", SaveDir = ".";
-  uint64_t Seed = 1, Iters = 500, ParallelThreads = 0;
-  bool Verbose = false, Parallel = true;
+  uint64_t Seed = 1, Iters = 500;
+  bool Verbose = false;
 
   const FlagTable Table{
       "velodrome-fuzz [options]",
@@ -897,17 +1021,6 @@ int main(int argc, char **argv) {
        u64Flag("--iters=N", Iters, "mutants to execute (default 500)"),
        stringFlag("--save=DIR", SaveDir,
                   "where to write failing inputs (default .)"),
-       {"--parallel=N",
-        [&](const std::string &V) {
-          if (!parseU64(V.c_str(), ParallelThreads))
-            return false;
-          Parallel = ParallelThreads != 0;
-          return true;
-        },
-        "worker threads for the multi-back-end replays (default: hardware "
-        "threads; 0 = sequential)"},
-       boolFlag("--no-parallel", Parallel, "run every replay sequentially",
-                false),
        boolFlag("--verbose", Verbose, "per-iteration progress")},
       "exit: 0 all checks passed, 1 a check failed, 2 usage error\n"};
   std::vector<std::string> Operands;
@@ -937,35 +1050,30 @@ int main(int argc, char **argv) {
                    "generated traces only)\n",
                    CorpusDir.c_str(), Ec.message().c_str());
   }
-  std::printf("velodrome-fuzz: %zu corpus seed(s), seed=%llu, iters=%llu\n",
-              Corpus.size(), static_cast<unsigned long long>(Seed),
-              static_cast<unsigned long long>(Iters));
+  std::printf("velodrome-fuzz: %zu corpus seed(s), seed=%" PRIu64
+              ", iters=%" PRIu64 "\n",
+              Corpus.size(), Seed, Iters);
 
-  // One persistent pool for the whole run; per-mutant thread creation
-  // would dominate at fuzzing iteration rates.
-  std::unique_ptr<BackendFanout> Pool;
-  if (Parallel)
-    Pool = std::make_unique<BackendFanout>(
-        static_cast<unsigned>(ParallelThreads));
-  if (Verbose)
-    std::printf("  multi-back-end replays: %s\n",
-                Pool ? (std::to_string(Pool->threadCount()) +
-                        " pool thread(s)").c_str()
-                     : "sequential");
+  // Check 12 reads each mutant back from a file, as velodrome-check does.
+  std::error_code TmpEc;
+  const std::string Scratch =
+      (std::filesystem::temp_directory_path(TmpEc) /
+       ("velodrome-fuzz-" + std::to_string(::getpid()) + ".trace"))
+          .string();
 
   Rng R(Seed * 0x9e3779b97f4a7c15ull + 1);
+  Rng R12(Seed * 0x9e3779b97f4a7c15ull + 12);
   FuzzStats Stats;
   uint64_t Failures = 0;
 
-  // Iteration 0 runs every corpus seed unmutated: checked-in crasher
-  // regressions re-execute verbatim on every fuzz run.
-  std::vector<std::string> Queue = Corpus;
-  uint64_t Total = Iters > UINT64_MAX - Queue.size() ? UINT64_MAX
-                                                     : Iters + Queue.size();
+  // The first iterations run every corpus seed unmutated: checked-in
+  // crasher regressions re-execute verbatim on every fuzz run.
+  uint64_t Total = Iters > UINT64_MAX - Corpus.size() ? UINT64_MAX
+                                                      : Iters + Corpus.size();
   for (uint64_t It = 0; It < Total; ++It) {
     std::string Text;
-    if (It < Queue.size()) {
-      Text = Queue[It];
+    if (It < Corpus.size()) {
+      Text = Corpus[It];
     } else if (!Corpus.empty() && R.below(4) != 0) {
       Text = mutate(Corpus[R.below(Corpus.size())], Corpus, R);
     } else {
@@ -979,44 +1087,37 @@ int main(int argc, char **argv) {
                     R);
     }
     std::string Why;
-    if (!checkMutant(Text, Pool.get(), R, Stats, Why)) {
+    if (!checkMutant(Text, Scratch, R, R12, Stats, Why)) {
       ++Failures;
       std::string Path = SaveDir + "/fuzz-fail-" + std::to_string(It) +
                          ".trace";
       std::ofstream Out(Path);
       Out << Text;
-      std::fprintf(stderr, "FAIL iter %llu: %s\n  input saved to %s\n",
-                   static_cast<unsigned long long>(It), Why.c_str(),
-                   Path.c_str());
+      std::fprintf(stderr, "FAIL iter %" PRIu64 ": %s\n  input saved to %s\n",
+                   It, Why.c_str(), Path.c_str());
       if (Failures >= 10) {
         std::fprintf(stderr, "too many failures; stopping early\n");
         break;
       }
     }
     if (Verbose && It % 100 == 0)
-      std::printf("  iter %llu...\n", static_cast<unsigned long long>(It));
+      std::printf("  iter %" PRIu64 "...\n", It);
   }
 
-  std::printf("parsed=%llu rejected=%llu strict-ok=%llu repaired=%llu "
-              "(%llu repairs) violations=%llu serializable=%llu "
-              "snapshots=%llu reduced-dropped=%llu binary-rt=%llu "
-              "binary-rejected=%llu salvage-prefix=%llu "
-              "salvage-rejected=%llu deadlock-cycles=%llu reports=%llu\n",
-              static_cast<unsigned long long>(Stats.ParsedOk),
-              static_cast<unsigned long long>(Stats.ParseRejected),
-              static_cast<unsigned long long>(Stats.StrictOk),
-              static_cast<unsigned long long>(Stats.Repaired),
-              static_cast<unsigned long long>(Stats.RepairEvents),
-              static_cast<unsigned long long>(Stats.Violations),
-              static_cast<unsigned long long>(Stats.Serializable),
-              static_cast<unsigned long long>(Stats.Snapshots),
-              static_cast<unsigned long long>(Stats.ReducedDropped),
-              static_cast<unsigned long long>(Stats.BinaryRoundTrips),
-              static_cast<unsigned long long>(Stats.BinaryRejected),
-              static_cast<unsigned long long>(Stats.SalvagePrefixes),
-              static_cast<unsigned long long>(Stats.SalvageRejects),
-              static_cast<unsigned long long>(Stats.DeadlockCycles),
-              static_cast<unsigned long long>(Stats.ReportsChecked));
+  std::printf("parsed=%" PRIu64 " rejected=%" PRIu64 " strict-ok=%" PRIu64
+              " repaired=%" PRIu64 " (%" PRIu64 " repairs) violations=%" PRIu64
+              " serializable=%" PRIu64 " snapshots=%" PRIu64
+              " reduced-dropped=%" PRIu64 " binary-rt=%" PRIu64
+              " binary-rejected=%" PRIu64 " salvage-prefix=%" PRIu64
+              " salvage-rejected=%" PRIu64 " deadlock-cycles=%" PRIu64
+              " reports=%" PRIu64 "\n",
+              Stats.ParsedOk, Stats.ParseRejected, Stats.StrictOk,
+              Stats.Repaired, Stats.RepairEvents, Stats.Violations,
+              Stats.Serializable, Stats.Snapshots, Stats.ReducedDropped,
+              Stats.BinaryRoundTrips, Stats.BinaryRejected,
+              Stats.SalvagePrefixes, Stats.SalvageRejects,
+              Stats.DeadlockCycles, Stats.ReportsChecked);
+  std::filesystem::remove(Scratch, TmpEc);
   if (Failures != 0) {
     std::fprintf(stderr, "velodrome-fuzz: %llu failure(s)\n",
                  static_cast<unsigned long long>(Failures));
