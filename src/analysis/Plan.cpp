@@ -269,7 +269,10 @@ PipelineResult AnalysisPlan::run(TraceSource &Src, SymbolTable &S,
     R.Detail = Error;
     return false;
   };
-  uint64_t NextCkpt = Seen.Events + Opts.CheckpointEvery;
+  // The cadence counts records read, as the parallel reader's does, so
+  // both engines cut after the same records even when --reduce drops
+  // some (a resumed source counts from the snapshot's delivered count).
+  uint64_t NextCkpt = Src.eventCount() + Opts.CheckpointEvery;
   Event E;
   while (Src.next(E)) {
     if (!feed(E, Src.lineNo())) {
@@ -284,10 +287,10 @@ PipelineResult AnalysisPlan::run(TraceSource &Src, SymbolTable &S,
     // mid-frame, deferring the snapshot to the frame's end, so the cadence
     // moves on only when a cut was written.
     uint64_t Off = 0;
-    if (Checkpointing && Seen.Events >= NextCkpt && Src.tell(Off)) {
+    if (Checkpointing && Src.eventCount() >= NextCkpt && Src.tell(Off)) {
       if (!Checkpoint(Off))
         return R;
-      NextCkpt = Seen.Events + Opts.CheckpointEvery;
+      NextCkpt = Src.eventCount() + Opts.CheckpointEvery;
     }
     if (int Sig = stopSignal()) {
       // Graceful drain: persist this boundary and report the signal.

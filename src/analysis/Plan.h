@@ -166,9 +166,10 @@ public:
   /// Stream Src to its end, or to the stop, and finish(): Src interns
   /// into Syms, which begin() or restore() was given (and is seeked on
   /// resume). Sequentially, each record is fed; every Opts.CheckpointEvery
-  /// delivered events the sink gets cut() at the next record boundary the
-  /// source can tell; a SIGTERM/SIGINT (support/Supervisor.h) ends the run
-  /// at a record boundary, after a last cut, with Signal set. With
+  /// records read the sink gets cut() at the next record boundary the
+  /// source can tell, after the same records as the pipeline's cuts; a
+  /// SIGTERM/SIGINT (support/Supervisor.h) ends the run at a record
+  /// boundary, after a last cut, with Signal set. With
   /// Parallel set, the pipeline (docs/PARALLEL.md) runs the same stages
   /// with this plan's sanitizer, filter, delivery list, resume counters
   /// and stop probe. Either way Opts' crash hooks apply, and a run that

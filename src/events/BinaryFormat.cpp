@@ -9,6 +9,13 @@
 namespace velo {
 namespace binfmt {
 
+/// Table's names by id, for putSymbolBlock.
+static auto namesOf(const StringInterner &Table) {
+  return [&Table](uint64_t Id) -> std::string_view {
+    return Table.name(static_cast<uint32_t>(Id));
+  };
+}
+
 void appendEventsPayload(std::string &Out, std::span<const Event> Events,
                          const SymbolTable &Syms, size_t &VarsDone,
                          size_t &LocksDone, size_t &LabelsDone) {
@@ -21,33 +28,21 @@ void appendEventsPayload(std::string &Out, std::span<const Event> Events,
     else if (E.Kind == Op::Begin && E.label() != NoLabel)
       LabelsNeed = std::max<size_t>(LabelsNeed, E.label() + size_t(1));
   }
-  auto Block = [&Out](const StringInterner &Table, size_t &Done,
-                      size_t Need) {
-    appendVarint(Out, Done);
-    appendVarint(Out, Need - Done);
-    for (; Done < Need; ++Done) {
-      const std::string &Name = Table.name(static_cast<uint32_t>(Done));
-      appendVarint(Out, Name.size());
-      Out += Name;
-    }
-  };
-  Block(Syms.Vars, VarsDone, VarsNeed);
-  Block(Syms.Locks, LocksDone, LocksNeed);
-  Block(Syms.Labels, LabelsDone, LabelsNeed);
-
-  appendVarint(Out, Events.size());
-  for (const Event &E : Events) {
-    Out += static_cast<char>(static_cast<uint8_t>(E.Kind));
-    appendVarint(Out, E.Thread);
-    if (E.Kind != Op::End)
-      appendVarint(Out, E.Target);
-  }
+  StringSink S{Out};
+  putSymbolBlock(S, VarsDone, VarsNeed - VarsDone, namesOf(Syms.Vars));
+  putSymbolBlock(S, LocksDone, LocksNeed - LocksDone, namesOf(Syms.Locks));
+  putSymbolBlock(S, LabelsDone, LabelsNeed - LabelsDone,
+                 namesOf(Syms.Labels));
+  VarsDone = VarsNeed;
+  LocksDone = LocksNeed;
+  LabelsDone = LabelsNeed;
+  putVarint(S, Events.size());
+  for (const Event &E : Events)
+    putEvent(S, static_cast<uint8_t>(E.Kind), E.Thread, E.Target);
 }
 
 void appendFrame(std::string &Out, uint8_t Kind, std::string_view Payload) {
-  Out += static_cast<char>(Kind);
-  appendU32le(Out, static_cast<uint32_t>(Payload.size()));
-  appendU64le(Out, fnv1a64(Payload));
+  putFrameHeader(StringSink{Out}, Kind, Payload.size(), fnv1a64(Payload));
   Out += Payload;
 }
 

@@ -25,12 +25,16 @@
 // little-endian. The checksum is FNV-1a-64, which the snapshot container
 // (analysis/Snapshot.h) uses too.
 //
-// One encoder (appendEventsPayload, appendFrame) and one decoder
-// (checkFrame, EventsFrameDecoder) serve the container writer, the
-// container reader and its salvage pre-scan, and the velodrome-serve wire
-// (serve/Wire.h), whose EVENTS payload is an events-frame payload. The
-// LD_PRELOAD tracer keeps its own allocation-free encoder
-// (preload/TraceRuntime.cpp) and uses only the primitives here.
+// Each production of that grammar is written once, below, over a byte
+// sink: a growing std::string, or a fixed caller buffer that refuses to
+// write past its end. The container writer, the serve wire (serve/Wire.h,
+// whose EVENTS payload is an events-frame payload), the LD_PRELOAD tracer
+// (preload/TraceRuntime.cpp) and the tests' hand-built containers all
+// encode through them. The productions are header-only, and over a fixed
+// buffer they allocate, throw, lock and print nothing, so the tracer's
+// async-signal-safe flush runs them too. One decoder (checkFrame,
+// EventsFrameDecoder) serves the container reader, its salvage pre-scan
+// and the wire.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -73,34 +78,182 @@ enum FrameKind : uint8_t {
 /// length field before the checksum is even computed.
 inline constexpr uint64_t MaxFramePayload = 1ull << 30;
 
+/// FNV-1a-64, fed incrementally.
+struct Fnv1a64 {
+  uint64_t Value = 14695981039346656037ull;
+  void add(const char *Data, size_t N) {
+    for (size_t I = 0; I < N; ++I) {
+      Value ^= static_cast<unsigned char>(Data[I]);
+      Value *= 1099511628211ull;
+    }
+  }
+};
+
 /// FNV-1a-64 over Data.
 inline uint64_t fnv1a64(std::string_view Data) {
-  uint64_t H = 14695981039346656037ull;
-  for (char C : Data) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ull;
-  }
-  return H;
+  Fnv1a64 H;
+  H.add(Data.data(), Data.size());
+  return H.Value;
 }
 
-/// Append V as a base-128 varint (7 data bits per byte, high bit = more).
-inline void appendVarint(std::string &Out, uint64_t V) {
+//===----------------------------------------------------------------------===//
+// Byte sinks: where a production writes, through byte(B) and bytes(P, N).
+// A production takes its sink by forwarding reference, so a StringSink can
+// be a temporary and a BufferSink a variable whose Ok is read afterwards.
+//===----------------------------------------------------------------------===//
+
+/// Appends to a growing string.
+struct StringSink {
+  std::string &Out;
+  void byte(uint8_t B) { Out += static_cast<char>(B); }
+  void bytes(const char *Data, size_t N) { Out.append(Data, N); }
+};
+
+/// Writes into the caller's buffer [P, End). A write that does not fit
+/// writes nothing and clears Ok, so no byte at or past End is touched.
+struct BufferSink {
+  char *P;
+  char *End;
+  bool Ok = true;
+  void byte(uint8_t B) { bytes(reinterpret_cast<const char *>(&B), 1); }
+  void bytes(const char *Data, size_t N) {
+    if (static_cast<size_t>(End - P) < N) {
+      Ok = false;
+      return;
+    }
+    std::memcpy(P, Data, N);
+    P += N;
+  }
+};
+
+/// Writes nothing: counts and checksums the bytes, so that a frame header
+/// can go out before a payload that is streamed rather than buffered.
+struct HashSink {
+  uint64_t Len = 0;
+  Fnv1a64 Sum;
+  void byte(uint8_t B) { bytes(reinterpret_cast<const char *>(&B), 1); }
+  void bytes(const char *Data, size_t N) {
+    Len += N;
+    Sum.add(Data, N);
+  }
+};
+
+//===----------------------------------------------------------------------===//
+// Encoder: one production per piece of the grammar
+//===----------------------------------------------------------------------===//
+
+/// V as a base-128 varint (7 data bits per byte, high bit = more).
+template <class Sink> void putVarint(Sink &&S, uint64_t V) {
   while (V >= 0x80) {
-    Out += static_cast<char>((V & 0x7f) | 0x80);
+    S.byte(static_cast<uint8_t>((V & 0x7f) | 0x80));
     V >>= 7;
   }
-  Out += static_cast<char>(V);
+  S.byte(static_cast<uint8_t>(V));
 }
 
-inline void appendU32le(std::string &Out, uint32_t V) {
+template <class Sink> void putU32le(Sink &&S, uint32_t V) {
   for (int I = 0; I < 4; ++I)
-    Out += static_cast<char>((V >> (8 * I)) & 0xff);
+    S.byte(static_cast<uint8_t>(V >> (8 * I)));
 }
 
-inline void appendU64le(std::string &Out, uint64_t V) {
+template <class Sink> void putU64le(Sink &&S, uint64_t V) {
   for (int I = 0; I < 8; ++I)
-    Out += static_cast<char>((V >> (8 * I)) & 0xff);
+    S.byte(static_cast<uint8_t>(V >> (8 * I)));
 }
+
+/// The file header: magic, version, reserved (HeaderSize bytes).
+template <class Sink> void putHeader(Sink &&S) {
+  S.bytes(Magic, sizeof(Magic));
+  putU32le(S, Version);
+  putU32le(S, 0);
+}
+
+/// A frame header: kind, payload length, the payload's FNV-1a-64
+/// (FrameHeaderSize bytes). The caller keeps Len within the u32 field.
+template <class Sink>
+void putFrameHeader(Sink &&S, uint8_t Kind, uint64_t Len, uint64_t Sum) {
+  S.byte(Kind);
+  putU32le(S, static_cast<uint32_t>(Len));
+  putU64le(S, Sum);
+}
+
+/// A symbol block defining ids [Base, Base + Count): base, count, then
+/// each name's length and bytes. Name(Id) returns a std::string_view.
+template <class Sink, class NameFn>
+void putSymbolBlock(Sink &&S, uint64_t Base, uint64_t Count, NameFn Name) {
+  putVarint(S, Base);
+  putVarint(S, Count);
+  for (uint64_t I = 0; I < Count; ++I) {
+    const std::string_view N = Name(Base + I);
+    putVarint(S, N.size());
+    S.bytes(N.data(), N.size());
+  }
+}
+
+/// An event: op byte, tid, and the target unless the op is End. Any op
+/// byte is written as given.
+template <class Sink>
+void putEvent(Sink &&S, uint8_t OpByte, uint64_t Tid, uint64_t Target) {
+  S.byte(OpByte);
+  putVarint(S, Tid);
+  if (OpByte != static_cast<uint8_t>(Op::End))
+    putVarint(S, Target);
+}
+
+/// One events frame, as the index frame lists it.
+struct IndexEntry {
+  uint64_t Offset;       ///< file offset of the frame header
+  uint64_t FirstOrdinal; ///< 0-based ordinal of the frame's first event
+  uint64_t Count;        ///< events in the frame
+};
+
+/// The index-frame payload: entry count, the entries, total event count.
+template <class Sink>
+void putIndexPayload(Sink &&S, std::span<const IndexEntry> Entries,
+                     uint64_t TotalEvents) {
+  putVarint(S, Entries.size());
+  for (const IndexEntry &E : Entries) {
+    putVarint(S, E.Offset);
+    putVarint(S, E.FirstOrdinal);
+    putVarint(S, E.Count);
+  }
+  putVarint(S, TotalEvents);
+}
+
+/// The trailer: the index frame's offset, then the trailer magic
+/// (TrailerSize bytes).
+template <class Sink> void putTrailer(Sink &&S, uint64_t IndexOffset) {
+  putU64le(S, IndexOffset);
+  S.bytes(TrailerMagic, sizeof(TrailerMagic));
+}
+
+/// The integer productions over a string, for the encoders outside the
+/// container (serve's control frames, the snapshot container).
+inline void appendVarint(std::string &Out, uint64_t V) {
+  putVarint(StringSink{Out}, V);
+}
+inline void appendU32le(std::string &Out, uint32_t V) {
+  putU32le(StringSink{Out}, V);
+}
+inline void appendU64le(std::string &Out, uint64_t V) {
+  putU64le(StringSink{Out}, V);
+}
+
+/// Append one events-frame payload for Events to Out. The Done counters
+/// are the names of each kind already emitted on this stream; each block
+/// defines the names from there up to the largest id Events references
+/// (ids are dense in first-use order, so that is exactly the names these
+/// events are the first to need), and the counters advance past them.
+void appendEventsPayload(std::string &Out, std::span<const Event> Events,
+                         const SymbolTable &Syms, size_t &VarsDone,
+                         size_t &LocksDone, size_t &LabelsDone);
+
+/// Append one frame: kind, payload length, FNV-1a-64, payload.
+void appendFrame(std::string &Out, uint8_t Kind, std::string_view Payload);
+
+//===----------------------------------------------------------------------===//
+// Decoder
+//===----------------------------------------------------------------------===//
 
 /// Decode a varint from Data[*Pos..Size). Returns false on truncation or
 /// an over-long (> 10 byte / > 64 bit) encoding; *Pos is advanced past
@@ -134,26 +287,6 @@ inline uint64_t readU64le(const uint8_t *P) {
     V = V << 8 | P[I];
   return V;
 }
-
-//===----------------------------------------------------------------------===//
-// Encoder
-//===----------------------------------------------------------------------===//
-
-/// Append one events-frame payload for Events to Out. The Done counters
-/// are the names of each kind already emitted on this stream; each block
-/// defines the names from there up to the largest id Events references
-/// (ids are dense in first-use order, so that is exactly the names these
-/// events are the first to need), and the counters advance past them.
-void appendEventsPayload(std::string &Out, std::span<const Event> Events,
-                         const SymbolTable &Syms, size_t &VarsDone,
-                         size_t &LocksDone, size_t &LabelsDone);
-
-/// Append one frame: kind, payload length, FNV-1a-64, payload.
-void appendFrame(std::string &Out, uint8_t Kind, std::string_view Payload);
-
-//===----------------------------------------------------------------------===//
-// Decoder
-//===----------------------------------------------------------------------===//
 
 enum class FrameCheck {
   Ok,

@@ -125,7 +125,7 @@ bool BinaryTraceReader::validateContainer() {
   uint64_t ExpectOrdinal = 0;
   uint64_t PrevEnd = HeaderSize;
   for (uint64_t I = 0; I < NumFrames; ++I) {
-    FrameInfo F = {};
+    IndexEntry F = {};
     if (!readVarint(IdxPayload, PSize, P, F.Offset) ||
         !readVarint(IdxPayload, PSize, P, F.FirstOrdinal) ||
         !readVarint(IdxPayload, PSize, P, F.Count))
@@ -168,7 +168,7 @@ bool BinaryTraceReader::salvageContainer() {
   if (validateContainer()) {
     SymbolTable Scratch;
     bool BodiesGood = true;
-    for (const FrameInfo &F : Frames) {
+    for (const IndexEntry &F : Frames) {
       uint64_t Len = 0, Count = 0;
       if (!decodesWhole(F.Offset, Scratch, Len, Count) || Count != F.Count) {
         BodiesGood = false;
@@ -233,7 +233,7 @@ bool BinaryTraceReader::decodesWhole(uint64_t Off, SymbolTable &Scratch,
 }
 
 bool BinaryTraceReader::loadNextFrame() {
-  const FrameInfo &F = Frames[FrameIdx];
+  const IndexEntry &F = Frames[FrameIdx];
   // The open proved the frame's length fits before IdxOff, so only the
   // kind and the checksum are left to check.
   FrameView FV;

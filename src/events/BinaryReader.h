@@ -88,12 +88,6 @@ public:
   uint64_t totalEvents() const { return TotalEvents; }
 
 private:
-  struct FrameInfo {
-    uint64_t Offset;       ///< file offset of the frame header
-    uint64_t FirstOrdinal; ///< 0-based ordinal of the frame's first event
-    uint64_t Count;
-  };
-
   /// Record a malformed-container failure at the next event position.
   bool fail(const std::string &Msg);
   /// Magic, version and reserved bits of the 16-byte header.
@@ -115,7 +109,7 @@ private:
   const uint8_t *Data = nullptr;
   size_t Size = 0;
 
-  std::vector<FrameInfo> Frames;
+  std::vector<binfmt::IndexEntry> Frames;
   uint64_t IdxOff = 0;
   uint64_t TotalEvents = 0;
   SalvageSummary Salvaged;

@@ -32,9 +32,8 @@ BinaryTraceWriter::BinaryTraceWriter(std::ostream &Out,
                                      const SymbolTable &Syms,
                                      size_t FrameEvents)
     : Out(Out), Syms(Syms), FrameEvents(FrameEvents == 0 ? 1 : FrameEvents) {
-  std::string Header(Magic, sizeof(Magic));
-  appendU32le(Header, Version);
-  appendU32le(Header, 0); // reserved
+  std::string Header;
+  putHeader(StringSink{Header});
   Out.write(Header.data(), static_cast<std::streamsize>(Header.size()));
   BytesWritten = Header.size();
 }
@@ -88,21 +87,14 @@ bool BinaryTraceWriter::finish() {
     return false;
 
   std::string Payload;
-  appendVarint(Payload, Index.size());
-  for (const IndexEntry &IE : Index) {
-    appendVarint(Payload, IE.Offset);
-    appendVarint(Payload, IE.FirstOrdinal);
-    appendVarint(Payload, IE.Count);
-  }
-  appendVarint(Payload, TotalEvents);
+  putIndexPayload(StringSink{Payload}, Index, TotalEvents);
   const uint64_t IndexOffset = BytesWritten;
   writeFrame(IndexFrame, Payload);
   if (Failed)
     return false;
 
   std::string Trailer;
-  appendU64le(Trailer, IndexOffset);
-  Trailer.append(TrailerMagic, sizeof(TrailerMagic));
+  putTrailer(StringSink{Trailer}, IndexOffset);
   Out.write(Trailer.data(), static_cast<std::streamsize>(Trailer.size()));
   BytesWritten += Trailer.size();
 

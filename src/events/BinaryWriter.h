@@ -1,19 +1,21 @@
 //===- events/BinaryWriter.h - VELOTRC emission -----------------*- C++ -*-===//
 //
 // Streaming writer for the VELOTRC binary trace container
-// (events/BinaryFormat.h). Events are buffered into fixed-size frames and
-// encoded by the format's one encoder (binfmt::appendEventsPayload, which
-// the serve wire also runs): each frame's symbol blocks carry exactly the
-// names its events are the first to reference, in first-use interning
-// order, so a writer fed the same event stream always produces the same
-// bytes — that canonical form is what makes velodrome-convert's
-// binary->text->binary round trip a byte-identical fixpoint.
+// (events/BinaryFormat.h). Events are buffered into fixed-size frames;
+// the format's productions write every byte, and each payload goes
+// through binfmt::appendEventsPayload, which the serve wire also runs.
+// Each frame's symbol blocks carry exactly the names its events are the
+// first to reference, in first-use interning order, so a writer fed the
+// same event stream always produces the same bytes — that canonical form
+// is what makes velodrome-convert's binary->text->binary round trip a
+// byte-identical fixpoint.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_EVENTS_BINARYWRITER_H
 #define VELO_EVENTS_BINARYWRITER_H
 
+#include "events/BinaryFormat.h"
 #include "events/Trace.h"
 
 #include <cstdint>
@@ -66,12 +68,7 @@ private:
   /// Names already emitted per kind (a prefix of Syms' interning order).
   size_t VarsDone = 0, LocksDone = 0, LabelsDone = 0;
 
-  struct IndexEntry {
-    uint64_t Offset;       ///< file offset of the frame header
-    uint64_t FirstOrdinal; ///< 0-based ordinal of the frame's first event
-    uint64_t Count;
-  };
-  std::vector<IndexEntry> Index;
+  std::vector<binfmt::IndexEntry> Index;
   uint64_t BytesWritten = 0; ///< file offset of the next frame
   uint64_t TotalEvents = 0;
   bool Finished = false;

@@ -4,9 +4,11 @@
 
 #include "analysis/CrashDump.h"
 #include "analysis/Snapshot.h"
+#include "support/ParseInt.h"
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,16 +19,14 @@ bool parsePipelineStall(const char *Spec, PipelineStall &Out) {
     return false;
   std::string S(Spec);
   size_t Colon = S.find(':');
-  if (Colon == std::string::npos || Colon == 0 || Colon + 1 >= S.size())
+  if (Colon == std::string::npos)
     return false;
-  std::string Stage = S.substr(0, Colon);
-  const std::string Micros = S.substr(Colon + 1);
-  for (char C : Micros)
-    if (C < '0' || C > '9')
-      return false;
+  const std::string Stage = S.substr(0, Colon);
+  uint64_t Micros = 0, Index = 0;
+  if (!parseU64(S.c_str() + Colon + 1, Micros) || Micros > UINT32_MAX)
+    return false;
   Out = PipelineStall();
-  Out.MicrosPerBatch = static_cast<uint32_t>(std::strtoul(Micros.c_str(),
-                                                          nullptr, 10));
+  Out.MicrosPerBatch = static_cast<uint32_t>(Micros);
   if (Stage == "reader") {
     Out.At = PipelineStall::Reader;
   } else if (Stage == "sanitizer") {
@@ -35,13 +35,10 @@ bool parsePipelineStall(const char *Spec, PipelineStall &Out) {
     Out.At = PipelineStall::Filter;
   } else if (Stage.rfind("worker", 0) == 0) {
     Out.At = PipelineStall::Worker;
-    std::string Idx = Stage.substr(6);
-    if (!Idx.empty()) {
-      for (char C : Idx)
-        if (C < '0' || C > '9')
-          return false;
-      Out.WorkerIndex = static_cast<int>(std::strtoul(Idx.c_str(), nullptr,
-                                                      10));
+    if (Stage.size() > 6) {
+      if (!parseU64(Stage.c_str() + 6, Index) || Index > INT_MAX)
+        return false;
+      Out.WorkerIndex = static_cast<int>(Index);
     }
   } else {
     return false;
@@ -155,7 +152,7 @@ void ParallelPipeline::readerMain() {
   };
 
   const bool Checkpointing = Opts.CheckpointSink && Opts.CheckpointEvery != 0;
-  uint64_t NextCkpt = Opts.StartEvents + Opts.CheckpointEvery;
+  uint64_t NextCkpt = Src.eventCount() + Opts.CheckpointEvery;
   // Participants that deposit into every ticket: the sanitizer, the
   // filter (when reducing), the delivery bookkeeping, and each worker.
   const size_t Depositors = 1 + (Filter ? 1 : 0) + 1 + NumWorkers;
@@ -166,7 +163,7 @@ void ParallelPipeline::readerMain() {
     B->Seq = ++Seq;
     return B;
   };
-  auto Finalize = [&](BatchPtr &B, bool AtEof) {
+  auto Finalize = [&](BatchPtr &B) {
     TakeDelta(B->Symbols);
     if (Checkpointing && !ParseFailed.load() && !Stop.load() &&
         Src.eventCount() >= NextCkpt && !B->Events.empty()) {
@@ -192,7 +189,6 @@ void ParallelPipeline::readerMain() {
         NextCkpt = Src.eventCount() + Opts.CheckpointEvery;
       }
     }
-    (void)AtEof;
   };
 
   BatchPtr Cur = Fresh();
@@ -214,7 +210,7 @@ void ParallelPipeline::readerMain() {
                               Src.tell(CkptOff);
     if (Cur->Events.size() >= Opts.BatchEvents || CkptBoundary ||
         Src.endOfFrame()) {
-      Finalize(Cur, /*AtEof=*/false);
+      Finalize(Cur);
       maybeStall(PipelineStall::Reader);
       ++Batches;
       if (!Q1.push(std::move(Cur)))
@@ -233,7 +229,7 @@ void ParallelPipeline::readerMain() {
   }
   // Events parsed before a malformed line still reach the back-ends,
   // exactly as in the sequential loop.
-  Finalize(Cur, /*AtEof=*/true);
+  Finalize(Cur);
   if (!Cur->Events.empty() || !Cur->Symbols.empty()) {
     maybeStall(PipelineStall::Reader);
     ++Batches;

@@ -114,10 +114,11 @@ struct ParallelOptions {
   /// Ring capacity, in batches, for every ring in the pipeline.
   size_t RingDepth = 8;
 
-  /// Parsed events between checkpoint boundaries; 0 = checkpointing off.
-  /// Cuts land on batch boundaries, so the realized cadence is the next
-  /// batch end at or after every multiple of this. (The sequential loop
-  /// counts delivered events instead.)
+  /// Records read (TraceSource::eventCount, before the sanitizer and the
+  /// filter) between checkpoint boundaries; 0 = checkpointing off. A cut
+  /// lands after the first record at or past each due count where the
+  /// source can tell(), in this pipeline (which ends the batch there) and
+  /// in the sequential loop alike.
   uint64_t CheckpointEvery = 0;
   /// Receives each completed cut, in order. Returns false with ErrorOut
   /// set to abort the run (reported as PipelineError::Checkpoint).

@@ -129,12 +129,6 @@ struct LabelPool {
   uint32_t TableCap;
 };
 
-struct IndexEntry {
-  uint64_t Offset;
-  uint64_t FirstOrdinal;
-  uint64_t Count;
-};
-
 struct Global {
   TraceConfig Cfg;
 
@@ -149,7 +143,7 @@ struct Global {
   uint64_t BytesWritten; ///< file offset of the next frame
   uint64_t TotalEvents;
 
-  IndexEntry *Index;
+  binfmt::IndexEntry *Index;
   size_t IndexCount, IndexCap;
   bool IndexBroken; ///< realloc failed: no trailer, salvage recovers
 
@@ -196,39 +190,42 @@ __thread ThreadState *TlsState
 __thread bool TlsInRuntime __attribute__((tls_model("initial-exec"))) = false;
 
 //===----------------------------------------------------------------------===//
-// Malloc-free frame encoding
+// Malloc-free encoding support (the grammar is events/BinaryFormat.h's)
 //===----------------------------------------------------------------------===//
 
-struct Cursor {
-  char *P;
-  char *End;
+/// A byte sink for binfmt's productions that writes to Fd through a small
+/// stack buffer: no allocation, so it is as signal-safe as write() itself.
+struct FdSink {
+  int Fd;
+  char Buf[256];
+  size_t N = 0;
   bool Ok = true;
 
+  explicit FdSink(int Fd) : Fd(Fd) {}
+
   void byte(uint8_t B) {
-    if (P == End) {
-      Ok = false;
-      return;
-    }
-    *P++ = static_cast<char>(B);
+    if (N == sizeof(Buf))
+      flush();
+    Buf[N++] = static_cast<char>(B);
   }
-
-  void varint(uint64_t V) {
-    while (V >= 0x80) {
-      byte(static_cast<uint8_t>((V & 0x7f) | 0x80));
-      V >>= 7;
-    }
-    byte(static_cast<uint8_t>(V));
+  void bytes(const char *Data, size_t Len) {
+    for (size_t I = 0; I < Len; ++I)
+      byte(static_cast<uint8_t>(Data[I]));
   }
-
-  void bytes(const char *Data, size_t N) {
-    if (static_cast<size_t>(End - P) < N) {
-      Ok = false;
-      return;
-    }
-    std::memcpy(P, Data, N);
-    P += N;
+  /// Write out what is buffered; false once any write has failed.
+  bool flush() {
+    Ok = Ok && sys::writeAll(Fd, Buf, N);
+    N = 0;
+    return Ok;
   }
 };
+
+/// A registry's names by id, for binfmt::putSymbolBlock.
+template <class Pool> auto namesOf(const Pool &P) {
+  return [&P](uint64_t Id) {
+    return std::string_view(P.Names[Id], P.Lens[Id]);
+  };
+}
 
 uint64_t hashKey(uint64_t K) {
   // splitmix64 finisher: addresses share low-bit patterns.
@@ -414,12 +411,9 @@ bool openOutput(const char *Path) {
   int Fd = ::open(Path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (Fd < 0)
     return false;
-  char Header[binfmt::HeaderSize];
-  std::memcpy(Header, binfmt::Magic, 8);
-  for (int I = 0; I < 4; ++I)
-    Header[8 + I] = static_cast<char>((binfmt::Version >> (8 * I)) & 0xff);
-  std::memset(Header + 12, 0, 4);
-  if (!sys::writeAll(Fd, Header, sizeof(Header))) {
+  FdSink Out{Fd};
+  binfmt::putHeader(Out);
+  if (!Out.flush()) {
     sys::closeQuiet(Fd);
     return false;
   }
@@ -433,35 +427,15 @@ void indexPush(uint64_t Offset, uint64_t FirstOrdinal, uint64_t Count) {
     return;
   if (G.IndexCount == G.IndexCap) {
     size_t NewCap = G.IndexCap ? G.IndexCap * 2 : 1024;
-    void *P = std::realloc(G.Index, NewCap * sizeof(IndexEntry));
+    void *P = std::realloc(G.Index, NewCap * sizeof(binfmt::IndexEntry));
     if (!P) {
       G.IndexBroken = true; // keep writing frames; salvage recovers them
       return;
     }
-    G.Index = static_cast<IndexEntry *>(P);
+    G.Index = static_cast<binfmt::IndexEntry *>(P);
     G.IndexCap = NewCap;
   }
   G.Index[G.IndexCount++] = {Offset, FirstOrdinal, Count};
-}
-
-void emitSymBlock(Cursor &C, const char (*Names)[AddrNameCap],
-                  const uint8_t *Lens, uint32_t From, uint32_t To) {
-  C.varint(From);
-  C.varint(To - From);
-  for (uint32_t I = From; I < To; ++I) {
-    C.varint(Lens[I]);
-    C.bytes(Names[I], Lens[I]);
-  }
-}
-
-void emitLabelBlock(Cursor &C, const char (*Names)[LabelNameCap],
-                    const uint8_t *Lens, uint32_t From, uint32_t To) {
-  C.varint(From);
-  C.varint(To - From);
-  for (uint32_t I = From; I < To; ++I) {
-    C.varint(Lens[I]);
-    C.bytes(Names[I], Lens[I]);
-  }
 }
 
 /// Encode and write T's buffer as one events frame. WriterSpin held; the
@@ -493,31 +467,26 @@ void flushLocked(ThreadState *T, bool SignalCtx) {
   uint32_t LC = G.Locks.Count.load(std::memory_order_acquire);
   uint32_t BC = G.Labels.Count.load(std::memory_order_acquire);
 
-  Cursor C{G.Scratch + binfmt::FrameHeaderSize, G.Scratch + G.ScratchCap};
-  emitSymBlock(C, G.Vars.Names, G.Vars.Lens, G.VarsEmitted, VC);
-  emitSymBlock(C, G.Locks.Names, G.Locks.Lens, G.LocksEmitted, LC);
-  emitLabelBlock(C, G.Labels.Names, G.Labels.Lens, G.LabelsEmitted, BC);
-  C.varint(N);
-  for (uint32_t I = 0; I < N; ++I) {
-    const Rec &R = T->Buf[I];
-    C.byte(R.Op);
-    C.varint(R.Tid);
-    if (R.Op != static_cast<uint8_t>(Op::End))
-      C.varint(R.Target);
-  }
-  if (!C.Ok) { // scratch is sized for the worst case; belt and braces
+  char *Payload = G.Scratch + binfmt::FrameHeaderSize;
+  binfmt::BufferSink P{Payload, G.Scratch + G.ScratchCap};
+  binfmt::putSymbolBlock(P, G.VarsEmitted, VC - G.VarsEmitted,
+                         namesOf(G.Vars));
+  binfmt::putSymbolBlock(P, G.LocksEmitted, LC - G.LocksEmitted,
+                         namesOf(G.Locks));
+  binfmt::putSymbolBlock(P, G.LabelsEmitted, BC - G.LabelsEmitted,
+                         namesOf(G.Labels));
+  binfmt::putVarint(P, N);
+  for (uint32_t I = 0; I < N; ++I)
+    binfmt::putEvent(P, T->Buf[I].Op, T->Buf[I].Tid, T->Buf[I].Target);
+  if (!P.Ok) { // scratch is sized for the worst case; belt and braces
     G.Drops.fetch_add(N, std::memory_order_relaxed);
     return;
   }
 
-  size_t Len = static_cast<size_t>(C.P - (G.Scratch + binfmt::FrameHeaderSize));
-  G.Scratch[0] = static_cast<char>(binfmt::EventsFrame);
-  for (int I = 0; I < 4; ++I)
-    G.Scratch[1 + I] = static_cast<char>((Len >> (8 * I)) & 0xff);
-  uint64_t Sum = binfmt::fnv1a64(
-      std::string_view(G.Scratch + binfmt::FrameHeaderSize, Len));
-  for (int I = 0; I < 8; ++I)
-    G.Scratch[5 + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+  const size_t Len = static_cast<size_t>(P.P - Payload);
+  binfmt::BufferSink H{G.Scratch, Payload};
+  binfmt::putFrameHeader(H, binfmt::EventsFrame, Len,
+                         binfmt::fnv1a64(std::string_view(Payload, Len)));
 
   if (!sys::writeAll(G.Fd, G.Scratch, binfmt::FrameHeaderSize + Len)) {
     G.Dead.store(true, std::memory_order_relaxed);
@@ -544,72 +513,22 @@ void flushNow(ThreadState *T) {
 
 /// Index frame + trailer, closing the container. WriterSpin held. The
 /// index payload can exceed the event scratch for frame-heavy runs, so it
-/// streams: pass 1 sizes and checksums, pass 2 re-encodes and writes.
+/// streams: a hashing pass sizes and checksums it for the frame header,
+/// then the same production writes it.
 void writeIndexAndTrailer() {
   if (G.Fd < 0 || G.Dead.load(std::memory_order_relaxed) || G.IndexBroken)
     return;
-
-  auto Encode = [&](bool Write, uint64_t &LenOut, uint64_t &SumOut) -> bool {
-    uint64_t Sum = 14695981039346656037ull;
-    uint64_t Len = 0;
-    char Buf[64];
-    auto Emit = [&](Cursor &C) -> bool {
-      size_t N = static_cast<size_t>(C.P - Buf);
-      for (size_t I = 0; I < N; ++I) {
-        Sum ^= static_cast<unsigned char>(Buf[I]);
-        Sum *= 1099511628211ull;
-      }
-      Len += N;
-      return !Write || sys::writeAll(G.Fd, Buf, N);
-    };
-    {
-      Cursor C{Buf, Buf + sizeof(Buf)};
-      C.varint(G.IndexCount); // leading frame count
-      if (!Emit(C))
-        return false;
-    }
-    for (size_t I = 0; I < G.IndexCount; ++I) {
-      Cursor C{Buf, Buf + sizeof(Buf)};
-      C.varint(G.Index[I].Offset);
-      C.varint(G.Index[I].FirstOrdinal);
-      C.varint(G.Index[I].Count);
-      if (!Emit(C))
-        return false;
-    }
-    Cursor C{Buf, Buf + sizeof(Buf)};
-    C.varint(G.TotalEvents);
-    if (!Emit(C))
-      return false;
-    LenOut = Len;
-    SumOut = Sum;
-    return true;
-  };
-
-  uint64_t Len = 0, Sum = 0;
-  if (!Encode(false, Len, Sum) || Len > binfmt::MaxFramePayload)
+  const std::span<const binfmt::IndexEntry> Index(G.Index, G.IndexCount);
+  binfmt::HashSink Sized;
+  binfmt::putIndexPayload(Sized, Index, G.TotalEvents);
+  if (Sized.Len > binfmt::MaxFramePayload)
     return; // leave a salvageable prefix rather than a bogus index
 
-  uint64_t IdxOff = G.BytesWritten;
-  char Hdr[binfmt::FrameHeaderSize];
-  Hdr[0] = static_cast<char>(binfmt::IndexFrame);
-  for (int I = 0; I < 4; ++I)
-    Hdr[1 + I] = static_cast<char>((Len >> (8 * I)) & 0xff);
-  for (int I = 0; I < 8; ++I)
-    Hdr[5 + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
-  if (!sys::writeAll(G.Fd, Hdr, sizeof(Hdr))) {
-    G.WriteFailed = true;
-    return;
-  }
-  uint64_t Len2 = 0, Sum2 = 0;
-  if (!Encode(true, Len2, Sum2)) {
-    G.WriteFailed = true;
-    return;
-  }
-  char Trailer[binfmt::TrailerSize];
-  for (int I = 0; I < 8; ++I)
-    Trailer[I] = static_cast<char>((IdxOff >> (8 * I)) & 0xff);
-  std::memcpy(Trailer + 8, binfmt::TrailerMagic, 8);
-  if (!sys::writeAll(G.Fd, Trailer, sizeof(Trailer)))
+  FdSink Out{G.Fd};
+  binfmt::putFrameHeader(Out, binfmt::IndexFrame, Sized.Len, Sized.Sum.Value);
+  binfmt::putIndexPayload(Out, Index, G.TotalEvents);
+  binfmt::putTrailer(Out, G.BytesWritten);
+  if (!Out.flush())
     G.WriteFailed = true;
 }
 

@@ -8,6 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "VtrcBuilder.h"
+
 #include "events/BinaryFormat.h"
 #include "events/BinaryReader.h"
 #include "events/BinaryWriter.h"
@@ -24,6 +26,8 @@
 #include <vector>
 
 using namespace velo;
+using velo::test::oneEvent;
+using velo::test::PayloadBuilder;
 
 namespace {
 
@@ -245,10 +249,8 @@ TEST(BinaryFormat, HostileIndexOffsetIsRejected) {
                               ~0ull - 27, // wraps to 1, smallest valid Size
                               1ull << 63, Bin.size(), Bin.size() - 1};
   for (uint64_t Off : Hostile) {
-    std::string Bad = Bin;
-    std::string Enc;
-    binfmt::appendU64le(Enc, Off);
-    Bad.replace(Bad.size() - 16, 8, Enc);
+    std::string Bad = Bin.substr(0, Bin.size() - binfmt::TrailerSize);
+    binfmt::putTrailer(binfmt::StringSink{Bad}, Off);
     SymbolTable Syms;
     BinaryTraceReader R(Syms);
     ASSERT_FALSE(R.openBuffer(Bad)) << "offset " << Off << " accepted";
@@ -294,53 +296,13 @@ TEST(BinaryFormat, OversizedFramePayloadFailsTheWriter) {
   EXPECT_FALSE(R.failed());
 }
 
-/// Assemble a one-frame container by hand so tests can express payloads
-/// the writer would never produce (undefined ids, bad op codes, ...).
-std::string buildContainer(const std::string &FramePayload,
-                           uint64_t EventCount) {
-  using namespace binfmt;
-  std::string Out(Magic, sizeof(Magic));
-  appendU32le(Out, Version);
-  appendU32le(Out, 0);
-  const uint64_t FrameOff = Out.size();
-  Out += static_cast<char>(EventsFrame);
-  appendU32le(Out, static_cast<uint32_t>(FramePayload.size()));
-  appendU64le(Out, fnv1a64(FramePayload));
-  Out += FramePayload;
-  const uint64_t IdxOff = Out.size();
-  std::string Idx;
-  appendVarint(Idx, 1); // one frame
-  appendVarint(Idx, FrameOff);
-  appendVarint(Idx, 0);
-  appendVarint(Idx, EventCount);
-  appendVarint(Idx, EventCount); // total
-  Out += static_cast<char>(IndexFrame);
-  appendU32le(Out, static_cast<uint32_t>(Idx.size()));
-  appendU64le(Out, fnv1a64(Idx));
-  Out += Idx;
-  appendU64le(Out, IdxOff);
-  Out.append(TrailerMagic, sizeof(TrailerMagic));
-  return Out;
-}
-
-std::string emptySymbolBlocks() {
-  std::string P;
-  for (int I = 0; I < 3; ++I) {
-    binfmt::appendVarint(P, 0);
-    binfmt::appendVarint(P, 0);
-  }
-  return P;
-}
+// The containers below hold payloads the writer would never produce
+// (undefined ids, bad op codes, ...).
 
 TEST(BinaryFormat, UndefinedSymbolIdIsRejected) {
   // One read of var id 7 with no symbol definitions at all.
-  std::string P = emptySymbolBlocks();
-  binfmt::appendVarint(P, 1); // one event
-  P += static_cast<char>(static_cast<uint8_t>(Op::Read));
-  binfmt::appendVarint(P, 0); // tid
-  binfmt::appendVarint(P, 7); // undefined var id
   // Keep the container alive past openBuffer: the reader borrows the bytes.
-  const std::string Bytes = buildContainer(P, 1);
+  const std::string Bytes = test::containerOf({oneEvent(Op::Read, 0, 7)});
   SymbolTable Syms;
   BinaryTraceReader R(Syms);
   ASSERT_TRUE(R.openBuffer(Bytes));
@@ -354,24 +316,10 @@ TEST(BinaryFormat, UndefinedSymbolIdIsRejected) {
 TEST(BinaryFormat, RepeatedSymbolNameIsRejected) {
   // A block defining x twice would give two file ids one name; ids must
   // be symbol-table ids, so the repeat is a parse error on the first frame.
-  std::string P;
-  binfmt::appendVarint(P, 0); // vars base
-  binfmt::appendVarint(P, 2);
-  for (int I = 0; I < 2; ++I) {
-    binfmt::appendVarint(P, 1);
-    P += "x";
-  }
-  for (int I = 0; I < 2; ++I) { // locks, labels
-    binfmt::appendVarint(P, 0);
-    binfmt::appendVarint(P, 0);
-  }
-  binfmt::appendVarint(P, 2);
-  for (uint64_t Var : {0, 1}) {
-    P += static_cast<char>(static_cast<uint8_t>(Op::Write));
-    binfmt::appendVarint(P, 0);
-    binfmt::appendVarint(P, Var);
-  }
-  const std::string Bytes = buildContainer(P, 2);
+  PayloadBuilder P;
+  P.block(0, {"x", "x"}).block(0, {}).block(0, {}).count(2);
+  P.event(Op::Write, 0, 0).event(Op::Write, 0, 1);
+  const std::string Bytes = test::containerOf({P});
   SymbolTable Syms;
   BinaryTraceReader R(Syms);
   ASSERT_TRUE(R.openBuffer(Bytes)) << R.error();
@@ -381,12 +329,9 @@ TEST(BinaryFormat, RepeatedSymbolNameIsRejected) {
 }
 
 TEST(BinaryFormat, BadOpCodeIsRejected) {
-  std::string P = emptySymbolBlocks();
-  binfmt::appendVarint(P, 1);
-  P += static_cast<char>(0x40); // not an op
-  binfmt::appendVarint(P, 0);
-  // Keep the container alive past openBuffer: the reader borrows the bytes.
-  const std::string Bytes = buildContainer(P, 1);
+  // 0x40 is not an op. Keep the container alive past openBuffer: the
+  // reader borrows the bytes.
+  const std::string Bytes = test::containerOf({oneEvent(0x40, 0, 0)});
   SymbolTable Syms;
   BinaryTraceReader R(Syms);
   ASSERT_TRUE(R.openBuffer(Bytes));
@@ -397,12 +342,9 @@ TEST(BinaryFormat, BadOpCodeIsRejected) {
 }
 
 TEST(BinaryFormat, OversizedThreadIdIsRejected) {
-  std::string P = emptySymbolBlocks();
-  binfmt::appendVarint(P, 1);
-  P += static_cast<char>(static_cast<uint8_t>(Op::End));
-  binfmt::appendVarint(P, MaxTraceThreads); // first out-of-range tid
   // Keep the container alive past openBuffer: the reader borrows the bytes.
-  const std::string Bytes = buildContainer(P, 1);
+  const std::string Bytes =
+      test::containerOf({oneEvent(Op::End, MaxTraceThreads, 0)});
   SymbolTable Syms;
   BinaryTraceReader R(Syms);
   ASSERT_TRUE(R.openBuffer(Bytes));
@@ -415,23 +357,11 @@ TEST(BinaryFormat, SymbolCapAppliesToBinary) {
   // Lower the cap via the test hook and present a frame defining one
   // variable too many.
   ASSERT_EQ(setenv("VELO_MAX_SYMBOLS", "2", 1), 0);
-  std::string P;
-  binfmt::appendVarint(P, 0); // vars base
-  binfmt::appendVarint(P, 3); // three names: one over the cap
-  for (const char *Name : {"a", "b", "c"}) {
-    binfmt::appendVarint(P, 1);
-    P += Name;
-  }
-  binfmt::appendVarint(P, 0); // locks
-  binfmt::appendVarint(P, 0);
-  binfmt::appendVarint(P, 0); // labels
-  binfmt::appendVarint(P, 0);
-  binfmt::appendVarint(P, 1); // one event
-  P += static_cast<char>(static_cast<uint8_t>(Op::Read));
-  binfmt::appendVarint(P, 0);
-  binfmt::appendVarint(P, 0);
+  PayloadBuilder P;
+  P.block(0, {"a", "b", "c"}).block(0, {}).block(0, {}).count(1);
+  P.event(Op::Read, 0, 0);
   // Keep the container alive past openBuffer: the reader borrows the bytes.
-  const std::string Bytes = buildContainer(P, 1);
+  const std::string Bytes = test::containerOf({P});
   SymbolTable Syms;
   BinaryTraceReader R(Syms);
   ASSERT_TRUE(R.openBuffer(Bytes));

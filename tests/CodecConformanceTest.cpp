@@ -10,6 +10,12 @@
 // tests/data also checks that a container's events frames are wire
 // payloads.
 //
+// The LD_PRELOAD tracer encodes through the same productions, but into a
+// fixed buffer, with names read out of fixed-size arrays. It is not built
+// under the sanitizers, so a second table runs that path here, in every
+// build: both sinks must write the same bytes, and a buffer too short for
+// a frame must be refused without a byte written past its end.
+//
 //===----------------------------------------------------------------------===//
 
 #include "VtrcBuilder.h"
@@ -23,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -32,6 +39,7 @@
 #endif
 
 using namespace velo;
+using velo::test::oneEvent;
 using velo::test::PayloadBuilder;
 
 namespace {
@@ -116,16 +124,6 @@ PayloadBuilder validPayload() {
       .event(Op::End, 1)
       .event(Op::Join, 0, 1);
   return P;
-}
-
-/// Blocks defining nothing, then one event.
-PayloadBuilder oneEvent(uint8_t Kind, uint64_t Tid, uint64_t Target) {
-  PayloadBuilder P;
-  P.block(0, {}).block(0, {}).block(0, {}).count(1).event(Kind, Tid, Target);
-  return P;
-}
-PayloadBuilder oneEvent(Op Kind, uint64_t Tid, uint64_t Target) {
-  return oneEvent(static_cast<uint8_t>(Kind), Tid, Target);
 }
 
 std::vector<Case> conformanceTable() {
@@ -282,6 +280,177 @@ TEST(CodecConformance, ContainerFramesAreWirePayloads) {
     EXPECT_EQ(namesOf(Syms), namesOf(T.symbols()));
   }
   EXPECT_GE(Traces, 20u);
+}
+
+/// A frame as the tracer holds one: for each kind of name a registry of
+/// fixed-size slots indexed by id, of which the first Emitted went out in
+/// earlier frames, and a buffer of event records.
+struct TracerFrame {
+  struct Registry {
+    char Names[8][64] = {};
+    uint8_t Lens[8] = {};
+    uint32_t Emitted = 0, Count = 0;
+
+    Registry(uint32_t Emitted, std::initializer_list<std::string_view> All)
+        : Emitted(Emitted), Count(static_cast<uint32_t>(All.size())) {
+      uint32_t Id = 0;
+      for (std::string_view N : All) {
+        std::memcpy(Names[Id], N.data(), N.size());
+        Lens[Id++] = static_cast<uint8_t>(N.size());
+      }
+    }
+  };
+  struct Rec {
+    uint8_t Op;
+    uint32_t Tid;
+    uint32_t Target;
+  };
+
+  std::string Name;
+  Registry Regs[3]; ///< vars, locks, labels
+  std::vector<Rec> Events;
+};
+
+/// The payload as preload/TraceRuntime.cpp's flushLocked encodes it.
+template <class Sink>
+void encodeTracerPayload(Sink &&S, const TracerFrame &F) {
+  for (const TracerFrame::Registry &R : F.Regs)
+    binfmt::putSymbolBlock(S, R.Emitted, R.Count - R.Emitted,
+                           [&R](uint64_t Id) {
+                             return std::string_view(R.Names[Id], R.Lens[Id]);
+                           });
+  binfmt::putVarint(S, F.Events.size());
+  for (const TracerFrame::Rec &E : F.Events)
+    binfmt::putEvent(S, E.Op, E.Tid, E.Target);
+}
+
+/// The frame through a BufferSink over Buf[0..Size): header, then payload,
+/// as the tracer writes it. Returns the frame's length, or 0 when refused.
+size_t encodeTracerFrame(char *Buf, size_t Size, const TracerFrame &F) {
+  if (Size < binfmt::FrameHeaderSize)
+    return 0;
+  char *Payload = Buf + binfmt::FrameHeaderSize;
+  binfmt::BufferSink P{Payload, Buf + Size};
+  encodeTracerPayload(P, F);
+  if (!P.Ok)
+    return 0;
+  const size_t Len = static_cast<size_t>(P.P - Payload);
+  binfmt::BufferSink H{Buf, Payload};
+  binfmt::putFrameHeader(H, binfmt::EventsFrame, Len,
+                         binfmt::fnv1a64(std::string_view(Payload, Len)));
+  return H.Ok ? binfmt::FrameHeaderSize + Len : 0;
+}
+
+std::vector<TracerFrame> tracerTable() {
+  using R = TracerFrame::Rec;
+  auto Op8 = [](Op K) { return static_cast<uint8_t>(K); };
+  std::vector<TracerFrame> Cases;
+  Cases.push_back({"empty frame", {{0, {}}, {0, {}}, {0, {}}}, {}});
+  Cases.push_back(
+      {"every op",
+       {{0, {"v@0x1000", "v@0x1008"}}, {0, {"m@0x2000"}}, {0, {"deposit"}}},
+       {R{Op8(Op::Fork), 0, 1}, R{Op8(Op::Begin), 1, 0},
+        R{Op8(Op::Acquire), 1, 0}, R{Op8(Op::Read), 1, 0},
+        R{Op8(Op::Write), 1, 1}, R{Op8(Op::Release), 1, 0},
+        R{Op8(Op::End), 1, 0}, R{Op8(Op::Begin), 0, NoLabel},
+        R{Op8(Op::End), 0, 0}, R{Op8(Op::Join), 0, 1}}});
+  // The tracer's name caps: "m@0x" and 16 hex digits, a 63-byte label.
+  const std::string Label(63, 'L');
+  Cases.push_back({"names at the slot caps",
+                   {{0, {"v@0xffffffffffffffff"}},
+                    {0, {"m@0xfffffffffffffff0"}},
+                    {0, {Label}}},
+                   {R{Op8(Op::Begin), 0, 0}, R{Op8(Op::Write), 0, 0},
+                    R{Op8(Op::End), 0, 0}}});
+  // A later frame: blocks start past the names earlier frames emitted,
+  // and a registry may hold names no event of this frame uses.
+  Cases.push_back({"later frame",
+                   {{2, {"v@0x10", "v@0x18", "v@0x20", "v@0x28"}},
+                    {1, {"m@0x30"}},
+                    {1, {"a", "b", "c"}}},
+                   {R{Op8(Op::Read), 3, 3}, R{Op8(Op::Read), 3, 0}}});
+  // Multi-byte varints: a count past 127, the largest tid, a large target.
+  TracerFrame Many{"varint widths", {{0, {"x"}}, {0, {}}, {0, {}}}, {}};
+  for (uint32_t I = 0; I < 300; ++I)
+    Many.Events.push_back(
+        R{Op8(I % 2 ? Op::Read : Op::Write),
+          static_cast<uint32_t>(MaxTraceThreads - 1 - I), 0});
+  Many.Events.push_back(R{Op8(Op::Fork), 0, 1u << 19});
+  Cases.push_back(std::move(Many));
+  return Cases;
+}
+
+TEST(CodecConformance, TracerPathWritesTheStringPathsBytes) {
+  for (const TracerFrame &F : tracerTable()) {
+    SCOPED_TRACE(F.Name);
+    std::string Payload;
+    encodeTracerPayload(binfmt::StringSink{Payload}, F);
+    std::string Want;
+    binfmt::appendFrame(Want, binfmt::EventsFrame, Payload);
+
+    std::vector<char> Buf(Want.size());
+    ASSERT_EQ(encodeTracerFrame(Buf.data(), Buf.size(), F), Want.size());
+    EXPECT_EQ(std::string(Buf.begin(), Buf.end()), Want);
+
+    // The payload decodes to the records, with every registry name after
+    // the ones emitted before.
+    SymbolTable Syms;
+    StringInterner *Tables[3] = {&Syms.Vars, &Syms.Locks, &Syms.Labels};
+    for (int K = 0; K < 3; ++K)
+      for (uint32_t Id = 0; Id < F.Regs[K].Emitted; ++Id)
+        Tables[K]->intern(std::string_view(F.Regs[K].Names[Id],
+                                           F.Regs[K].Lens[Id]));
+    std::vector<Event> Events;
+    std::string Err;
+    ASSERT_TRUE(serve::decodeEventsPayload(
+        reinterpret_cast<const uint8_t *>(Payload.data()), Payload.size(),
+        Syms, Events, Err))
+        << Err;
+    ASSERT_EQ(Events.size(), F.Events.size());
+    for (size_t I = 0; I < Events.size(); ++I) {
+      EXPECT_EQ(static_cast<uint8_t>(Events[I].Kind), F.Events[I].Op);
+      EXPECT_EQ(Events[I].Thread, F.Events[I].Tid);
+      if (Events[I].Kind != Op::End) {
+        EXPECT_EQ(Events[I].Target, F.Events[I].Target);
+      }
+    }
+    for (int K = 0; K < 3; ++K) {
+      ASSERT_EQ(Tables[K]->size(), F.Regs[K].Count);
+      for (uint32_t Id = 0; Id < F.Regs[K].Count; ++Id)
+        EXPECT_EQ(Tables[K]->name(Id),
+                  std::string_view(F.Regs[K].Names[Id], F.Regs[K].Lens[Id]));
+    }
+  }
+}
+
+TEST(CodecConformance, TracerPathRefusesAShortBuffer) {
+  // Every buffer shorter than the frame is refused, and the canary byte
+  // just past its end is never written.
+  for (const TracerFrame &F : tracerTable()) {
+    SCOPED_TRACE(F.Name);
+    std::vector<char> Whole(1 << 12);
+    const size_t Size = encodeTracerFrame(Whole.data(), Whole.size(), F);
+    ASSERT_NE(Size, 0u);
+    for (size_t Short = 0; Short < Size; ++Short) {
+      std::vector<char> Buf(Short + 1, '\x5a');
+      EXPECT_EQ(encodeTracerFrame(Buf.data(), Short, F), 0u) << Short;
+      EXPECT_EQ(Buf[Short], '\x5a') << "wrote past a buffer of " << Short;
+    }
+  }
+}
+
+TEST(CodecConformance, HashingPassSizesWhatTheWritingPassWrites) {
+  // The tracer's index frame: a HashSink pass gives the header's length
+  // and checksum, then the same production streams the payload.
+  std::vector<binfmt::IndexEntry> Index;
+  for (uint64_t I = 0; I < 500; ++I)
+    Index.push_back({binfmt::HeaderSize + 97 * I, 3 * I, 3});
+  binfmt::HashSink Sized;
+  binfmt::putIndexPayload(Sized, Index, 1500);
+  std::string Payload;
+  binfmt::putIndexPayload(binfmt::StringSink{Payload}, Index, 1500);
+  EXPECT_EQ(Sized.Len, Payload.size());
+  EXPECT_EQ(Sized.Sum.Value, binfmt::fnv1a64(Payload));
 }
 
 } // namespace

@@ -297,8 +297,11 @@ TEST(ParallelPipeline, StallSpecParser) {
   ASSERT_TRUE(parsePipelineStall("worker2:250", St));
   EXPECT_EQ(St.WorkerIndex, 2);
 
+  // Numbers that do not fit the field are refused, not wrapped.
   for (const char *Bad : {"", "reader", "reader:", ":500", "oven:10",
-                          "worker:x", "workerx:10", "reader:5x"})
+                          "worker:x", "workerx:10", "reader:5x",
+                          "reader:4294967297", "worker4294967296:5",
+                          "worker99999999999999999999:5"})
     EXPECT_FALSE(parsePipelineStall(Bad, St)) << Bad;
   EXPECT_FALSE(parsePipelineStall(nullptr, St));
 }

@@ -198,6 +198,59 @@ TEST(CheckCliTest, DotExportWritesAGraph) {
   EXPECT_NE(First.find("digraph"), std::string::npos);
 }
 
+TEST(CheckCliTest, FlagsThatWouldDoNothingExitTwo) {
+  // --dot and --no-merge act on Velodrome, --stats prints its graph or
+  // --reduce's counts: without those, each is refused in one line that
+  // names it, and no dot file appears.
+  const std::string Check = std::string(VELO_CHECK_BIN) + " ";
+  const std::string T = dataFile("set_add.trace");
+  const std::string Dot = ::testing::TempDir() + "/velo_inert.dot";
+  std::remove(Dot.c_str());
+  const std::pair<std::string, const char *> Refused[] = {
+      {"--backend=aero --dot=" + Dot, "--dot"},
+      {"--backend=basic --dot=" + Dot, "--dot"},
+      {"--backend=hb --no-merge", "--no-merge"},
+      {"--backend=hb --stats", "--stats"},
+      {"--backend=aero --stats", "--stats"}};
+  for (const auto &[Flags, Named] : Refused) {
+    std::string Out, Err;
+    EXPECT_EQ(runCmdSplit(Check + Flags + " " + T, Out, Err), 2) << Flags;
+    EXPECT_EQ(Err.rfind(std::string("error: ") + Named + " ", 0), 0u) << Err;
+    EXPECT_EQ(Err.find('\n'), Err.size() - 1) << Err;
+    EXPECT_TRUE(Out.empty()) << Out;
+  }
+  EXPECT_FALSE(std::ifstream(Dot).good()) << "a refused run wrote " << Dot;
+  // What the flags need is there: each runs to its verdict (hb computes
+  // none and exits 0).
+  EXPECT_EQ(runCmd(Check + "--backend=hb --stats --reduce=all " + T), 0);
+  for (const char *Flags : {"--backend=velodrome --stats",
+                            "--backend=velodrome --no-merge"})
+    EXPECT_EQ(runCmd(Check + Flags + " " + T), 1) << Flags;
+
+  // On --resume the snapshot's selector decides, not the command line's.
+  const std::string Hb = ::testing::TempDir() + "/velo_inert_hb.snap";
+  const std::string Velo = ::testing::TempDir() + "/velo_inert_velo.snap";
+  std::string Ignored;
+  for (const auto &[Snap, Sel] :
+       {std::pair(Hb, "hb"), std::pair(Velo, "velodrome")}) {
+    std::remove(Snap.c_str());
+    ASSERT_EQ(runCmdStdout(Check + "--backend=" + Sel + " --checkpoint=" +
+                               Snap + " --checkpoint-every=1 --crash-at=3 " +
+                               T,
+                           Ignored),
+              128 + SIGKILL)
+        << Sel;
+  }
+  EXPECT_EQ(runCmd(Check + "--stats --resume=" + Hb + " " + T), 2);
+  EXPECT_EQ(runCmd(Check + "--backend=aero --dot=" + Dot +
+                   " --resume=" + Velo + " " + T),
+            1);
+  EXPECT_TRUE(std::ifstream(Dot).good()) << "the resumed run's error graph";
+  for (const std::string &F : {Dot, Hb, Velo, Hb + ".lastevents",
+                               Velo + ".lastevents"})
+    std::remove(F.c_str());
+}
+
 TEST(CheckCliTest, BackendSelectionWorks) {
   for (const char *Backend : {"velodrome", "basic", "aero", "atomizer",
                               "eraser", "hb", "all"}) {
@@ -1349,6 +1402,20 @@ TEST(ConvertCliTest, UsageErrorsExitTwo) {
       << "missing output";
   EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " --to=xml a b"), 2);
   EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " --frame-events=0 a b"),
+            2);
+  // Text output has no frames: the flag would do nothing.
+  const std::string Out = ::testing::TempDir() + "/velo_conv_frames.trace";
+  std::remove(Out.c_str());
+  std::string Err;
+  EXPECT_EQ(runCmdAll(std::string(VELO_CONVERT_BIN) + " --frame-events=2 " +
+                          dataFile("set_add.trace") + " " + Out,
+                      Err),
+            2);
+  EXPECT_EQ(Err.rfind("error: --frame-events ", 0), 0u) << Err;
+  EXPECT_FALSE(std::ifstream(Out).good()) << "a refused run wrote " << Out;
+  EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) +
+                   " --frame-events=2 --to=text " + dataFile("set_add.trace") +
+                   " " + Out + ".vtrc"),
             2);
   EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) +
                    " /nonexistent.trace /tmp/velo_conv_out.vtrc"),

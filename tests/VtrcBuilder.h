@@ -2,7 +2,9 @@
 //
 // Events-frame payloads and containers assembled field by field, so tests
 // can express what no writer emits: repeated names, undefined ids, bad op
-// codes, lying counts (events/BinaryFormat.h has the grammar).
+// codes, lying counts. Every field goes through the format's productions
+// (events/BinaryFormat.h), which write any base, count, op byte and target
+// they are given.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +29,9 @@ struct PayloadBuilder {
 
   PayloadBuilder &block(uint64_t Base,
                         std::initializer_list<std::string_view> Names) {
-    binfmt::appendVarint(Bytes, Base);
-    binfmt::appendVarint(Bytes, Names.size());
-    for (std::string_view N : Names) {
-      binfmt::appendVarint(Bytes, N.size());
-      Bytes += N;
-    }
+    binfmt::putSymbolBlock(
+        binfmt::StringSink{Bytes}, Base, Names.size(),
+        [&](uint64_t Id) { return Names.begin()[Id - Base]; });
     return *this;
   }
 
@@ -42,13 +41,9 @@ struct PayloadBuilder {
     return *this;
   }
 
-  /// Op is written as a raw byte, so any value can be expressed; the
-  /// target is left out for End only.
+  /// The target is left out for End only.
   PayloadBuilder &event(uint8_t Op, uint64_t Tid, uint64_t Target = 0) {
-    Bytes += static_cast<char>(Op);
-    binfmt::appendVarint(Bytes, Tid);
-    if (Op != static_cast<uint8_t>(velo::Op::End))
-      binfmt::appendVarint(Bytes, Target);
+    binfmt::putEvent(binfmt::StringSink{Bytes}, Op, Tid, Target);
     return *this;
   }
   PayloadBuilder &event(velo::Op Kind, uint64_t Tid, uint64_t Target = 0) {
@@ -56,28 +51,33 @@ struct PayloadBuilder {
   }
 };
 
+/// A payload whose blocks define nothing, then one event (an Op or a raw
+/// op byte).
+template <typename OpT>
+PayloadBuilder oneEvent(OpT Kind, uint64_t Tid, uint64_t Target) {
+  PayloadBuilder P;
+  P.block(0, {}).block(0, {}).block(0, {}).count(1).event(Kind, Tid, Target);
+  return P;
+}
+
 /// A well-formed container around Frames: header, the frames, an index
 /// declaring each frame's Count, trailer.
 inline std::string containerOf(const std::vector<PayloadBuilder> &Frames) {
   using namespace binfmt;
-  std::string Out(Magic, sizeof(Magic));
-  appendU32le(Out, Version);
-  appendU32le(Out, 0);
-  std::string Idx;
-  appendVarint(Idx, Frames.size());
+  std::string Out;
+  putHeader(StringSink{Out});
+  std::vector<IndexEntry> Index;
   uint64_t Ordinal = 0;
   for (const PayloadBuilder &F : Frames) {
-    appendVarint(Idx, Out.size());
-    appendVarint(Idx, Ordinal);
-    appendVarint(Idx, F.Count);
+    Index.push_back({Out.size(), Ordinal, F.Count});
     Ordinal += F.Count;
     appendFrame(Out, EventsFrame, F.Bytes);
   }
-  appendVarint(Idx, Ordinal);
+  std::string Idx;
+  putIndexPayload(StringSink{Idx}, Index, Ordinal);
   const uint64_t IdxOff = Out.size();
   appendFrame(Out, IndexFrame, Idx);
-  appendU64le(Out, IdxOff);
-  Out.append(TrailerMagic, sizeof(TrailerMagic));
+  putTrailer(StringSink{Out}, IdxOff);
   return Out;
 }
 

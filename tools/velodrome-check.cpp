@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <sys/stat.h>
 
 using namespace velo;
@@ -117,7 +118,7 @@ int parseArgs(int Argc, char **Argv, Options &O) {
                  "write atomic snapshots of the analysis state "
                  "(docs/OPERATIONS.md)"),
       u64Flag("--checkpoint-every=N", O.CheckpointEvery,
-              "events between snapshots (default 4096)", 1),
+              "trace records read between snapshots (default 4096)", 1),
       stringFlag("--resume=<file>", O.ResumeFile,
                  "continue a run from a snapshot; the report is the "
                  "uninterrupted run's"),
@@ -287,6 +288,7 @@ int runAnalysis(Options O) {
                  O.ResumeFile.c_str(), Error.c_str());
     return 2;
   };
+  const bool NoMerge = O.Plan.NoMerge; // as given, before any snapshot's
   if (Resuming) {
     std::string Error;
     if (!loadCheckpoint(O.ResumeFile, Ckpt, Head, Error))
@@ -341,6 +343,22 @@ int runAnalysis(Options O) {
   std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(O.Plan, PlanError);
   if (!Plan) {
     std::fprintf(stderr, "%s\n", PlanError.c_str());
+    return 2;
+  }
+  // A flag this plan would ignore is refused. On --resume the plan, and so
+  // the selector, is the snapshot's.
+  const bool RunVelo = Plan->reports(Plan->velodrome());
+  const char *Inert = RunVelo                ? nullptr
+                      : !O.DotFile.empty()   ? "--dot"
+                      : NoMerge              ? "--no-merge"
+                      : O.Stats && !Reducing ? "--stats"
+                                             : nullptr;
+  if (Inert) {
+    std::fprintf(stderr,
+                 "error: %s needs the Velodrome back-end "
+                 "(--backend=velodrome or all)%s\n",
+                 Inert,
+                 std::string_view(Inert) == "--stats" ? " or --reduce" : "");
     return 2;
   }
 
@@ -466,7 +484,6 @@ int runAnalysis(Options O) {
   RM.Run.Trace = O.TraceFile;
   Plan->report(RM, StreamSyms);
   const Velodrome &Velo = Plan->velodrome();
-  bool RunVelo = Plan->reports(Velo);
   if (O.Stats && RunVelo) {
     const HbGraph &G = Velo.graph();
     RM.addStatLine("[graph] allocated=" + std::to_string(G.nodesAllocated()) +

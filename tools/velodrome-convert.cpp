@@ -38,7 +38,7 @@ int main(int argc, char **argv) {
   bool HaveTo = false;
   bool Salvage = false;
   ReportFormat Format = ReportFormat::Text;
-  size_t FrameEvents = BinaryTraceWriter::DefaultFrameEvents;
+  size_t FrameEvents = 0; ///< 0 = not given: the writer's default
 
   const FlagTable Table{
       "velodrome-convert [options] <in-trace> <out-trace>",
@@ -68,6 +68,11 @@ int main(int argc, char **argv) {
   const std::string &InFile = Operands[0], &OutFile = Operands[1];
   if (!HaveTo)
     To = traceFormatForWrite(OutFile);
+  if (FrameEvents != 0 && To != TraceFormat::Binary) {
+    std::fprintf(stderr, "error: --frame-events only applies to binary "
+                         "output; add --to=binary or name a .vtrc output\n");
+    return 2;
+  }
 
   SymbolTable Syms;
   TraceReadStatus St = TraceReadStatus::Ok;
@@ -92,7 +97,9 @@ int main(int argc, char **argv) {
 
   std::unique_ptr<BinaryTraceWriter> Bin;
   if (To == TraceFormat::Binary)
-    Bin = std::make_unique<BinaryTraceWriter>(Out, Syms, FrameEvents);
+    Bin = std::make_unique<BinaryTraceWriter>(
+        Out, Syms,
+        FrameEvents ? FrameEvents : BinaryTraceWriter::DefaultFrameEvents);
   uint64_t Converted = 0;
   for (Event E; Src->next(E); ++Converted) {
     if (Bin)

@@ -43,7 +43,9 @@
 //      run loop sequentially, through the parallel pipeline, sequentially
 //      with checkpoints and again resumed from one of them, and (without
 //      --reduce) through a serve session. Every leg prints the same JSON
-//      report, exit code and notes, or rejects with the same diagnostic.
+//      report, exit code and notes, or rejects with the same diagnostic,
+//      and the parallel leg, checkpointing at the same cadence, cuts at
+//      the same positions.
 //
 // Failing inputs are written to --save for triage and check-in under
 // tests/data/fuzz/ as regression seeds. Fully deterministic for a given
@@ -583,7 +585,8 @@ std::string runSession(const Trace &Raw, bool Lenient) {
 /// Check 12: Raw, written to Scratch one event per line, runs under
 /// --backend=all through the plan's run loop in parallel, checkpointed,
 /// resumed from one of those cuts and (without --reduce) through a serve
-/// session; each leg must print what the sequential run prints. R12, the
+/// session; each leg must print what the sequential run prints, and the
+/// parallel leg must cut where the checkpointing leg cuts. R12, the
 /// check's own generator, draws the mode and the legs' shapes, so the
 /// other checks see the mutants they always saw.
 bool enginesAgree(const Trace &Raw, const std::string &Scratch, Rng &R12,
@@ -597,6 +600,7 @@ bool enginesAgree(const Trace &Raw, const std::string &Scratch, Rng &R12,
   Par.Workers = 1 + static_cast<unsigned>(R12.below(2));
   Par.BatchEvents = 1 + R12.below(5);
   Ckpt.CheckpointEvery = 1 + R12.below(4);
+  Par.CheckpointEvery = Ckpt.CheckpointEvery;
   const uint64_t Pick = R12.next();
   if (!(std::ofstream(Scratch, std::ios::trunc) << printTrace(Raw)
         << std::flush)) {
@@ -604,9 +608,9 @@ bool enginesAgree(const Trace &Raw, const std::string &Scratch, Rng &R12,
     return false;
   }
   const std::string Want = runLeg(Scratch, C, false, ParallelOptions());
-  std::vector<std::string> Bodies;
+  std::vector<std::string> Bodies, ParBodies;
   std::vector<std::pair<const char *, std::string>> Legs = {
-      {"parallel", runLeg(Scratch, C, true, Par)},
+      {"parallel", runLeg(Scratch, C, true, Par, nullptr, &ParBodies)},
       {"checkpointing", runLeg(Scratch, C, false, Ckpt, nullptr, &Bodies)}};
   const size_t Cut = Bodies.empty() ? 0 : Pick % Bodies.size();
   if (!Bodies.empty())
@@ -614,18 +618,39 @@ bool enginesAgree(const Trace &Raw, const std::string &Scratch, Rng &R12,
                                         &Bodies[Cut]));
   if (!C.Reduce)
     Legs.emplace_back("serve session", runSession(Raw, Lenient));
+  const std::string Shape =
+      std::string("check 12 (") + (Lenient ? "--lenient" : "strict") +
+      (C.Reduce ? " --reduce=all" : "") + "; " + std::to_string(Par.Workers) +
+      " worker(s), batches of " + std::to_string(Par.BatchEvents) +
+      "; a cut every " + std::to_string(Ckpt.CheckpointEvery) +
+      " events, resumed from " + std::to_string(Cut + 1) + " of " +
+      std::to_string(Bodies.size()) + "): the ";
   for (const auto &[Leg, Got] : Legs)
     if (Got != Want) {
-      WhyOut = std::string("check 12 (") + (Lenient ? "--lenient" : "strict") +
-               (C.Reduce ? " --reduce=all" : "") + "; " +
-               std::to_string(Par.Workers) + " worker(s), batches of " +
-               std::to_string(Par.BatchEvents) + "; a cut every " +
-               std::to_string(Ckpt.CheckpointEvery) + " events, resumed from " +
-               std::to_string(Cut + 1) + " of " +
-               std::to_string(Bodies.size()) + "): the " + Leg +
-               " leg printed\n" + Got + "and the sequential leg\n" + Want;
+      WhyOut = Shape + Leg + " leg printed\n" + Got +
+               "and the sequential leg\n" + Want;
       return false;
     }
+  // Both engines cut after the same records. The bodies themselves differ
+  // (the governor's blob carries elapsed time), so compare the positions.
+  auto Positions = [](const std::vector<std::string> &Cuts) {
+    std::string Out;
+    for (const std::string &Body : Cuts) {
+      SnapshotReader R(Body);
+      PlanHead H;
+      AnalysisPlan::readHead(R, H);
+      Out += "offset " + std::to_string(H.ByteOffset) + ", line " +
+             std::to_string(H.LineNo) + ", events " +
+             std::to_string(H.EventsSeen) + "\n";
+    }
+    return Out;
+  };
+  const std::string ParCuts = Positions(ParBodies), Cuts = Positions(Bodies);
+  if (ParCuts != Cuts) {
+    WhyOut = Shape + "parallel leg cut at\n" + ParCuts +
+             "and the checkpointing leg at\n" + Cuts;
+    return false;
+  }
   return true;
 }
 
