@@ -50,6 +50,19 @@ std::vector<Flag> governorFlags(GovernorLimits &L) {
                   "wall-clock budget (0 = unlimited)")};
 }
 
+const char *GovernorLimits::capBeyondDefaults(bool ProbedOnly) const {
+  const GovernorLimits D = defaults();
+  if (!ProbedOnly && MaxEvents)
+    return "--max-events";
+  if (MaxLiveNodes && MaxLiveNodes != D.MaxLiveNodes)
+    return "--max-live-nodes";
+  if (MaxMemoryBytes)
+    return "--max-memory-mb";
+  if (!ProbedOnly && DeadlineMillis)
+    return "--deadline-ms";
+  return nullptr;
+}
+
 void GovernedAnalysis::beginAnalysis(const SymbolTable &Syms) {
   Backend::beginAnalysis(Syms);
   State = GovernorState::Normal;

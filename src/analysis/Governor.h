@@ -62,15 +62,11 @@ struct GovernorLimits {
     return L;
   }
 
-  /// Caps other than the defaults stop the analysis mid-stream, and only
-  /// the parallel pipeline's governor worker stops at the exact event, so
-  /// --parallel refuses them (docs/PARALLEL.md).
-  bool explicitCaps() const {
-    const GovernorLimits D = defaults();
-    return MaxEvents != D.MaxEvents || MaxLiveNodes != D.MaxLiveNodes ||
-           MaxMemoryBytes != D.MaxMemoryBytes ||
-           DeadlineMillis != D.DeadlineMillis;
-  }
+  /// The flag of the first cap set beyond the defaults (a 0 sets none),
+  /// or null. ProbedOnly looks only at the node and memory caps, which
+  /// need the primary's probe. AnalysisPlan::create refuses a cap that
+  /// nothing would enforce.
+  const char *capBeyondDefaults(bool ProbedOnly) const;
 };
 
 /// The rows for the cap flags check, run and serve take: --max-events=N,

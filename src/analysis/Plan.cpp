@@ -107,6 +107,19 @@ std::unique_ptr<AnalysisPlan> AnalysisPlan::create(const PlanConfig &Config,
                : P->reports(P->Basic) ? static_cast<Backend *>(&P->Basic)
                : RunAero              ? static_cast<Backend *>(&P->Aero)
                                       : nullptr;
+  // A cap nothing would enforce is refused, not ignored: every cap needs a
+  // governed primary, and the node and memory caps need the probe that
+  // only Velodrome has.
+  const bool Governed = P->Primary != nullptr;
+  if (P->Primary != &P->Velo)
+    if (const char *Cap = Config.Limits.capBeyondDefaults(Governed)) {
+      Err = std::string(Cap) +
+            (Governed ? " needs Velodrome's live-node probe "
+                        "(--backend=velodrome or all)"
+                      : " needs an atomicity back-end to govern "
+                        "(--backend=velodrome, basic, aero or all)");
+      return nullptr;
+    }
   Backend *Fallback = nullptr;
   if (P->Primary && P->Primary != &P->Aero && (RunAero || Config.HotSpare))
     Fallback = &P->Aero;
@@ -320,6 +333,12 @@ PipelineResult AnalysisPlan::runPipeline(TraceSource &Src, SymbolTable &S,
   Opts.StartEvents = Seen.Events;
   Opts.StartThreads = Seen.Threads;
   Opts.StartOrdinal = Ordinal;
+  // Only an event budget or a deadline stops a run that delivers to more
+  // than one back-end (a node cap there degrades to the fallback). The
+  // stop event must end delivery for every back-end, so they all share
+  // the governor's worker.
+  if (Config.Limits.MaxEvents || Config.Limits.DeadlineMillis)
+    Opts.Workers = 1;
   if (Gov) {
     // The probe runs on the governor's worker after every event:
     // exhaustion makes that event the stop event, as in the sequential

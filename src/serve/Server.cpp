@@ -9,6 +9,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -189,23 +190,14 @@ void Server::run() {
       T.join();
   Pool.clear();
 
+  // Every session in the table is live: retiring erases a session in the
+  // critical section that ends it.
   std::lock_guard<std::mutex> Lock(Mu);
   for (auto &KV : Sessions) {
-    SessionState &S = *KV.second;
-    if (S.Dead || S.Sess.finished())
-      continue;
     std::string Err;
-    if (!S.Sess.evicted()) {
-      if (!snapshotSession(S, /*Drop=*/false, Err))
-        std::fprintf(stderr, "serve: cannot persist session '%s': %s\n",
-                     S.Key.c_str(), Err.c_str());
-    } else if (!S.MemBlob.empty() && !Opts.StateDir.empty()) {
-      SnapshotWriter W;
-      W.str(S.MemBlob);
-      if (!W.writeFile(statePath(S.Key), Err))
-        std::fprintf(stderr, "serve: cannot persist session '%s': %s\n",
-                     S.Key.c_str(), Err.c_str());
-    }
+    if (!storeSession(*KV.second, /*Evict=*/false, Err))
+      std::fprintf(stderr, "serve: cannot persist session '%s': %s\n",
+                   KV.first.c_str(), Err.c_str());
   }
   for (auto &KV : Conns)
     sys::closeQuiet(KV.second->Fd);
@@ -401,22 +393,14 @@ void Server::handleFrame(Conn &C, uint8_t Kind, std::string Payload) {
       return;
     }
     SessionState &S = *C.S;
-    if (S.Dead)
-      return; // the fatal NAK is already on its way out
     // Hard bound: the advertised credit plus slack for frames already on
     // the wire when an ACK was in flight. Beyond that the client is
     // ignoring flow control.
     if (S.Queue.size() >= Opts.QueueFrames * 2) {
-      ++StatNaks;
-      sendFrameLocked(C.Id, NakKind,
-                      encodeNak({true, "flow-control violation: " +
-                                           std::to_string(S.Queue.size()) +
-                                           " frames queued against a credit "
-                                           "of " +
-                                           std::to_string(Opts.QueueFrames)}));
-      C.WantClose = true;
-      S.ConnId = 0;
-      C.S.reset();
+      fatalNakLocked(C, "flow-control violation: " +
+                            std::to_string(S.Queue.size()) +
+                            " frames queued against a credit of " +
+                            std::to_string(Opts.QueueFrames));
       return;
     }
     S.Queue.push_back(PendingFrame{Kind, std::move(Payload)});
@@ -452,63 +436,45 @@ void Server::handleHello(Conn &C, const std::string &Payload) {
     fatalNakLocked(C, "protocol error: session already established");
     return;
   }
+  // A session in the table is live (retiring erases it); a resume may
+  // also find the session only in the state directory (e.g. after a
+  // supervised restart).
   auto It = Sessions.find(M.Name);
-
-  std::shared_ptr<SessionState> S;
+  std::shared_ptr<SessionState> S =
+      It == Sessions.end() ? nullptr : It->second;
+  if (S && !M.Resume) {
+    fatalNakLocked(C, "session '" + M.Name +
+                          "' already exists (reconnect with resume)");
+    return;
+  }
+  if (S && (S->ConnId != 0 || S->InFlight)) {
+    fatalNakLocked(C, "session '" + M.Name + "' is busy");
+    return;
+  }
+  if (!S && M.Resume && Opts.StateDir.empty()) {
+    fatalNakLocked(C, "unknown session '" + M.Name + "'");
+    return;
+  }
+  // The cap applies to resumed sessions too: Ring capacity is sized to
+  // MaxSessions + Workers, which only bounds push() if the table never
+  // exceeds the cap.
+  if (!S && Sessions.size() >= Opts.MaxSessions) {
+    fatalNakLocked(C, "session limit reached (" +
+                          std::to_string(Opts.MaxSessions) + ")");
+    return;
+  }
+  if (!S) {
+    S = std::make_shared<SessionState>();
+    S->Key = M.Name;
+    S->LastActivity = Clock::now();
+  }
+  // A session created here has no pipeline yet, so it counts as evicted.
   if (M.Resume) {
-    if (It != Sessions.end()) {
-      S = It->second;
-      if (S->ConnId != 0 || S->InFlight) {
-        fatalNakLocked(C, "session '" + M.Name + "' is busy");
-        return;
-      }
-      if (S->Dead) {
-        fatalNakLocked(C, "session '" + M.Name + "' has terminated");
-        return;
-      }
-    } else {
-      // Not in memory: only resumable from the state directory (e.g.
-      // after a supervised restart).
-      if (Opts.StateDir.empty()) {
-        fatalNakLocked(C, "unknown session '" + M.Name + "'");
-        return;
-      }
-      // The cap applies to resumed sessions too: Ring capacity is sized
-      // to MaxSessions + Workers, which only bounds push() if the table
-      // never exceeds the cap.
-      if (Sessions.size() >= Opts.MaxSessions) {
-        fatalNakLocked(C, "session limit reached (" +
-                              std::to_string(Opts.MaxSessions) + ")");
-        return;
-      }
-      S = std::make_shared<SessionState>();
-      S->Key = M.Name;
-      S->LastActivity = Clock::now();
-      if (!restoreSession(*S, Err)) {
-        fatalNakLocked(C, "cannot resume session '" + M.Name + "': " + Err);
-        return;
-      }
-      S->Durable = S->Sess.eventsSeen();
-      Sessions[M.Name] = S;
-    }
     if (S->Sess.evicted() && !restoreSession(*S, Err)) {
       fatalNakLocked(C, "cannot resume session '" + M.Name + "': " + Err);
       return;
     }
   } else {
-    if (It != Sessions.end()) {
-      fatalNakLocked(C, "session '" + M.Name +
-                      "' already exists (reconnect with resume)");
-      return;
-    }
-    if (Sessions.size() >= Opts.MaxSessions) {
-      fatalNakLocked(C, "session limit reached (" +
-                      std::to_string(Opts.MaxSessions) + ")");
-      return;
-    }
-    S = std::make_shared<SessionState>();
-    S->Key = M.Name;
-    S->LastActivity = Clock::now();
     SessionConfig Config;
     Config.Name = M.Name;
     Config.BackendSel = M.BackendSel;
@@ -521,10 +487,10 @@ void Server::handleHello(Conn &C, const std::string &Payload) {
       fatalNakLocked(C, Err);
       return;
     }
-    Sessions[M.Name] = S;
     ++StatSessions;
   }
 
+  Sessions[M.Name] = S;
   S->ConnId = C.Id;
   C.S = S;
   HelloOkMsg Ok;
@@ -534,7 +500,7 @@ void Server::handleHello(Conn &C, const std::string &Payload) {
   Ok.VarsDone = Syms.Vars.size();
   Ok.LocksDone = Syms.Locks.size();
   Ok.LabelsDone = Syms.Labels.size();
-  sendFrameLocked(C.Id, HelloOkKind, encodeHelloOk(Ok));
+  sendLocked(C, HelloOkKind, encodeHelloOk(Ok));
   if (Opts.Verbose)
     std::fprintf(stderr, "serve: session '%s' %s (%llu events)\n",
                  M.Name.c_str(), M.Resume ? "resumed" : "opened",
@@ -544,36 +510,13 @@ void Server::handleHello(Conn &C, const std::string &Payload) {
 void Server::disconnect(Conn &C) {
   int Fd = C.Fd;
   // The conn is unlinked from the table while holding Mu — workers
-  // iterate Conns under Mu (sendFrameLocked, FINISH/fatal-NAK fan-out),
-  // so the erase must not race them. The fd itself is closed after the
-  // lock drops so a slow close can't stall the worker pool.
+  // look conns up under Mu (connLocked), so the erase must not race
+  // them. The fd itself is closed after the lock drops so a slow close
+  // can't stall the worker pool.
   std::unique_ptr<Conn> Owned;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (C.S) {
-      SessionState &S = *C.S;
-      if (!S.Dead && !S.Sess.finished()) {
-        // Mid-stream disconnect: detach and keep the session resumable.
-        // With a state directory, evict to disk so it also survives a
-        // daemon restart.
-        S.ConnId = 0;
-        S.LastActivity = Clock::now();
-        if (!Opts.StateDir.empty() && !S.Sess.evicted()) {
-          S.EvictRequested = true;
-          if (!S.InFlight) {
-            S.InFlight = true;
-            Ring.push(C.S);
-          }
-        }
-        if (Opts.Verbose)
-          std::fprintf(stderr, "serve: session '%s' detached (%llu events)\n",
-                       S.Key.c_str(),
-                       static_cast<unsigned long long>(S.Durable));
-      } else {
-        S.ConnId = 0;
-      }
-      C.S.reset();
-    }
+    detachLocked(C); // a mid-stream disconnect
     auto It = Conns.find(Fd);
     if (It != Conns.end()) {
       Owned = std::move(It->second);
@@ -599,14 +542,10 @@ void Server::housekeeping() {
     if (Opts.IdleEvictMillis != 0)
       for (auto &KV : Sessions) {
         SessionState &S = *KV.second;
-        if (!S.Dead && !S.InFlight && S.Queue.empty() && !S.Sess.evicted() &&
-            !S.Sess.finished() && !S.EvictRequested &&
+        if (!S.InFlight && S.Queue.empty() && !S.Sess.evicted() &&
             Now - S.LastActivity >
-                std::chrono::milliseconds(Opts.IdleEvictMillis)) {
-          S.EvictRequested = true;
-          S.InFlight = true;
-          Ring.push(KV.second);
-        }
+                std::chrono::milliseconds(Opts.IdleEvictMillis))
+          requestEvictLocked(KV.second);
       }
   }
   for (int Fd : SlowFds)
@@ -626,22 +565,24 @@ Server::Conn *Server::findConn(int Fd) {
   return It == Conns.end() ? nullptr : It->second.get();
 }
 
-void Server::sendFrame(uint64_t ConnId, uint8_t Kind,
-                       std::string_view Payload) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  sendFrameLocked(ConnId, Kind, Payload);
+Server::Conn *Server::connLocked(uint64_t Id) {
+  for (auto &KV : Conns)
+    if (KV.second->Id == Id)
+      return KV.second.get();
+  return nullptr; // detached: the client learns its position on resume
 }
 
-void Server::sendFrameLocked(uint64_t ConnId, uint8_t Kind,
-                             std::string_view Payload) {
-  if (ConnId == 0)
-    return; // session is detached; the client learns its position on resume
-  for (auto &KV : Conns)
-    if (KV.second->Id == ConnId) {
-      KV.second->Out += frameBytes(Kind, Payload);
-      wakeIo();
-      return;
-    }
+void Server::sendLocked(Conn &C, uint8_t Kind, std::string_view Payload) {
+  C.Out += frameBytes(Kind, Payload);
+  wakeIo();
+}
+
+void Server::requestEvictLocked(const std::shared_ptr<SessionState> &S) {
+  S->EvictRequested = true;
+  if (!S->InFlight) {
+    S->InFlight = true;
+    Ring.push(S);
+  }
 }
 
 void Server::fatalNak(Conn &C, const std::string &Reason) {
@@ -651,17 +592,40 @@ void Server::fatalNak(Conn &C, const std::string &Reason) {
 
 void Server::fatalNakLocked(Conn &C, const std::string &Reason) {
   ++StatNaks;
-  C.Out += frameBytes(NakKind, encodeNak({true, Reason}));
+  sendLocked(C, NakKind, encodeNak({true, Reason}));
   C.WantClose = true;
-  if (C.S) {
-    // Connection-level failure: the session state is still consistent
-    // (only fully processed frames ever reached it), so detach rather
-    // than destroy — the client may reconnect and resume.
-    C.S->ConnId = 0;
-    C.S->LastActivity = Clock::now();
-    C.S.reset();
+  // Connection-level failure: the session state is still consistent
+  // (only fully processed frames ever reached it), so detach rather than
+  // destroy — the client may reconnect and resume.
+  detachLocked(C);
+}
+
+void Server::detachLocked(Conn &C) {
+  if (!C.S)
+    return;
+  // An attached session is live. With a state directory it is evicted to
+  // disk, so it also survives a daemon crash before the client resumes.
+  C.S->ConnId = 0;
+  C.S->LastActivity = Clock::now();
+  if (!Opts.StateDir.empty())
+    requestEvictLocked(C.S);
+  if (Opts.Verbose)
+    std::fprintf(stderr, "serve: session '%s' detached\n", C.S->Key.c_str());
+  C.S.reset();
+}
+
+void Server::retireLocked(SessionState &S, uint8_t Kind,
+                          const std::string &Payload) {
+  S.Dead = true;
+  Sessions.erase(S.Key);
+  if (!Opts.StateDir.empty())
+    ::unlink(statePath(S.Key).c_str());
+  if (Conn *C = connLocked(S.ConnId)) {
+    sendLocked(*C, Kind, Payload);
+    C->WantClose = true;
+    C->S.reset();
   }
-  wakeIo();
+  S.ConnId = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -677,62 +641,46 @@ void Server::workerLoop() {
 }
 
 void Server::serveSession(std::shared_ptr<SessionState> S) {
+  // Dead is written only under Mu by the worker that holds InFlight, this
+  // one, so reading it here needs no lock.
   for (;;) {
     std::vector<PendingFrame> Local;
-    bool DoEvict = false;
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      while (!S->Queue.empty()) {
-        Local.push_back(std::move(S->Queue.front()));
-        S->Queue.pop_front();
+      if (S->Dead || (S->Queue.empty() && !S->EvictRequested)) {
+        S->EvictRequested = false;
+        S->InFlight = false;
+        return;
       }
-      if (Local.empty()) {
-        if (S->EvictRequested && !S->Dead && !S->Sess.evicted() &&
-            !S->Sess.finished()) {
-          DoEvict = true;
-        } else {
-          S->EvictRequested = false;
-          S->InFlight = false;
-          return;
-        }
-      }
+      Local.assign(std::make_move_iterator(S->Queue.begin()),
+                   std::make_move_iterator(S->Queue.end()));
+      S->Queue.clear();
     }
 
-    if (DoEvict) {
+    if (Local.empty()) { // an eviction request, and nothing queued
       std::string Err;
-      if (!snapshotSession(*S, /*Drop=*/true, Err))
+      const bool Stored = storeSession(*S, /*Evict=*/true, Err);
+      if (!Stored)
         std::fprintf(stderr, "serve: cannot evict session '%s': %s\n",
                      S->Key.c_str(), Err.c_str());
       std::lock_guard<std::mutex> Lock(Mu);
       S->EvictRequested = false;
+      if (!Stored) // retry after another idle spell, not every poll
+        S->LastActivity = Clock::now();
       continue; // re-check the queue before releasing InFlight
     }
 
-    for (PendingFrame &F : Local) {
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        if (S->Dead)
-          break;
-      }
+    for (const PendingFrame &F : Local) {
       std::string FatalErr;
       if (!processFrame(*S, F, FatalErr)) {
-        // Session-fatal fault: NAK, destroy the session, close the
-        // connection — and nothing else. The daemon and every other
-        // session keep running.
+        // Session-fatal fault: it ends this session and nothing else. The
+        // daemon and every other session keep running.
         ++StatNaks;
         std::lock_guard<std::mutex> Lock(Mu);
-        S->Dead = true;
-        Sessions.erase(S->Key);
-        sendFrameLocked(S->ConnId, NakKind, encodeNak({true, FatalErr}));
-        for (auto &KV : Conns)
-          if (KV.second->Id == S->ConnId) {
-            KV.second->WantClose = true;
-            KV.second->S.reset();
-          }
-        S->ConnId = 0;
-        wakeIo();
-        break;
+        retireLocked(*S, NakKind, encodeNak({true, FatalErr}));
       }
+      if (S->Dead)
+        break; // frames pipelined behind the end are dropped
     }
   }
 }
@@ -775,23 +723,14 @@ bool Server::processFrame(SessionState &S, const PendingFrame &F,
         FatalErr = Err;
         return false;
       }
-    std::lock_guard<std::mutex> Lock(Mu);
-    sendFrameLocked(S.ConnId, AckKind,
-                    encodeAck({S.Sess.eventsSeen(), Opts.QueueFrames,
-                               S.Durable}));
     break;
   }
-  case CheckpointKind: {
-    if (!snapshotSession(S, /*Drop=*/false, Err)) {
+  case CheckpointKind:
+    if (!storeSession(S, /*Evict=*/false, Err)) {
       FatalErr = "cannot checkpoint session: " + Err;
       return false;
     }
-    std::lock_guard<std::mutex> Lock(Mu);
-    sendFrameLocked(S.ConnId, AckKind,
-                    encodeAck({S.Sess.eventsSeen(), Opts.QueueFrames,
-                               S.Durable}));
     break;
-  }
   case FinishKind: {
     if (!S.Sess.finish(Err)) {
       FatalErr = Err;
@@ -802,68 +741,71 @@ bool Server::processFrame(SessionState &S, const PendingFrame &F,
     V.Report = S.Sess.report();
     V.Notes = S.Sess.notes();
     std::lock_guard<std::mutex> Lock(Mu);
-    S.Dead = true; // complete: no further frames are valid
-    Sessions.erase(S.Key);
-    if (!Opts.StateDir.empty())
-      ::unlink(statePath(S.Key).c_str()); // the snapshot served its purpose
-    sendFrameLocked(S.ConnId, VerdictKind, encodeVerdict(V));
-    for (auto &KV : Conns)
-      if (KV.second->Id == S.ConnId) {
-        KV.second->WantClose = true;
-        KV.second->S.reset();
-      }
-    S.ConnId = 0;
-    wakeIo();
+    retireLocked(S, VerdictKind, encodeVerdict(V));
     if (Opts.Verbose)
       std::fprintf(stderr, "serve: session '%s' finished (exit %d)\n",
                    S.Key.c_str(), S.Sess.exitCode());
-    break;
+    return true;
   }
   default:
     FatalErr = "unexpected frame kind " + std::to_string(F.Kind) +
                " in session stream";
     return false;
   }
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (Conn *C = connLocked(S.ConnId))
+      sendLocked(*C, AckKind,
+                 encodeAck({S.Sess.eventsSeen(), Opts.QueueFrames,
+                            S.Durable}));
+  }
 
   // The evict fault fires after the frame completes, so the next frame
   // exercises the rehydrate path under load.
   if (Faults.EvictAtFrame != 0 && FrameNo == Faults.EvictAtFrame &&
-      !S.Sess.finished() && !S.Sess.evicted())
-    if (!snapshotSession(S, /*Drop=*/true, Err))
-      std::fprintf(stderr, "serve: fault-evict of '%s' failed: %s\n",
-                   S.Key.c_str(), Err.c_str());
+      !storeSession(S, /*Evict=*/true, Err))
+    std::fprintf(stderr, "serve: fault-evict of '%s' failed: %s\n",
+                 S.Key.c_str(), Err.c_str());
   return true;
 }
 
-bool Server::snapshotSession(SessionState &S, bool Drop, std::string &Err) {
+bool Server::storeSession(SessionState &S, bool Evict, std::string &Err) {
+  // An evicted session is stored already; without a state directory only
+  // an eviction keeps its blob, in memory.
+  if (S.Sess.evicted() || (!Evict && Opts.StateDir.empty()))
+    return true;
   std::string Blob;
-  if (Drop ? !S.Sess.evict(Blob, Err) : !S.Sess.snapshot(Blob, Err))
+  if (Evict ? !S.Sess.evict(Blob, Err) : !S.Sess.snapshot(Blob, Err))
     return false;
-  if (!Opts.StateDir.empty()) {
+  if (Opts.StateDir.empty()) {
+    S.MemBlob = std::move(Blob);
+  } else {
     SnapshotWriter W;
     W.str(Blob);
-    if (!W.writeFile(statePath(S.Key), Err))
+    if (!W.writeFile(statePath(S.Key), Err)) {
+      // The next frame would rehydrate from an older state file, so a
+      // failed eviction keeps the session in memory.
+      std::string Ignored;
+      if (Evict)
+        S.Sess.rehydrate(Blob, Ignored);
       return false;
-  } else {
-    S.MemBlob = Blob;
+    }
+    S.Durable = S.Sess.eventsSeen();
   }
-  S.Durable = S.Sess.eventsSeen();
-  if (Drop) {
+  if (Evict) {
     ++StatEvictions;
     if (Opts.Verbose)
       std::fprintf(stderr, "serve: session '%s' evicted (%llu events)\n",
                    S.Key.c_str(),
-                   static_cast<unsigned long long>(S.Durable));
+                   static_cast<unsigned long long>(S.Sess.eventsSeen()));
   }
   return true;
 }
 
 bool Server::restoreSession(SessionState &S, std::string &Err) {
-  std::string Blob;
-  if (!S.MemBlob.empty()) {
-    Blob = std::move(S.MemBlob);
-    S.MemBlob.clear();
-  } else {
+  std::string Blob = std::exchange(S.MemBlob, std::string());
+  const bool FromFile = Blob.empty();
+  if (FromFile) {
     if (Opts.StateDir.empty()) {
       Err = "no snapshot available";
       return false;
@@ -879,6 +821,8 @@ bool Server::restoreSession(SessionState &S, std::string &Err) {
   }
   if (!S.Sess.rehydrate(Blob, Err))
     return false;
+  if (FromFile)
+    S.Durable = S.Sess.eventsSeen();
   ++StatRehydrations;
   if (Opts.Verbose)
     std::fprintf(stderr, "serve: session '%s' rehydrated (%llu events)\n",

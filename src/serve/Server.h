@@ -19,6 +19,23 @@
 //    next frame; an evicted-then-rehydrated session's verdict is
 //    byte-identical to a never-evicted one.
 //
+//  * A dead session stays dead. A session ends at its VERDICT or at a
+//    session-fatal NAK, and both take one path (retireLocked): the
+//    session leaves the table and its state file is deleted, so a later
+//    resume is refused instead of bringing back a checkpoint whose
+//    verdict would describe a stream nobody sent.
+//
+//  * Durable means on disk. CHECKPOINT and graceful shutdown write the
+//    state file under --state-dir and store nothing without one, so an
+//    ACK's durable count covers only events a state file holds: 0
+//    without --state-dir.
+//
+//  * Caps that bind. A session's caps, from its HELLO or the daemon's
+//    flags, go through the analysis plan, which refuses the ones its
+//    selector cannot enforce, and the HELLO draws a NAK: velodrome and
+//    all enforce every cap; basic and aero the event budget and the
+//    deadline; atomizer, eraser, hb and deadlock only the defaults.
+//
 //  * Crash recovery. The kill-worker fault SIGKILLs the daemon process
 //    mid-frame; under `velodrome-serve --supervise` it restarts with
 //    exponential backoff and clients resume named sessions from the state
@@ -106,20 +123,21 @@ private:
     std::string Payload;
   };
 
-  /// One named tenant. Lifetime: created at HELLO, destroyed after its
-  /// VERDICT/fatal NAK (or kept, detached, after a mid-stream disconnect
-  /// so the client can resume).
+  /// One named tenant. Lifetime: created at HELLO, retired at its
+  /// VERDICT or a session-fatal NAK (or kept, detached, after a
+  /// mid-stream disconnect so the client can resume).
   struct SessionState {
     std::string Key;
     Session Sess;
     std::deque<PendingFrame> Queue; ///< guarded by Server::Mu
     bool InFlight = false;          ///< a worker owns the pipeline
     bool EvictRequested = false;
-    bool Dead = false;
+    bool Dead = false;   ///< retired; set with the erase from Sessions
     uint64_t ConnId = 0; ///< attached connection (0 = detached)
-    std::string MemBlob; ///< in-memory evicted state (no state dir)
-    uint64_t Durable = 0;
     Clock::time_point LastActivity;
+    // Owned with the pipeline:
+    std::string MemBlob;  ///< in-memory evicted state (no state dir)
+    uint64_t Durable = 0; ///< events in the state file
   };
 
   struct Conn {
@@ -152,19 +170,38 @@ private:
   Conn *findConn(int Fd);
 
   /// Drain one session's queue on a worker; returns when the queue is
-  /// empty and InFlight has been released.
+  /// empty (or the session has ended) and InFlight has been released.
   void serveSession(std::shared_ptr<SessionState> S);
   bool processFrame(SessionState &S, const PendingFrame &F,
                     std::string &FatalErr);
-  bool snapshotSession(SessionState &S, bool Drop, std::string &Err);
-  bool restoreSession(SessionState &S, std::string &Err);
 
-  // Mu-holding reply helpers (locked variants used inside handleFrame).
-  void sendFrame(uint64_t ConnId, uint8_t Kind, std::string_view Payload);
-  void sendFrameLocked(uint64_t ConnId, uint8_t Kind,
-                       std::string_view Payload);
+  // A session's life, one transition each. The caller owns the pipeline.
+  /// The only writer of S's snapshot. An eviction drops the pipeline and
+  /// keeps the blob: in the state file under a state directory, in
+  /// memory otherwise. CHECKPOINT and shutdown keep it only in a state
+  /// file, so without a state directory they store nothing. A failed
+  /// eviction leaves S in memory.
+  bool storeSession(SessionState &S, bool Evict, std::string &Err);
+  /// The only reader: rehydrate an evicted S from its in-memory blob or
+  /// its state file.
+  bool restoreSession(SessionState &S, std::string &Err);
+  /// Mu held: end S with its final frame (VERDICT or a session-fatal
+  /// NAK). S leaves the table and its state file is deleted, so nothing
+  /// can resume it; the attached connection sends the frame and closes.
+  void retireLocked(SessionState &S, uint8_t Kind,
+                    const std::string &Payload);
+
+  // Reply helpers; the Locked ones run under Mu.
+  /// The connection with this id; null when detached (0) or gone.
+  Conn *connLocked(uint64_t Id);
+  void sendLocked(Conn &C, uint8_t Kind, std::string_view Payload);
+  /// Connection-fatal NAK: C closes, its session stays resumable.
   void fatalNak(Conn &C, const std::string &Reason);
   void fatalNakLocked(Conn &C, const std::string &Reason);
+  /// Detach C's session (if any) so a later HELLO can resume it.
+  void detachLocked(Conn &C);
+  /// Queue S for a worker to evict once its frames are processed.
+  void requestEvictLocked(const std::shared_ptr<SessionState> &S);
   void wakeIo();
 
   std::string statePath(const std::string &Key) const;

@@ -175,6 +175,67 @@ TEST(PlanTest, SmallCapOnAllMatchesAcrossEngines) {
   }
 }
 
+/// An event budget stops a run that delivers to every back-end of `all`;
+/// the pipeline puts them all on the governor's worker, so none sees an
+/// event past the stop on any worker count.
+TEST(PlanTest, EventBudgetOnAllMatchesAcrossEngines) {
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    const std::string Text = randomTrace(Seed);
+    PlanConfig C = config("all", GovernorLimits::defaults().MaxLiveNodes);
+    C.Limits.MaxEvents = 250;
+    Outcome Want = runSequential(Text, C);
+    ASSERT_NE(Want.Notes.find("event budget of 250 exhausted"),
+              std::string::npos)
+        << Want.Notes;
+    for (size_t Batch : {1u, 5u, 64u, 4096u})
+      for (unsigned Workers : {0u, 1u, 2u})
+        expectSame(Want, runPipeline(Text, C, Batch, Workers),
+                   "seed " + std::to_string(Seed) + ", batch " +
+                       std::to_string(Batch) + ", workers " +
+                       std::to_string(Workers));
+  }
+}
+
+/// A cap is refused where nothing would enforce it: every cap needs a
+/// governed atomicity primary, and the node and memory caps need
+/// Velodrome's probe. A zero is no cap, and the defaults always pass.
+TEST(PlanTest, CapsNothingEnforcesAreRefused) {
+  struct Cap {
+    const char *Flag;
+    void (*Set)(GovernorLimits &);
+  };
+  const Cap Caps[] = {
+      {"--max-events", [](GovernorLimits &L) { L.MaxEvents = 10; }},
+      {"--max-live-nodes", [](GovernorLimits &L) { L.MaxLiveNodes = 1; }},
+      {"--max-memory-mb", [](GovernorLimits &L) { L.MaxMemoryBytes = 1; }},
+      {"--deadline-ms", [](GovernorLimits &L) { L.DeadlineMillis = 10; }}};
+  for (const char *Sel : {"velodrome", "basic", "aero", "atomizer", "eraser",
+                          "hb", "deadlock", "all"}) {
+    const std::string S = Sel;
+    const bool Governed = S == "velodrome" || S == "basic" || S == "aero" ||
+                          S == "all";
+    const bool Probed = S == "velodrome" || S == "all";
+    for (const Cap &K : Caps) {
+      PlanConfig C = config(Sel, GovernorLimits::defaults().MaxLiveNodes);
+      K.Set(C.Limits);
+      const std::string F = K.Flag;
+      const bool NeedsProbe = F == "--max-live-nodes" || F == "--max-memory-mb";
+      const bool Enforced = Governed && (Probed || !NeedsProbe);
+      std::string Err;
+      std::unique_ptr<AnalysisPlan> P = AnalysisPlan::create(C, Err);
+      EXPECT_EQ(P != nullptr, Enforced) << Sel << " " << F;
+      if (!Enforced) {
+        EXPECT_EQ(Err.rfind(F + " needs ", 0), 0u) << Err;
+      }
+    }
+    std::string Err;
+    EXPECT_TRUE(AnalysisPlan::create(config(Sel, 0), Err)) << Sel << Err;
+    EXPECT_TRUE(AnalysisPlan::create(
+        config(Sel, GovernorLimits::defaults().MaxLiveNodes), Err))
+        << Sel << Err;
+  }
+}
+
 TEST(PlanTest, StoppedPipelineCountsAsOfTheStopEvent) {
   for (bool Lenient : {false, true}) {
     const std::string Text = wideTrace(60, Lenient);
@@ -277,7 +338,8 @@ TEST(PlanTest, RestoreChecksTheSavedBackendNames) {
   SnapshotReader R(W.payload());
   PlanHead H;
   ASSERT_TRUE(AnalysisPlan::readHead(R, H));
-  std::unique_ptr<AnalysisPlan> Other = makePlan(config("hb", 3), Notes);
+  std::unique_ptr<AnalysisPlan> Other =
+      makePlan(config("hb", GovernorLimits::defaults().MaxLiveNodes), Notes);
   SymbolTable Fresh;
   EXPECT_FALSE(Other->restore(H, R, Fresh, Err));
   EXPECT_FALSE(Err.empty());

@@ -372,6 +372,42 @@ TEST(ServeCliTest, QueueFramesIsTheHelloCredit) {
   EXPECT_EQ(D.stop(), 128 + SIGTERM);
 }
 
+/// A cap that nothing would enforce draws a NAK naming it, whether the
+/// HELLO carries it or the daemon's own flag applies it to the session:
+/// hb runs no governed checker, and only Velodrome has the node probe.
+TEST(ServeCliTest, CapsNothingEnforcesDrawANak) {
+  Daemon D;
+  D.start({"--max-events=100000"});
+  ASSERT_GT(D.Pid, 0);
+  struct Case {
+    const char *Sel;
+    uint64_t MaxLiveNodes; ///< a HELLO cap; 0 takes the daemon's
+    const char *Refused;   ///< the flag the NAK names; null = accepted
+  };
+  for (const Case &C : {Case{"hb", 0, "--max-events"},
+                        Case{"aero", 1, "--max-live-nodes"},
+                        Case{"aero", 0, nullptr},
+                        Case{"velodrome", 1, nullptr}}) {
+    Client Cl;
+    ASSERT_TRUE(connectRetry(Cl, D.Socket));
+    HelloMsg H;
+    H.Name = std::string("caps-") + C.Sel;
+    H.BackendSel = C.Sel;
+    H.Limits.MaxLiveNodes = C.MaxLiveNodes;
+    HelloOkMsg Ok;
+    NakMsg Nak;
+    std::string Err;
+    EXPECT_EQ(Cl.hello(H, Ok, Err, &Nak), C.Refused == nullptr)
+        << C.Sel << ": " << Err;
+    if (C.Refused) {
+      EXPECT_TRUE(Nak.Fatal);
+      EXPECT_EQ(Nak.Reason.rfind(std::string(C.Refused) + " needs ", 0), 0u)
+          << Nak.Reason;
+    }
+  }
+  EXPECT_EQ(D.stop(), 128 + SIGTERM);
+}
+
 /// --idle-evict-ms: a session that sends nothing is snapshotted to the
 /// state directory while its client still holds it, and the verdict after
 /// rehydration is velodrome-check's.

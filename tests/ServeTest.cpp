@@ -12,7 +12,8 @@
 //    Session; session faults isolate; torn frames detach but leave the
 //    session resumable; idle eviction is invisible in the verdict;
 //    slow-loris and flow-control violations draw fatal NAKs while the
-//    daemon keeps serving.
+//    daemon keeps serving; a session's end takes its state file, and an
+//    ACK counts as durable only what a state file holds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include "serve/Wire.h"
 
 #include "events/TraceGen.h"
+#include "events/TraceText.h"
 
 #include <gtest/gtest.h>
 
@@ -996,6 +998,241 @@ TEST(ServeServerTest, ResumeFromDiskRespectsSessionCap) {
   ASSERT_TRUE(R.GotVerdict) << (R.GotNak ? R.Nak.Reason : "no reply");
   EXPECT_EQ(R.Verdict.Report, WantA);
   EXPECT_EQ(R.Verdict.ExitCode, ExitA);
+  removeStateDir(Dir);
+}
+
+/// Write one frame and read the server's next frame.
+uint8_t exchange(int Fd, uint8_t Kind, const std::string &Payload,
+                 std::string &Reply) {
+  std::string Err;
+  EXPECT_TRUE(writeWireFrame(Fd, Kind, Payload, Err)) << Err;
+  uint8_t K = 0;
+  EXPECT_EQ(readWireFrame(Fd, K, Reply, Err), 1) << Err;
+  return K;
+}
+
+uint64_t durableOf(const std::string &AckPayload) {
+  AckMsg A;
+  std::string Err;
+  EXPECT_TRUE(decodeAck(reinterpret_cast<const uint8_t *>(AckPayload.data()),
+                        AckPayload.size(), A, Err))
+      << Err;
+  return A.Durable;
+}
+
+/// The ACK a CHECKPOINT draws after the whole of a 300-event stream.
+uint64_t durableAfterCheckpoint(const std::string &StateDir) {
+  TestDaemon D([&](ServerOptions &O) { O.StateDir = StateDir; });
+  Trace T = genTrace(91, 300);
+  std::vector<Event> Events = eventsOf(T);
+  Client Cl;
+  std::string Err;
+  EXPECT_TRUE(Cl.connectUnix(D.Path, Err)) << Err;
+  HelloMsg H;
+  H.Name = "durable";
+  HelloOkMsg Ok;
+  EXPECT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+  size_t Vars = 0, Locks = 0, Labels = 0;
+  std::string Payload, Reply;
+  encodeEventsPayload(Payload, Events, 0, Events.size(), T.symbols(), Vars,
+                      Locks, Labels);
+  EXPECT_EQ(exchange(Cl.fd(), EventsKind, Payload, Reply), AckKind);
+  EXPECT_EQ(durableOf(Reply), 0u) << "nothing was stored yet";
+  EXPECT_EQ(exchange(Cl.fd(), CheckpointKind, "", Reply), AckKind);
+  return durableOf(Reply);
+}
+
+TEST(ServeServerTest, CheckpointWithoutStateDirIsNotDurable) {
+  // Nothing survives a crash without a state directory, so the ACK must
+  // not claim any event is durable.
+  EXPECT_EQ(durableAfterCheckpoint(""), 0u);
+}
+
+TEST(ServeServerTest, CheckpointWithStateDirCountsTheStateFile) {
+  std::string Dir = makeStateDir("durable");
+  EXPECT_EQ(durableAfterCheckpoint(Dir), genTrace(91, 300).size());
+  EXPECT_EQ(countStateFiles(Dir), 1u);
+  removeStateDir(Dir);
+}
+
+/// How a checkpointed session ends in expectEndIsFinal.
+enum class Ending { StrictRejection, Enomem, Finish };
+
+/// With a state dir, a session streams two events, CHECKPOINTs them to its
+/// state file, and then ends. Whatever ends it, the end is final: the
+/// state file goes with the session, and a resume HELLO is refused rather
+/// than rehydrating the checkpoint, whose later VERDICT would describe a
+/// stream the client never sent.
+void expectEndIsFinal(Ending How) {
+  std::string Dir = makeStateDir("ended");
+  {
+    TestDaemon D([&](ServerOptions &O) {
+      O.StateDir = Dir;
+      if (How == Ending::Enomem)
+        O.Faults.EnomemAtFrame = 3; // EVENTS, CHECKPOINT, then this frame
+    });
+    // Strict mode rejects releasing a lock T1 does not hold.
+    Trace T;
+    std::string Err;
+    ASSERT_TRUE(parseTrace(How == Ending::StrictRejection
+                               ? "T1 wr x\nT1 wr y\nT1 rel m\n"
+                               : "T1 wr x\nT1 wr y\nT1 wr z\n",
+                           T, Err))
+        << Err;
+    std::vector<Event> Events = eventsOf(T);
+    Client Cl;
+    ASSERT_TRUE(Cl.connectUnix(D.Path, Err)) << Err;
+    HelloMsg H;
+    H.Name = "ended";
+    HelloOkMsg Ok;
+    ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+    size_t Vars = 0, Locks = 0, Labels = 0;
+    std::string Payload, Reply;
+    encodeEventsPayload(Payload, Events, 0, 2, T.symbols(), Vars, Locks,
+                        Labels);
+    ASSERT_EQ(exchange(Cl.fd(), EventsKind, Payload, Reply), AckKind);
+    ASSERT_EQ(exchange(Cl.fd(), CheckpointKind, "", Reply), AckKind);
+    EXPECT_EQ(durableOf(Reply), 2u);
+    ASSERT_EQ(countStateFiles(Dir), 1u);
+
+    if (How == Ending::Finish) {
+      EXPECT_EQ(exchange(Cl.fd(), FinishKind, "", Reply), VerdictKind);
+    } else {
+      Payload.clear();
+      encodeEventsPayload(Payload, Events, 2, 3, T.symbols(), Vars, Locks,
+                          Labels);
+      ASSERT_EQ(exchange(Cl.fd(), EventsKind, Payload, Reply), NakKind);
+      NakMsg N;
+      ASSERT_TRUE(decodeNak(reinterpret_cast<const uint8_t *>(Reply.data()),
+                            Reply.size(), N, Err))
+          << Err;
+      EXPECT_TRUE(N.Fatal);
+      EXPECT_NE(N.Reason.find(How == Ending::Enomem ? "out of memory"
+                                                    : "not well formed"),
+                std::string::npos)
+          << N.Reason;
+    }
+    EXPECT_EQ(countStateFiles(Dir), 0u) << "the ended session kept its file";
+
+    Client Again;
+    ASSERT_TRUE(Again.connectUnix(D.Path, Err)) << Err;
+    H.Resume = true;
+    EXPECT_FALSE(Again.hello(H, Ok, Err))
+        << "an ended session resumed at " << Ok.Events << " events";
+  }
+  removeStateDir(Dir);
+}
+
+TEST(ServeServerTest, StrictRejectionEndsACheckpointedSessionForGood) {
+  expectEndIsFinal(Ending::StrictRejection);
+}
+
+TEST(ServeServerTest, EnomemEndsACheckpointedSessionForGood) {
+  expectEndIsFinal(Ending::Enomem);
+}
+
+TEST(ServeServerTest, FinishEndsACheckpointedSessionForGood) {
+  expectEndIsFinal(Ending::Finish);
+}
+
+TEST(ServeServerTest, ConnectionFatalNakDetachesToTheStateDir) {
+  // A connection-fatal NAK detaches the session as a disconnect does:
+  // under a state dir it is evicted to its file, so it would survive a
+  // daemon crash, and it resumes to the uninterrupted verdict.
+  Trace T = genTrace(35, 400);
+  std::string WantReport;
+  int WantExit = 0;
+  refVerdict(T, WantReport, WantExit, nullptr, "loris");
+  std::vector<Event> Events = eventsOf(T);
+  std::string Dir = makeStateDir("loris");
+  {
+    TestDaemon D([&](ServerOptions &O) {
+      O.StateDir = Dir;
+      O.FrameTimeoutMillis = 80;
+    });
+    Client Cl;
+    std::string Err;
+    ASSERT_TRUE(Cl.connectUnix(D.Path, Err)) << Err;
+    HelloMsg H;
+    H.Name = "loris";
+    HelloOkMsg Ok;
+    ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+    size_t Vars = 0, Locks = 0, Labels = 0;
+    std::string Payload, Reply;
+    encodeEventsPayload(Payload, Events, 0, Events.size() / 2, T.symbols(),
+                        Vars, Locks, Labels);
+    ASSERT_EQ(exchange(Cl.fd(), EventsKind, Payload, Reply), AckKind);
+    // Half a frame header, then silence: the assembly deadline NAKs.
+    std::string Frame = frameBytes(EventsKind, std::string(100, 'x'));
+    ASSERT_EQ(::write(Cl.fd(), Frame.data(), 8), 8);
+    uint8_t K = 0;
+    ASSERT_EQ(readWireFrame(Cl.fd(), K, Reply, Err), 1) << Err;
+    ASSERT_EQ(K, NakKind);
+    for (int I = 0; I < 200 && countStateFiles(Dir) == 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(countStateFiles(Dir), 1u)
+        << "the detached session is not on disk";
+
+    // Let the worker release the session it just evicted.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    RunResult R;
+    runSession(D.Path, "loris", T, R, 64, ClientFaults(), /*Resume=*/true);
+    ASSERT_TRUE(R.GotVerdict) << (R.GotNak ? R.Nak.Reason : "no reply");
+    EXPECT_EQ(R.Verdict.Report, WantReport);
+    EXPECT_EQ(R.Verdict.ExitCode, WantExit);
+  }
+  removeStateDir(Dir);
+}
+
+TEST(ServeServerTest, FailedEvictionKeepsTheSessionInMemory) {
+  // An idle eviction whose state file cannot be written must not leave
+  // the session behind its older CHECKPOINT file: the next frame would
+  // rehydrate that and lose every event since.
+  Trace T = genTrace(33, 400);
+  std::string WantReport;
+  int WantExit = 0;
+  refVerdict(T, WantReport, WantExit, nullptr, "stuck");
+  std::vector<Event> Events = eventsOf(T);
+  const size_t Third = Events.size() / 3;
+  std::string Dir = makeStateDir("stuck");
+  // The writer's temporary file: as a directory it cannot be opened.
+  const std::string Tmp = Dir + "/stuck.session.tmp";
+  {
+    TestDaemon D([&](ServerOptions &O) {
+      O.StateDir = Dir;
+      O.IdleEvictMillis = 40;
+    });
+    Client Cl;
+    std::string Err;
+    ASSERT_TRUE(Cl.connectUnix(D.Path, Err)) << Err;
+    HelloMsg H;
+    H.Name = "stuck";
+    HelloOkMsg Ok;
+    ASSERT_TRUE(Cl.hello(H, Ok, Err)) << Err;
+    size_t Vars = 0, Locks = 0, Labels = 0;
+    auto Send = [&](size_t Begin, size_t End) {
+      std::string Payload, Reply;
+      encodeEventsPayload(Payload, Events, Begin, End, T.symbols(), Vars,
+                          Locks, Labels);
+      return exchange(Cl.fd(), EventsKind, Payload, Reply);
+    };
+    ASSERT_EQ(Send(0, Third), AckKind);
+    std::string Reply;
+    ASSERT_EQ(exchange(Cl.fd(), CheckpointKind, "", Reply), AckKind);
+    ASSERT_EQ(Send(Third, 2 * Third), AckKind);
+    ASSERT_EQ(::mkdir(Tmp.c_str(), 0755), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(D.Srv->evictions(), 0u);
+    ASSERT_EQ(Send(2 * Third, Events.size()), AckKind);
+    ASSERT_EQ(exchange(Cl.fd(), FinishKind, "", Reply), VerdictKind);
+    VerdictMsg V;
+    ASSERT_TRUE(decodeVerdict(reinterpret_cast<const uint8_t *>(Reply.data()),
+                              Reply.size(), V, Err))
+        << Err;
+    EXPECT_EQ(V.Report, WantReport);
+    EXPECT_EQ(V.ExitCode, WantExit);
+  }
+  ::rmdir(Tmp.c_str());
   removeStateDir(Dir);
 }
 

@@ -201,7 +201,10 @@ TEST(CheckCliTest, DotExportWritesAGraph) {
 TEST(CheckCliTest, FlagsThatWouldDoNothingExitTwo) {
   // --dot and --no-merge act on Velodrome, --stats prints its graph or
   // --reduce's counts: without those, each is refused in one line that
-  // names it, and no dot file appears.
+  // names it, and no dot file appears. The machine reports print no
+  // witness, no stat line and nothing --quiet trims; --quiet drops the
+  // stat lines. A cap needs a governed primary, and a node or memory cap
+  // Velodrome's probe.
   const std::string Check = std::string(VELO_CHECK_BIN) + " ";
   const std::string T = dataFile("set_add.trace");
   const std::string Dot = ::testing::TempDir() + "/velo_inert.dot";
@@ -211,7 +214,21 @@ TEST(CheckCliTest, FlagsThatWouldDoNothingExitTwo) {
       {"--backend=basic --dot=" + Dot, "--dot"},
       {"--backend=hb --no-merge", "--no-merge"},
       {"--backend=hb --stats", "--stats"},
-      {"--backend=aero --stats", "--stats"}};
+      {"--backend=aero --stats", "--stats"},
+      {"--format=json --witness", "--witness"},
+      {"--format=sarif --witness", "--witness"},
+      {"--format=json --stats", "--stats"},
+      {"--format=sarif --stats", "--stats"},
+      {"--format=json --quiet", "--quiet"},
+      {"--format=sarif --quiet", "--quiet"},
+      {"--quiet --stats", "--stats"},
+      {"--backend=hb --max-events=10", "--max-events"},
+      {"--backend=atomizer --deadline-ms=10", "--deadline-ms"},
+      {"--backend=eraser --max-live-nodes=1", "--max-live-nodes"},
+      {"--backend=deadlock --max-memory-mb=1", "--max-memory-mb"},
+      {"--backend=aero --max-live-nodes=1", "--max-live-nodes"},
+      {"--backend=aero --max-memory-mb=1", "--max-memory-mb"},
+      {"--backend=basic --max-live-nodes=1", "--max-live-nodes"}};
   for (const auto &[Flags, Named] : Refused) {
     std::string Out, Err;
     EXPECT_EQ(runCmdSplit(Check + Flags + " " + T, Out, Err), 2) << Flags;
@@ -222,9 +239,15 @@ TEST(CheckCliTest, FlagsThatWouldDoNothingExitTwo) {
   EXPECT_FALSE(std::ifstream(Dot).good()) << "a refused run wrote " << Dot;
   // What the flags need is there: each runs to its verdict (hb computes
   // none and exits 0).
-  EXPECT_EQ(runCmd(Check + "--backend=hb --stats --reduce=all " + T), 0);
-  for (const char *Flags : {"--backend=velodrome --stats",
-                            "--backend=velodrome --no-merge"})
+  // The defaults, and a zero, set no cap.
+  for (const char *Flags : {"--backend=hb --stats --reduce=all",
+                            "--backend=hb --max-live-nodes=60000",
+                            "--backend=eraser --max-events=0"})
+    EXPECT_EQ(runCmd(Check + Flags + " " + T), 0) << Flags;
+  for (const char *Flags :
+       {"--backend=velodrome --stats", "--backend=velodrome --no-merge",
+        "--backend=aero --max-events=100000", "--backend=basic --deadline-ms=0",
+        "--format=json", "--quiet --witness", "--max-memory-mb=1024"})
     EXPECT_EQ(runCmd(Check + Flags + " " + T), 1) << Flags;
 
   // On --resume the snapshot's selector decides, not the command line's.
@@ -408,13 +431,9 @@ TEST(CheckCliTest, WitnessRunsTheDefaultLoop) {
   for (const std::string &F : corpusTraces())
     for (const char *Mode : {"", " --lenient", " --lenient --max-events=3",
                              " --backend=all --max-live-nodes=1"}) {
-      const bool Capped = std::string(Mode).find("--max-") != std::string::npos;
       std::string PlainNote;
       for (const std::string With : {"", "--reduce=all ", "--parallel ",
                                      "--parallel=2 --batch-events=3 "}) {
-        // Explicit caps are refused under --parallel.
-        if (Capped && With.rfind("--parallel", 0) == 0)
-          continue;
         const std::string Cmd = std::string(VELO_CHECK_BIN) + Mode + " " + With;
         std::string WantOut, WantErr, GotOut, GotErr;
         int Want = runCmdSplit(Cmd + F, WantOut, WantErr);
@@ -1159,43 +1178,47 @@ TEST(ParallelCliTest, ByteIdenticalOnEveryGoldenTrace) {
 }
 
 TEST(ParallelCliTest, CompositionRefusalsExitTwo) {
+  const std::string Check = std::string(VELO_CHECK_BIN) + " ";
   std::string T = dataFile("set_add.trace");
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
-                   " --parallel --max-events=10 " + T),
-            2)
-      << "explicit caps stop mid-stream; back-ends on other workers would "
-         "see events past the stop";
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
-                   " --parallel --max-live-nodes=64 " + T),
-            2);
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) +
-                   " --parallel --batch-events=0 " + T),
-            2);
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --batch-events=16 " + T),
-            2)
+  // Explicit caps compose with --parallel: an event budget puts every
+  // back-end on the governor's worker, so the stop event ends delivery
+  // for all of them, and a node cap on `all` degrades instead of
+  // stopping. Either way the parallel run prints the sequential bytes.
+  for (const char *Caps :
+       {"--max-events=10", "--max-live-nodes=64", "--max-live-nodes=1"}) {
+    std::string Want, Got;
+    const int WantCode = runCmdAll(Check + Caps + " " + T, Want);
+    EXPECT_EQ(runCmdAll(Check + "--parallel " + Caps + " " + T, Got),
+              WantCode)
+        << Caps;
+    EXPECT_EQ(Got, Want) << Caps;
+  }
+  EXPECT_EQ(runCmd(Check + "--parallel --batch-events=0 " + T), 2);
+  EXPECT_EQ(runCmd(Check + "--batch-events=16 " + T), 2)
       << "--batch-events only means something under --parallel";
 
-  // A snapshot written by a capped sequential run must be refused by a
-  // parallel resume: the caps travel in the snapshot.
+  // The caps travel in the snapshot: a resume of a capped sequential
+  // run's snapshot, parallel or not, prints that run's bytes.
   std::string Ckpt = ::testing::TempDir() + "/velo_cli_capped.snap";
   std::remove(Ckpt.c_str());
   std::string Ignored;
-  int CrashCode = runCmdStdout(std::string(VELO_CHECK_BIN) +
-                                   " --checkpoint=" + Ckpt +
+  int CrashCode = runCmdStdout(Check + "--checkpoint=" + Ckpt +
                                    " --checkpoint-every=1 --crash-at=3 "
-                                   "--max-events=100000 " +
+                                   "--max-events=10 " +
                                    T,
                                Ignored);
   ASSERT_EQ(CrashCode, 128 + SIGKILL);
-  EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --parallel --resume=" +
-                   Ckpt + " " + T),
-            2)
-      << "capped snapshots resume sequentially only";
-  int SeqResume =
-      runCmd(std::string(VELO_CHECK_BIN) + " --resume=" + Ckpt + " " + T);
-  EXPECT_TRUE(SeqResume == 0 || SeqResume == 1)
-      << "the same snapshot stays resumable on the sequential path";
+  std::string Want;
+  const int WantCode = runCmdAll(Check + "--max-events=10 " + T, Want);
+  for (const char *Mode : {"", "--parallel "}) {
+    std::string Got;
+    EXPECT_EQ(runCmdAll(Check + Mode + "--resume=" + Ckpt + " " + T, Got),
+              WantCode)
+        << Mode;
+    EXPECT_EQ(Got, Want) << Mode;
+  }
   std::remove(Ckpt.c_str());
+  std::remove((Ckpt + ".lastevents").c_str());
 }
 
 /// Caps that spell out the defaults are no caps: --parallel takes them.
@@ -1773,6 +1796,32 @@ TEST(CheckCliTest, SupervisedSigtermWithoutGraceEscalates) {
   EXPECT_EQ(Resumed, Straight);
   for (const std::string &F : {TracePath, Ckpt, Ckpt + ".tmp", ErrPath})
     std::remove(F.c_str());
+}
+
+/// What velodrome-check refuses as inert, velodrome-run refuses too, in
+/// one line naming the flag: a stall policy without adversarial
+/// scheduling (every policy records the same trace), and a cap nothing
+/// would enforce.
+TEST(RunCliTest, FlagsThatWouldDoNothingExitTwo) {
+  const std::string Run = std::string(VELO_RUN_BIN) + " tsp --seed=3 ";
+  const std::pair<const char *, const char *> Refused[] = {
+      {"--policy=writes", "--policy"},
+      {"--policy=all", "--policy"},
+      {"--backend=hb --max-events=10", "--max-events"},
+      {"--backend=aero --max-live-nodes=1", "--max-live-nodes"},
+      {"--backend=basic --max-memory-mb=1", "--max-memory-mb"}};
+  for (const auto &[Flags, Named] : Refused) {
+    std::string Out, Err;
+    EXPECT_EQ(runCmdSplit(Run + Flags, Out, Err), 2) << Flags;
+    EXPECT_EQ(Err.rfind(std::string("error: ") + Named + " ", 0), 0u) << Err;
+    EXPECT_EQ(Err.find('\n'), Err.size() - 1) << Err;
+    EXPECT_TRUE(Out.empty()) << Out;
+  }
+  for (const char *Flags :
+       {"--adversarial --policy=writes", "--backend=aero --max-events=10"}) {
+    const int Code = runCmd(Run + Flags);
+    EXPECT_TRUE(Code == 0 || Code == 1 || Code == 3) << Flags;
+  }
 }
 
 TEST(RunCliTest, PolicyAndCorruptionFlagsParse) {

@@ -163,21 +163,26 @@ int parseArgs(int Argc, char **Argv, Options &O) {
       return 2;
     }
   }
-  if (O.Parallel) {
-    // Composition matrix (docs/PARALLEL.md): --reduce, --stats, --witness,
-    // --checkpoint/--resume, and --supervise compose with --parallel;
-    // explicit resource caps do not.
-    if (O.Plan.Limits.explicitCaps()) {
-      std::fprintf(stderr,
-                   "error: explicit resource caps (--max-events, "
-                   "--max-live-nodes, --max-memory-mb, --deadline-ms) stop "
-                   "the analysis mid-stream and are incompatible with "
-                   "--parallel (back-ends on other pipeline workers still "
-                   "see the batches already handed out); run sequentially "
-                   "to use them\n");
-      return 2;
-    }
-  } else if (O.BatchEventsSet) {
+  // The machine reports carry no notes and no stat lines, and --quiet
+  // trims only the text report: these flags would change no output.
+  auto Silent = [](const char *Flag, const char *Under) {
+    std::fprintf(stderr, "error: %s changes no output under %s\n", Flag,
+                 Under);
+    return 2;
+  };
+  if (O.Format != ReportFormat::Text) {
+    const char *Under =
+        O.Format == ReportFormat::Json ? "--format=json" : "--format=sarif";
+    if (O.Witness)
+      return Silent("--witness", Under);
+    if (O.Stats)
+      return Silent("--stats", Under);
+    if (O.Quiet)
+      return Silent("--quiet", Under);
+  }
+  if (O.Stats && O.Quiet)
+    return Silent("--stats", "--quiet");
+  if (!O.Parallel && O.BatchEventsSet) {
     std::fprintf(stderr,
                  "error: --batch-events only applies to the parallel "
                  "pipeline; add --parallel\n");
@@ -294,20 +299,9 @@ int runAnalysis(Options O) {
     if (!loadCheckpoint(O.ResumeFile, Ckpt, Head, Error))
       return CannotResume(Error);
     // The snapshot is authoritative for the analysis configuration,
-    // --reduce included; the presentation flags (--quiet, --stats, --dot)
-    // stay as given.
+    // --reduce and the caps included; the presentation flags (--quiet,
+    // --stats, --dot) stay as given.
     O.Plan = Head.Config;
-    // The caps travel with the snapshot, so a sequential run's explicit
-    // caps would silently reappear under --parallel here; refuse just as
-    // parseArgs does for caps given on the command line.
-    if (O.Parallel && O.Plan.Limits.explicitCaps()) {
-      std::fprintf(stderr,
-                   "error: %s was written by a run with explicit resource "
-                   "caps, which are incompatible with --parallel; resume "
-                   "it sequentially\n",
-                   O.ResumeFile.c_str());
-      return 2;
-    }
   }
   bool Reducing = O.Plan.Reduce.has_value();
   // Exit 2 on a malformed record of Failed, else on a strict rejection.
@@ -342,7 +336,7 @@ int runAnalysis(Options O) {
   std::string PlanError;
   std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(O.Plan, PlanError);
   if (!Plan) {
-    std::fprintf(stderr, "%s\n", PlanError.c_str());
+    std::fprintf(stderr, "error: %s\n", PlanError.c_str());
     return 2;
   }
   // A flag this plan would ignore is refused. On --resume the plan, and so

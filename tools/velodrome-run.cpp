@@ -98,7 +98,7 @@ int main(int argc, char **argv) {
   sys::ignoreSigpipe(); // closed pager/pipe must be a write error, not death
   std::string RecordFile, ReduceSpec;
   uint64_t Seed = 1, Scale = 1;
-  bool Adversarial = false, ExcludeKnown = false;
+  bool Adversarial = false, ExcludeKnown = false, PolicySet = false;
   ReportFormat Format = ReportFormat::Text;
   StallPolicy Policy = StallPolicy::AllOps;
   std::vector<std::string> Disabled;
@@ -130,7 +130,8 @@ int main(int argc, char **argv) {
        "disable a guard site (repeatable)"},
       boolFlag("--adversarial", Adversarial, "Atomizer-guided scheduling"),
       {"--policy=POLICY",
-       [&Policy](const std::string &V) {
+       [&Policy, &PolicySet](const std::string &V) {
+         PolicySet = true;
          if (V == "all")
            Policy = StallPolicy::AllOps;
          else if (V == "writes")
@@ -160,6 +161,12 @@ int main(int argc, char **argv) {
   if (int Rc = Table.parse(argc, argv, Operands); Rc >= 0)
     return Rc;
   const std::string &Name = Operands[0];
+  if (PolicySet && !Adversarial) {
+    // Only adversarial scheduling stalls threads.
+    std::fprintf(stderr, "error: --policy changes no schedule without "
+                         "--adversarial\n");
+    return 2;
+  }
   bool Reducing = !ReduceSpec.empty();
   if (Reducing) {
     std::string Error;
@@ -179,8 +186,7 @@ int main(int argc, char **argv) {
   std::string PlanError;
   std::unique_ptr<AnalysisPlan> Plan = AnalysisPlan::create(Config, PlanError);
   if (!Plan) {
-    std::fprintf(stderr, "%s\n", PlanError.c_str());
-    Table.printUsage();
+    std::fprintf(stderr, "error: %s\n", PlanError.c_str());
     return 2;
   }
 

@@ -77,7 +77,7 @@ int parseArgs(int Argc, char **Argv, ToolOptions &O) {
   const FlagTable Table{
       "velodrome-serve --socket=PATH [options]", std::move(Rows),
       "the caps are each session's defaults; a HELLO with caps overrides "
-      "them\n"
+      "them,\nand a cap the session's back-ends cannot enforce draws a NAK\n"
       "exit: 0 clean shutdown, 2 usage/setup error,\n"
       "      4 crashed repeatedly under --supervise, 128+N stopped by "
       "signal N\n"};
