@@ -17,17 +17,24 @@
 // and dot error graphs remain Velodrome-only — this back-end attributes a
 // violation to the transaction that closed the cycle, nothing finer.
 //
+// State layout (docs/ALGORITHM.md §4): threads take first-use slots, and a
+// clock has one component per slot. Transaction clocks live in one pooled
+// arena, Stride components per row, and are shared by 32-bit handle with a
+// plain reference count. Per slot there is the thread's state and the
+// successor frontier of its open outermost block (one more row).
+// Lock and variable frontiers are vectors indexed by interner id. Once
+// warm, the per-event path allocates nothing.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_AERO_AERODROME_H
 #define VELO_AERO_AERODROME_H
 
-#include "aero/ClockMaps.h"
-#include "aero/SuccessorClock.h"
 #include "analysis/Backend.h"
+#include "support/ThreadTable.h"
 
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 namespace velo {
 
@@ -73,35 +80,78 @@ public:
   bool deserialize(SnapshotReader &R) override;
 
 private:
-  struct ThreadState {
-    TxnClockRef Cur;       ///< current (or last) transaction clock object
-    SuccessorClock Succ;   ///< successors of the *open* transaction
-    /// Fork-point transaction of the parent, joined at our first event.
-    TxnClockRef PendingParent;
-    Label Outer = NoLabel; ///< outermost open atomic-block label
-    int Depth = 0;         ///< atomic-block nesting depth
+  /// Handle of a pooled transaction clock; 0 is "no clock".
+  using ClockRef = uint32_t;
+
+  /// A pooled clock: one per transaction, unary operations being
+  /// singleton transactions. Its row holds, per slot, the latest
+  /// transaction index of that thread ordered before this transaction;
+  /// the owner's own component is the transaction's index.
+  struct TxnClock {
+    uint32_t Slot = 0; ///< the owning thread's slot
+    uint32_t Refs = 0; ///< holders: the owner's Cur and frontier entries
   };
 
-  ThreadState &state(Tid T);
+  struct ThreadState {
+    ClockRef Cur = 0; ///< current (or last) transaction clock
+    /// Fork-point transaction of the parent, joined at our first event.
+    ClockRef PendingParent = 0;
+    Label Outer = NoLabel;  ///< outermost open atomic-block label
+    int Depth = 0;          ///< atomic-block nesting depth
+  };
 
-  /// Start a fresh transaction (or unary singleton) for T: freeze the
-  /// previous object, carry its clock forward (program order), tick T's
-  /// component, reset the successor frontier, and fold in the fork-point
-  /// dependency if this is the thread's first transaction.
-  void advance(ThreadState &TS, Tid T, const Event &E);
+  /// Read/write frontier of one shared variable.
+  struct VarState {
+    ClockRef LastWrite = 0;
+    uint32_t NumReaders = 0; ///< non-null entries of Readers
+    /// Reader transaction by slot since the last write (cleared at each
+    /// write: every cleared reader is folded into the writer's clock).
+    std::vector<ClockRef> Readers;
+  };
 
-  /// Ensure an operation outside any atomic block runs in its own singleton
-  /// transaction; returns true when the caller must freeze it afterwards.
-  bool beginUnary(ThreadState &TS, Tid T, const Event &E);
+  uint64_t *row(ClockRef C) { return &Rows[size_t(C) * Stride]; }
+  uint64_t *succ(uint32_t S) { return &Succ[size_t(S) * Stride]; }
+  VarState &var(VarId X) {
+    if (X >= Vars.size())
+      Vars.resize(X + 1);
+    return Vars[X];
+  }
 
-  /// Fold the dependency Ref into T's open transaction, running both cycle
-  /// checks (own component, recorded successors) and recording T as a
-  /// successor when Ref is still ongoing. E describes the operation, for
-  /// the warning message.
-  void joinFrom(ThreadState &TS, Tid T, const TxnClockRef &Ref,
-                const Event &E);
+  /// The slot of T, growing the per-slot state on its first use.
+  uint32_t slotOf(Tid T);
+  /// Make room for one more slot, widening every row when Stride is full.
+  void addSlot();
+  /// A fresh pooled clock owned by slot S, not yet held.
+  ClockRef newClock(uint32_t S);
+  /// Point Holder at C, moving one reference from the old clock to C.
+  void hold(ClockRef &Holder, ClockRef C);
 
-  void reportViolation(ThreadState &TS, Tid T, Tid Witness, const Event &E);
+  /// Start a fresh transaction (or unary singleton) for slot S: recycle
+  /// the current clock in place if nothing else holds it, else carry its
+  /// row into a new one (program order); tick S's component, reset the
+  /// successor frontier, and fold in a pending fork-point dependency.
+  void advance(uint32_t S, const Event &E);
+
+  /// An operation outside any atomic block runs in its own singleton
+  /// transaction.
+  void beginUnary(uint32_t S, const Event &E) {
+    if (Threads.atSlot(S).Depth == 0)
+      advance(S, E);
+  }
+
+  /// Fold the dependency Ref into slot S's transaction, running both cycle
+  /// checks first (own component, successor frontier). A join that raises
+  /// a component of S's clock past an entry of another open block's
+  /// successor frontier makes S's transaction, and its successors,
+  /// successors of that block. E describes the operation, for the warning
+  /// message.
+  void joinFrom(uint32_t S, ClockRef Ref, const Event &E);
+
+  /// Record transaction Time of slot From, and From's own successors, as
+  /// successors of slot U's open block.
+  void recordSuccessor(uint32_t U, uint32_t From, uint64_t Time);
+
+  void reportViolation(uint32_t S, Tid Witness, const Event &E);
 
   void onBegin(const Event &E);
   void onEnd(const Event &E);
@@ -113,9 +163,22 @@ private:
   void onJoin(const Event &E);
 
   AeroDromeOptions Opts;
-  std::unordered_map<Tid, ThreadState> Threads;
-  LockClockMap LastRelease;
-  VarClockMap Vars;
+  ThreadTable<ThreadState> Threads;
+  /// By slot, Stride components each: the successor frontier of the slot's
+  /// open outermost block. Per thread r, the earliest transaction of r known to
+  /// be ordered at or after the block (0 = none); the slot's own entry is
+  /// the block's index while it is open, 0 otherwise. A clock is ordered
+  /// after the block iff it reaches some entry. A min-clock, reset at each
+  /// of the slot's transactions.
+  std::vector<uint64_t> Succ;
+  std::vector<TxnClock> Clocks; ///< the pool; [0] is the null handle
+  std::vector<uint64_t> Rows;   ///< Stride components per pooled clock
+  std::vector<ClockRef> FreeClocks; ///< the first NumFree are free
+  uint32_t NumFree = 0;
+  uint32_t Stride = 0;          ///< slot capacity of every row
+  std::vector<uint32_t> Raised; ///< joinFrom's scratch: raised components
+  std::vector<ClockRef> LastRelease; ///< by lock id
+  std::vector<VarState> Vars;        ///< by variable id
   std::vector<AeroViolation> Violations;
   std::set<Label> ReportedMethods;
   bool Saw = false;

@@ -36,7 +36,7 @@ namespace velo {
 
 /// Current snapshot layout version. Bump on any change to what any
 /// serialize() writes; resume rejects mismatches rather than guessing.
-inline constexpr uint32_t SnapshotVersion = 8;
+inline constexpr uint32_t SnapshotVersion = 9;
 
 /// FNV-1a 64-bit hash of a byte string (the payload checksum).
 inline uint64_t snapshotChecksum(const std::string &Bytes) {

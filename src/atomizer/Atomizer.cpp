@@ -2,9 +2,6 @@
 
 #include "atomizer/Atomizer.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace velo {
 
 void Atomizer::beginAnalysis(const SymbolTable &Syms) {
@@ -39,14 +36,10 @@ void Atomizer::violate(ThreadState &TS, const Event &E, const char *Why) {
 void Atomizer::serialize(SnapshotWriter &W) const {
   serializeBase(W);
   Engine.serialize(W);
-  std::vector<Tid> Tids;
-  for (const auto &KV : Threads)
-    Tids.push_back(KV.first);
-  std::sort(Tids.begin(), Tids.end());
-  W.u64(Tids.size());
-  for (Tid T : Tids) {
-    const ThreadState &TS = Threads.at(T);
-    W.u32(T);
+  W.u64(Threads.size());
+  for (uint32_t S : Threads.slotsByTid()) {
+    const ThreadState &TS = Threads.atSlot(S);
+    W.u32(Threads.tidOf(S));
     W.u64(static_cast<uint64_t>(TS.Depth));
     W.u8(TS.Ph == Phase::PostCommit ? 1 : 0);
     W.u32(TS.Outer);

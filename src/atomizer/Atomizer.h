@@ -29,10 +29,9 @@
 
 #include "analysis/Backend.h"
 #include "eraser/LockSetEngine.h"
+#include "support/ThreadTable.h"
 
 #include <set>
-#include <unordered_map>
-#include <vector>
 
 namespace velo {
 
@@ -65,7 +64,7 @@ private:
   void violate(ThreadState &TS, const Event &E, const char *Why);
 
   LockSetEngine Engine;
-  std::unordered_map<Tid, ThreadState> Threads;
+  ThreadTable<ThreadState> Threads;
   std::set<Label> Flagged;
   bool Suspicious = false;
 };

@@ -59,19 +59,17 @@ bool LockSetEngine::accessIsUnprotected(Tid T, VarId X, bool IsWrite) {
 }
 
 void LockSetEngine::serialize(SnapshotWriter &W) const {
-  // Vector slots stand in for absent map entries: skip the defaults
-  // (empty held sets, Virgin variables) so the payload only carries
-  // entities the engine has actually observed.
-  uint64_t NumThreads = 0;
-  for (const std::set<LockId> &Locks : Held)
-    if (!Locks.empty())
-      ++NumThreads;
-  W.u64(NumThreads);
-  for (Tid T = 0; T < Held.size(); ++T) {
-    const std::set<LockId> &Locks = Held[T];
-    if (Locks.empty())
-      continue;
-    W.u32(T);
+  // Skip the defaults (empty held sets, Virgin variables) so the payload
+  // only carries entities the engine has actually observed; threads go in
+  // ascending tid, whatever their slot order.
+  std::vector<uint32_t> Holders;
+  for (uint32_t S : Held.slotsByTid())
+    if (!Held.atSlot(S).empty())
+      Holders.push_back(S);
+  W.u64(Holders.size());
+  for (uint32_t S : Holders) {
+    const std::set<LockId> &Locks = Held.atSlot(S);
+    W.u32(Held.tidOf(S));
     W.u64(Locks.size());
     for (LockId M : Locks)
       W.u32(M);

@@ -25,6 +25,7 @@
 
 #include "analysis/Snapshot.h"
 #include "events/Event.h"
+#include "support/ThreadTable.h"
 
 #include <set>
 #include <vector>
@@ -105,16 +106,13 @@ private:
     bool RacySharedModified = false;
   };
 
-  std::set<LockId> &heldOf(Tid T) {
-    if (T >= Held.size())
-      Held.resize(T + 1);
-    return Held[T];
-  }
+  std::set<LockId> &heldOf(Tid T) { return Held[T]; }
 
-  // Thread and variable ids are dense interner ids, so the hot per-access
-  // path indexes flat vectors instead of hashing (Virgin slots stand in
-  // for absent entries and are skipped when serializing).
-  std::vector<std::set<LockId>> Held;
+  // Variable ids are dense interner ids, so the hot per-access path
+  // indexes a flat vector instead of hashing (Virgin entries stand in for
+  // absent ones and are skipped when serializing). Thread ids need not be
+  // dense: held sets sit in first-use slots.
+  ThreadTable<std::set<LockId>> Held;
   std::vector<VarInfo> Vars;
 };
 

@@ -2,60 +2,62 @@
 
 #include "hbrace/HbRaceDetector.h"
 
+#include "events/TraceStream.h"
+
 #include <algorithm>
-#include <vector>
 
 namespace velo {
 
 namespace {
 
-void writeClock(SnapshotWriter &W, const VectorClock &C) {
-  W.u64(C.raw().size());
-  for (uint64_t V : C.raw())
-    W.u64(V);
+bool anyTick(const VectorClock &C) {
+  return std::any_of(C.raw().begin(), C.raw().end(),
+                     [](uint64_t V) { return V != 0; });
 }
 
-bool readClock(SnapshotReader &R, VectorClock &C) {
+/// A clock as exactly N components, one per slot.
+void writeRow(SnapshotWriter &W, const VectorClock &C, uint32_t N) {
+  for (uint32_t S = 0; S < N; ++S)
+    W.u64(C.get(S));
+}
+
+void readRow(SnapshotReader &R, VectorClock &C, uint64_t N) {
   std::vector<uint64_t> V;
-  uint64_t N = R.u64();
-  for (uint64_t I = 0; I < N && !R.failed(); ++I)
+  for (uint64_t S = 0; S < N && !R.failed(); ++S)
     V.push_back(R.u64());
   C.setRaw(std::move(V));
-  return !R.failed();
-}
-
-template <typename MapT> std::vector<typename MapT::key_type>
-sortedKeys(const MapT &M) {
-  std::vector<typename MapT::key_type> Keys;
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  return Keys;
 }
 
 } // namespace
 
+// Layout: the slot table (tids in slot order), each thread's clock, then
+// the lock and variable clocks with any component set, in ascending id.
+// Every clock is written as one component per slot, so the bytes depend on
+// neither the tids' size nor the table sizes.
 void HbRaceDetector::serialize(SnapshotWriter &W) const {
   serializeBase(W);
-  std::vector<Tid> Tids = sortedKeys(ThreadClocks);
-  W.u64(Tids.size());
-  for (Tid T : Tids) {
-    W.u32(T);
-    writeClock(W, ThreadClocks.at(T));
-  }
-  std::vector<LockId> LockIds = sortedKeys(LockClocks);
-  W.u64(LockIds.size());
-  for (LockId M : LockIds) {
-    W.u32(M);
-    writeClock(W, LockClocks.at(M));
-  }
-  std::vector<VarId> VarIds = sortedKeys(Vars);
-  W.u64(VarIds.size());
-  for (VarId X : VarIds) {
-    W.u32(X);
-    writeClock(W, Vars.at(X).Reads);
-    writeClock(W, Vars.at(X).Writes);
-  }
+  const uint32_t N = static_cast<uint32_t>(Threads.size());
+  W.u64(N);
+  for (uint32_t S = 0; S < N; ++S)
+    W.u32(Threads.tidOf(S));
+  for (uint32_t S = 0; S < N; ++S)
+    writeRow(W, Threads.atSlot(S), N);
+  W.u64(std::count_if(LockClocks.begin(), LockClocks.end(), anyTick));
+  for (LockId M = 0; M < LockClocks.size(); ++M)
+    if (anyTick(LockClocks[M])) {
+      W.u32(M);
+      writeRow(W, LockClocks[M], N);
+    }
+  auto hasState = [](const VarClocks &V) {
+    return anyTick(V.Reads) || anyTick(V.Writes);
+  };
+  W.u64(std::count_if(Vars.begin(), Vars.end(), hasState));
+  for (VarId X = 0; X < Vars.size(); ++X)
+    if (hasState(Vars[X])) {
+      W.u32(X);
+      writeRow(W, Vars[X].Reads, N);
+      writeRow(W, Vars[X].Writes, N);
+    }
   W.u64(RacyVars.size());
   for (VarId X : RacyVars)
     W.u32(X);
@@ -64,21 +66,33 @@ void HbRaceDetector::serialize(SnapshotWriter &W) const {
 bool HbRaceDetector::deserialize(SnapshotReader &R) {
   if (!deserializeBase(R))
     return false;
-  uint64_t NumThreads = R.u64();
-  for (uint64_t I = 0; I < NumThreads && !R.failed(); ++I) {
+  // Tids are distinct and ids ascend strictly, as serialize() writes them,
+  // all below the readers' caps, so a crafted snapshot cannot size the
+  // tables.
+  uint64_t N = R.u64();
+  for (uint64_t S = 0; S < N && !R.failed(); ++S) {
     Tid T = R.u32();
-    readClock(R, ThreadClocks[T]);
+    if (T >= MaxTraceThreads || slotOf(T) != S)
+      return false;
   }
+  for (uint32_t S = 0; S < N && !R.failed(); ++S)
+    readRow(R, Threads.atSlot(S), N);
   uint64_t NumLocks = R.u64();
   for (uint64_t I = 0; I < NumLocks && !R.failed(); ++I) {
     LockId M = R.u32();
-    readClock(R, LockClocks[M]);
+    if (M >= MaxTraceSymbols || M < LockClocks.size())
+      return false;
+    LockClocks.resize(M + 1);
+    readRow(R, LockClocks[M], N);
   }
   uint64_t NumVars = R.u64();
   for (uint64_t I = 0; I < NumVars && !R.failed(); ++I) {
     VarId X = R.u32();
-    readClock(R, Vars[X].Reads);
-    readClock(R, Vars[X].Writes);
+    if (X >= MaxTraceSymbols || X < Vars.size())
+      return false;
+    Vars.resize(X + 1);
+    readRow(R, Vars[X].Reads, N);
+    readRow(R, Vars[X].Writes, N);
   }
   uint64_t NumRacy = R.u64();
   for (uint64_t I = 0; I < NumRacy && !R.failed(); ++I)
@@ -88,19 +102,31 @@ bool HbRaceDetector::deserialize(SnapshotReader &R) {
 
 void HbRaceDetector::beginAnalysis(const SymbolTable &Syms) {
   Backend::beginAnalysis(Syms);
-  ThreadClocks.clear();
+  Threads.clear();
   LockClocks.clear();
   Vars.clear();
   RacyVars.clear();
 }
 
-VectorClock &HbRaceDetector::threadClock(Tid T) {
-  auto It = ThreadClocks.find(T);
-  if (It != ThreadClocks.end())
-    return It->second;
-  VectorClock &C = ThreadClocks[T];
-  C.set(T, 1); // each thread starts in its own epoch
-  return C;
+uint32_t HbRaceDetector::slotOf(Tid T) {
+  size_t Seen = Threads.size();
+  uint32_t S = Threads.slot(T);
+  if (S == Seen) [[unlikely]]
+    Threads.atSlot(S).set(S, 1); // each thread starts in its own epoch
+  return S;
+}
+
+bool HbRaceDetector::checkPrior(const Event &E, const VectorClock &Prior,
+                                const VectorClock &Now,
+                                const char *PriorKind) {
+  if (Prior.leq(Now))
+    return false;
+  for (uint32_t S : Threads.slotsByTid())
+    if (Prior.get(S) > Now.get(S)) {
+      reportRace(E, Threads.tidOf(S), PriorKind);
+      break;
+    }
+  return true;
 }
 
 void HbRaceDetector::reportRace(const Event &E, Tid Witness,
@@ -128,42 +154,48 @@ void HbRaceDetector::reportRace(const Event &E, Tid Witness,
 void HbRaceDetector::onEvent(const Event &E) {
   countEvent();
   switch (E.Kind) {
-  case Op::Acquire:
-    threadClock(E.Thread).joinWith(LockClocks[E.lock()]);
+  case Op::Acquire: {
+    uint32_t S = slotOf(E.Thread);
+    if (E.lock() < LockClocks.size())
+      Threads.atSlot(S).joinWith(LockClocks[E.lock()]);
     return;
+  }
   case Op::Release: {
-    VectorClock &C = threadClock(E.Thread);
+    uint32_t S = slotOf(E.Thread);
+    if (E.lock() >= LockClocks.size())
+      LockClocks.resize(E.lock() + 1);
+    VectorClock &C = Threads.atSlot(S);
     LockClocks[E.lock()] = C;
-    C.tick(E.Thread);
+    C.tick(S);
     return;
   }
   case Op::Fork: {
-    VectorClock &Parent = threadClock(E.Thread);
-    threadClock(E.child()).joinWith(Parent);
-    Parent.tick(E.Thread);
+    uint32_t P = slotOf(E.Thread), Child = slotOf(E.child());
+    VectorClock &Parent = Threads.atSlot(P);
+    Threads.atSlot(Child).joinWith(Parent);
+    Parent.tick(P);
     return;
   }
-  case Op::Join:
-    threadClock(E.Thread).joinWith(threadClock(E.child()));
-    return;
-  case Op::Read: {
-    VectorClock &C = threadClock(E.Thread);
-    VarClocks &V = Vars[E.var()];
-    Tid Witness;
-    if (!V.Writes.leq(C) && V.Writes.exceedsAt(C, Witness))
-      reportRace(E, Witness, "write");
-    V.Reads.set(E.Thread, C.get(E.Thread));
+  case Op::Join: {
+    uint32_t S = slotOf(E.Thread), Child = slotOf(E.child());
+    Threads.atSlot(S).joinWith(Threads.atSlot(Child));
     return;
   }
+  case Op::Read:
   case Op::Write: {
-    VectorClock &C = threadClock(E.Thread);
+    uint32_t S = slotOf(E.Thread);
+    const VectorClock &C = Threads.atSlot(S);
+    if (E.var() >= Vars.size())
+      Vars.resize(E.var() + 1);
     VarClocks &V = Vars[E.var()];
-    Tid Witness;
-    if (!V.Writes.leq(C) && V.Writes.exceedsAt(C, Witness))
-      reportRace(E, Witness, "write");
-    else if (!V.Reads.leq(C) && V.Reads.exceedsAt(C, Witness))
-      reportRace(E, Witness, "read");
-    V.Writes.set(E.Thread, C.get(E.Thread));
+    if (E.Kind == Op::Read) {
+      checkPrior(E, V.Writes, C, "write");
+      V.Reads.set(S, C.get(S));
+    } else {
+      if (!checkPrior(E, V.Writes, C, "write"))
+        checkPrior(E, V.Reads, C, "read");
+      V.Writes.set(S, C.get(S));
+    }
     return;
   }
   case Op::Begin:

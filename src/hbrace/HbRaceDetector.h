@@ -6,6 +6,11 @@
 // release/acquire pattern, so it reports a race iff the observed trace
 // contains two concurrent conflicting accesses.
 //
+// Threads take first-use slots (support/ThreadTable.h) and a clock has one
+// component per slot, so a trace run by T1048575 costs what the same trace
+// run by T1 costs. Lock and variable clocks are vectors indexed by
+// interner id.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_HBRACE_HBRACEDETECTOR_H
@@ -13,9 +18,10 @@
 
 #include "analysis/Backend.h"
 #include "hbrace/VectorClock.h"
+#include "support/ThreadTable.h"
 
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 namespace velo {
 
@@ -39,12 +45,17 @@ private:
     VectorClock Writes;
   };
 
-  VectorClock &threadClock(Tid T);
+  /// The slot of T; a new thread starts in its own epoch.
+  uint32_t slotOf(Tid T);
+  /// Report a race if Prior does not happen before Now. The witness is
+  /// the smallest tid whose component in Prior exceeds Now's.
+  bool checkPrior(const Event &E, const VectorClock &Prior,
+                  const VectorClock &Now, const char *PriorKind);
   void reportRace(const Event &E, Tid Witness, const char *PriorKind);
 
-  std::unordered_map<Tid, VectorClock> ThreadClocks;
-  std::unordered_map<LockId, VectorClock> LockClocks;
-  std::unordered_map<VarId, VarClocks> Vars;
+  ThreadTable<VectorClock> Threads; ///< each thread's clock, by slot
+  std::vector<VectorClock> LockClocks; ///< by lock id
+  std::vector<VarClocks> Vars;         ///< by variable id
   std::set<VarId> RacyVars;
 };
 

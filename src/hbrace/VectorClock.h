@@ -6,31 +6,33 @@
 // *transactional* happens-before relation — clocks order individual
 // operations, not compound transactions — which is why HbGraph exists.)
 //
+// A component index is whatever dense thread index the owner chooses:
+// HbRaceDetector uses first-use slots, not raw tids.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef VELO_HBRACE_VECTORCLOCK_H
 #define VELO_HBRACE_VECTORCLOCK_H
 
-#include "events/Event.h"
-
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace velo {
 
-/// A vector clock: component per thread, missing components are 0.
+/// A vector clock: one component per thread index, missing components are 0.
 class VectorClock {
 public:
-  uint64_t get(Tid T) const { return T < Clocks.size() ? Clocks[T] : 0; }
+  uint64_t get(uint32_t I) const { return I < Clocks.size() ? Clocks[I] : 0; }
 
-  void set(Tid T, uint64_t Value) {
-    if (T >= Clocks.size())
-      Clocks.resize(T + 1, 0);
-    Clocks[T] = Value;
+  void set(uint32_t I, uint64_t Value) {
+    if (I >= Clocks.size())
+      Clocks.resize(I + 1, 0);
+    Clocks[I] = Value;
   }
 
-  void tick(Tid T) { set(T, get(T) + 1); }
+  void tick(uint32_t I) { set(I, get(I) + 1); }
 
   /// Pointwise maximum (join).
   void joinWith(const VectorClock &Other) {
@@ -44,24 +46,10 @@ public:
   /// events represented here happen before or at Other)?
   bool leq(const VectorClock &Other) const {
     for (size_t I = 0; I < Clocks.size(); ++I)
-      if (Clocks[I] > Other.get(static_cast<Tid>(I)))
+      if (Clocks[I] > Other.get(static_cast<uint32_t>(I)))
         return false;
     return true;
   }
-
-  /// First thread component (if any) where this clock exceeds Other — the
-  /// witness of a concurrent prior access for race reporting.
-  bool exceedsAt(const VectorClock &Other, Tid &WitnessOut) const {
-    for (size_t I = 0; I < Clocks.size(); ++I) {
-      if (Clocks[I] > Other.get(static_cast<Tid>(I))) {
-        WitnessOut = static_cast<Tid>(I);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void clear() { Clocks.clear(); }
 
   /// Raw component access for checkpoint serialization.
   const std::vector<uint64_t> &raw() const { return Clocks; }

@@ -1,20 +1,24 @@
 //===- tests/AllocationTest.cpp - Heap allocations per event --------------===//
 //
-// Counts every global operator new while a serializable workload trace
-// streams through the strict sanitizer and Velodrome one event at a time,
-// the per-event path velodrome-check runs. Once warm (after the first 10%
-// of the events) that path may allocate at most once per 100 events: the
-// id-indexed state tables, the graph's recycled slots and every scratch
-// buffer have reached their working size by then, and a serializable trace
-// produces no cycle reports.
+// Counts every global operator new while a trace streams through the
+// strict sanitizer and a checker one event at a time, the per-event path
+// velodrome-check runs. Once warm (after the first 10% of the events) that
+// path may allocate at most once per 100 events: the id-indexed state
+// tables, Velodrome's recycled graph slots, AeroDrome's clock pool and
+// every scratch buffer have reached their working size by then. Velodrome
+// runs on a serializable workload recording, which produces no cycle
+// reports; AeroDrome also runs on a contended generated stream, whose
+// reports are deduplicated by method after the first few.
 //
 // The counting operator new replaces the global one for this test binary
 // only, which is why the test has a binary of its own.
 //
 //===----------------------------------------------------------------------===//
 
+#include "aero/AeroDrome.h"
 #include "analysis/TraceRecorder.h"
 #include "core/Velodrome.h"
+#include "events/TraceGen.h"
 #include "events/TraceSanitizer.h"
 #include "rt/Runtime.h"
 #include "workloads/Workload.h"
@@ -60,13 +64,31 @@ Trace recordRaja() {
   return Rec.trace();
 }
 
-TEST(AllocationTest, WarmPerEventPathAllocatesAlmostNothing) {
-  Trace T = recordRaja();
-  ASSERT_GE(T.size(), 30000u);
+/// velobench's contended-text shape (8 threads, 64 variables, 8 locks,
+/// 60% guarded accesses): closed chunks of seed 1, about 200k events.
+Trace contendedStream() {
+  TraceGenOptions G;
+  G.Threads = 8;
+  G.Vars = 64;
+  G.Locks = 8;
+  G.Steps = 20000;
+  G.GuardedAccessPct = 60;
+  Trace T;
+  for (uint64_t Chunk = 0; T.size() < 200000; ++Chunk) {
+    Trace Part = generateClosedChunk(1, Chunk, G);
+    if (Chunk == 0)
+      T.symbols() = Part.symbols();
+    for (const Event &E : Part)
+      T.push(E);
+  }
+  return T;
+}
 
+/// Stream T through the strict sanitizer into B and return B's heap
+/// allocations per event after the first 10% of the events.
+double warmAllocationsPerEvent(const Trace &T, Backend &B) {
   TraceSanitizer San(SanitizeMode::Strict);
-  Velodrome Velo;
-  Velo.beginAnalysis(T.symbols());
+  B.beginAnalysis(T.symbols());
   std::vector<Event> Out;
   Out.reserve(16);
   size_t Warm = T.size() / 10;
@@ -75,18 +97,38 @@ TEST(AllocationTest, WarmPerEventPathAllocatesAlmostNothing) {
     if (I == Warm)
       AtWarm = Allocations.load(std::memory_order_relaxed);
     Out.clear();
-    ASSERT_TRUE(San.push(T[I], Out));
+    EXPECT_TRUE(San.push(T[I], Out)) << "event " << I;
     for (const Event &E : Out)
-      Velo.onEvent(E);
+      B.onEvent(E);
   }
   uint64_t Count = Allocations.load(std::memory_order_relaxed) - AtWarm;
-  Velo.endAnalysis();
-  ASSERT_FALSE(Velo.sawViolation()) << "raja is serializable";
+  B.endAnalysis();
+  return double(Count) / double(T.size() - Warm);
+}
 
-  double PerEvent = double(Count) / double(T.size() - Warm);
+TEST(AllocationTest, WarmPerEventPathAllocatesAlmostNothing) {
+  Trace T = recordRaja();
+  ASSERT_GE(T.size(), 30000u);
+  Velodrome Velo;
+  double PerEvent = warmAllocationsPerEvent(T, Velo);
+  ASSERT_FALSE(Velo.sawViolation()) << "raja is serializable";
   RecordProperty("allocations_per_event", std::to_string(PerEvent));
-  EXPECT_LE(PerEvent, 0.01) << Count << " allocations over "
-                            << T.size() - Warm << " warm events";
+  EXPECT_LE(PerEvent, 0.01);
+}
+
+TEST(AllocationTest, AeroDromeWarmPathAllocatesAlmostNothing) {
+  struct Input {
+    const char *Name;
+    Trace T;
+  };
+  Input Inputs[] = {{"raja", recordRaja()}, {"contended", contendedStream()}};
+  for (const Input &In : Inputs) {
+    AeroDrome Aero;
+    double PerEvent = warmAllocationsPerEvent(In.T, Aero);
+    RecordProperty(std::string(In.Name) + "_allocations_per_event",
+                   std::to_string(PerEvent));
+    EXPECT_LE(PerEvent, 0.01) << In.Name;
+  }
 }
 
 /// The Deterministic scheduler's side of the same bound: four monitored

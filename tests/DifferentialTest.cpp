@@ -70,11 +70,42 @@ INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialGolden,
                                            "flag_handoff.trace",
                                            "set_add.trace",
                                            "forkjoin_clean.trace",
-                                           "lock_cycle.trace"),
+                                           "lock_cycle.trace",
+                                           "aero_finished_successor.trace",
+                                           "aero_transitive_successor.trace",
+                                           "aero_frontier_successor.trace"),
                          [](const ::testing::TestParamInfo<const char *> &I) {
                            std::string Name = I.param;
                            return Name.substr(0, Name.find('.'));
                          });
+
+/// Generated traces whose cycle closes through a finished transaction: a
+/// join of a finished clock that already contains an open block makes the
+/// joiner that block's successor. AeroDrome missed these while it told an
+/// open block of a successor only on a join of the block's own clock.
+TEST(DifferentialRegression, CyclesThroughFinishedTransactions) {
+  TraceGenOptions Deep;
+  Deep.Threads = 5;
+  Deep.Vars = 3;
+  Deep.Locks = 1;
+  Deep.Steps = 48;
+  Deep.MaxDepth = 3;
+  TraceGenOptions Flat;
+  Flat.Threads = 5;
+  Flat.Vars = 5;
+  Flat.Locks = 1;
+  Flat.Steps = 26;
+  const std::pair<uint64_t, TraceGenOptions> Cases[] = {{15788, Deep},
+                                                        {60616, Flat}};
+  for (const auto &[Seed, Opts] : Cases) {
+    Trace T = generateRandomTrace(Seed, Opts);
+    ASSERT_TRUE(T.validate()) << "seed " << Seed;
+    AeroDrome Aero;
+    replay(T, Aero);
+    EXPECT_TRUE(Aero.sawViolation()) << "seed " << Seed;
+    checkThreeWay(T, "seed " + std::to_string(Seed));
+  }
+}
 
 // --- 2. Generated traces across the standard shapes ---------------------
 

@@ -23,6 +23,7 @@
 #include "core/HbGraph.h"
 #include "core/Velodrome.h"
 #include "eraser/Eraser.h"
+#include "events/TraceGen.h"
 #include "events/TraceSanitizer.h"
 #include "events/TraceText.h"
 #include "hbrace/HbRaceDetector.h"
@@ -265,6 +266,77 @@ TEST(SnapshotBoundaryTest, EveryBackendEveryGoldenTraceEveryBoundary) {
   }
 }
 
+/// T with every tid t renamed to 2^20 - 1 - 4099 t: tids near the cap, in
+/// the opposite order to the slots they take.
+Trace withSparseTids(const Trace &T) {
+  auto sparse = [](Tid X) { return (1u << 20) - 1 - 4099 * X; };
+  Trace Out;
+  Out.symbols() = T.symbols();
+  for (Event E : T) {
+    E.Thread = sparse(E.Thread);
+    if (E.Kind == Op::Fork || E.Kind == Op::Join)
+      E.Target = sparse(E.Target);
+    Out.push(E);
+  }
+  return Out;
+}
+
+/// Final snapshot bytes of a straight run of T.
+template <typename BackendT> std::string finalBlob(const Trace &T) {
+  BackendT B;
+  replay(T, B);
+  SnapshotWriter W;
+  B.serialize(W);
+  return W.payload();
+}
+
+TEST(SnapshotBoundaryTest, SlotIndexedCheckersOnSparseAndForkJoinTraces) {
+  // The checkers that index threads by first-use slot, on what the golden
+  // corpus lacks: tids near the cap whose slot order is not their tid
+  // order, and a fork/join trace, where a child takes its slot at its fork.
+  TraceGenOptions Flat;
+  Flat.Threads = 4;
+  Flat.Steps = 40;
+  TraceGenOptions ForkJoin = Flat;
+  ForkJoin.Threads = 5;
+  ForkJoin.UseForkJoin = true;
+  ForkJoin.GuardedAccessPct = 30;
+  const std::pair<const char *, Trace> Dense[] = {
+      {"flat", generateRandomTrace(42001, Flat)},
+      {"forkjoin", generateRandomTrace(45003, ForkJoin)}};
+  for (const auto &[Name, T] : Dense) {
+    const Trace Sparse = withSparseTids(T);
+    for (const Trace *Run : {&T, &Sparse}) {
+      std::string Label =
+          std::string(Name) + (Run == &Sparse ? " (sparse tids)" : "");
+      expectEveryBoundaryRoundTrip<AeroDrome>(*Run, "AeroDrome", Label);
+      expectEveryBoundaryRoundTrip<HbRaceDetector>(*Run, "HB", Label);
+      expectEveryBoundaryRoundTrip<Atomizer>(*Run, "Atomizer", Label);
+      expectEveryBoundaryRoundTrip<Eraser>(*Run, "Eraser", Label);
+    }
+  }
+  // Each blob carries tids at a fixed width, so its size does not depend
+  // on how large they are. (Warning texts spell tids out, so the trace for
+  // this comparison warns under none of the four.)
+  Trace Clean;
+  std::string Err;
+  ASSERT_TRUE(parseTrace("T0 fork T1\nT0 fork T2\nT1 begin put\n"
+                         "T1 acq m\nT1 wr x\nT1 rel m\nT1 end\nT2 acq m\n"
+                         "T2 rd x\nT2 rel m\nT0 join T1\nT0 join T2\n"
+                         "T0 rd x\n",
+                         Clean, Err))
+      << Err;
+  const Trace Sparse = withSparseTids(Clean);
+  EXPECT_EQ(finalBlob<AeroDrome>(Sparse).size(),
+            finalBlob<AeroDrome>(Clean).size());
+  EXPECT_EQ(finalBlob<HbRaceDetector>(Sparse).size(),
+            finalBlob<HbRaceDetector>(Clean).size());
+  EXPECT_EQ(finalBlob<Atomizer>(Sparse).size(),
+            finalBlob<Atomizer>(Clean).size());
+  EXPECT_EQ(finalBlob<Eraser>(Sparse).size(),
+            finalBlob<Eraser>(Clean).size());
+}
+
 //===----------------------------------------------------------------------===//
 // Graph slot exhaustion: recoverable, surfaced through the governor
 //===----------------------------------------------------------------------===//
@@ -323,6 +395,68 @@ TEST(GraphFullTest, FailProbeDegradesTheGovernor) {
 //===----------------------------------------------------------------------===//
 // Wrapper snapshot guards
 //===----------------------------------------------------------------------===//
+
+/// The payload of an empty back-end with its last Suffix bytes (the
+/// back-end's own empty state) dropped: the common base-class header.
+template <typename BackendT> std::string baseHeader(size_t Suffix) {
+  BackendT B;
+  B.beginAnalysis(SymbolTable());
+  SnapshotWriter W;
+  B.serialize(W);
+  return W.payload().substr(0, W.payload().size() - Suffix);
+}
+
+template <typename BackendT> bool restores(const std::string &Payload) {
+  BackendT B;
+  B.beginAnalysis(SymbolTable());
+  SnapshotReader R(Payload);
+  return B.deserialize(R);
+}
+
+TEST(SnapshotGuardTest, SlotTablesAndIdsAreCheckedOnRestore) {
+  // A repeated tid, or an id at the readers' cap, would size a table from
+  // the snapshot alone; restore refuses both. Each refused payload differs
+  // from one that restores only in that id.
+  auto hb = [](Tid Second, LockId M) { // after the header: slots, then
+    SnapshotWriter W;                  // locks, vars and racy vars
+    W.u64(2);
+    W.u32(7);
+    W.u32(Second);
+    for (int I = 0; I < 4; ++I)
+      W.u64(1); // both threads' clocks, two components each
+    W.u64(1);
+    W.u32(M);
+    W.u64(1);
+    W.u64(1); // the lock's clock
+    W.u64(0);
+    W.u64(0);
+    return baseHeader<HbRaceDetector>(32) + W.payload();
+  };
+  EXPECT_TRUE(restores<HbRaceDetector>(hb(9, 3)));
+  EXPECT_FALSE(restores<HbRaceDetector>(hb(7, 3)));
+  EXPECT_FALSE(restores<HbRaceDetector>(hb(9, 1u << 20)));
+
+  auto aero = [](VarId X) { // options, slots, the frontier blob, clocks,
+    SnapshotWriter Fronts;  // then violations, reports and counters
+    Fronts.u64(0);
+    Fronts.u64(1);
+    Fronts.u32(X);
+    Fronts.u32(0);
+    Fronts.u32(0);
+    SnapshotWriter W;
+    W.u64(AeroDromeOptions().MaxWarnings);
+    W.u64(0);
+    W.blob(Fronts);
+    for (int I = 0; I < 3; ++I)
+      W.u64(0);
+    W.boolean(false);
+    for (int I = 0; I < 3; ++I)
+      W.u64(0);
+    return baseHeader<AeroDrome>(89) + W.payload();
+  };
+  EXPECT_TRUE(restores<AeroDrome>(aero(3)));
+  EXPECT_FALSE(restores<AeroDrome>(aero(1u << 20)));
+}
 
 TEST(SnapshotGuardTest, SanitizerModeMismatchIsRejected) {
   TraceSanitizer Lenient(SanitizeMode::Lenient);

@@ -184,6 +184,20 @@ TEST(ThreadTableTest, SparseTidsTakeSlotsByFirstUse) {
   EXPECT_EQ(T.find(3), nullptr);
 }
 
+TEST(ThreadTableTest, SlotAccessorKeepsSlotsInTidOrder) {
+  ThreadTable<int> T;
+  EXPECT_EQ(T.slot(9), 0u);
+  EXPECT_EQ(T.slot((1u << 20) - 1), 1u);
+  EXPECT_EQ(T.slot(3), 2u);
+  EXPECT_EQ(T.slot(9), 0u) << "a hit, not a second slot";
+  EXPECT_EQ(T.tidOf(1), (1u << 20) - 1);
+  EXPECT_EQ(T.slotsByTid(), (std::vector<uint32_t>{2, 0, 1}));
+  T.atSlot(2) = 5;
+  EXPECT_EQ(*T.find(3), 5);
+  T.clear();
+  EXPECT_TRUE(T.slotsByTid().empty());
+}
+
 // --- StringInterner ---
 
 TEST(StringInternerTest, StableDenseIds) {
