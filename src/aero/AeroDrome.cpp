@@ -13,13 +13,14 @@
 //      full eventual dependency set of that transaction while it is open.
 //   3. succ(S), S's successor frontier, records per thread r the earliest
 //      transaction index of r known to be ordered after S's open block
-//      (its own entry: the block's index). Every transaction ordered after
-//      the block has a clock that reaches the frontier, some component at
-//      least the nonzero entry beside it, so joining a clock that reaches
-//      it closes a cycle. A join that raises a component past an entry of
-//      an open block's frontier keeps this true by folding the joiner, and
-//      its own successor frontier, into that block's (docs/ALGORITHM.md
-//      §4 argues it).
+//      (its own entry: the block's index, set when the outermost block
+//      opens; the whole row is cleared when it ends). Every transaction
+//      ordered after the block has a clock that reaches the frontier, some
+//      component at least the nonzero entry beside it, so joining a clock
+//      that reaches it closes a cycle. A join that raises a component past
+//      an entry of an open block's frontier keeps this true by folding the
+//      joiner, and its own successor frontier, into that block's
+//      (docs/ALGORITHM.md §4 argues it).
 //
 // A violation is flagged exactly when a join would close a cycle; the join
 // is then skipped, mirroring Velodrome's refusal to add cycle-closing
@@ -410,11 +411,11 @@ bool AeroDrome::deserialize(SnapshotReader &R) {
   Opts.MaxWarnings = R.u64();
   // Tids are distinct and ids ascend strictly, as serialize() writes them,
   // all below the readers' caps, so a crafted snapshot cannot size the
-  // tables.
+  // tables. The slot table must be whole: every row below is N wide.
   uint64_t N = R.u64();
-  for (uint64_t S = 0; S < N && !R.failed(); ++S) {
+  for (uint64_t S = 0; S < N; ++S) {
     Tid T = R.u32();
-    if (T >= MaxTraceThreads || slotOf(T) != S)
+    if (R.failed() || T >= MaxTraceThreads || slotOf(T) != S)
       return false;
   }
   SnapshotReader F = R.blob();
@@ -439,7 +440,7 @@ bool AeroDrome::deserialize(SnapshotReader &R) {
     hold(TS.PendingParent, ref());
     TS.Outer = F.u32();
     TS.Depth = static_cast<int>(F.u64());
-    if (TS.Depth > 0 && !TS.Cur)
+    if (TS.Depth < 0 || (TS.Depth > 0 && !TS.Cur))
       return false;
     for (uint32_t I = 0; I < N; ++I)
       succ(S)[I] = F.u64();
@@ -461,12 +462,14 @@ bool AeroDrome::deserialize(SnapshotReader &R) {
     hold(V.LastWrite, ref());
     uint32_t NumReaders = F.u32();
     for (uint32_t J = 0; J < NumReaders && !F.failed(); ++J) {
+      // NumReaders counts the non-null entries, so each entry names a clock.
       uint32_t S = F.u32();
-      if (S >= N || S < V.Readers.size())
+      ClockRef C = ref();
+      if (S >= N || S < V.Readers.size() || !C)
         return false;
       V.Readers.resize(S + 1, 0);
       ++V.NumReaders;
-      hold(V.Readers[S], ref());
+      hold(V.Readers[S], C);
     }
   }
   if (F.failed())

@@ -128,8 +128,10 @@ private:
 
   /// Start a fresh transaction (or unary singleton) for slot S: recycle
   /// the current clock in place if nothing else holds it, else carry its
-  /// row into a new one (program order); tick S's component, reset the
-  /// successor frontier, and fold in a pending fork-point dependency.
+  /// row into a new one (program order); tick S's component and fold in a
+  /// pending fork-point dependency. The successor frontier is onBegin's and
+  /// onEnd's: set to the block's own index when the outermost block opens,
+  /// cleared when it ends.
   void advance(uint32_t S, const Event &E);
 
   /// An operation outside any atomic block runs in its own singleton
@@ -168,8 +170,9 @@ private:
   /// open outermost block. Per thread r, the earliest transaction of r known to
   /// be ordered at or after the block (0 = none); the slot's own entry is
   /// the block's index while it is open, 0 otherwise. A clock is ordered
-  /// after the block iff it reaches some entry. A min-clock, reset at each
-  /// of the slot's transactions.
+  /// after the block iff it reaches some entry. A min-clock: onBegin sets
+  /// the own entry when the outermost block opens, onEnd clears the row
+  /// when it ends, and between the two only recordSuccessor lowers it.
   std::vector<uint64_t> Succ;
   std::vector<TxnClock> Clocks; ///< the pool; [0] is the null handle
   std::vector<uint64_t> Rows;   ///< Stride components per pooled clock

@@ -54,9 +54,14 @@ void Atomizer::serialize(SnapshotWriter &W) const {
 bool Atomizer::deserialize(SnapshotReader &R) {
   if (!deserializeBase(R) || !Engine.deserialize(R))
     return false;
+  // Tids ascend strictly, as serialize() writes them, and lie below the
+  // readers' cap, so a crafted snapshot cannot size the table.
   uint64_t NumThreads = R.u64();
-  for (uint64_t I = 0; I < NumThreads && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumThreads && !R.failed(); ++I) {
     Tid T = R.u32();
+    if (T >= MaxTraceThreads || (I > 0 && T <= Prev))
+      return false;
+    Prev = T;
     ThreadState &TS = Threads[T];
     TS.Depth = static_cast<int>(R.u64());
     TS.Ph = R.u8() ? Phase::PostCommit : Phase::PreCommit;

@@ -2,6 +2,8 @@
 
 #include "eraser/LockSetEngine.h"
 
+#include "events/TraceStream.h"
+
 #include <algorithm>
 
 namespace velo {
@@ -96,9 +98,14 @@ void LockSetEngine::serialize(SnapshotWriter &W) const {
 
 bool LockSetEngine::deserialize(SnapshotReader &R) {
   clear();
+  // Ids ascend strictly, as serialize() writes them, and lie below the
+  // readers' caps, so a crafted snapshot cannot size the tables.
   uint64_t NumThreads = R.u64();
-  for (uint64_t I = 0; I < NumThreads && !R.failed(); ++I) {
+  for (uint64_t I = 0, Prev = 0; I < NumThreads && !R.failed(); ++I) {
     Tid T = R.u32();
+    if (T >= MaxTraceThreads || (I > 0 && T <= Prev))
+      return false;
+    Prev = T;
     std::set<LockId> &Locks = heldOf(T);
     uint64_t N = R.u64();
     for (uint64_t J = 0; J < N && !R.failed(); ++J)
@@ -107,10 +114,9 @@ bool LockSetEngine::deserialize(SnapshotReader &R) {
   uint64_t NumVars = R.u64();
   for (uint64_t I = 0; I < NumVars && !R.failed(); ++I) {
     VarId X = R.u32();
-    if (R.failed())
-      break;
-    if (X >= Vars.size())
-      Vars.resize(X + 1);
+    if (X >= MaxTraceSymbols || X < Vars.size())
+      return false;
+    Vars.resize(X + 1);
     VarInfo &V = Vars[X];
     V.State = static_cast<VarState>(R.u8());
     V.Owner = R.u32();

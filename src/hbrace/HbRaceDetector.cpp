@@ -68,11 +68,11 @@ bool HbRaceDetector::deserialize(SnapshotReader &R) {
     return false;
   // Tids are distinct and ids ascend strictly, as serialize() writes them,
   // all below the readers' caps, so a crafted snapshot cannot size the
-  // tables.
+  // tables. The slot table must be whole: every row below is N wide.
   uint64_t N = R.u64();
-  for (uint64_t S = 0; S < N && !R.failed(); ++S) {
+  for (uint64_t S = 0; S < N; ++S) {
     Tid T = R.u32();
-    if (T >= MaxTraceThreads || slotOf(T) != S)
+    if (R.failed() || T >= MaxTraceThreads || slotOf(T) != S)
       return false;
   }
   for (uint32_t S = 0; S < N && !R.failed(); ++S)

@@ -416,7 +416,9 @@ template <typename BackendT> bool restores(const std::string &Payload) {
 TEST(SnapshotGuardTest, SlotTablesAndIdsAreCheckedOnRestore) {
   // A repeated tid, or an id at the readers' cap, would size a table from
   // the snapshot alone; restore refuses both. Each refused payload differs
-  // from one that restores only in that id.
+  // from one that restores only in that id. A slot table that the payload
+  // cuts short, or a count that names more entries than the payload holds,
+  // would have restore write past a table; restore refuses those too.
   auto hb = [](Tid Second, LockId M) { // after the header: slots, then
     SnapshotWriter W;                  // locks, vars and racy vars
     W.u64(2);
@@ -435,27 +437,99 @@ TEST(SnapshotGuardTest, SlotTablesAndIdsAreCheckedOnRestore) {
   EXPECT_TRUE(restores<HbRaceDetector>(hb(9, 3)));
   EXPECT_FALSE(restores<HbRaceDetector>(hb(7, 3)));
   EXPECT_FALSE(restores<HbRaceDetector>(hb(9, 1u << 20)));
+  SnapshotWriter NoTids; // 1000 slots declared, none present
+  NoTids.u64(1000);
+  EXPECT_FALSE(restores<HbRaceDetector>(baseHeader<HbRaceDetector>(32) +
+                                        NoTids.payload()));
 
-  auto aero = [](VarId X) { // options, slots, the frontier blob, clocks,
-    SnapshotWriter Fronts;  // then violations, reports and counters
+  // Options, slots, the frontier blob, clocks, then violations, reports
+  // and counters: T7 holds the one clock, and X's one reader entry names
+  // clock Reader (0: none, though the entry counts as a reader).
+  auto aero = [](VarId X, uint32_t Reader) {
+    SnapshotWriter Fronts;
+    Fronts.u32(1); // T7: its clock, no fork parent, outside any block
+    Fronts.u32(0);
+    Fronts.u32(NoLabel);
     Fronts.u64(0);
+    Fronts.u64(0); // T7's successor frontier
+    Fronts.u64(0); // no locks
     Fronts.u64(1);
     Fronts.u32(X);
-    Fronts.u32(0);
-    Fronts.u32(0);
+    Fronts.u32(0); // no last write
+    Fronts.u32(1);
+    Fronts.u32(0); // T7's slot
+    Fronts.u32(Reader);
     SnapshotWriter W;
     W.u64(AeroDromeOptions().MaxWarnings);
-    W.u64(0);
+    W.u64(1);
+    W.u32(7);
     W.blob(Fronts);
-    for (int I = 0; I < 3; ++I)
+    W.u64(1); // the clock: owned by slot 0, one component
+    W.u32(0);
+    W.u64(1);
+    for (int I = 0; I < 2; ++I)
       W.u64(0);
     W.boolean(false);
     for (int I = 0; I < 3; ++I)
       W.u64(0);
     return baseHeader<AeroDrome>(89) + W.payload();
   };
-  EXPECT_TRUE(restores<AeroDrome>(aero(3)));
-  EXPECT_FALSE(restores<AeroDrome>(aero(1u << 20)));
+  EXPECT_TRUE(restores<AeroDrome>(aero(3, 1)));
+  EXPECT_FALSE(restores<AeroDrome>(aero(1u << 20, 1)));
+  EXPECT_FALSE(restores<AeroDrome>(aero(3, 0)));
+  SnapshotWriter AeroNoTids;
+  AeroNoTids.u64(AeroDromeOptions().MaxWarnings);
+  AeroNoTids.u64(1000);
+  EXPECT_FALSE(restores<AeroDrome>(baseHeader<AeroDrome>(89) +
+                                   AeroNoTids.payload()));
+
+  // The lockset engine, under Eraser and the Atomizer: two threads that
+  // each hold lock 0, then variable X, exclusive to the first.
+  auto lockset = [](Tid First, Tid Second, VarId X) {
+    SnapshotWriter W;
+    W.u64(2);
+    for (Tid T : {First, Second}) {
+      W.u32(T);
+      W.u64(1);
+      W.u32(0);
+    }
+    W.u64(1);
+    W.u32(X);
+    W.u8(1); // exclusive
+    W.u32(First);
+    W.u64(0);
+    W.boolean(false);
+    return W.payload();
+  };
+  auto eraser = [&](Tid First, Tid Second, VarId X) {
+    SnapshotWriter W; // no reported variables
+    W.u64(0);
+    return baseHeader<Eraser>(24) + lockset(First, Second, X) + W.payload();
+  };
+  EXPECT_TRUE(restores<Eraser>(eraser(7, 9, 3)));
+  EXPECT_FALSE(restores<Eraser>(eraser(9, 7, 3)));
+  EXPECT_FALSE(restores<Eraser>(eraser(7, 7, 3)));
+  EXPECT_FALSE(restores<Eraser>(eraser(7, 1u << 20, 3)));
+  EXPECT_FALSE(restores<Eraser>(eraser(7, 9, 1u << 20)));
+
+  auto atomizer = [&](Tid First, Tid Second) {
+    SnapshotWriter W; // two threads outside any block, nothing flagged
+    W.u64(2);
+    for (Tid T : {First, Second}) {
+      W.u32(T);
+      W.u64(0);
+      W.u8(0);
+      W.u32(NoLabel);
+      W.boolean(false);
+    }
+    W.u64(0);
+    W.boolean(false);
+    return baseHeader<Atomizer>(33) + lockset(1, 2, 3) + W.payload();
+  };
+  EXPECT_TRUE(restores<Atomizer>(atomizer(7, 9)));
+  EXPECT_FALSE(restores<Atomizer>(atomizer(9, 7)));
+  EXPECT_FALSE(restores<Atomizer>(atomizer(7, 7)));
+  EXPECT_FALSE(restores<Atomizer>(atomizer(7, 1u << 20)));
 }
 
 TEST(SnapshotGuardTest, SanitizerModeMismatchIsRejected) {
