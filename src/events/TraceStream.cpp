@@ -5,12 +5,18 @@
 #include "events/TraceText.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
 #include <unistd.h>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace velo {
 
@@ -47,9 +53,55 @@ namespace {
 /// the reader's footprint flat.
 constexpr size_t BlockBytes = size_t{64} * 1024;
 
-/// std::isspace in the C locale (space, \t, \n, \v, \f, \r), so a CRLF
-/// line's '\r' is plain token whitespace.
-bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+/// The scan classifies a window of input bytes at a time into bit masks,
+/// bit I for byte I.
+constexpr size_t WindowBytes = 16;
+
+struct WindowMasks {
+  uint32_t Space;  ///< std::isspace in the C locale less '\n', so a CRLF
+                   ///< line's '\r' is token whitespace
+  uint32_t Stop;   ///< '\n', or '#' (a comment runs to the line's end)
+  uint32_t Escape; ///< a backslash, a control byte or 0x7f: a name holding
+                   ///< one needs unescapeSymbol
+};
+
+/// Classify the K (at most WindowBytes) bytes at P.
+WindowMasks classify(const char *P, size_t K) {
+  char Padded[WindowBytes] = {};
+  if (K < WindowBytes)
+    P = static_cast<const char *>(std::memcpy(Padded, P, K));
+  WindowMasks M{0, 0, 0};
+#if defined(__SSE2__)
+  const __m128i V = _mm_loadu_si128(reinterpret_cast<const __m128i *>(P));
+  const auto Is = [&](char C) { return _mm_cmpeq_epi8(V, _mm_set1_epi8(C)); };
+  const auto AtMost = [](__m128i X, char Max) {
+    return _mm_cmpeq_epi8(_mm_min_epu8(X, _mm_set1_epi8(Max)), X);
+  };
+  const auto Bits = [](__m128i X) {
+    return static_cast<uint32_t>(_mm_movemask_epi8(X));
+  };
+  const __m128i Newline = Is('\n');
+  // '\t' through '\r', newline included.
+  const __m128i TabToCr =
+      AtMost(_mm_sub_epi8(V, _mm_set1_epi8('\t')), '\r' - '\t');
+  M.Space = Bits(_mm_or_si128(Is(' '), _mm_andnot_si128(Newline, TabToCr)));
+  M.Stop = Bits(_mm_or_si128(Newline, Is('#')));
+  M.Escape = Bits(_mm_or_si128(_mm_andnot_si128(TabToCr, AtMost(V, 0x1f)),
+                               _mm_or_si128(Is('\\'), Is(0x7f))));
+#else
+  for (size_t I = 0; I < WindowBytes; ++I) {
+    const auto B = static_cast<unsigned char>(P[I]);
+    const bool Ws = B == ' ' || (B >= '\t' && B <= '\r' && B != '\n');
+    M.Space |= uint32_t{Ws} << I;
+    M.Stop |= uint32_t{B == '\n' || B == '#'} << I;
+    M.Escape |= uint32_t{(B < 0x20 && !Ws && B != '\n') || B == '\\' ||
+                         B == 0x7f}
+                << I;
+  }
+#endif
+  const uint32_t Valid = (uint32_t{1} << K) - 1;
+  return {M.Space & Valid, M.Stop & Valid, M.Escape & Valid};
+}
 
 /// Parse "T<digits>" into a thread id. Rejects non-digits and ids at or
 /// above MaxTraceThreads (see events/Event.h).
@@ -69,127 +121,80 @@ bool parseTid(std::string_view Token, Tid &Out) {
   return true;
 }
 
-/// Split Line, up to a '#' (a comment runs to the end of the line), into
-/// at most four whitespace-separated tokens (the fourth is only captured to
-/// report it as trailing garbage). Returns the token count.
-size_t splitTokens(std::string_view Line, std::string_view Toks[4]) {
-  const char *P = Line.data(), *End = P + Line.size();
-  size_t N = 0;
-  while (N < 4) {
-    while (P != End && isSpace(*P))
-      ++P;
-    if (P == End || *P == '#')
-      break;
-    const char *Start = P;
-    while (P != End && !isSpace(*P) && *P != '#')
-      ++P;
-    Toks[N++] = std::string_view(Start, static_cast<size_t>(P - Start));
-  }
-  return N;
+/// An op token of 2 to 5 bytes as one key: its length, its last byte, and
+/// a word of its first four bytes (of its first two and its last when it
+/// is shorter), each read without passing its end.
+constexpr uint64_t opKey(std::string_view Tok) {
+  const auto Byte = [&](size_t I) {
+    return uint64_t{static_cast<unsigned char>(Tok[I])};
+  };
+  const size_t N = Tok.size();
+  const uint64_t Word = N >= 4
+                            ? Byte(0) | Byte(1) << 8 | Byte(2) << 16 |
+                                  Byte(3) << 24
+                            : Byte(0) | Byte(1) << 8 | Byte(N - 1) << 16;
+  return uint64_t{N} << 40 | Byte(N - 1) << 32 | Word;
 }
 
-/// Decode the escaped symbol token Tok (TraceText escaping rule). Only a
-/// token holding a backslash or a raw control byte needs unescapeSymbol,
-/// which decodes it into Scratch or gives the diagnostic; any other token
-/// is its own name and is not copied.
-bool decodeName(std::string_view Tok, std::string &Scratch,
-                std::string_view &Name, std::string &ErrorOut) {
-  bool Plain = std::none_of(Tok.begin(), Tok.end(), [](char C) {
-    auto B = static_cast<unsigned char>(C);
-    return C == '\\' || B < 0x20 || B == 0x7f;
-  });
-  if (Plain) {
-    Name = Tok;
-    return true;
-  }
-  if (!unescapeSymbol(Tok, Scratch, ErrorOut))
-    return false;
-  Name = Scratch;
-  return true;
+/// What an op means for its line: the event kind and, for an op that
+/// names a symbol, the table the name goes to and the words of its
+/// diagnostics.
+struct OpRule {
+  uint64_t Key = 0; ///< opKey of the op's name; 0 in an unused entry
+  Op Kind = Op::End;
+  StringInterner SymbolTable::*Names = nullptr; ///< null: no symbol
+  const char *Missing = nullptr; ///< the diagnostic for a missing name
+  const char *What = nullptr;    ///< the symbol kind in the cap diagnostic
+};
+
+/// An op's entry in OpRules, from its first two bytes: distinct for the
+/// eight ops.
+constexpr size_t opSlot(const char *P) {
+  return (size_t{static_cast<unsigned char>(P[0])} +
+          static_cast<unsigned char>(P[1])) &
+         31;
 }
 
-/// The line grammar behind parseTraceLine and TraceStream::next. Names are
-/// interned under Cap; Scratch holds unescaped names.
-LineParse parseLine(std::string_view Line, SymbolTable &Syms, uint64_t Cap,
-                    std::string &Scratch, Event &Ev, std::string &ErrorOut) {
-  std::string_view Toks[4];
-  size_t N = splitTokens(Line, Toks);
-  if (N == 0)
-    return LineParse::Blank;
-  auto Fail = [&](const std::string &Msg) {
-    ErrorOut = Msg;
-    return LineParse::Error;
+constexpr std::array<OpRule, 32> OpRules = [] {
+  std::array<OpRule, 32> R{};
+  auto Add = [&](std::string_view Name, OpRule Rule) {
+    Rule.Key = opKey(Name);
+    if (R[opSlot(Name.data())].Key != 0)
+      throw "two ops share a slot";
+    R[opSlot(Name.data())] = Rule;
   };
-  if (N == 4)
-    return Fail("trailing token '" + std::string(Toks[3]) + "'");
+  Add("rd", {0, Op::Read, &SymbolTable::Vars, "missing variable name",
+             "variable"});
+  Add("wr", {0, Op::Write, &SymbolTable::Vars, "missing variable name",
+             "variable"});
+  Add("acq", {0, Op::Acquire, &SymbolTable::Locks, "missing lock name",
+              "lock"});
+  Add("rel", {0, Op::Release, &SymbolTable::Locks, "missing lock name",
+              "lock"});
+  Add("begin", {0, Op::Begin, &SymbolTable::Labels, "missing label",
+                "label"});
+  Add("end", {0, Op::End});
+  Add("fork", {0, Op::Fork});
+  Add("join", {0, Op::Join});
+  return R;
+}();
 
-  Tid T;
-  if (!parseTid(Toks[0], T))
-    return Fail("expected thread id 'T<n>', got '" + std::string(Toks[0]) +
-                "'");
-  if (N < 2)
-    return Fail("missing operation");
-  std::string_view OpTok = Toks[1];
-  bool HasArg = N == 3;
-  std::string_view Arg = Toks[2];
-
-  // Decode the escaped symbol argument (TraceText escaping rule) and
-  // intern it under the per-kind count cap.
-  auto InternArg = [&](StringInterner &Table, const char *What,
-                       uint32_t &IdOut) {
-    std::string_view Name;
-    if (!decodeName(Arg, Scratch, Name, ErrorOut))
-      return false;
-    if (!internSymbolCapped(Table, Name, Cap, IdOut)) {
-      ErrorOut = std::string("too many distinct ") + What + " names (cap " +
-                 std::to_string(Cap) + ")";
-      return false;
-    }
-    return true;
-  };
-
-  if (OpTok == "rd" || OpTok == "wr") {
-    if (!HasArg)
-      return Fail("missing variable name");
-    VarId X;
-    if (!InternArg(Syms.Vars, "variable", X))
-      return LineParse::Error;
-    Ev = OpTok == "rd" ? Event::read(T, X) : Event::write(T, X);
-  } else if (OpTok == "acq" || OpTok == "rel") {
-    if (!HasArg)
-      return Fail("missing lock name");
-    LockId M;
-    if (!InternArg(Syms.Locks, "lock", M))
-      return LineParse::Error;
-    Ev = OpTok == "acq" ? Event::acquire(T, M) : Event::release(T, M);
-  } else if (OpTok == "begin") {
-    if (!HasArg)
-      return Fail("missing label");
-    Label L;
-    if (!InternArg(Syms.Labels, "label", L))
-      return LineParse::Error;
-    Ev = Event::begin(T, L);
-  } else if (OpTok == "end") {
-    if (HasArg)
-      return Fail("'end' takes no argument");
-    Ev = Event::end(T);
-  } else if (OpTok == "fork" || OpTok == "join") {
-    Tid Child;
-    if (!HasArg || !parseTid(Arg, Child))
-      return Fail("expected child thread id");
-    Ev = OpTok == "fork" ? Event::fork(T, Child) : Event::join(T, Child);
-  } else {
-    return Fail("unknown operation '" + std::string(OpTok) + "'");
-  }
-  return LineParse::Event;
+/// The rule of an op token, matched by its length and one word compare;
+/// null for anything else.
+const OpRule *matchOp(std::string_view Tok) {
+  if (Tok.size() < 2 || Tok.size() > 5)
+    return nullptr;
+  const OpRule &R = OpRules[opSlot(Tok.data())];
+  return R.Key == opKey(Tok) ? &R : nullptr;
 }
 
 } // namespace
 
 LineParse parseTraceLine(std::string_view Line, SymbolTable &Syms, Event &Ev,
                          std::string &ErrorOut) {
-  std::string Scratch;
-  return parseLine(Line, Syms, maxTraceSymbols(), Scratch, Ev, ErrorOut);
+  TraceStream TS(Line, Syms);
+  TraceStream::Tokens T;
+  return TS.scanLine(T) ? TS.parseTokens(T, Ev, ErrorOut) : LineParse::Blank;
 }
 
 TraceStream::TraceStream(std::string_view Text, SymbolTable &Syms)
@@ -209,7 +214,6 @@ bool TraceStream::refill() {
     std::memmove(Block.data(), Block.data() + Pos, End - Pos);
     BlockOffset += Pos;
     End -= Pos;
-    Scanned -= Pos;
     Pos = 0;
   }
   if (End == Block.size()) {
@@ -234,26 +238,17 @@ bool TraceStream::refill() {
   }
 }
 
-bool TraceStream::nextLine(std::string_view &Line) {
+bool TraceStream::findNewline(size_t &Off) {
   for (;;) {
-    const void *Newline =
-        End > Scanned ? std::memchr(Data + Scanned, '\n', End - Scanned)
-                      : nullptr;
-    if (Newline) {
-      size_t Stop = static_cast<size_t>(static_cast<const char *>(Newline) -
-                                        Data);
-      Line = std::string_view(Data + Pos, Stop - Pos);
-      Pos = Scanned = Stop + 1;
+    const char *From = Data + Pos + Off;
+    if (const void *Newline = std::memchr(From, '\n', End - Pos - Off)) {
+      Off = static_cast<size_t>(static_cast<const char *>(Newline) -
+                                (Data + Pos));
       return true;
     }
-    Scanned = End;
+    Off = End - Pos;
     if (AtEof) {
-      // A last line without a newline still counts as a line.
       MetEnd = true;
-      if (Pos == End)
-        return false;
-      Line = std::string_view(Data + Pos, End - Pos);
-      Pos = End;
       return true;
     }
     if (!refill())
@@ -261,14 +256,128 @@ bool TraceStream::nextLine(std::string_view &Line) {
   }
 }
 
+bool TraceStream::scanLine(Tokens &T) {
+  // Offsets from the line's first byte, since a refill moves the line to
+  // the front of the block. Tokens past the fourth are counted, not kept.
+  size_t Start[4] = {}, Len[4] = {};
+  size_t Starts = 0, Ends = 0;
+  bool ArgEscaped = false;
+  uint32_t InToken = 0; // the last window ended inside a token
+  size_t Off = 0;       // bytes of the line scanned
+  for (;;) {
+    const size_t Avail = End - Pos - Off;
+    if (Avail == 0) {
+      if (!AtEof) {
+        if (!refill())
+          return false;
+        continue;
+      }
+      // The input ended first; a last line without a newline still counts.
+      MetEnd = true;
+      if (Off == 0)
+        return false;
+      if (InToken && Ends < 4)
+        Len[Ends] = Off - Start[Ends];
+      break;
+    }
+    // A window of the next 16 bytes, or of the bytes read so far.
+    const size_t K = std::min(Avail, WindowBytes);
+    const WindowMasks M = classify(Data + Pos + Off, K);
+    const uint32_t StopBit = M.Stop & (~M.Stop + 1);
+    const uint32_t Live = StopBit ? StopBit - 1 : (uint32_t{1} << K) - 1;
+    const uint32_t Tok = ~M.Space & Live;
+    const uint32_t Prev = Tok << 1 | InToken;
+    const size_t EndsBefore = Ends;
+    for (uint32_t B = Tok & ~Prev; B; B &= B - 1) {
+      if (Starts < 4)
+        Start[Starts] = Off + static_cast<size_t>(std::countr_zero(B));
+      ++Starts;
+    }
+    for (uint32_t B = ~Tok & Prev & (Live | StopBit); B; B &= B - 1) {
+      if (Ends < 4)
+        Len[Ends] =
+            Off + static_cast<size_t>(std::countr_zero(B)) - Start[Ends];
+      ++Ends;
+    }
+    // The name token's bytes in this window, for its escape check.
+    if (Starts > 2 && EndsBefore <= 2) {
+      const size_t Lo = Start[2] > Off ? Start[2] - Off : 0;
+      const size_t Hi = Ends > 2 ? Start[2] + Len[2] - Off : K;
+      const uint32_t Name =
+          ((uint32_t{1} << Hi) - 1) & ~((uint32_t{1} << Lo) - 1);
+      ArgEscaped |= (M.Escape & Name) != 0;
+    }
+    if (StopBit) {
+      Off += static_cast<size_t>(std::countr_zero(StopBit));
+      if (Data[Pos + Off] == '#' && !findNewline(Off))
+        return false;
+      break;
+    }
+    InToken = Tok >> (K - 1) & 1;
+    Off += K;
+  }
+  T.N = std::min<size_t>(Starts, 4);
+  T.ArgEscaped = ArgEscaped;
+  for (size_t I = 0; I < T.N; ++I)
+    T.Tok[I] = std::string_view(Data + Pos + Start[I], Len[I]);
+  Pos = MetEnd ? End : Pos + Off + 1;
+  return true;
+}
+
+LineParse TraceStream::parseTokens(const Tokens &T, Event &Ev,
+                                   std::string &ErrorOut) {
+  if (T.N == 0)
+    return LineParse::Blank;
+  auto Fail = [&](const std::string &Msg) {
+    ErrorOut = Msg;
+    return LineParse::Error;
+  };
+  if (T.N == 4)
+    return Fail("trailing token '" + std::string(T.Tok[3]) + "'");
+
+  Tid Thread = 0;
+  if (!parseTid(T.Tok[0], Thread))
+    return Fail("expected thread id 'T<n>', got '" + std::string(T.Tok[0]) +
+                "'");
+  if (T.N < 2)
+    return Fail("missing operation");
+  const OpRule *Rule = matchOp(T.Tok[1]);
+  if (!Rule)
+    return Fail("unknown operation '" + std::string(T.Tok[1]) + "'");
+  const bool HasArg = T.N == 3;
+
+  uint32_t Target = 0;
+  if (Rule->Names) {
+    if (!HasArg)
+      return Fail(Rule->Missing);
+    // Decode the escaped symbol argument (TraceText escaping rule) and
+    // intern it under the per-kind count cap.
+    std::string_view Name = T.Tok[2];
+    if (T.ArgEscaped) {
+      if (!unescapeSymbol(Name, Unescaped, ErrorOut))
+        return LineParse::Error;
+      Name = Unescaped;
+    }
+    if (!internSymbolCapped(Syms.*Rule->Names, Name, MaxSymbols, Target))
+      return Fail(std::string("too many distinct ") + Rule->What +
+                  " names (cap " + std::to_string(MaxSymbols) + ")");
+  } else if (Rule->Kind == Op::End) {
+    if (HasArg)
+      return Fail("'end' takes no argument");
+  } else if (!HasArg || !parseTid(T.Tok[2], Target)) {
+    return Fail("expected child thread id");
+  }
+  Ev = Event{Rule->Kind, Thread, Target};
+  return LineParse::Event;
+}
+
 bool TraceStream::next(Event &Out) {
   if (Failed)
     return false;
-  std::string_view Line;
-  while (nextLine(Line)) {
+  Tokens T;
+  while (scanLine(T)) {
     ++LineNo;
-    std::string Msg;
-    switch (parseLine(Line, Syms, MaxSymbols, Unescaped, Out, Msg)) {
+    switch (parseTokens(T, Out, Error)) {
     case LineParse::Event:
       ++NumEvents;
       return true;
@@ -276,7 +385,7 @@ bool TraceStream::next(Event &Out) {
       continue;
     case LineParse::Error:
       Failed = true;
-      Error = "line " + std::to_string(LineNo) + ": " + Msg;
+      Error = "line " + std::to_string(LineNo) + ": " + Error;
       return false;
     }
   }
@@ -301,7 +410,7 @@ bool TraceStream::seek(uint64_t Offset, size_t Line, uint64_t Events) {
       ::lseek(Fd, static_cast<off_t>(Offset), SEEK_SET) < 0)
     return false;
   BlockOffset = Offset;
-  Pos = Scanned = End = 0;
+  Pos = End = 0;
   AtEof = MetEnd = false;
   LineNo = Line;
   NumEvents = Events;

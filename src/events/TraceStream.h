@@ -8,11 +8,20 @@
 // something genuinely needs random access, e.g. the serializability
 // oracle behind --witness).
 //
-// The scanner cuts lines out of a byte block with memchr and tokens out of
-// a line as string_views, and resolves names through the interner without
-// copying them; a name is copied only to undo a backslash escape. A file
-// descriptor is read through one 64 KiB block, grown only to hold a line
-// longer than itself.
+// The scanner reads each line once, a 16-byte window at a time. One SSE2
+// compare (a plain loop on other targets) turns a window into three bit
+// masks: token whitespace, line stops ('\n' and '#'), and the bytes that
+// make a name need unescapeSymbol (a backslash, a control byte, 0x7f).
+// Token starts and ends, the newline, and whether the name token holds
+// such a byte all come from those masks, in one pass over the line; only
+// the rest of a '#' comment is skipped unread, with memchr. The op
+// is matched by its length and one 4-byte word, and the name resolved
+// through the interner's flat index without copying it; a name is copied
+// only to undo an escape. A file descriptor is read through one 64 KiB
+// block, refilled only when the scan reaches the end of the bytes read so
+// far (a window never waits for bytes a line does not need) and grown only
+// to hold a line longer than itself. parseTraceLine runs the same scanner
+// over one line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +62,8 @@ enum class LineParse {
 
 /// Parse one line (without its newline) of the text format into Ev,
 /// interning names into Syms. The message in ErrorOut carries no "line N:"
-/// prefix — callers know the position. TraceStream runs the same grammar.
+/// prefix — callers know the position. This is TraceStream's scanner run
+/// over Line alone.
 LineParse parseTraceLine(std::string_view Line, SymbolTable &Syms, Event &Ev,
                          std::string &ErrorOut);
 
@@ -119,9 +129,26 @@ public:
   bool seek(uint64_t Offset, size_t Line, uint64_t Events);
 
 private:
-  /// Cut the next line (without its newline) out of the input. False at
+  friend LineParse parseTraceLine(std::string_view, SymbolTable &, Event &,
+                                  std::string &);
+
+  /// The tokens of one line, in place in the input: the first four (a
+  /// fourth only to report it as trailing).
+  struct Tokens {
+    std::string_view Tok[4];
+    size_t N = 0;
+    bool ArgEscaped = false; ///< Tok[2] needs unescapeSymbol
+  };
+
+  /// Scan the next line into T and consume it with its newline. False at
   /// end of input or when a read fails.
-  bool nextLine(std::string_view &Line);
+  bool scanLine(Tokens &T);
+  /// From Off bytes into the current line, move Off to the line's newline
+  /// (reading more as needed), or to the end of the input. False when a
+  /// read fails.
+  bool findNewline(size_t &Off);
+  /// Apply the line grammar to a scanned line.
+  LineParse parseTokens(const Tokens &T, Event &Ev, std::string &ErrorOut);
   /// Read more of the descriptor behind the unconsumed bytes, first moving
   /// them to the front of the block (and doubling the block when they
   /// fill it). False when read() fails.
@@ -134,7 +161,6 @@ private:
   std::vector<char> Block; ///< read() buffer (descriptor input only)
   const char *Data;        ///< the string, or Block.data()
   size_t Pos = 0;          ///< first unconsumed byte of Data
-  size_t Scanned = 0;      ///< Data[Pos, Scanned) holds no newline
   size_t End = 0;          ///< bytes of Data filled
   uint64_t BlockOffset = 0; ///< input offset of Data[0]
   bool AtEof = false;      ///< read() has returned 0

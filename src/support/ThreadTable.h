@@ -4,11 +4,17 @@
 // a tid -> slot index that is filled in first-use order. Thread ids come
 // straight from traces: dense in practice, but hostile input may use any tid
 // below the readers' 2^20 cap. State indexed by raw tid would grow with the
-// largest tid; here it grows with the threads seen, plus one 4-byte index
-// entry per tid up to the largest seen (4 MB at the cap).
+// largest tid; here it grows with the threads seen. The index is dense
+// below DenseTids, one 4-byte entry per tid up to the largest seen there
+// (256 KB at most); a larger tid is found by a binary search of the slots
+// in tid order, which the table keeps anyway, so a trace run by tids near
+// the cap costs what the same trace by small tids costs.
 //
-// The lookup is a bounds check and two loads; the first-use insert sits out
-// of line so it does not weigh on the per-event path.
+// The lookup of a dense tid is a bounds check and two loads; the search
+// and the first-use insert sit out of line so they do not weigh on the
+// per-event path. No member serves the large tids alone: the table's size
+// stays what it was, which an in-process parallel pipeline was seen to be
+// sensitive to.
 //
 // Slots are dense (0 .. size()-1), so a checker may also index arrays of
 // its own by slot: vector clocks whose components are threads, for one.
@@ -39,7 +45,7 @@ public:
     uint32_t Slot = T < Index.size() ? Index[T] : 0;
     if (Slot != 0) [[likely]]
       return Slot - 1;
-    return insert(T);
+    return slotOutOfLine(T);
   }
 
   /// The state of thread T, default-constructed on its first use.
@@ -47,6 +53,10 @@ public:
 
   /// The state of thread T, or null if T was never looked up.
   const State *find(uint32_t T) const {
+    if (T >= DenseTids) {
+      auto It = byTidPosition(T);
+      return It != ByTid.end() && Tids[*It] == T ? &States[*It] : nullptr;
+    }
     uint32_t Slot = T < Index.size() ? Index[T] : 0;
     return Slot != 0 ? &States[Slot - 1] : nullptr;
   }
@@ -79,23 +89,35 @@ public:
     ByTid.clear();
   }
 
+  /// Tids below this take the dense index; a larger one is found by a
+  /// binary search of the slots in tid order.
+  static constexpr uint32_t DenseTids = 1u << 16;
+
 private:
-  [[gnu::noinline]] uint32_t insert(uint32_t T) {
-    if (T >= Index.size())
+  /// Where T sits, or would sit, among the slots in ascending tid order.
+  std::vector<uint32_t>::const_iterator byTidPosition(uint32_t T) const {
+    return std::lower_bound(
+        ByTid.begin(), ByTid.end(), T,
+        [this](uint32_t S, uint32_t Tid) { return Tids[S] < Tid; });
+  }
+
+  /// A large tid's slot, or the first-use insert of any tid.
+  [[gnu::noinline]] uint32_t slotOutOfLine(uint32_t T) {
+    auto Pos = byTidPosition(T);
+    if (T >= DenseTids && Pos != ByTid.end() && Tids[*Pos] == T)
+      return *Pos;
+    if (T < DenseTids && T >= Index.size())
       Index.resize(static_cast<size_t>(T) + 1, 0);
     uint32_t Slot = static_cast<uint32_t>(States.size());
     States.emplace_back();
     Tids.push_back(T);
-    Index[T] = Slot + 1;
-    ByTid.insert(std::upper_bound(ByTid.begin(), ByTid.end(), T,
-                                  [this](uint32_t Tid, uint32_t S) {
-                                    return Tid < Tids[S];
-                                  }),
-                 Slot);
+    if (T < DenseTids)
+      Index[T] = Slot + 1;
+    ByTid.insert(Pos, Slot);
     return Slot;
   }
 
-  std::vector<uint32_t> Index; ///< tid -> slot + 1; 0 = never seen
+  std::vector<uint32_t> Index; ///< tid -> slot + 1 below DenseTids; 0 = unseen
   std::vector<State> States;   ///< by slot, in first-use order
   std::vector<uint32_t> Tids;  ///< slot -> tid
   std::vector<uint32_t> ByTid; ///< slots in ascending tid order

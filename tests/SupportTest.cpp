@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 
 namespace velo {
@@ -198,6 +200,39 @@ TEST(ThreadTableTest, SlotAccessorKeepsSlotsInTidOrder) {
   EXPECT_TRUE(T.slotsByTid().empty());
 }
 
+TEST(ThreadTableTest, TidsPastTheDenseIndexAreHashed) {
+  // Tids at and above DenseTids go to the hashed index; slots, lookups
+  // and tid order must not tell the two apart.
+  constexpr uint32_t Bound = ThreadTable<int>::DenseTids;
+  const uint32_t Tids[] = {Bound,     7,         Bound - 1, (1u << 20) - 1,
+                           Bound + 1, 0,         Bound * 3, Bound - 2};
+  ThreadTable<int> T;
+  std::map<uint32_t, uint32_t> SlotOf;
+  for (int Round = 0; Round < 2; ++Round) {
+    for (uint32_t Tid : Tids) {
+      uint32_t S = T.slot(Tid);
+      auto [It, Fresh] = SlotOf.emplace(Tid, S);
+      EXPECT_EQ(S, It->second) << "tid " << Tid;
+      EXPECT_EQ(Fresh, Round == 0);
+      T.atSlot(S) = static_cast<int>(Tid % 1000);
+    }
+  }
+  EXPECT_EQ(T.size(), std::size(Tids));
+  std::vector<uint32_t> Sorted;
+  for (const auto &[Tid, S] : SlotOf) {
+    ASSERT_NE(T.find(Tid), nullptr) << Tid;
+    EXPECT_EQ(*T.find(Tid), static_cast<int>(Tid % 1000));
+    EXPECT_EQ(T.tidOf(S), Tid);
+    Sorted.push_back(Tid);
+  }
+  EXPECT_EQ(T.sortedTids(), Sorted);
+  EXPECT_EQ(T.find(Bound + 2), nullptr);
+  EXPECT_EQ(T.find(Bound - 3), nullptr);
+  T.clear();
+  EXPECT_EQ(T.find(Bound), nullptr);
+  EXPECT_EQ(T.slot(Bound * 3), 0u) << "slots restart after clear()";
+}
+
 // --- StringInterner ---
 
 TEST(StringInternerTest, StableDenseIds) {
@@ -224,6 +259,81 @@ TEST(StringInternerTest, ManyNamesSurviveRehashing) {
               static_cast<uint32_t>(K));
   for (int K = 0; K < 1000; ++K)
     EXPECT_EQ(I.name(static_cast<uint32_t>(K)), "name" + std::to_string(K));
+}
+
+/// A name of N bytes: letters, NUL and high bytes, with a shared stem so
+/// that names agree on the bytes the packing reads first and last.
+std::string internerName(Rng &R, size_t N) {
+  static const char Bytes[] = {'a', 'b', '\0', '\x80', '\xff', 'z', ' '};
+  std::string S(N, 'a');
+  for (size_t I = 0; I < N; ++I)
+    if (R.below(3) == 0)
+      S[I] = Bytes[R.below(sizeof(Bytes))];
+  return S;
+}
+
+TEST(StringInternerTest, MatchesAMapOracle) {
+  Rng R(16);
+  StringInterner I;
+  std::map<std::string, uint32_t> Oracle;
+  std::vector<std::string> ById;
+  std::vector<std::pair<StringInterner, size_t>> Copies; // copy, its size
+  for (int Step = 0; Step < 20000; ++Step) {
+    // Lengths 0-24 cross the 4- and 8-byte packing edges; a name is
+    // looked up from a heap buffer of exactly its size.
+    const std::string Name = internerName(R, R.below(25));
+    std::unique_ptr<char[]> Exact(new char[Name.size()]);
+    std::memcpy(Exact.get(), Name.data(), Name.size());
+    const std::string_view View(Exact.get(), Name.size());
+    auto It = Oracle.find(Name);
+    uint32_t Found = 0;
+    ASSERT_EQ(I.lookup(View, Found), It != Oracle.end()) << Step;
+    if (It != Oracle.end()) {
+      ASSERT_EQ(Found, It->second);
+    }
+    if (R.below(2) == 0) {
+      uint32_t Id = I.intern(View);
+      if (It == Oracle.end()) {
+        ASSERT_EQ(Id, ById.size()) << "ids are dense in first-use order";
+        Oracle.emplace(Name, Id);
+        ById.push_back(Name);
+      } else {
+        ASSERT_EQ(Id, It->second);
+      }
+    }
+    if (Step % 2500 == 0)
+      Copies.emplace_back(I, I.size());
+  }
+  ASSERT_EQ(I.size(), ById.size());
+  EXPECT_GT(I.size(), 1000u) << "enough names to grow the table";
+  for (uint32_t Id = 0; Id < ById.size(); ++Id) {
+    EXPECT_EQ(I.name(Id), ById[Id]);
+    uint32_t Found = 0;
+    EXPECT_TRUE(I.lookup(ById[Id], Found));
+    EXPECT_EQ(Found, Id);
+  }
+  // A copy keeps the ids it had and grows on its own; syncFrom brings it
+  // to the original's ids.
+  for (auto &[Copy, Size] : Copies) {
+    ASSERT_EQ(Copy.size(), Size);
+    for (uint32_t Id = 0; Id < Size; ++Id) {
+      uint32_t Found = 0;
+      ASSERT_TRUE(Copy.lookup(ById[Id], Found));
+      EXPECT_EQ(Found, Id);
+    }
+    uint32_t Found = 0;
+    if (Size < ById.size()) {
+      EXPECT_FALSE(Copy.lookup(ById[Size], Found));
+    }
+    Copy.syncFrom(I);
+    ASSERT_EQ(Copy.size(), I.size());
+    for (uint32_t Id = 0; Id < ById.size(); ++Id)
+      EXPECT_EQ(Copy.intern(ById[Id]), Id);
+  }
+  StringInterner Fresh;
+  Fresh.syncFrom(I);
+  for (uint32_t Id = 0; Id < ById.size(); ++Id)
+    EXPECT_EQ(Fresh.name(Id), ById[Id]);
 }
 
 // --- Stats ---

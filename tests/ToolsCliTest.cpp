@@ -574,8 +574,9 @@ TEST(CheckCliTest, SparseTidsCostWhatDenseTidsCost) {
   // trace run by the largest legal tid costs what the same trace run by T1
   // costs. State indexed by raw tid would take gigabytes on the 3.3 KB
   // 200-read trace below. The header's thread count (largest tid + 1)
-  // differs; the verdict, the warning counts and the exit status must not.
-  // The 128 MB bound leaves room for a sanitizer build's shadow memory.
+  // differs; the verdict, the warning counts and the exit status must not,
+  // and the peak RSS stays within 1 MiB of the dense run's. The 128 MB
+  // bound leaves room for a sanitizer build's shadow memory.
   std::string Dir = ::testing::TempDir();
   struct Shape {
     const char *Name;
@@ -615,6 +616,8 @@ TEST(CheckCliTest, SparseTidsCostWhatDenseTidsCost) {
       EXPECT_EQ(DenseExit, std::string(S.Name) == "rmw" && Atomicity ? 1 : 0);
       EXPECT_EQ(SparseExit, DenseExit);
       EXPECT_LE(SparseRss, 128 * 1024) << "peak RSS in KiB";
+      EXPECT_LE(SparseRss, DenseRss + 1024)
+          << "peak RSS in KiB: within 1 MiB of the dense run";
       EXPECT_EQ(verdictLines(Sparse + ".out"), verdictLines(Dense + ".out"));
     }
     for (const std::string &F : {Sparse, Dense}) {
